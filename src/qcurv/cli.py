@@ -2,7 +2,10 @@
 
 Each subcommand runs one check suite and writes a JSON summary (and a CSV
 for sweep commands) into the output directory.  Exit codes: 0 all checks
-passed, 1 at least one check failed, 2 usage or configuration error.
+passed, 1 at least one check failed, 2 usage or configuration error.  A
+numerical failure (a point outside its chart, a degenerate metric, a solver
+that does not converge) is a failed check named after the error, with its
+message as the value.
 """
 
 from __future__ import annotations
@@ -581,6 +584,8 @@ def main(argv=None):
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
 
+    from .fields import ChartError, DegenerateMetricError
+
     names = list(RUNNERS) if args.command == "all" else [args.command]
     all_pass = True
     for name in names:
@@ -592,6 +597,9 @@ def main(argv=None):
         except ConfigError as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return USAGE_ERROR
+        except (ChartError, DegenerateMetricError, RuntimeError) as exc:
+            checks = [_check(type(exc).__name__, str(exc), "no numerical failure", False)]
+            header = rows = None
         except ValueError as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return USAGE_ERROR

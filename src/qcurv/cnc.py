@@ -92,26 +92,12 @@ def poly_truncate(p, max_deg):
     return {m: c for m, c in p.items() if sum(m) <= max_deg}
 
 
-def poly_degree_part(p, deg):
-    return {m: c for m, c in p.items() if sum(m) == deg}
-
-
 def poly_eval(p, x):
     x = np.asarray(x, float)
     total = 0.0
     for m, c in p.items():
         total += float(c) * np.prod(x**np.array(m))
     return total
-
-
-def poly_to_sympy(p, scale=1):
-    expr = sp.Integer(0)
-    for m, c in p.items():
-        term = sp.Rational(c.numerator, c.denominator)
-        for i, e in enumerate(m):
-            term *= (scale * COORDS[i]) ** e
-        expr += term
-    return expr
 
 
 def poly_str(p):
@@ -341,9 +327,6 @@ class MetricTaylor:
     jet: CurvatureJet
     max_degree: int = 3
     inverse: bool = False
-
-    def component(self, a, b):
-        return poly_truncate(self.comps[a, b], self.max_degree)
 
     def eval(self, x):
         g = np.empty((DIM, DIM))

@@ -21,49 +21,57 @@ import numpy as np
 import sympy as sp
 
 from .fields import (
-    COORDS,
     DIM,
     MetricField,
     ScalarField,
-    fd_partial,
-    _D1_COEF,
-    _D2_COEF,
-    _OFFSETS,
+    fd_partials,
+    require_positive_definite,
 )
 
-
-def _christoffel(g, ginv, dg):
-    """Gamma^a_{bc} from g, g^{-1} and dg[a,b,c] = d_c g_ab."""
-    # 1/2 g^{ad} (d_b g_dc + d_c g_db - d_d g_bc)
-    brack = np.empty((DIM, DIM, DIM))
-    for d in range(DIM):
-        for b in range(DIM):
-            for c in range(DIM):
-                brack[d, b, c] = dg[d, c, b] + dg[d, b, c] - dg[b, c, d]
-    return 0.5 * np.einsum("ad,dbc->abc", ginv, brack)
+# derivative multi-indices of a gradient and of the upper Hessian triangle
+_GRAD = [(i,) for i in range(DIM)]
+_HESS = [(i, j) for i in range(DIM) for j in range(i, DIM)]
 
 
-def _dchristoffel(ginv, dg, d2g):
-    """d_e Gamma^a_{bc}; d2g[a,b,c,d] = d_c d_d g_ab."""
-    dginv = -np.einsum("am,mne,nd->ade", ginv, dg, ginv)  # d_e g^{ad}
-    brack = np.empty((DIM, DIM, DIM))
-    dbrack = np.empty((DIM, DIM, DIM, DIM))
-    for d in range(DIM):
-        for b in range(DIM):
-            for c in range(DIM):
-                brack[d, b, c] = dg[d, c, b] + dg[d, b, c] - dg[b, c, d]
-                for e in range(DIM):
-                    dbrack[d, b, c, e] = (
-                        d2g[d, c, b, e] + d2g[d, b, c, e] - d2g[b, c, d, e]
-                    )
-    out = 0.5 * np.einsum("ade,dbc->abce", dginv, brack)
-    out += 0.5 * np.einsum("ad,dbce->abce", ginv, dbrack)
-    return out
+def _like(x, values):
+    """``values`` for a batch (n, 4); its only entry as a float for one point."""
+    return float(values[0]) if np.ndim(x) == 1 else values
+
+
+def _bracket(dg):
+    """brack[n, d, b, c] = d_b g_dc + d_c g_db - d_d g_bc from dg[n, a, b, c] =
+    d_c g_ab; further trailing axes (d2g) ride along."""
+    return np.swapaxes(dg, 2, 3) + dg - np.moveaxis(dg, 3, 1)
+
+
+def _christoffel(ginv, brack):
+    """Gamma^a_{bc} = (1/2) g^{ad} brack_dbc."""
+    return 0.5 * np.einsum("nad,ndbc->nabc", ginv, brack)
+
+
+def _grad_hess(partials):
+    """(gradient, symmetric Hessian) from the ``_GRAD + _HESS`` partials."""
+    grad = np.stack(partials[:DIM], axis=-1)
+    hess = np.empty(grad.shape + (DIM,))
+    for (i, j), v in zip(_HESS, partials[DIM:]):
+        hess[:, i, j] = hess[:, j, i] = v
+    return grad, hess
+
+
+def _laplacian(g, pts, grad, hess):
+    """g^{ij}(d_ij f - Gamma^k_ij d_k f) from the derivatives of f at ``pts``."""
+    g0, dg = g.jet(pts, 1)
+    ginv = np.linalg.inv(g0)
+    gam = _christoffel(ginv, _bracket(dg))
+    return np.einsum("nij,nij->n", ginv, hess) - np.einsum(
+        "nij,nkij,nk->n", ginv, gam, grad
+    )
 
 
 @dataclass
 class RiemannAtPoint:
-    """Lowered Riemann tensor with the metric at the point."""
+    """Lowered Riemann tensor with the metric at one point, or at each of n
+    points along a leading axis."""
 
     components: np.ndarray  # R_abcd
     g: np.ndarray
@@ -74,30 +82,30 @@ class RiemannAtPoint:
 
     @property
     def ricci(self):
-        return np.einsum("ac,abcd->bd", self.g_inv, self.components)
+        return np.einsum("...ac,...abcd->...bd", self.g_inv, self.components)
 
     @property
     def scalar(self):
-        return float(np.einsum("bd,bd->", self.g_inv, self.ricci))
+        return np.einsum("...bd,...bd->...", self.g_inv, self.ricci)
 
     @property
     def ricci_norm_sq(self):
         ric = self.ricci
         gi = self.g_inv
-        return float(np.einsum("ab,cd,ac,bd->", gi, gi, ric, ric))
+        return np.einsum("...ab,...cd,...ac,...bd->...", gi, gi, ric, ric)
 
     def symmetry_residuals(self):
         r = self.components
+
+        def worst(t):
+            return float(np.max(np.abs(t)))
+
         return {
-            "antisym_first": float(np.max(np.abs(r + r.transpose(1, 0, 2, 3)))),
-            "antisym_last": float(np.max(np.abs(r + r.transpose(0, 1, 3, 2)))),
-            "pair": float(np.max(np.abs(r - r.transpose(2, 3, 0, 1)))),
-            "bianchi": float(
-                np.max(
-                    np.abs(
-                        r + r.transpose(0, 2, 3, 1) + r.transpose(0, 3, 1, 2)
-                    )
-                )
+            "antisym_first": worst(r + np.einsum("...abcd->...bacd", r)),
+            "antisym_last": worst(r + np.einsum("...abcd->...abdc", r)),
+            "pair": worst(r - np.einsum("...abcd->...cdab", r)),
+            "bianchi": worst(
+                r + np.einsum("...abcd->...acdb", r) + np.einsum("...abcd->...adbc", r)
             ),
         }
 
@@ -106,27 +114,33 @@ class RiemannAtPoint:
 
 
 def riemann_of_metric(g: MetricField, x) -> RiemannAtPoint:
-    """Lowered Riemann tensor of ``g`` at ``x``."""
+    """Lowered Riemann tensor of ``g`` at ``x``, one point (4,) or many (n, 4).
+
+    The one curvature kernel: every point must lie inside the chart (with a
+    margin of two FD steps for a sampled metric) and carry a positive-definite
+    metric.
+    """
     x = np.asarray(x, float)
+    pts = np.atleast_2d(x)
     margin = 0.0 if g.analytic else 2 * g.fd_step
-    g.domain.require_interior(x, margin)
-    gm = g.eval(x)  # raises on degeneracy
-    g0, dg, d2g = g.jet(x, 2)
-    g0, dg, d2g = g0[0], dg[0], d2g[0]
+    g.domain.require_interior(pts, margin)
+    g0, dg, d2g = g.jet(pts, 2)
+    require_positive_definite(g0, pts)
     ginv = np.linalg.inv(g0)
-    gam = _christoffel(g0, ginv, dg)
-    dgam = _dchristoffel(ginv, dg, d2g)
+    brack = _bracket(dg)
+    gam = _christoffel(ginv, brack)
+    # d_e Gamma^a_{bc}, with d_e g^{ad} = -g^{am} d_e g_mp g^{pd}
+    dginv = -np.einsum("nam,nmpe,npd->nade", ginv, dg, ginv)
+    dgam = 0.5 * np.einsum("nade,ndbc->nabce", dginv, brack)
+    dgam += 0.5 * np.einsum("nad,ndbce->nabce", ginv, _bracket(d2g))
     # R^a_{bcd} = d_c Gam^a_{db} - d_d Gam^a_{cb} + Gam Gam terms
-    r_up = np.empty((DIM, DIM, DIM, DIM))
-    for a in range(DIM):
-        for b in range(DIM):
-            for c in range(DIM):
-                for d in range(DIM):
-                    r_up[a, b, c, d] = dgam[a, d, b, c] - dgam[a, c, b, d]
-    r_up += np.einsum("ace,edb->abcd", gam, gam)
-    r_up -= np.einsum("ade,ecb->abcd", gam, gam)
-    r_low = np.einsum("ae,ebcd->abcd", gm, r_up)
-    return RiemannAtPoint(components=r_low, g=gm)
+    r_up = dgam.transpose(0, 1, 3, 4, 2) - dgam.transpose(0, 1, 3, 2, 4)
+    r_up += np.einsum("nace,nedb->nabcd", gam, gam)
+    r_up -= np.einsum("nade,necb->nabcd", gam, gam)
+    r_low = np.einsum("nae,nebcd->nabcd", g0, r_up)
+    if x.ndim == 1:
+        return RiemannAtPoint(components=r_low[0], g=g0[0])
+    return RiemannAtPoint(components=r_low, g=g0)
 
 
 def weyl_tensor(riem: RiemannAtPoint, g_at_x=None) -> np.ndarray:
@@ -134,10 +148,10 @@ def weyl_tensor(riem: RiemannAtPoint, g_at_x=None) -> np.ndarray:
     g = riem.g if g_at_x is None else np.asarray(g_at_x, float)
     r = riem.components
     ric = riem.ricci
-    scal = riem.scalar
-    kulk = np.einsum("ac,bd->abcd", g, ric) - np.einsum("ad,bc->abcd", g, ric)
-    kulk += np.einsum("bd,ac->abcd", g, ric) - np.einsum("bc,ad->abcd", g, ric)
-    gg = np.einsum("ac,bd->abcd", g, g) - np.einsum("ad,bc->abcd", g, g)
+    scal = np.asarray(riem.scalar)[..., None, None, None, None]
+    kulk = np.einsum("...ac,...bd->...abcd", g, ric) - np.einsum("...ad,...bc->...abcd", g, ric)
+    kulk += np.einsum("...bd,...ac->...abcd", g, ric) - np.einsum("...bc,...ad->...abcd", g, ric)
+    gg = np.einsum("...ac,...bd->...abcd", g, g) - np.einsum("...ad,...bc->...abcd", g, g)
     return r - 0.5 * kulk + (scal / 6.0) * gg
 
 
@@ -155,133 +169,37 @@ def weyl_trace_residual(w, g):
 
 
 def weyl_norm_sq(w, g):
-    """|W|^2 = W_abcd W^abcd with indices raised by g^{-1}."""
+    """|W|^2 = W_abcd W^abcd with indices raised by g^{-1}; one per point."""
     gi = np.linalg.inv(g)
-    w_up = np.einsum("ae,bf,cg,dh,efgh->abcd", gi, gi, gi, gi, w)
-    return float(np.einsum("abcd,abcd->", w, w_up))
+    w_up = np.einsum("...ae,...bf,...cg,...dh,...efgh->...abcd", gi, gi, gi, gi, w)
+    return np.einsum("...abcd,...abcd->...", w, w_up)
 
 
-def laplace_beltrami(g: MetricField, u: ScalarField, x) -> float:
-    """Delta_g u(x) = g^{ij}(d_ij u - Gamma^k_ij d_k u)."""
-    x = np.atleast_2d(np.asarray(x, float))
-    g0, dg = (a[0] for a in g.jet(x, 1))
-    ginv = np.linalg.inv(g0)
-    gam = _christoffel(g0, ginv, dg)
-    hess = u.hessian(x)[0]
-    grad = u.gradient(x)[0]
-    return float(
-        np.einsum("ij,ij->", ginv, hess)
-        - np.einsum("ij,kij,k->", ginv, gam, grad)
-    )
+def laplace_beltrami(g: MetricField, u: ScalarField, x):
+    """Delta_g u(x) = g^{ij}(d_ij u - Gamma^k_ij d_k u) at one point or (n, 4)."""
+    pts = np.atleast_2d(np.asarray(x, float))
+    return _like(x, _laplacian(g, pts, u.gradient(pts), u.hessian(pts)))
 
 
-def scalar_curvature(g: MetricField, x) -> float:
-    return riemann_of_metric(g, x).scalar
-
-
-def scalar_curvature_batch(g: MetricField, pts) -> np.ndarray:
-    """Scalar curvature at many points in one vectorized jet evaluation."""
-    pts = np.atleast_2d(np.asarray(pts, float))
-    g0, dg, d2g = g.jet(pts, 2)
-    ginv = np.linalg.inv(g0)
-    # brack[n,d,b,c] = d_b g_dc + d_c g_db - d_d g_bc
-    brack = dg.transpose(0, 1, 3, 2) + dg - dg.transpose(0, 3, 1, 2)
-    gam = 0.5 * np.einsum("nad,ndbc->nabc", ginv, brack)
-    dginv = -np.einsum("nam,nmpe,npd->nade", ginv, dg, ginv)
-    dbrack = (
-        d2g.transpose(0, 1, 3, 2, 4) + d2g - d2g.transpose(0, 3, 1, 2, 4)
-    )
-    dgam = 0.5 * np.einsum("nade,ndbc->nabce", dginv, brack)
-    dgam += 0.5 * np.einsum("nad,ndbce->nabce", ginv, dbrack)
-    r_up = dgam.transpose(0, 1, 3, 4, 2) - dgam.transpose(0, 1, 3, 2, 4)
-    r_up += np.einsum("nace,nedb->nabcd", gam, gam)
-    r_up -= np.einsum("nade,necb->nabcd", gam, gam)
-    r_low = np.einsum("nae,nebcd->nabcd", g0, r_up)
-    ric = np.einsum("nac,nabcd->nbd", ginv, r_low)
-    return np.einsum("nbd,nbd->n", ginv, ric)
-
-
-def q_curvature(g: MetricField, x, step=None) -> float:
-    """Q_g(x) = -(1/12)(Delta_g R - R^2 + 3 |Ric|^2).
+def q_curvature(g: MetricField, x, step=None):
+    """Q_g(x) = -(1/12)(Delta_g R - R^2 + 3 |Ric|^2) at one point or (n, 4).
 
     R and Ric come from exact metric jets; Delta_g R uses order-4 centered
-    differences over exact scalar-curvature evaluations.
+    differences over exact scalar-curvature evaluations, with the default
+    step max(1e-2, 1e-2 |x|) at each point.
     """
-    x = np.asarray(x, float)
+    pts = np.atleast_2d(np.asarray(x, float))
     if g.is_flat:
-        return 0.0
-    riem = riemann_of_metric(g, x)
-    scal = riem.scalar
-    ric_sq = riem.ricci_norm_sq
+        return _like(x, np.zeros(len(pts)))
+    riem = riemann_of_metric(g, pts)
     if step is None:
-        step = max(1e-2, 1e-2 * float(np.linalg.norm(x)))
-    # gather every stencil point of grad R / hess R and evaluate the scalar
-    # curvature in a single batched jet call (same order-4 stencils as
-    # fd_partial, just without the per-point python recursion)
-    offsets = {}
-
-    def key(off):
-        t = tuple(off)
-        if t not in offsets:
-            offsets[t] = len(offsets)
-        return offsets[t]
-
-    grad_plan = []
-    for i in range(DIM):
-        plan = []
-        for k, c in zip(_OFFSETS, _D1_COEF):
-            if c == 0.0:
-                continue
-            off = [0] * DIM
-            off[i] = k
-            plan.append((key(off), c))
-        grad_plan.append(plan)
-    hess_plan = {}
-    for i in range(DIM):
-        for j in range(i, DIM):
-            plan = []
-            if i == j:
-                for k, c in zip(_OFFSETS, _D2_COEF):
-                    off = [0] * DIM
-                    off[i] = k
-                    plan.append((key(off), c))
-            else:
-                for k, ck in zip(_OFFSETS, _D1_COEF):
-                    if ck == 0.0:
-                        continue
-                    for l, cl in zip(_OFFSETS, _D1_COEF):
-                        if cl == 0.0:
-                            continue
-                        off = [0] * DIM
-                        off[i] = k
-                        off[j] = l
-                        plan.append((key(off), ck * cl))
-            hess_plan[(i, j)] = plan
-    pts = x[None, :] + step * np.array(list(offsets.keys()), float)
-    vals = scalar_curvature_batch(g, pts)
-    grad_r = np.array(
-        [sum(c * vals[idx] for idx, c in grad_plan[i]) for i in range(DIM)]
-    ) / step
-    hess_r = np.empty((DIM, DIM))
-    for (i, j), plan in hess_plan.items():
-        hess_r[i, j] = hess_r[j, i] = sum(c * vals[idx] for idx, c in plan) / step**2
-    g0, dg = (a[0] for a in g.jet(np.atleast_2d(x), 1))
-    ginv = np.linalg.inv(g0)
-    gam = _christoffel(g0, ginv, dg)
-    lap_r = float(
-        np.einsum("ij,ij->", ginv, hess_r)
-        - np.einsum("ij,kij,k->", ginv, gam, grad_r)
+        # the norm of each point alone: a row-wise norm can differ in the last bit
+        step = np.array([max(1e-2, 1e-2 * float(np.linalg.norm(p))) for p in pts])
+    grad_r, hess_r = _grad_hess(
+        fd_partials(lambda p: riemann_of_metric(g, p).scalar, pts, _GRAD + _HESS, step)
     )
-    return -(lap_r - scal**2 + 3.0 * ric_sq) / 12.0
-
-
-def _lap_field(g: MetricField, u: ScalarField):
-    """Delta_g u as a callable of the point (exact jets inside)."""
-
-    def lap(p):
-        return laplace_beltrami(g, u, p)
-
-    return lap
+    lap_r = _laplacian(g, pts, grad_r, hess_r)
+    return _like(x, -(lap_r - riem.scalar**2 + 3.0 * riem.ricci_norm_sq) / 12.0)
 
 
 def paneitz_apply(g: MetricField, u: ScalarField, x, step=None) -> float:
@@ -303,13 +221,12 @@ def paneitz_apply(g: MetricField, u: ScalarField, x, step=None) -> float:
         return total
     if step is None:
         step = g.fd_step
-
-    lap = _lap_field(g, u)
+    pt = x[None, :]
 
     # outer Laplacian of f = Delta_g u:
     # Delta_g f = g^{ij} d_ij f + (d_i(sqrt(g) g^{ij})/sqrt(g)) d_j f,
     # with the coefficient fields exact from jets and f-derivatives by FD.
-    g0, dg = (a[0] for a in g.jet(np.atleast_2d(x), 1))
+    g0, dg = (a[0] for a in g.jet(pt, 1))
     ginv = np.linalg.inv(g0)
     sg = np.sqrt(np.linalg.det(g0))
     # d_i sqrt(g) = (1/2) sqrt(g) g^{ab} d_i g_ab
@@ -317,29 +234,26 @@ def paneitz_apply(g: MetricField, u: ScalarField, x, step=None) -> float:
     dginv = -np.einsum("am,mni,nb->abi", ginv, dg, ginv)
     coef = (np.einsum("i,ij->j", dsg, ginv) + sg * np.einsum("iji->j", dginv)) / sg
 
-    hess_f = np.empty((DIM, DIM))
-    grad_f = np.empty(DIM)
-    for i in range(DIM):
-        grad_f[i] = fd_partial(lap, x, (i,), step)
-        for j in range(i, DIM):
-            hess_f[i, j] = hess_f[j, i] = fd_partial(lap, x, (i, j), step)
-    bilap = float(np.einsum("ij,ij->", ginv, hess_f) + coef @ grad_f)
+    grad_f, hess_f = _grad_hess(
+        fd_partials(lambda p: laplace_beltrami(g, u, p), pt, _GRAD + _HESS, step)
+    )
+    bilap = float(np.einsum("ij,ij->", ginv, hess_f[0]) + coef @ grad_f[0])
 
     # divergence term: V^i = sqrt(g) T^{ij} d_j u with
     # T^{ij} = (2/3) R g^{ij} - 2 Ric^{ij}; div = (1/sqrt(g)) d_i V^i by FD.
-    def v_comp(p, i):
+    def v_field(p):
         riem = riemann_of_metric(g, p)
         gi = riem.g_inv
-        t_up = (2.0 / 3.0) * riem.scalar * gi - 2.0 * np.einsum(
-            "ia,jb,ab->ij", gi, gi, riem.ricci
+        t_up = (2.0 / 3.0) * riem.scalar[:, None, None] * gi - 2.0 * np.einsum(
+            "nia,njb,nab->nij", gi, gi, riem.ricci
         )
-        gradu = u.gradient(np.atleast_2d(p))[0]
         sgp = np.sqrt(np.linalg.det(riem.g))
-        return sgp * float(t_up[i] @ gradu)
+        return sgp[:, None] * np.einsum("nij,nj->ni", t_up, u.gradient(p))
 
+    dv = fd_partials(v_field, pt, _GRAD, step)
     div = 0.0
     for i in range(DIM):
-        div += fd_partial(lambda p, i=i: v_comp(p, i), x, (i,), step)
+        div += dv[i][0, i]
     div /= sg
     return bilap - div
 
@@ -394,10 +308,10 @@ def gauss_bonnet_check(model):
         raise ValueError(
             f"quadrature volume {vol:.6g} vs expected {model.volume:.6g}"
         )
+    riem = riemann_of_metric(g, pts)
+    q = q_curvature(g, pts)
+    wsq = weyl_norm_sq(weyl_tensor(riem), riem.g)
     total = 0.0
-    for p, wt in zip(pts, w):
-        riem = riemann_of_metric(g, p)
-        q = q_curvature(g, p)
-        wsq = weyl_norm_sq(weyl_tensor(riem), riem.g)
-        total += wt * (q + wsq / 8.0)
+    for wt, val in zip(w, q + wsq / 8.0):
+        total += wt * val
     return total

@@ -56,14 +56,30 @@ class Box:
         return float(np.min(np.asarray(self.hi) - np.asarray(self.lo)))
 
     def contains(self, x, margin=0.0):
+        """Whether ``x`` lies in the box; one flag per point for (n, 4)."""
         x = np.asarray(x, float)
         lo = np.asarray(self.lo) + margin
         hi = np.asarray(self.hi) - margin
-        return bool(np.all(x >= lo) and np.all(x <= hi))
+        inside = np.all((x >= lo) & (x <= hi), axis=-1)
+        return bool(inside) if inside.ndim == 0 else inside
 
     def require_interior(self, x, margin=0.0):
-        if not self.contains(x, margin):
-            raise ChartError(f"point {x} outside domain (margin {margin})")
+        """Raise ChartError unless every point of ``x`` (one or (n, 4)) is inside."""
+        inside = np.atleast_1d(self.contains(x, margin))
+        if not inside.all():
+            bad = np.atleast_2d(np.asarray(x, float))[np.argmin(inside)]
+            raise ChartError(f"point {bad} outside domain (margin {margin})")
+
+
+def require_positive_definite(g, pts):
+    """Raise DegenerateMetricError unless every metric in ``g`` (n, 4, 4) at
+    ``pts`` (n, 4) has its smallest eigenvalue above ``EIG_FLOOR``."""
+    low = np.linalg.eigvalsh(g)[:, 0]
+    if np.any(low <= EIG_FLOOR):
+        i = int(np.argmin(low > EIG_FLOOR))
+        raise DegenerateMetricError(
+            f"metric eigenvalue {low[i]:.3e} below floor at {pts[i]}"
+        )
 
 
 # 5-point centered stencils, order-4 accurate
@@ -72,43 +88,93 @@ _D2_COEF = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
 _OFFSETS = np.array([-2, -1, 0, 1, 2])
 
 
+# stencil points pass through the evaluated function in blocks of this size,
+# which bounds the metric jets a block builds: Q over the (12, 6, 6) sphere
+# quadrature differentiates at 293k stencil points
+FD_BLOCK = 4096
+
+
+def _stages(index):
+    """The stencils a multi-index is differentiated with, outermost first.
+
+    Axes are taken in order of first appearance.  A repeated axis uses the
+    second-derivative stencil directly, so (0, 0) is one stage and not two
+    nested first-derivative stencils; a higher multiplicity peels one
+    first-derivative stencil off and keeps the axis in front.  Each stage
+    is ``(axis, coefficients, power of the step)``.
+    """
+    stages = []
+    index = tuple(index)
+    while index:
+        ax = index[0]
+        mult = index.count(ax)
+        rest = tuple(a for a in index if a != ax)
+        if mult == 2:
+            stages.append((ax, _D2_COEF, 2))
+            index = rest
+        else:
+            stages.append((ax, _D1_COEF, 1))
+            index = (ax,) * (mult - 1) + rest
+    return stages
+
+
+def fd_partials(func, pts, indices, step):
+    """Centered finite differences of ``func`` for several multi-indices.
+
+    ``func`` maps points (m, 4) to values (m, ...); ``pts`` is (n, 4) and
+    ``step`` a scalar or one step per point.  The function is evaluated
+    once on the union of all stencil points, in blocks of ``FD_BLOCK``,
+    and each index is contracted one stage at a time from the innermost
+    out, with left-to-right sums over the five offsets.  Returns one array
+    (n, ...) per index.
+    """
+    pts = np.atleast_2d(np.asarray(pts, float))
+    step = np.asarray(step, float)
+    plans = [_stages(index) for index in indices]
+    leaves, where, slots = [], {}, []
+    for stages in plans:
+        ids = []
+        for ks in itertools.product(_OFFSETS, repeat=len(stages)):
+            y = pts.copy()
+            for (ax, _, _), k in zip(stages, ks):
+                y[:, ax] += k * step
+            key = y.tobytes()
+            if key not in where:
+                where[key] = len(leaves)
+                leaves.append(y)
+            ids.append(where[key])
+        slots.append(ids)
+    flat = np.concatenate(leaves)
+    vals = np.concatenate(
+        [np.asarray(func(flat[i : i + FD_BLOCK]), float) for i in range(0, len(flat), FD_BLOCK)]
+    )
+    vals = vals.reshape((len(leaves), len(pts)) + vals.shape[1:])
+    h = step.reshape(step.shape + (1,) * (vals.ndim - 2))
+    out = []
+    for stages, ids in zip(plans, slots):
+        v = vals[ids].reshape((len(_OFFSETS),) * len(stages) + vals.shape[1:])
+        for depth in reversed(range(len(stages))):
+            _, coef, power = stages[depth]
+            acc = 0
+            for k, c in enumerate(coef):
+                acc = acc + c * v[(slice(None),) * depth + (k,)]
+            v = acc / h**power
+        out.append(v)
+    return out
+
+
 def fd_partial(func, x, index, step):
-    """Centered finite difference of ``func`` at ``x``.
+    """Centered finite difference of ``func`` at the single point ``x``.
 
     ``index`` is a tuple of coordinate axes (one entry per derivative);
-    repeated axes are grouped so e.g. (0, 0) uses the second-derivative
-    stencil directly instead of nesting two first-derivative stencils.
+    this is ``fd_partials`` for one index at one point.
     """
-    if len(index) == 0:
-        return func(x)
-    counts = {}
-    for ax in index:
-        counts[ax] = counts.get(ax, 0) + 1
-    ax, mult = next(iter(counts.items()))
-    rest = tuple(a for a in index if a != ax)
     x = np.asarray(x, float)
 
-    def shifted(k):
-        y = x.copy()
-        y[ax] += k * step
-        return fd_partial(func, y, rest, step)
+    def batch(pts):
+        return np.array([func(p) for p in pts], float)
 
-    if mult == 1:
-        vals = [shifted(k) for k in _OFFSETS]
-        return sum(c * v for c, v in zip(_D1_COEF, vals)) / step
-    if mult == 2:
-        vals = [shifted(k) for k in _OFFSETS]
-        return sum(c * v for c, v in zip(_D2_COEF, vals)) / step**2
-    # higher multiplicity: peel one derivative and recurse
-    def inner(y):
-        return fd_partial(func, y, (ax,) * (mult - 1) + rest, step)
-
-    vals = []
-    for k in _OFFSETS:
-        y = x.copy()
-        y[ax] += k * step
-        vals.append(inner(y))
-    return sum(c * v for c, v in zip(_D1_COEF, vals)) / step
+    return fd_partials(batch, x[None, :], [tuple(index)], step)[0][0]
 
 
 def _lambdify(expr):
@@ -173,10 +239,7 @@ class ScalarField:
         pts = np.atleast_2d(np.asarray(pts, float))
         if self.analytic:
             return self._partial_fn(tuple(index))(pts)
-        return np.array(
-            [fd_partial(self._func, p, tuple(index), self.fd_step) for p in pts],
-            float,
-        )
+        return fd_partials(self.eval, pts, [tuple(index)], self.fd_step)[0]
 
     def gradient(self, pts):
         pts = np.atleast_2d(np.asarray(pts, float))
@@ -246,14 +309,11 @@ class MetricField:
         return self._comp_fns[key]
 
     def eval(self, x, check=True):
-        g = self.eval_batch(np.atleast_2d(x))[0]
+        pts = np.atleast_2d(np.asarray(x, float))
+        g = self.eval_batch(pts)
         if check:
-            w = np.linalg.eigvalsh(g)
-            if w[0] <= EIG_FLOOR:
-                raise DegenerateMetricError(
-                    f"metric eigenvalue {w[0]:.3e} below floor at {x}"
-                )
-        return g
+            require_positive_definite(g, pts)
+        return g[0]
 
     def eval_batch(self, pts):
         pts = np.atleast_2d(np.asarray(pts, float))
@@ -270,21 +330,19 @@ class MetricField:
 
     def partial_batch(self, pts, index):
         """d^|index| g_ab for every point; shape (n, 4, 4)."""
+        return self._partials(pts, [tuple(index)])[0]
+
+    def _partials(self, pts, indices):
         pts = np.atleast_2d(np.asarray(pts, float))
-        out = np.empty((pts.shape[0], DIM, DIM))
-        if self.analytic:
+        if not self.analytic:
+            return fd_partials(self.eval_batch, pts, indices, self.fd_step)
+        out = []
+        for index in indices:
+            arr = np.empty((pts.shape[0], DIM, DIM))
             for a in range(DIM):
                 for b in range(a, DIM):
-                    out[:, a, b] = out[:, b, a] = self._component_fn(a, b, index)(pts)
-        else:
-            for i, p in enumerate(pts):
-                m = fd_partial(
-                    lambda q: np.asarray(self._func(q), float),
-                    p,
-                    tuple(index),
-                    self.fd_step,
-                )
-                out[i] = 0.5 * (m + m.T)
+                    arr[:, a, b] = arr[:, b, a] = self._component_fn(a, b, index)(pts)
+            out.append(arr)
         return out
 
     def jet(self, pts, order):
@@ -292,17 +350,24 @@ class MetricField:
 
         Returns ``[g, dg, d2g, ...]`` up to ``order``; derivative axes come
         last, so ``dg[n, a, b, c] = d_c g_ab`` and
-        ``d2g[n, a, b, c, d] = d_c d_d g_ab``.
+        ``d2g[n, a, b, c, d] = d_c d_d g_ab``.  A sampled metric takes every
+        derivative from one stencil evaluation.
         """
         if order > 4:
             raise DerivativeOrderError("metric derivatives available up to order 4")
         pts = np.atleast_2d(np.asarray(pts, float))
         n = pts.shape[0]
+        indices = [
+            idx
+            for k in range(1, order + 1)
+            for idx in itertools.combinations_with_replacement(range(DIM), k)
+        ]
+        parts = iter(self._partials(pts, indices))
         jets = [self.eval_batch(pts)]
         for k in range(1, order + 1):
             arr = np.empty((n,) + (DIM, DIM) + (DIM,) * k)
             for idx in itertools.combinations_with_replacement(range(DIM), k):
-                val = self.partial_batch(pts, idx)
+                val = next(parts)
                 for perm in set(itertools.permutations(idx)):
                     arr[(slice(None), slice(None), slice(None)) + perm] = val
             jets.append(arr)

@@ -73,19 +73,6 @@ class SphereModel:
             self.quad_weights = base_w * factor
             self.volume = float(np.sum(self.quad_weights))
 
-    @staticmethod
-    def chart_distance(x, y):
-        """Geodesic (great-circle) distance between chart points on unit S^4."""
-        x = np.asarray(x, float)
-        y = np.asarray(y, float)
-
-        def embed(p):
-            r2 = float(p @ p)
-            return np.append(2.0 * p, r2 - 1.0) / (1.0 + r2)
-
-        c = float(np.clip(embed(x) @ embed(y), -1.0, 1.0))
-        return float(np.arccos(c))
-
 
 class FlatTorusModel:
     """Flat 4-torus of side L: zero curvature, zero Q, Euler characteristic 0."""

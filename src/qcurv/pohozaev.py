@@ -171,19 +171,6 @@ class PohozaevReport:
     def residual(self):
         return self.I0 - (self.I1 + self.I2 + self.I3 + self.I4)
 
-    def to_dict(self):
-        return {
-            "I0": self.I0,
-            "I1": self.I1,
-            "I2": self.I2,
-            "I3": self.I3,
-            "I4": self.I4,
-            "residual": self.residual,
-            "error_estimate": self.error_estimate,
-            "unmodeled_remainder": self.unmodeled_remainder,
-            "boundary_terms": self.boundary_terms,
-        }
-
 
 def pohozaev_balance(
     u,
@@ -216,7 +203,6 @@ def pohozaev_balance(
     uv = u.val(xi_i)
     gu_i = u.grad(xi_i)
     hu_i = u.hess(xi_i)
-    tu_i = u.third(xi_i)
     gu_b = u.grad(xi_b)
     hu_b = u.hess(xi_b)
     tu_b = u.third(xi_b)
@@ -230,7 +216,7 @@ def pohozaev_balance(
         lap_i = _flat_lap(hu_i)
     else:
         lap_b, glap_b = _taylor_laplacian(metric_taylor, xi_b, gu_b, hu_b, tu_b)
-        lap_i, _ = _taylor_laplacian(metric_taylor, xi_i, gu_i, hu_i, tu_i)
+        lap_i, _ = _taylor_laplacian(metric_taylor, xi_i, gu_i, hu_i, u.third(xi_i))
 
     e4u = np.exp(4.0 * uv)
     e4u_b = np.exp(4.0 * uv_b)
@@ -327,18 +313,6 @@ def _ricci_deriv_floats(jet):
     return out
 
 
-def _taylor_float_arrays(mt):
-    """Dense float copies of g^{ab} polynomial data for vector evaluation."""
-    from .cnc import inverse_metric_taylor
-
-    inv = inverse_metric_taylor(mt)
-    entries = {}
-    for a in range(4):
-        for b2 in range(4):
-            entries[(a, b2)] = inv.comps[a, b2]
-    return entries
-
-
 def _poly_eval_batch(p, pts):
     out = np.zeros(pts.shape[0])
     for m, c in p.items():
@@ -351,22 +325,22 @@ def _poly_eval_batch(p, pts):
 
 
 def _taylor_inverse(mt, pts):
-    ent = _taylor_float_arrays(mt)
+    from .cnc import inverse_metric_taylor
+
     out = np.empty((pts.shape[0], 4, 4))
-    for (a, b), p in ent.items():
+    for (a, b), p in np.ndenumerate(inverse_metric_taylor(mt).comps):
         out[:, a, b] = _poly_eval_batch(p, pts)
     return out
 
 
 def _taylor_laplacian(mt, pts, gu, hu, tu):
     """(lap_g u, grad lap_g u) in the det-one gauge from exact polynomials."""
-    from .cnc import poly_diff
+    from .cnc import inverse_metric_taylor, poly_diff
 
-    ent = _taylor_float_arrays(mt)
     ginv = _taylor_inverse(mt, pts)
     dginv = np.empty((pts.shape[0], 4, 4, 4))
     d2ginv = np.empty((pts.shape[0], 4, 4, 4, 4))
-    for (a, b), p in ent.items():
+    for (a, b), p in np.ndenumerate(inverse_metric_taylor(mt).comps):
         for c in range(4):
             dp = poly_diff(p, c)
             dginv[:, a, b, c] = _poly_eval_batch(dp, pts)
@@ -383,12 +357,11 @@ def _taylor_laplacian(mt, pts, gu, hu, tu):
 
 
 def _metric_interior_terms(mt, pts, w, gu, hu, lap):
-    from .cnc import poly_diff
+    from .cnc import inverse_metric_taylor, poly_diff
 
-    ent = _taylor_float_arrays(mt)
     dginv = np.empty((pts.shape[0], 4, 4, 4))
     d2ginv = np.empty((pts.shape[0], 4, 4, 4, 4))
-    for (a, b), p in ent.items():
+    for (a, b), p in np.ndenumerate(inverse_metric_taylor(mt).comps):
         for c in range(4):
             dp = poly_diff(p, c)
             dginv[:, a, b, c] = _poly_eval_batch(dp, pts)

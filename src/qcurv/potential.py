@@ -65,10 +65,6 @@ class TorusSpectralField:
     def zero_mean(self):
         return abs(self.coeffs[0, 0, 0, 0]) < 1e-12
 
-    def wavenumbers(self):
-        k = sfft.fftfreq(self.N, d=1.0 / self.N)
-        return np.meshgrid(k, k, k, k, indexing="ij")
-
     def ksq(self):
         k = sfft.fftfreq(self.N, d=1.0 / self.N)
         k2 = k**2
@@ -114,9 +110,6 @@ class TorusSpectralField:
         for a in range(4):
             out[:, a] = (np.exp(1j * phase) @ (fac * ks[:, a] * amps)).real
         return out
-
-    def bilaplacian(self):
-        return TorusSpectralField(self.L, self.coeffs * self.ksq() ** 2)
 
     def parseval_gap(self):
         v = self.values()

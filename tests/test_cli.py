@@ -4,7 +4,9 @@ import sys
 
 import pytest
 
+from qcurv import cli
 from qcurv.cli import main
+from qcurv.fields import ChartError, DegenerateMetricError
 
 
 def run_cli(args):
@@ -109,3 +111,42 @@ def test_console_entry_point(tmp_path):
         text=True,
     )
     assert proc.returncode == 0
+
+
+@pytest.mark.parametrize(
+    "exc",
+    [
+        ChartError("point [2. 0. 0. 0.] outside domain (margin 0.0)"),
+        DegenerateMetricError("metric eigenvalue 1.000e-12 below floor at [0. 0. 0. 0.]"),
+        RuntimeError("geodesic solver did not converge"),
+    ],
+    ids=lambda exc: type(exc).__name__,
+)
+def test_numerical_failure_is_a_failed_check(tmp_path, monkeypatch, exc):
+    def failing(p, seed):
+        raise exc
+
+    monkeypatch.setitem(cli.RUNNERS, "mass", failing)
+    out = tmp_path / "o"
+    assert run_cli(["mass", "--out", str(out), "--quiet"]) == 1
+    summary = json.loads((out / "mass.json").read_text())
+    assert summary["pass"] is False
+    assert summary["checks"] == [
+        {
+            "name": type(exc).__name__,
+            "value": str(exc),
+            "bound": "no numerical failure",
+            "pass": False,
+        }
+    ]
+
+
+def test_plain_value_error_is_usage_error(tmp_path, monkeypatch, capsys):
+    def failing(p, seed):
+        raise ValueError("bad parameter")
+
+    monkeypatch.setitem(cli.RUNNERS, "mass", failing)
+    out = tmp_path / "o"
+    assert run_cli(["mass", "--out", str(out)]) == 2
+    assert "config error: bad parameter" in capsys.readouterr().err
+    assert not (out / "mass.json").exists()

@@ -15,7 +15,7 @@ from qcurv.curvature import (
     weyl_tensor,
     weyl_trace_residual,
 )
-from qcurv.fields import Box, COORDS, ChartError, MetricField, ScalarField
+from qcurv.fields import Box, COORDS, ChartError, DegenerateMetricError, MetricField, ScalarField
 from qcurv.models import FlatTorusModel, SphereModel, sphere_conformal_u, sphere_metric
 
 x0, x1, x2, x3 = COORDS
@@ -222,3 +222,58 @@ def test_sphere_conformal_u_consistency():
     u = sphere_conformal_u()
     x = np.array([0.3, 0.0, 0.1, -0.2])
     assert abs(u(x) - np.log(2.0 / (1.0 + x @ x))) < 1e-12
+
+
+def _perturbed_sphere():
+    w = sp.Rational(1, 20) / (1 + R2)
+    return MetricField.from_exprs(sp.exp(2 * w) * 4 / (1 + R2) ** 2 * sp.eye(4), Box.cube(100.0))
+
+
+def _sampled_metric():
+    def gfun(p):
+        a = 0.1 * np.sin(p[0]) * p[1] + 0.05 * p[2] ** 2
+        m = np.eye(4) * (1.0 + 0.1 * p @ p)
+        m[0, 1] = m[1, 0] = a
+        return m
+
+    return MetricField.from_callable(gfun, Box.cube(10.0), fd_step=0.05)
+
+
+# |x| > 1 at the last two points, so each has its own default Q step
+_BATCH = np.array(
+    [[0.3, -0.2, 0.1, 0.0], [1.5, -0.7, 0.2, 1.1], [3.0, 1.0, -2.0, 0.5]]
+)
+
+
+@pytest.mark.parametrize("metric", [_perturbed_sphere, _sampled_metric])
+def test_batched_kernel_matches_single_points(metric):
+    g = metric()
+    riem = riemann_of_metric(g, _BATCH)
+    q = q_curvature(g, _BATCH)
+    assert riem.components.shape == (3, 4, 4, 4, 4) and q.shape == (3,)
+    wsq = weyl_norm_sq(weyl_tensor(riem), riem.g)
+    for n, x in enumerate(_BATCH):
+        one = riemann_of_metric(g, x)
+        assert one.components.shape == (4, 4, 4, 4)
+        scale = np.max(np.abs(one.components))
+        assert np.max(np.abs(riem.components[n] - one.components)) <= 1e-13 * scale
+        assert abs(riem.scalar[n] - one.scalar) <= 1e-13 * abs(one.scalar)
+        assert abs(riem.ricci_norm_sq[n] - one.ricci_norm_sq) <= 1e-13 * one.ricci_norm_sq
+        assert abs(wsq[n] - weyl_norm_sq(weyl_tensor(one), one.g)) <= 1e-13 * max(wsq[n], 1.0)
+        assert abs(q[n] - q_curvature(g, x)) <= 1e-13 * abs(q[n])
+    assert abs(q[0] - 3.0) > 1e-3  # genuinely perturbed, not the round value
+
+
+def test_batched_kernel_checks_every_point():
+    g = sphere_metric(Box.cube(1.0))
+    inside = np.array([[0.1, 0.0, 0.0, 0.0], [0.5, 0.2, 0.0, 0.0]])
+    riemann_of_metric(g, inside)
+    with pytest.raises(ChartError, match=r"2\."):
+        riemann_of_metric(g, np.vstack([inside, [2.0, 0.0, 0.0, 0.0]]))
+
+    bad = MetricField.from_exprs(sp.diag(1 + x0, 1, 1, 1), Box.cube(2.0))
+    pts = np.array([[0.5, 0.0, 0.0, 0.0], [-1.0, 0.3, 0.0, 0.0], [0.2, 0.0, 0.0, 0.0]])
+    with pytest.raises(DegenerateMetricError):
+        riemann_of_metric(bad, pts)
+    with pytest.raises(DegenerateMetricError):
+        q_curvature(bad, pts)

@@ -11,6 +11,7 @@ from qcurv.fields import (
     MetricField,
     ScalarField,
     fd_partial,
+    fd_partials,
     symmetry_defect,
 )
 
@@ -104,3 +105,27 @@ def test_flat_metric_flag():
     dom = Box.cube(2.0)
     assert MetricField.flat(dom).is_flat
     assert not MetricField.from_exprs(2 * sp.eye(4), dom).is_flat
+
+
+def test_stencil_engine_exact_on_polynomial_with_one_evaluation():
+    def poly(p):
+        x, y, z, w = p.T
+        return x**4 * y**3 + 2 * x**2 * y * w - y**4 * z + 3 * w
+
+    seen = []
+
+    def func(p):
+        seen.append(len(p))
+        return poly(p)
+
+    pts = np.array([[0.5, -1.0, 0.3, 2.0], [1.2, 0.7, -0.4, 0.0]])
+    d01, d001 = fd_partials(func, pts, [(0, 1), (0, 0, 1)], 0.1)
+    x, y, z, w = pts.T
+    # the 5-point stencils are exact up to degree 4 (first) and 5 (second)
+    np.testing.assert_allclose(d01, 12 * x**3 * y**2 + 4 * x * w, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(d001, 36 * x**2 * y**2 + 4 * w, rtol=0, atol=1e-9)
+    # both indices share one 5 x 5 stencil, evaluated once for both points
+    assert seen == [25 * len(pts)]
+    # one index at one point is fd_partial
+    for p, want in zip(pts, d001):
+        assert fd_partial(lambda q: float(poly(q[None, :])[0]), p, (0, 0, 1), 0.1) == want
