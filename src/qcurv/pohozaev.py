@@ -440,15 +440,3 @@ def energy_balance(profile, h_of_r, radii, n_r=64):
             }
         )
     return rows
-
-
-def vanishing_rate_balance(h, phi, at=None):
-    """The vector grad(h)(0)/h(0) + 4 grad(phi)(0)."""
-    at = np.zeros(4) if at is None else np.asarray(at, float)
-    pt = at[None, :]
-    h0 = float(np.asarray(h.eval(pt), float)[0])
-    if h0 <= 0:
-        raise ValueError("h must be positive at the base point")
-    gh = np.asarray(h.gradient(pt), float)[0]
-    gp = np.asarray(phi.gradient(pt), float)[0]
-    return gh / h0 + 4.0 * gp

@@ -3,7 +3,8 @@
 Torus side: zero-mean periodic fields stored as full FFT coefficient
 arrays (numpy ``fftn`` layout, f(x) = sum_k c_k e^{2 pi i k.x / L}); the
 biharmonic Green's function is exact in the truncated spectral space with
-multiplier 1 / (L^4 |2 pi k / L|^4).
+multiplier 1 / (L^4 |2 pi k / L|^4), built once per (N, L) on the rfft half
+spectrum; point values come from a separable mode sum over its four axes.
 
 R^4 side: the log-potential v(x) = (1/4 pi^2) int log(|y|/|x-y|) rho(y) dy
 and its derivative kernels, integrated in polar coordinates centered at
@@ -15,6 +16,7 @@ patch automatically for the same reason).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy import fft as sfft
@@ -66,14 +68,7 @@ class TorusSpectralField:
         return abs(self.coeffs[0, 0, 0, 0]) < 1e-12
 
     def ksq(self):
-        k = sfft.fftfreq(self.N, d=1.0 / self.N)
-        k2 = k**2
-        return (
-            k2[:, None, None, None]
-            + k2[None, :, None, None]
-            + k2[None, None, :, None]
-            + k2[None, None, None, :]
-        ) * (2.0 * np.pi / self.L) ** 2
+        return _ksq(self.N, self.L)
 
     def grid_values(self):
         return sfft.ifftn(self.coeffs) * self.coeffs.size
@@ -81,35 +76,25 @@ class TorusSpectralField:
     def values(self):
         return self.grid_values().real
 
-    def mean(self):
-        return float(self.coeffs[0, 0, 0, 0].real)
+    def _waves(self, pts):
+        """e^{2 pi i k.x / L} of the nonzero modes at pts (m, 4), with k and c_k."""
+        pts = np.atleast_2d(np.asarray(pts, float))
+        idx = np.nonzero(self.coeffs)
+        ks = np.stack([sfft.fftfreq(self.N, d=1.0 / self.N)[i] for i in idx], axis=1)
+        phase = 2.0 * np.pi / self.L * pts @ ks.T
+        return np.exp(1j * phase), ks, self.coeffs[idx]
 
     def eval(self, pts):
         """Direct mode-sum evaluation at arbitrary points (m, 4)."""
-        pts = np.atleast_2d(np.asarray(pts, float))
-        idx = np.nonzero(self.coeffs)
-        if len(idx[0]) > 20000:
+        if np.count_nonzero(self.coeffs) > 20000:
             raise ValueError("direct evaluation only for sparse spectra")
-        ks = np.stack(
-            [sfft.fftfreq(self.N, d=1.0 / self.N)[i] for i in idx], axis=1
-        )
-        amps = self.coeffs[idx]
-        phase = 2.0 * np.pi / self.L * pts @ ks.T
-        return (np.exp(1j * phase) @ amps).real
+        waves, _, amps = self._waves(pts)
+        return (waves @ amps).real
 
     def gradient(self, pts):
-        pts = np.atleast_2d(np.asarray(pts, float))
-        idx = np.nonzero(self.coeffs)
-        ks = np.stack(
-            [sfft.fftfreq(self.N, d=1.0 / self.N)[i] for i in idx], axis=1
-        )
-        amps = self.coeffs[idx]
-        phase = 2.0 * np.pi / self.L * pts @ ks.T
+        waves, ks, amps = self._waves(pts)
         fac = 1j * 2.0 * np.pi / self.L
-        out = np.empty((pts.shape[0], 4))
-        for a in range(4):
-            out[:, a] = (np.exp(1j * phase) @ (fac * ks[:, a] * amps)).real
-        return out
+        return np.stack([(waves @ (fac * ks[:, a] * amps)).real for a in range(4)], axis=1)
 
     def parseval_gap(self):
         v = self.values()
@@ -118,63 +103,74 @@ class TorusSpectralField:
         return abs(lhs - rhs)
 
 
-def biharmonic_green_torus(N, L, source=None) -> TorusSpectralField:
-    """Spectral solution of Delta^2 G = delta_source - 1/L^4, zero mean."""
-    if N < 16 or N % 2:
-        raise ValueError("N must be even and >= 16")
-    k = sfft.fftfreq(N, d=1.0 / N)
-    k2 = k**2
+def _ksq(N, L, half=False):
+    """|2 pi k / L|^2 on the fftfreq grid (N,)*4, or on its rfftfreq half."""
+    k2 = sfft.fftfreq(N, d=1.0 / N) ** 2
+    k3 = sfft.rfftfreq(N, d=1.0 / N) ** 2 if half else k2
     ksq = (
         k2[:, None, None, None]
         + k2[None, :, None, None]
         + k2[None, None, :, None]
-        + k2[None, None, None, :]
-    ) * (2.0 * np.pi / L) ** 2
+        + k3[None, None, None, :]
+    )
+    ksq *= (2.0 * np.pi / L) ** 2
+    return ksq
+
+
+@lru_cache
+def _multiplier(N, L):
+    """Read-only multiplier 1 / (L^4 |2 pi k / L|^4) on the rfft half, k = 0 -> 0."""
+    if N < 16 or N % 2:
+        raise ValueError("N must be even and >= 16")
+    m = _ksq(N, L, half=True)
+    np.square(m, out=m)
+    m *= L**4
     with np.errstate(divide="ignore"):
-        mult = 1.0 / (L**4 * ksq**2)
-    mult[0, 0, 0, 0] = 0.0
-    coeffs = mult.astype(complex)
-    if source is not None:
-        kx = np.meshgrid(k, k, k, k, indexing="ij")
-        phase = sum(
-            kx[a] * source[a] for a in range(4)
-        ) * (2.0 * np.pi / L)
-        coeffs = coeffs * np.exp(-1j * phase)
-    return TorusSpectralField(L, coeffs, require_real=source is None)
+        np.divide(1.0, m, out=m)
+    m[0, 0, 0, 0] = 0.0
+    m.setflags(write=False)
+    return m
+
+
+def _green_on_product(N, L, axes):
+    """G on the product of four 1-D coordinate sets, shape (n0, n1, n2, n3).
+
+    The full fftfreq mode sum, one axis at a time: the half axis weighs the
+    pair +-k by 2 cos(k x) and the lone Nyquist mode -N/2 by e^{-i (N/2) x}
+    (the only complex row), the other three axes by e^{i k x}.
+    """
+    m = _multiplier(N, L)
+    w = 2.0 * np.pi / L
+    k = sfft.fftfreq(N, d=1.0 / N)
+    x0, x1, x2, x3 = (np.atleast_1d(np.asarray(a, float)) for a in axes)
+    phase = w * np.outer(x3, sfft.rfftfreq(N, d=1.0 / N))
+    cos = np.cos(phase)
+    cos[:, 1:-1] *= 2.0
+    flat = m.reshape(-1, m.shape[-1])
+    t = (cos @ flat.T).astype(complex)
+    t.imag = np.outer(-np.sin(phase[:, -1]), flat[:, -1])
+    t = t.reshape(-1, N) @ np.exp(1j * w * np.outer(k, x2))
+    t = np.exp(1j * w * np.outer(x1, k)) @ t.reshape(-1, N, len(x2))
+    t = np.exp(1j * w * np.outer(x0, k)) @ t.reshape(len(x3), N, -1)
+    return t.real.reshape(len(x3), len(x0), len(x1), len(x2)).transpose(1, 2, 3, 0)
+
+
+def biharmonic_green_torus(N, L) -> TorusSpectralField:
+    """Spectral solution of Delta^2 G = delta_0 - 1/L^4, zero mean."""
+    m = _multiplier(N, L)
+    return TorusSpectralField(L, np.concatenate([m, m[..., N // 2 - 1 : 0 : -1]], axis=-1))
 
 
 def green_grid_values(N, L):
     """Grid samples of G with source at the grid origin (memory-lean rfft)."""
-    if N < 16 or N % 2:
-        raise ValueError("N must be even and >= 16")
-    k = sfft.fftfreq(N, d=1.0 / N)
-    kr = sfft.rfftfreq(N, d=1.0 / N)
-    k2 = k**2
-    ksq = (
-        k2[:, None, None, None]
-        + k2[None, :, None, None]
-        + k2[None, None, :, None]
-        + (kr**2)[None, None, None, :]
-    ) * (2.0 * np.pi / L) ** 2
-    with np.errstate(divide="ignore"):
-        mult = 1.0 / (L**4 * ksq**2)
-    mult[0, 0, 0, 0] = 0.0
-    del ksq
-    # irfftn normalizes by 1/N^4; the mode sum needs the raw sum, so scale back
-    return sfft.irfftn(mult * N**4, s=(N,) * 4)
+    # "forward" leaves the inverse transform unscaled: the raw mode sum
+    return sfft.irfftn(_multiplier(N, L), s=(N,) * 4, norm="forward")
 
 
 def green_pair_value(N, L, xi, eta):
-    """G(xi, eta) by direct mode sum (used for symmetry checks)."""
-    k = sfft.fftfreq(N, d=1.0 / N)
-    kx = np.meshgrid(k, k, k, k, indexing="ij")
-    ksq = sum(a**2 for a in kx) * (2.0 * np.pi / L) ** 2
-    with np.errstate(divide="ignore"):
-        mult = 1.0 / (L**4 * ksq**2)
-    mult[0, 0, 0, 0] = 0.0
+    """G(xi, eta) by direct mode sum over xi - eta."""
     d = np.asarray(xi, float) - np.asarray(eta, float)
-    phase = sum(kx[a] * d[a] for a in range(4)) * (2.0 * np.pi / L)
-    return float(np.sum(mult * np.cos(phase)))
+    return float(_green_on_product(N, L, d[:, None])[0, 0, 0, 0])
 
 
 @dataclass
@@ -198,18 +194,22 @@ def fit_log_singularity(N, L, grid=None, window=None) -> GreenDecomposition:
         window = (4.0 * L / N, L / 8.0)
     if window[0] < 2.0 * L / N:
         raise ValueError("fit window unresolved: r_min below 2 grid spacings")
-    if grid is None:
-        grid = green_grid_values(N, L)
-    # signed minimum-image coordinates
+    # r <= window[1] needs each |signed coordinate| <= window[1]: fit that sub-box
     coord = np.arange(N) * L / N
     signed = np.where(coord <= L / 2, coord, coord - L)
-    X = np.meshgrid(signed, signed, signed, signed, indexing="ij")
+    idx = np.flatnonzero(np.abs(signed) <= window[1])
+    s = signed[idx]
+    if grid is None:
+        box = _green_on_product(N, L, (s,) * 4)
+    else:
+        box = np.asarray(grid)[np.ix_(idx, idx, idx, idx)]
+    X = [s.reshape([-1 if b == a else 1 for b in range(4)]) for a in range(4)]
     r = np.sqrt(sum(a**2 for a in X))
     mask = (r >= window[0]) & (r <= window[1])
     rr = r[mask]
-    g = grid[mask]
+    g = box[mask]
     cols = [np.log(rr), np.ones_like(rr)]
-    cols += [X[a][mask] for a in range(4)]
+    cols += [np.broadcast_to(X[a], r.shape)[mask] for a in range(4)]
     cols.append(rr**2)
     A = np.stack(cols, axis=1)
     sol, *_ = np.linalg.lstsq(A, g, rcond=None)

@@ -3,6 +3,7 @@ import pytest
 
 from qcurv.bubble import MASS_LIMIT
 from qcurv.harness import (
+    ORIGIN,
     SequenceConfig,
     alpha_sweep,
     big_l,
@@ -132,6 +133,31 @@ def test_vrate_balance_requires_positive_h():
     b = sine_source(L_TORUS, 16, {(1, 0, 0, 0): 0.1})
     with pytest.raises(ValueError):
         vrate_balance(h, b, np.array([np.pi, 0.0, 0.0, 0.0]))
+
+
+def test_vrate_balance_cases():
+    def const(v):
+        c = np.zeros((16,) * 4, complex)
+        c[0, 0, 0, 0] = v
+        return TorusSpectralField(L_TORUS, c)
+
+    # constant h and a constant source (no regular part): exactly zero
+    for q in (ORIGIN, (0.7, 1.3, 0.2, 2.1)):
+        assert np.max(np.abs(vrate_balance(const(2.0), const(1.0), q))) == 0.0
+
+    # balanced pair at the origin: grad(h)/h = -4 grad(phi), to rounding
+    h = sine_source(
+        L_TORUS, 16, {(1, 0, 0, 0): 0.4, (0, 1, 0, 0): -0.2, (0, 0, 1, 0): 0.1, (0, 0, 0, 1): 0.3}
+    )
+    c = h.coeffs.copy()
+    c[0, 0, 0, 0] = 2.0
+    h = TorusSpectralField(L_TORUS, c)
+    assert np.max(np.abs(h.gradient(np.zeros((1, 4))))) > 0.1
+    assert np.max(np.abs(vrate_balance(h, tuned_source(h)))) < 1e-14
+
+    for v in (-1.0, 0.0):
+        with pytest.raises(ValueError):
+            vrate_balance(const(v), const(1.0))
 
 
 def test_vrate_rate_fit_returns_half_tau():

@@ -12,7 +12,6 @@ from qcurv.pohozaev import (
     flat_boundary_functional,
     pohozaev_balance,
     radial_third_derivative,
-    vanishing_rate_balance,
 )
 
 
@@ -169,45 +168,6 @@ def test_energy_balance_limit_and_decay():
     slope = np.polyfit(np.log([r["R"] for r in rows]), np.log(gaps), 1)[0]
     assert slope < -3.0
     assert gaps[-1] / abs(rows[-1]["B"]) < 1e-3
-
-
-class _PointField:
-    def __init__(self, f, g):
-        self._f, self._g = f, g
-
-    def eval(self, pts):
-        return self._f(np.atleast_2d(pts))
-
-    def gradient(self, pts):
-        return self._g(np.atleast_2d(pts))
-
-
-def test_vanishing_rate_balance_cases():
-    const_pos = _PointField(
-        lambda p: np.full(len(p), 2.0), lambda p: np.zeros((len(p), 4))
-    )
-    flat_phi = _PointField(
-        lambda p: np.zeros(len(p)), lambda p: np.zeros((len(p), 4))
-    )
-    assert np.max(np.abs(vanishing_rate_balance(const_pos, flat_phi))) == 0.0
-
-    # balanced pair: grad(h)/h = -4 grad(phi)
-    gh = np.array([0.4, -0.2, 0.1, 0.3])
-    h = _PointField(
-        lambda p: np.full(len(p), 2.0),
-        lambda p: np.broadcast_to(2.0 * gh, (len(p), 4)).copy(),
-    )
-    phi = _PointField(
-        lambda p: np.zeros(len(p)),
-        lambda p: np.broadcast_to(-gh / 4.0, (len(p), 4)).copy(),
-    )
-    assert np.max(np.abs(vanishing_rate_balance(h, phi))) < 1e-14
-
-    neg = _PointField(
-        lambda p: np.full(len(p), -1.0), lambda p: np.zeros((len(p), 4))
-    )
-    with pytest.raises(ValueError):
-        vanishing_rate_balance(neg, flat_phi)
 
 
 def test_curved_terms_shrink_with_eps():

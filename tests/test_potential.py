@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.fft as sfft
 
+from qcurv import potential
 from qcurv.bubble import RHO0, RescaledBubble
 from qcurv.potential import (
     LOG_COEFF,
@@ -9,6 +12,7 @@ from qcurv.potential import (
     TorusSpectralField,
     biharmonic_green_torus,
     fit_log_singularity,
+    green_grid_values,
     green_pair_value,
     log_potential,
     potential_derivatives,
@@ -78,6 +82,42 @@ def test_green_symmetry_random_pairs():
         eta = rng.uniform(0, L, 4)
         gap = abs(green_pair_value(16, L, xi, eta) - green_pair_value(16, L, eta, xi))
         assert gap < 1e-10
+
+
+@pytest.mark.parametrize("N", [16, 32])
+def test_green_pair_value_matches_irfftn_grid(N):
+    # two independent paths: the separable mode sum at a grid-aligned
+    # separation against the irfftn grid; symmetry alone cannot tell them apart
+    grid = green_grid_values(N, L)
+    tol = 1e-13 * np.max(np.abs(grid))
+    xi = np.random.default_rng(3).uniform(0, L, 4)
+    for h in ((1, 0, 0, 0), (0, 0, 0, 1), (2, -3, 1, 5), (-1, 4, -6, 3), (N // 2, 1, N // 2, N // 2)):
+        h = np.array(h)
+        val = green_pair_value(N, L, xi, xi + h * (L / N))
+        assert abs(val - grid[tuple(h % N)]) < tol
+
+
+def test_log_fit_memory_guard():
+    # one default fit and one pair at N = 64 from a cold multiplier cache;
+    # N^4 coordinate grids for either would trace about 1 GB
+    potential._multiplier.cache_clear()
+    tracemalloc.start()
+    try:
+        fit_log_singularity(64, L)
+        green_pair_value(64, L, np.zeros(4), np.full(4, 0.3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 300 * 2**20
+
+
+def test_log_fit_default_matches_grid_path():
+    N = 48
+    dec = fit_log_singularity(N, L)
+    ref = fit_log_singularity(N, L, grid=green_grid_values(N, L))
+    assert dec.n_points == ref.n_points
+    assert abs(dec.c_log - ref.c_log) < 1e-12 * abs(ref.c_log)
+    assert abs(dec.rms - ref.rms) < 1e-12 * ref.rms
 
 
 def test_log_fit_recovers_coefficient():
