@@ -357,7 +357,7 @@ def run_cnc(p, seed):
 
 def run_distance(p, seed):
     from .cnc import random_conformal_normal_jet, scale_jet
-    from .geodesic import distance_ratio_sweep, geodesic_distance
+    from .geodesic import distance_ratio_sweep
     from fractions import Fraction
 
     rng = np.random.default_rng(seed)
@@ -371,37 +371,13 @@ def run_distance(p, seed):
     rep = distance_ratio_sweep(jet, eps_list, pairs, n_nodes=int(p["n_nodes"]))
     cs = np.array(list(rep["per_eps_c"].values()))
     dev = float(np.max(np.abs(cs - np.mean(cs))) / np.mean(cs))
-    rows = []
-    from .cnc import blowup_metric
-
-    for r in rep["rows"]:
-        rows.append(
-            [
-                r["eps"],
-                r["y_norm"],
-                r["z_norm"],
-                r["euclid"],
-                r["geodesic"],
-                r["ratio_gap"],
-                r["fitted_c"],
-                0.0,
-            ]
-        )
-    # node-halving error estimate on the first pair of each eps
-    for eps in eps_list:
-        g = blowup_metric(jet, eps, half_width=4.0 / eps)
-        y, z = pairs[0]
-        d_full = geodesic_distance(g, y, z, n_nodes=int(p["n_nodes"]))
-        d_half = geodesic_distance(g, y, z, n_nodes=max(int(p["n_nodes"]) // 2, 8))
-        for row in rows:
-            if row[0] == eps:
-                row[7] = abs(d_full - d_half)
+    keys = ["eps", "y_norm", "z_norm", "euclid", "geodesic", "ratio_gap", "fitted_c", "error_estimate"]
+    rows = [[r[k] for k in keys] for r in rep["rows"]]
     checks = [
         _check("constant_stability", dev, 0.25, dev <= 0.25),
         _check("eps_exponent", rep["eps_exponent"], "2 +- 0.3", abs(rep["eps_exponent"] - 2.0) <= 0.3),
     ]
-    header = ["eps", "y_norm", "z_norm", "euclid", "geodesic", "ratio_gap", "fitted_c", "error_estimate"]
-    return checks, header, rows
+    return checks, keys, rows
 
 
 def run_longrange(p, seed):

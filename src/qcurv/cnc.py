@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 import sympy as sp
 
-from .fields import Box, COORDS, MetricField
+from .fields import Box, DerivativeOrderError, MetricField, require_positive_definite
 
 DIM = 4
 
@@ -92,12 +92,72 @@ def poly_truncate(p, max_deg):
     return {m: c for m, c in p.items() if sum(m) <= max_deg}
 
 
-def poly_eval(p, x):
-    x = np.asarray(x, float)
-    total = 0.0
-    for m, c in p.items():
-        total += float(c) * np.prod(x**np.array(m))
-    return total
+# the monomials of degree <= 3 in four variables, the basis of every float
+# evaluation of an exact polynomial
+_MONOMIALS = np.array(
+    [m for m in itertools.product(range(DIM), repeat=DIM) if sum(m) <= 3]
+)
+_MONOMIAL_INDEX = {tuple(m): k for k, m in enumerate(_MONOMIALS.tolist())}
+
+# points per monomial product; whole-array (n, 35) temporaries on the 98k
+# nodes of the curved Pohozaev ball raise the peak RSS by about 80 MB
+JET_BLOCK = 4096
+
+
+def _jet_table(polys, order):
+    """Float coefficients of an array of exact polynomials and of their
+    ``poly_diff`` partials up to ``order``.
+
+    Returns the (35, columns) table, one column per entry and derivative
+    index, and the shape each order takes (entry axes, then derivative
+    axes).  Each exact coefficient is converted to float once, here.
+    """
+    polys = np.asarray(polys, dtype=object)
+    shapes, cols = [], []
+    for k in range(order + 1):
+        shapes.append(polys.shape + (DIM,) * k)
+        for idx in np.ndindex(polys.shape):
+            for axes in itertools.product(range(DIM), repeat=k):
+                p = polys[idx]
+                for ax in axes:
+                    p = poly_diff(p, ax)
+                cols.append(p)
+    table = np.zeros((len(_MONOMIALS), len(cols)))
+    for j, p in enumerate(cols):
+        for m, c in p.items():
+            if sum(m) > 3:
+                raise ValueError(f"monomial {m} has degree above 3")
+            table[_MONOMIAL_INDEX[m], j] = float(c)
+    return table, shapes
+
+
+def _apply_jet_table(table, shapes, pts):
+    """The jets a ``_jet_table`` describes at ``pts`` (n, 4): the (n, 35)
+    monomial values times the table, one block of points at a time."""
+    pts = np.atleast_2d(np.asarray(pts, float))
+    flat = np.empty((len(pts), table.shape[1]))
+    for s in range(0, len(pts), JET_BLOCK):
+        powers = pts[s : s + JET_BLOCK, :, None] ** np.arange(4)
+        vander = powers[:, 0, _MONOMIALS[:, 0]]
+        for i in range(1, DIM):
+            vander = vander * powers[:, i, _MONOMIALS[:, i]]
+        np.matmul(vander, table, out=flat[s : s + JET_BLOCK])
+    out, start = [], 0
+    for shape in shapes:
+        size = int(np.prod(shape))
+        out.append(flat[:, start : start + size].reshape((len(pts),) + shape))
+        start += size
+    return out
+
+
+def poly_jet(polys, pts, order):
+    """Values and partials up to ``order`` of exact polynomials of degree <= 3.
+
+    ``polys`` is one polynomial or an array of them; ``pts`` is (n, 4).
+    Returns ``[values, first, second, ...]``; derivative axes come last, so
+    ``first[n, ..., c]`` is the c-th partial of each entry.
+    """
+    return _apply_jet_table(*_jet_table(polys, order), pts)
 
 
 def poly_str(p):
@@ -328,13 +388,6 @@ class MetricTaylor:
     max_degree: int = 3
     inverse: bool = False
 
-    def eval(self, x):
-        g = np.empty((DIM, DIM))
-        for a in range(DIM):
-            for b in range(a, DIM):
-                g[a, b] = g[b, a] = poly_eval(self.comps[a, b], x)
-        return g
-
     def __str__(self):
         lines = []
         kind = "g^" if self.inverse else "g_"
@@ -525,53 +578,88 @@ def cnc_identity_suite(jet: CurvatureJet):
     return report
 
 
-def detone_laplacian(mt: MetricTaylor, u, x):
-    """Laplacian in the det-one gauge: d_a g^{ab} d_b u + g^{ab} d_ab u."""
-    x = np.asarray(x, float)
-    inv = inverse_metric_taylor(mt)
-    div = contracted_first_derivative(mt)
-    pt = np.atleast_2d(x)
-    grad = u.gradient(pt)[0]
-    hess = u.hessian(pt)[0]
-    total = 0.0
-    for b in range(DIM):
-        total += poly_eval(div[b], x) * grad[b]
-        for a in range(DIM):
-            total += poly_eval(inv.comps[a, b], x) * hess[a, b]
-    return float(total)
+def detone_laplacian(ginv_jet, gu, hu, tu=None):
+    """Laplacian in the det-one gauge: d_a g^{ab} d_b u + g^{ab} d_ab u.
+
+    ``ginv_jet`` is the jet of g^{ab} at n points as ``poly_jet`` returns
+    it, of order 1, or 2 when the third derivatives ``tu`` (n, 4, 4, 4) are
+    given; ``gu`` (n, 4) and ``hu`` (n, 4, 4) are the gradient and Hessian
+    of u.  Returns the Laplacian (n,), and with ``tu`` also its gradient
+    (n, 4).
+    """
+    ginv, dginv = ginv_jet[:2]
+    lap = np.einsum("njij,ni->n", dginv, gu) + np.einsum("nij,nij->n", ginv, hu)
+    if tu is None:
+        return lap
+    glap = (
+        np.einsum("njijm,ni->nm", ginv_jet[2], gu)
+        + np.einsum("njij,nim->nm", dginv, hu)
+        + np.einsum("nijm,nij->nm", dginv, hu)
+        + np.einsum("nij,nijm->nm", ginv, tu)
+    )
+    return lap, glap
 
 
 # ---------------------------------------------------------------------------
 # blow-up metric and serialization
 
 
-def blowup_metric(jet: CurvatureJet, eps, half_width=None) -> MetricField:
-    """Rescaled metric g(eps*y) as an analytic MetricField in y.
+class PolynomialMetric:
+    """Metric whose components are exact polynomials of degree <= 3.
 
-    Quadratic coefficients scale by eps^2, cubic by eps^3 (the blow-up
-    gauge).  eps = 0 returns the flat metric.
+    Values and partials up to order 2 come from ``poly_jet``'s evaluator;
+    the coefficients stay exact until its single float conversion.  It
+    offers what the geodesic, curvature and bubble code read from a metric:
+    ``domain``, ``analytic``, ``fd_step``, ``is_flat``, ``eval_batch``,
+    ``eval`` and ``jet``.
+    """
+
+    analytic = True
+
+    def __init__(self, comps, domain):
+        self.domain = domain
+        self.fd_step = domain.width * 1e-2
+        self._table, self._shapes = _jet_table(comps, 2)
+        const = self._table[0, : DIM * DIM]
+        self.is_flat = not self._table[1:, : DIM * DIM].any() and np.array_equal(
+            const, np.eye(DIM).ravel()
+        )
+
+    def jet(self, pts, order):
+        """``[g, dg, d2g]`` up to ``order`` in the ``MetricField.jet`` layout."""
+        if order > 2:
+            raise DerivativeOrderError("polynomial metric derivatives available up to order 2")
+        shapes = self._shapes[: order + 1]
+        cols = sum(int(np.prod(s)) for s in shapes)
+        return _apply_jet_table(self._table[:, :cols], shapes, pts)
+
+    def eval_batch(self, pts):
+        return self.jet(pts, 0)[0]
+
+    def eval(self, x, check=True):
+        pts = np.atleast_2d(np.asarray(x, float))
+        g = self.eval_batch(pts)
+        if check:
+            require_positive_definite(g, pts)
+        return g[0]
+
+
+def blowup_metric(jet: CurvatureJet, eps, half_width=None):
+    """Rescaled metric g(eps*y) in y, as a ``PolynomialMetric``.
+
+    Each coefficient of degree k is multiplied by the exact eps^k, so the
+    quadratic terms scale by eps^2 and the cubic by eps^3 (the blow-up
+    gauge).  eps = 0 or a zero jet returns the flat ``MetricField``.
     """
     if half_width is None:
         half_width = 10.0 if eps == 0 else 1.0 / eps
     domain = Box.cube(half_width)
-    if eps == 0:
-        return MetricField.flat(domain)
-    mt = metric_taylor_from_jet(jet)
-    rows = []
-    for a in range(DIM):
-        row = []
-        for b in range(DIM):
-            expr = sp.Integer(0)
-            for m, c in mt.comps[a, b].items():
-                term = sp.Rational(c.numerator, c.denominator)
-                if sum(m):
-                    term *= sp.Float(eps) ** sum(m)
-                for i, e in enumerate(m):
-                    term *= COORDS[i] ** e
-                expr += term
-            row.append(expr)
-        rows.append(row)
-    return MetricField.from_exprs(sp.Matrix(rows), domain)
+    scale = Fraction(eps)
+    comps = np.empty((DIM, DIM), dtype=object)
+    for idx, p in np.ndenumerate(metric_taylor_from_jet(jet).comps):
+        comps[idx] = {m: c * scale ** sum(m) for m, c in p.items()}
+    g = PolynomialMetric(comps, domain)
+    return MetricField.flat(domain) if g.is_flat else g
 
 
 def dump_jet(jet: CurvatureJet, path):

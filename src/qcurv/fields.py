@@ -328,10 +328,6 @@ class MetricField:
                 g[i] = 0.5 * (m + m.T)
         return g
 
-    def partial_batch(self, pts, index):
-        """d^|index| g_ab for every point; shape (n, 4, 4)."""
-        return self._partials(pts, [tuple(index)])[0]
-
     def _partials(self, pts, indices):
         pts = np.atleast_2d(np.asarray(pts, float))
         if not self.analytic:

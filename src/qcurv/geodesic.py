@@ -115,7 +115,8 @@ def distance_ratio_sweep(jet, eps_list, pairs, n_nodes=DEFAULT_NODES):
     scaled by eps^2 (cubic by eps^3).  Returns per-pair rows, the per-eps
     worst constant, a stability ratio max/min of those constants, and the
     log-log exponent of the mean ratio gap in eps (2 for a genuine
-    second-order departure).
+    second-order departure).  Each row's ``error_estimate`` is the
+    node-halving change |d(n) - d(max(n // 2, 8))| of its distance.
     """
     eps_list = [float(e) for e in eps_list]
     if any(e <= 0 for e in eps_list):
@@ -131,6 +132,7 @@ def distance_ratio_sweep(jet, eps_list, pairs, n_nodes=DEFAULT_NODES):
             z = np.asarray(z, float)
             euclid = float(np.linalg.norm(y - z))
             geod = geodesic_distance(g, y, z, n_nodes=n_nodes)
+            coarse = geodesic_distance(g, y, z, n_nodes=max(n_nodes // 2, 8))
             gap = abs(geod / euclid - 1.0)
             scale = eps**2 * (np.dot(y, y) + np.dot(z, z))
             c = gap / scale
@@ -143,6 +145,7 @@ def distance_ratio_sweep(jet, eps_list, pairs, n_nodes=DEFAULT_NODES):
                     "geodesic": geod,
                     "ratio_gap": gap,
                     "fitted_c": c,
+                    "error_estimate": abs(geod - coarse),
                 }
             )
             consts.append(c)

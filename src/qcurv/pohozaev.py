@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .cnc import detone_laplacian, inverse_metric_taylor, poly_jet, ricci_deriv_of
 from .quadrature import ball_rule, sphere_rule, BALL4_VOL, S3_AREA
 
 
@@ -129,25 +130,6 @@ class RadialProfileField:
         return a * nnn + b * sym
 
 
-class ScalarFieldJet:
-    """Order-3 jet adapter over a fields.ScalarField."""
-
-    def __init__(self, sf):
-        self.sf = sf
-
-    def val(self, pts):
-        return self.sf.eval(pts)
-
-    def grad(self, pts):
-        return self.sf.gradient(pts)
-
-    def hess(self, pts):
-        return self.sf.hessian(pts)
-
-    def third(self, pts):
-        return self.sf.third(pts)
-
-
 def _flat_lap(hess):
     return np.trace(hess, axis1=1, axis2=2)
 
@@ -183,7 +165,8 @@ def pohozaev_balance(
 ) -> PohozaevReport:
     """Term-by-term Pohozaev report.
 
-    ``u`` is an order-3 jet object (RadialProfileField / ScalarFieldJet);
+    ``u`` is an order-3 jet object with val/grad/hess/third over points,
+    such as RadialProfileField;
     ``h`` and ``b`` are callables over points (m, 4) -> values, with
     ``h.gradient`` used when available (else FD-free exact zero for
     constants is the caller's responsibility via grad_h).  Flat metric when
@@ -214,9 +197,15 @@ def pohozaev_balance(
         lap_b = _flat_lap(hu_b)
         glap_b = _flat_grad_lap(tu_b)
         lap_i = _flat_lap(hu_i)
+        ginv_b = np.broadcast_to(np.eye(4), (len(xi_b), 4, 4))
     else:
-        lap_b, glap_b = _taylor_laplacian(metric_taylor, xi_b, gu_b, hu_b, tu_b)
-        lap_i, _ = _taylor_laplacian(metric_taylor, xi_i, gu_i, hu_i, u.third(xi_i))
+        # one g^{ij} jet per point set: [g^{ij}, d_k g^{ij}, d_k d_l g^{ij}]
+        inv = inverse_metric_taylor(metric_taylor).comps
+        jet_b = poly_jet(inv, xi_b, 2)
+        jet_i = poly_jet(inv, xi_i, 2)
+        lap_b, glap_b = detone_laplacian(jet_b, gu_b, hu_b, tu_b)
+        lap_i = detone_laplacian(jet_i, gu_i, hu_i)
+        ginv_b = jet_b[0]
 
     e4u = np.exp(4.0 * uv)
     e4u_b = np.exp(4.0 * uv_b)
@@ -225,10 +214,6 @@ def pohozaev_balance(
 
     xdotnu = np.einsum("ni,ni->n", xi_b, nu)
     xdotgu = np.einsum("ni,ni->n", xi_b, gu_b)
-    if flat:
-        ginv_b = np.broadcast_to(np.eye(4), (len(xi_b), 4, 4))
-    else:
-        ginv_b = _taylor_inverse(metric_taylor, xi_b)
     t_a = 0.5 * hv_b * e4u_b * xdotnu
     t_b = -np.einsum("nij,ni,n,nj->n", ginv_b, glap_b, xdotgu, nu)
     t_c = np.einsum("nij,n,ni,nj->n", ginv_b, lap_b, gu_b, nu)
@@ -248,10 +233,18 @@ def pohozaev_balance(
         I3 = 0.0
         I4 = 0.0
     else:
-        I2_metric = _metric_interior_terms(
-            metric_taylor, xi_i, w_i, gu_i, hu_i, lap_i
+        _, dginv, d2ginv = jet_i
+        I2_metric = float(
+            np.sum(
+                w_i
+                * (
+                    np.einsum("n,niji,nj->n", lap_i, dginv, gu_i)
+                    + np.einsum("nm,n,nijim,nj->n", xi_i, lap_i, d2ginv, gu_i)
+                    + np.einsum("nm,n,nijm,nij->n", xi_i, lap_i, dginv, hu_i)
+                )
+            )
         )
-        ric1 = _ricci_deriv_floats(jet)
+        ric1 = np.array(ricci_deriv_of(jet.R1), dtype=float)
         I3 = 2.0 * float(
             np.sum(
                 w_b
@@ -299,78 +292,6 @@ def pohozaev_balance(
         )
 
     return PohozaevReport(I0, I1, I2, I3, I4, bterms, err, remainder)
-
-
-def _ricci_deriv_floats(jet):
-    from .cnc import ricci_deriv_of
-
-    dr = ricci_deriv_of(jet.R1)
-    out = np.zeros((4, 4, 4))
-    for i in range(4):
-        for j in range(4):
-            for l in range(4):
-                out[i, j, l] = float(dr[i, j, l])
-    return out
-
-
-def _poly_eval_batch(p, pts):
-    out = np.zeros(pts.shape[0])
-    for m, c in p.items():
-        term = float(c) * np.ones(pts.shape[0])
-        for i, e in enumerate(m):
-            if e:
-                term *= pts[:, i] ** e
-        out += term
-    return out
-
-
-def _taylor_inverse(mt, pts):
-    from .cnc import inverse_metric_taylor
-
-    out = np.empty((pts.shape[0], 4, 4))
-    for (a, b), p in np.ndenumerate(inverse_metric_taylor(mt).comps):
-        out[:, a, b] = _poly_eval_batch(p, pts)
-    return out
-
-
-def _taylor_laplacian(mt, pts, gu, hu, tu):
-    """(lap_g u, grad lap_g u) in the det-one gauge from exact polynomials."""
-    from .cnc import inverse_metric_taylor, poly_diff
-
-    ginv = _taylor_inverse(mt, pts)
-    dginv = np.empty((pts.shape[0], 4, 4, 4))
-    d2ginv = np.empty((pts.shape[0], 4, 4, 4, 4))
-    for (a, b), p in np.ndenumerate(inverse_metric_taylor(mt).comps):
-        for c in range(4):
-            dp = poly_diff(p, c)
-            dginv[:, a, b, c] = _poly_eval_batch(dp, pts)
-            for d in range(4):
-                d2ginv[:, a, b, c, d] = _poly_eval_batch(poly_diff(dp, d), pts)
-    lap = np.einsum("njij,ni->n", dginv, gu) + np.einsum("nij,nij->n", ginv, hu)
-    glap = (
-        np.einsum("njijm,ni->nm", d2ginv, gu)
-        + np.einsum("njij,nim->nm", dginv, hu)
-        + np.einsum("nijm,nij->nm", dginv, hu)
-        + np.einsum("nij,nijm->nm", ginv, tu)
-    )
-    return lap, glap
-
-
-def _metric_interior_terms(mt, pts, w, gu, hu, lap):
-    from .cnc import inverse_metric_taylor, poly_diff
-
-    dginv = np.empty((pts.shape[0], 4, 4, 4))
-    d2ginv = np.empty((pts.shape[0], 4, 4, 4, 4))
-    for (a, b), p in np.ndenumerate(inverse_metric_taylor(mt).comps):
-        for c in range(4):
-            dp = poly_diff(p, c)
-            dginv[:, a, b, c] = _poly_eval_batch(dp, pts)
-            for d in range(4):
-                d2ginv[:, a, b, c, d] = _poly_eval_batch(poly_diff(dp, d), pts)
-    t1 = np.einsum("n,niji,nj->n", lap, dginv, gu)
-    t2 = np.einsum("nm,n,nijim,nj->n", pts, lap, d2ginv, gu)
-    t3 = np.einsum("nm,n,nijm,nij->n", pts, lap, dginv, hu)
-    return float(np.sum(w * (t1 + t2 + t3)))
 
 
 def _taylor_cubic_scale(mt):

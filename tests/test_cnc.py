@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -6,6 +7,7 @@ import sympy as sp
 
 from qcurv.cnc import (
     CurvatureJet,
+    PolynomialMetric,
     blowup_metric,
     cnc_identity_suite,
     contracted_first_derivative,
@@ -21,14 +23,21 @@ from qcurv.cnc import (
     log_det_poly,
     metric_taylor_from_jet,
     poly_diff,
-    poly_eval,
+    poly_jet,
     poly_truncate,
     product_defect,
     random_conformal_normal_jet,
     ricci_of,
     scale_jet,
 )
-from qcurv.fields import Box, COORDS, ScalarField
+from qcurv.fields import (
+    Box,
+    COORDS,
+    DegenerateMetricError,
+    DerivativeOrderError,
+    MetricField,
+    ScalarField,
+)
 
 
 def test_zero_jet_gives_identity_metric():
@@ -48,7 +57,7 @@ def test_constant_curvature_quadratic_coefficient():
     r2 = float(x @ x)
     for a in range(4):
         for b in range(4):
-            quad = poly_eval(poly_truncate({k: v for k, v in mt.comps[a, b].items() if sum(k) == 2}, 2), x)
+            quad = poly_jet(poly_truncate({k: v for k, v in mt.comps[a, b].items() if sum(k) == 2}, 2), x, 0)[0][0]
             expected = float(K) / 3.0 * (x[a] * x[b] - (r2 if a == b else 0.0))
             assert abs(float(quad) - expected) < 1e-12
 
@@ -62,7 +71,7 @@ def test_inverse_flips_sign_and_product_is_exact():
         for b in range(4):
             q_fwd = {k: v for k, v in mt.comps[a, b].items() if sum(k) == 2}
             q_inv = {k: v for k, v in inv.comps[a, b].items() if sum(k) == 2}
-            assert poly_eval(q_fwd, x) == -poly_eval(q_inv, x)
+            assert poly_jet(q_fwd, x, 0)[0][0] == -poly_jet(q_inv, x, 0)[0][0]
     assert product_defect(mt, inv) == {}
 
 
@@ -99,8 +108,8 @@ def test_d_inverse_matches_display_and_fd_of_polynomial():
         xp, xm = x.copy(), x.copy()
         xp[c] += h
         xm[c] -= h
-        fd = (float(poly_eval(inv.comps[a, b], xp)) - float(poly_eval(inv.comps[a, b], xm))) / (2 * h)
-        assert abs(fd - float(poly_eval(d[a, b, c], x))) < 1e-9
+        fd = (float(poly_jet(inv.comps[a, b], xp, 0)[0][0]) - float(poly_jet(inv.comps[a, b], xm, 0)[0][0])) / (2 * h)
+        assert abs(fd - float(poly_jet(d[a, b, c], x, 0)[0][0])) < 1e-9
 
 
 def test_contractions_match_displays():
@@ -165,6 +174,13 @@ def test_conformal_normal_flag_validation():
         )
 
 
+def _detone(mt, u, x):
+    """The det-one Laplacian of the field ``u`` at the point ``x``."""
+    pt = np.atleast_2d(x)
+    ginv_jet = poly_jet(inverse_metric_taylor(mt).comps, pt, 1)
+    return float(detone_laplacian(ginv_jet, u.gradient(pt), u.hessian(pt))[0])
+
+
 def test_detone_laplacian_at_origin_and_near_origin():
     jet = random_conformal_normal_jet(rng=4)
     mt = metric_taylor_from_jet(jet)
@@ -172,10 +188,10 @@ def test_detone_laplacian_at_origin_and_near_origin():
     x0, x1, x2, x3 = COORDS
     u = ScalarField.from_expr(x0**2 + 3 * x1 * x2 - x3**2, dom)
     # expansions vanish at the origin: plain Euclidean Laplacian
-    assert abs(detone_laplacian(mt, u, np.zeros(4)) - 0.0) < 1e-12
+    assert abs(_detone(mt, u, np.zeros(4)) - 0.0) < 1e-12
 
     u2 = ScalarField.from_expr(x0**2 + x1**2, dom)
-    assert abs(detone_laplacian(mt, u2, np.zeros(4)) - 4.0) < 1e-12
+    assert abs(_detone(mt, u2, np.zeros(4)) - 4.0) < 1e-12
 
 
 def test_detone_laplacian_agrees_with_metric_operator_near_origin():
@@ -191,7 +207,7 @@ def test_detone_laplacian_agrees_with_metric_operator_near_origin():
     gaps = []
     for r in (0.2, 0.1, 0.05):
         x = np.array([r, 0.4 * r, -0.3 * r, 0.2 * r])
-        gaps.append(abs(detone_laplacian(mt, u, x) - laplace_beltrami(g, u, x)))
+        gaps.append(abs(_detone(mt, u, x) - laplace_beltrami(g, u, x)))
     # the det-one form drops the sqrt(det) drift term, an O(r^3) effect
     slope = np.polyfit(np.log([0.2, 0.1, 0.05]), np.log(gaps), 1)[0]
     assert slope > 2.0
@@ -229,3 +245,127 @@ def test_blowup_metric_flat_at_zero_eps():
     jet = random_conformal_normal_jet(rng=1)
     g = blowup_metric(jet, 0.0)
     assert g.is_flat
+    zero = blowup_metric(scale_jet(jet, Fraction(0)), 0.3)
+    assert isinstance(zero, MetricField) and zero.is_flat
+    assert not blowup_metric(jet, 0.3).is_flat
+
+
+_MONOMIALS = [m for m in itertools.product(range(4), repeat=4) if sum(m) <= 3]
+
+
+def _exact_at(p, x):
+    """Exact value of ``p`` at the rational point ``x``, and the sum of the
+    magnitudes of its terms, the scale a float evaluation is judged on."""
+    value = scale = Fraction(0)
+    for m, c in p.items():
+        term = c
+        for xi, e in zip(x, m):
+            term *= xi**e
+        value += term
+        scale += abs(term)
+    return value, scale
+
+
+def test_poly_jet_matches_exact_rational_evaluation():
+    rng = np.random.default_rng(0)
+    for _ in range(10):
+        polys = np.empty((2, 3), dtype=object)
+        for idx in np.ndindex(polys.shape):
+            pick = rng.choice(len(_MONOMIALS), int(rng.integers(1, len(_MONOMIALS) + 1)), replace=False)
+            polys[idx] = {
+                _MONOMIALS[k]: Fraction(int(rng.integers(-99, 100)) or 1, int(rng.integers(1, 50)))
+                for k in pick
+            }
+        pts = rng.uniform(-2.0, 2.0, (4, 4))
+        jets = poly_jet(polys, pts, 2)
+        for n, x in enumerate(pts):
+            xq = [Fraction(v) for v in x.tolist()]  # the float point, exactly
+            for k, jet in enumerate(jets):
+                assert jet.shape == (4, 2, 3) + (4,) * k
+                for idx in np.ndindex(polys.shape):
+                    for axes in itertools.product(range(4), repeat=k):
+                        p = polys[idx]
+                        for ax in axes:
+                            p = poly_diff(p, ax)
+                        value, scale = _exact_at(p, xq)
+                        got = Fraction(float(jet[(n,) + idx + axes]))
+                        assert abs(got - value) <= Fraction(1, 10**15) * scale
+    with pytest.raises(ValueError):
+        poly_jet({(2, 2, 0, 0): Fraction(1)}, np.zeros(4), 0)
+
+
+def _sympy_blowup(jet, eps, half_width):
+    """The blow-up expansion as a sympy MetricField, the reference for the
+    float evaluator: each term c * eps^deg * x^m built and differentiated
+    symbolically."""
+    mt = metric_taylor_from_jet(jet)
+    rows = []
+    for a in range(4):
+        row = []
+        for b in range(4):
+            expr = sp.Integer(0)
+            for m, c in mt.comps[a, b].items():
+                term = sp.Rational(c.numerator, c.denominator) * sp.Float(eps) ** sum(m)
+                for i, e in enumerate(m):
+                    term *= COORDS[i] ** e
+                expr += term
+            row.append(expr)
+        rows.append(row)
+    return MetricField.from_exprs(sp.Matrix(rows), Box.cube(half_width))
+
+
+def test_polynomial_metric_matches_sympy_metric_field():
+    from qcurv.curvature import riemann_of_metric
+
+    jet = scale_jet(random_conformal_normal_jet(rng=3), Fraction(1, 10))
+    pts = np.random.default_rng(1).uniform(-3.0, 3.0, (40, 4))
+    for eps in (0.1, 0.025):
+        g = blowup_metric(jet, eps, half_width=4.0 / eps)
+        ref = _sympy_blowup(jet, eps, 4.0 / eps)
+        assert isinstance(g, PolynomialMetric) and not g.is_flat
+        assert g.domain == ref.domain and g.fd_step == ref.fd_step and g.analytic
+        for got, want in zip(g.jet(pts, 2), ref.jet(pts, 2)):
+            assert np.max(np.abs(got - want)) < 1e-13
+        r_got = riemann_of_metric(g, pts[:10]).components
+        r_want = riemann_of_metric(ref, pts[:10]).components
+        assert np.max(np.abs(r_got - r_want)) < 1e-13 * np.max(np.abs(r_want))
+        assert np.max(np.abs(g.eval(pts[0]) - ref.eval(pts[0]))) < 1e-13
+    with pytest.raises(DerivativeOrderError):
+        g.jet(pts, 3)
+
+
+def test_polynomial_metric_rejects_degenerate_points():
+    comps = np.empty((4, 4), dtype=object)
+    for a, b in np.ndindex(4, 4):
+        comps[a, b] = {(0, 0, 0, 0): Fraction(int(a == b))}
+    comps[0, 0] = {(0, 0, 0, 0): Fraction(1), (2, 0, 0, 0): Fraction(-1)}
+    g = PolynomialMetric(comps, Box.cube(2.0))
+    assert not g.is_flat
+    assert g.eval([0.5, 0.0, 0.0, 0.0])[0, 0] == 0.75
+    with pytest.raises(DegenerateMetricError):
+        g.eval([1.0, 0.3, 0.0, 0.0])
+
+
+def test_blowup_geodesic_and_curved_pohozaev_do_not_call_sympy(monkeypatch):
+    from qcurv.bubble import RescaledBubble
+    from qcurv.geodesic import geodesic_distance
+    from qcurv.pohozaev import BallDomain, RadialProfileField, pohozaev_balance
+
+    # the random jet's exact basis comes from a sympy nullspace: draw it first
+    jet = scale_jet(random_conformal_normal_jet(rng=5), Fraction(1, 10))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("sympy called on a float path")
+
+    for name in ("lambdify", "diff", "Matrix"):
+        monkeypatch.setattr(sp, name, forbidden)
+    g = blowup_metric(jet, 0.1, half_width=40.0)
+    y, z = np.array([1.0, 0.2, -0.3, 0.1]), np.array([-0.4, 0.9, 0.3, -0.2])
+    d = geodesic_distance(g, y, z, n_nodes=16)
+    assert d != np.linalg.norm(y - z)
+    ball = BallDomain(1.0, n_r=8, n_u=8, n_phi=8)
+    u = RadialProfileField(RescaledBubble(1.0), tilt=[0.3, -0.2, 0.1, 0.25])
+    h = lambda pts: np.ones(len(pts))
+    b = lambda pts: np.zeros(len(pts))
+    rep = pohozaev_balance(u, h, b, ball, metric_taylor=metric_taylor_from_jet(jet), jet=jet)
+    assert rep.I2 != 0.0

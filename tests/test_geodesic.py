@@ -130,3 +130,21 @@ def test_log_gap_preconditions():
         log_distance_derivative_gap(jet, 0.1, y, 0.8 * y, 1)
     with pytest.raises(ValueError):
         log_distance_derivative_gap(jet, 0.1, y, 0.1 * y, 5)
+
+
+def test_ratio_sweep_error_estimate_on_every_row():
+    jet = scale_jet(random_conformal_normal_jet(rng=7), Fraction(1, 10))
+    pairs = [
+        (np.array([1.0, 0.3, -0.2, 0.1]), np.array([-0.5, 0.4, 0.2, -0.3])),
+        (np.array([0.8, -0.6, 0.1, 0.0]), np.array([0.2, 0.5, -0.4, 0.3])),
+    ]
+    out = distance_ratio_sweep(jet, [0.1, 0.05], pairs, n_nodes=24)
+    assert all(r["error_estimate"] > 0.0 for r in out["rows"])
+    # the node-halving change of the second pair at the second eps
+    row = out["rows"][3]
+    assert (row["eps"], row["y_norm"]) == (0.05, float(np.linalg.norm(pairs[1][0])))
+    g = blowup_metric(jet, 0.05, half_width=4.0 / 0.05)
+    y, z = pairs[1]
+    coarse = geodesic_distance(g, y, z, n_nodes=12)
+    assert row["geodesic"] == geodesic_distance(g, y, z, n_nodes=24)
+    assert row["error_estimate"] == abs(row["geodesic"] - coarse)
