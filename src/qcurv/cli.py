@@ -321,6 +321,7 @@ def run_cnc(p, seed):
         inverse_metric_taylor,
         log_det_poly,
         metric_taylor_from_jet,
+        poly_truncate,
         product_defect,
         random_conformal_normal_jet,
     )
@@ -331,26 +332,14 @@ def run_cnc(p, seed):
     for _ in range(n_jets):
         jet = random_conformal_normal_jet(rng=int(rng.integers(0, 2**31)))
         mt = metric_taylor_from_jet(jet)
-        inv = inverse_metric_taylor(mt)
-        if any(v for v in product_defect(mt, inv).values()):
-            failures += 1
-            continue
-        from .cnc import poly_truncate
-
-        if poly_truncate(log_det_poly(mt), 2):
-            failures += 1
-            continue
-        c1, c1d = contracted_first_derivative(mt), contracted_first_derivative_display(jet)
-        if any(c1[i] != c1d[i] for i in range(4)):
-            failures += 1
-            continue
-        c2, c2d = contracted_second_derivative(mt), contracted_second_derivative_display(jet)
-        if any(c2[i, j] != c2d[i, j] for i in range(4) for j in range(4)):
-            failures += 1
-            continue
-        suite = cnc_identity_suite(jet)
-        if any("pass" in r and not r["pass"] for r in suite.values()):
-            failures += 1
+        failed = (
+            product_defect(mt, inverse_metric_taylor(mt)).any()
+            or poly_truncate(log_det_poly(mt), 2).any()
+            or (contracted_first_derivative(mt) != contracted_first_derivative_display(jet)).any()
+            or (contracted_second_derivative(mt) != contracted_second_derivative_display(jet)).any()
+            or not all(r["pass"] for r in cnc_identity_suite(jet).values())
+        )
+        failures += bool(failed)
     checks = [_check("exact_identity_failures", failures, 0, failures == 0)]
     return checks, None, None
 

@@ -1,8 +1,13 @@
 """Conformal-normal-coordinate metric Taylor expansions, in exact arithmetic.
 
-Polynomials in the chart variable xi in R^4 are dicts mapping exponent
-tuples (e0, e1, e2, e3) to Fraction coefficients, so every algebraic
-identity below is checked to literal zero, not to a float tolerance.
+A polynomial in the chart variable xi in R^4 of degree <= 3 is its dense
+coefficient vector over the 35 monomials of degree <= 3 (``_MONOMIALS``);
+an array of polynomials is one object array whose last axis holds the
+coefficients.  Absent coefficients are the int 0 and the others are
+Fractions, so every algebraic identity below is checked to literal zero,
+not to a float tolerance.  Sums, differences and rational multiples are
+numpy operators; products go through a fixed table of the monomial pairs
+of total degree <= 3, and derivatives through a fixed gather.
 
 Curvature jets use the lowered-index convention of the curvature module
 (round sphere positive): Ric_ij = sum_a R[a,i,a,j], and the normal
@@ -15,7 +20,7 @@ coordinate expansion
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -27,77 +32,79 @@ from .fields import Box, DerivativeOrderError, MetricField, require_positive_def
 DIM = 4
 
 # ---------------------------------------------------------------------------
-# exact polynomial arithmetic
+# exact dense polynomials
 
-
-def poly_zero():
-    return {}
-
-
-def poly_const(c):
-    c = Fraction(c)
-    return {} if c == 0 else {(0, 0, 0, 0): c}
-
-
-def poly_var(i):
-    e = [0, 0, 0, 0]
-    e[i] = 1
-    return {tuple(e): Fraction(1)}
-
-
-def poly_add(*ps):
-    out = {}
-    for p in ps:
-        for m, c in p.items():
-            c2 = out.get(m, Fraction(0)) + c
-            if c2 == 0:
-                out.pop(m, None)
-            else:
-                out[m] = c2
-    return out
-
-
-def poly_scale(p, c):
-    c = Fraction(c)
-    if c == 0:
-        return {}
-    return {m: v * c for m, v in p.items()}
-
-
-def poly_mul(p, q):
-    out = {}
-    for m1, c1 in p.items():
-        for m2, c2 in q.items():
-            m = tuple(a + b for a, b in zip(m1, m2))
-            c = out.get(m, Fraction(0)) + c1 * c2
-            if c == 0:
-                out.pop(m, None)
-            else:
-                out[m] = c
-    return out
-
-
-def poly_diff(p, i):
-    out = {}
-    for m, c in p.items():
-        if m[i] == 0:
-            continue
-        m2 = list(m)
-        m2[i] -= 1
-        out[tuple(m2)] = c * m[i]
-    return out
-
-
-def poly_truncate(p, max_deg):
-    return {m: c for m, c in p.items() if sum(m) <= max_deg}
-
-
-# the monomials of degree <= 3 in four variables, the basis of every float
-# evaluation of an exact polynomial
+# the monomials of degree <= 3 in four variables, the coefficient basis
 _MONOMIALS = np.array(
     [m for m in itertools.product(range(DIM), repeat=DIM) if sum(m) <= 3]
 )
 _MONOMIAL_INDEX = {tuple(m): k for k, m in enumerate(_MONOMIALS.tolist())}
+# the degree of each basis monomial
+DEGREE = _MONOMIALS.sum(axis=1)
+
+
+def _grouped(slots, *columns):
+    """Sort rows by target slot; return the distinct slots, the sorted
+    columns and where each slot's run starts (for ``np.add.reduceat``)."""
+    rows = np.array(sorted(zip(slots, *columns)))
+    starts = np.flatnonzero(np.diff(rows[:, 0], prepend=-1))
+    return (rows[starts, 0],) + tuple(rows[:, 1:].T) + (starts,)
+
+
+# d/dxi^i moves the coefficient of m + e_i to m, times m_i + 1; a source of
+# degree 4 reads the zero pad at index 35
+_DIFF_SOURCE = np.array([
+    [_MONOMIAL_INDEX.get(tuple(m + e), len(_MONOMIALS)) for m in _MONOMIALS]
+    for e in np.eye(DIM, dtype=int)
+])
+_DIFF_FACTOR = (_MONOMIALS.T + 1).astype(object)
+
+# the 165 monomial pairs whose product has degree <= 3, grouped by product
+_, _MUL_LEFT, _MUL_RIGHT, _MUL_START = _grouped(*zip(*[
+    (_MONOMIAL_INDEX[tuple(a + b)], i, j)
+    for i, a in enumerate(_MONOMIALS)
+    for j, b in enumerate(_MONOMIALS)
+    if sum(a + b) <= 3
+]))
+
+# for degree d, the variable tuples (i1, ..., id) grouped by the monomial
+# x_i1 ... x_id they multiply to
+_TERMS = {
+    d: _grouped(*zip(*[
+        (_MONOMIAL_INDEX[tuple(np.bincount(t, minlength=DIM))], n)
+        for n, t in enumerate(itertools.product(range(DIM), repeat=d))
+    ]))
+    for d in (1, 2, 3)
+}
+
+
+def _from_terms(coef, d):
+    """Polynomials sum coef[..., i1, ..., id] xi^i1 ... xi^id; the last d
+    axes of ``coef`` index the variables."""
+    slots, order, starts = _TERMS[d]
+    flat = coef.reshape(coef.shape[: coef.ndim - d] + (-1,))
+    out = np.zeros(flat.shape[:-1] + (len(_MONOMIALS),), dtype=object)
+    out[..., slots] = np.add.reduceat(flat[..., order], starts, axis=-1)
+    return out
+
+
+def poly_mul(p, q):
+    """Products of polynomial arrays (numpy broadcasting), truncated at
+    degree 3."""
+    terms = p[..., _MUL_LEFT] * q[..., _MUL_RIGHT]
+    return np.add.reduceat(terms, _MUL_START, axis=-1)
+
+
+def poly_diff(p):
+    """The four partials d/dxi^i of polynomials ``p``, on a new axis before
+    the coefficients."""
+    padded = np.concatenate([p, np.zeros(p.shape[:-1] + (1,), dtype=object)], axis=-1)
+    return padded[..., _DIFF_SOURCE] * _DIFF_FACTOR
+
+
+def poly_truncate(p, max_deg):
+    return np.where(DEGREE <= max_deg, p, 0)
+
 
 # points per monomial product; whole-array (n, 35) temporaries on the 98k
 # nodes of the curved Pohozaev ball raise the peak RSS by about 80 MB
@@ -106,29 +113,19 @@ JET_BLOCK = 4096
 
 def _jet_table(polys, order):
     """Float coefficients of an array of exact polynomials and of their
-    ``poly_diff`` partials up to ``order``.
+    partials up to ``order``.
 
     Returns the (35, columns) table, one column per entry and derivative
     index, and the shape each order takes (entry axes, then derivative
     axes).  Each exact coefficient is converted to float once, here.
     """
-    polys = np.asarray(polys, dtype=object)
+    p = np.asarray(polys)
     shapes, cols = [], []
-    for k in range(order + 1):
-        shapes.append(polys.shape + (DIM,) * k)
-        for idx in np.ndindex(polys.shape):
-            for axes in itertools.product(range(DIM), repeat=k):
-                p = polys[idx]
-                for ax in axes:
-                    p = poly_diff(p, ax)
-                cols.append(p)
-    table = np.zeros((len(_MONOMIALS), len(cols)))
-    for j, p in enumerate(cols):
-        for m, c in p.items():
-            if sum(m) > 3:
-                raise ValueError(f"monomial {m} has degree above 3")
-            table[_MONOMIAL_INDEX[m], j] = float(c)
-    return table, shapes
+    for _ in range(order + 1):
+        shapes.append(p.shape[:-1])
+        cols.append(p.reshape(-1, len(_MONOMIALS)))
+        p = poly_diff(p)
+    return np.concatenate(cols).T.astype(float, order="C"), shapes
 
 
 def _apply_jet_table(table, shapes, pts):
@@ -158,22 +155,6 @@ def poly_jet(polys, pts, order):
     ``first[n, ..., c]`` is the c-th partial of each entry.
     """
     return _apply_jet_table(*_jet_table(polys, order), pts)
-
-
-def poly_str(p):
-    """Stable plain-text rendering, monomials in lexicographic order."""
-    if not p:
-        return "0"
-    parts = []
-    for m in sorted(p):
-        c = p[m]
-        mono = "*".join(
-            f"x{i}" + (f"^{e}" if e > 1 else "")
-            for i, e in enumerate(m)
-            if e > 0
-        )
-        parts.append(f"{c}" + (f"*{mono}" if mono else ""))
-    return " + ".join(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +204,6 @@ class CurvatureJet:
 
     R0: np.ndarray
     R1: np.ndarray = None
-    R2: np.ndarray = None
     conformal_normal: bool = False
 
     def __post_init__(self):
@@ -383,168 +363,76 @@ def random_conformal_normal_jet(rng=None, spread=6):
 class MetricTaylor:
     """Exact polynomial expansion of g_ab (or g^ab) valid through degree 3."""
 
-    comps: np.ndarray  # (4, 4) object array of polynomials
+    comps: np.ndarray  # (4, 4, 35) polynomial array
     jet: CurvatureJet
-    max_degree: int = 3
-    inverse: bool = False
-
-    def __str__(self):
-        lines = []
-        kind = "g^" if self.inverse else "g_"
-        for a in range(DIM):
-            for b in range(a, DIM):
-                lines.append(f"{kind}{{{a}{b}}} = {poly_str(self.comps[a, b])}")
-        return "\n".join(lines)
 
 
 def metric_taylor_from_jet(jet: CurvatureJet) -> MetricTaylor:
-    comps = np.empty((DIM, DIM), dtype=object)
-    xi = [poly_var(i) for i in range(DIM)]
-    for a in range(DIM):
-        for b in range(DIM):
-            p = poly_const(1 if a == b else 0)
-            for i, j in itertools.product(range(DIM), repeat=2):
-                if jet.R0[a, i, j, b] != 0:
-                    p = poly_add(
-                        p,
-                        poly_scale(
-                            poly_mul(xi[i], xi[j]),
-                            Fraction(jet.R0[a, i, j, b], 3),
-                        ),
-                    )
-                for k in range(DIM):
-                    if jet.R1[a, i, j, b, k] != 0:
-                        p = poly_add(
-                            p,
-                            poly_scale(
-                                poly_mul(poly_mul(xi[i], xi[j]), xi[k]),
-                                Fraction(jet.R1[a, i, j, b, k], 6),
-                            ),
-                        )
-            comps[a, b] = p
+    comps = _from_terms(np.einsum("aijb->abij", jet.R0) * Fraction(1, 3), 2)
+    comps += _from_terms(np.einsum("aijbk->abijk", jet.R1) * Fraction(1, 6), 3)
+    comps[..., 0] = np.where(np.eye(DIM, dtype=bool), Fraction(1), 0)
     return MetricTaylor(comps=comps, jet=jet)
 
 
 def inverse_metric_taylor(mt: MetricTaylor) -> MetricTaylor:
     """Sign-flipped expansion for g^ab; exact inverse through degree 3."""
-    comps = np.empty((DIM, DIM), dtype=object)
-    for a in range(DIM):
-        for b in range(DIM):
-            p = mt.comps[a, b]
-            flipped = {}
-            for m, c in p.items():
-                flipped[m] = c if sum(m) == 0 else -c
-            comps[a, b] = flipped
-    return MetricTaylor(comps=comps, jet=mt.jet, inverse=True)
+    return MetricTaylor(comps=np.where(DEGREE > 0, -mt.comps, mt.comps), jet=mt.jet)
 
 
 def product_defect(mt: MetricTaylor, inv: MetricTaylor):
-    """g * g^{-1} - delta truncated at degree 3; {} per entry if exact."""
-    out = {}
-    for a in range(DIM):
-        for c in range(DIM):
-            p = poly_zero()
-            for b in range(DIM):
-                p = poly_add(p, poly_mul(mt.comps[a, b], inv.comps[b, c]))
-            p = poly_add(p, poly_const(-1 if a == c else 0))
-            p = poly_truncate(p, 3)
-            if p:
-                out[(a, c)] = p
-    return out
+    """g * g^{-1} - delta truncated at degree 3, a (4, 4, 35) array that is
+    zero if the inverse is exact."""
+    defect = poly_mul(mt.comps[:, :, None], inv.comps[None]).sum(axis=1)
+    defect[..., 0] -= np.eye(DIM, dtype=int)
+    return defect
 
 
 def d_inverse_metric(mt: MetricTaylor):
-    """Formal derivative d_c g^{ab} as a (4,4,4) array of polynomials."""
-    inv = inverse_metric_taylor(mt)
-    out = np.empty((DIM, DIM, DIM), dtype=object)
-    for a, b, c in itertools.product(range(DIM), repeat=3):
-        out[a, b, c] = poly_truncate(poly_diff(inv.comps[a, b], c), 2)
-    return out
+    """Formal derivative d_c g^{ab} as a (4, 4, 4, 35) array."""
+    return poly_diff(inverse_metric_taylor(mt).comps)
 
 
 def d_inverse_metric_display(jet: CurvatureJet):
     """Closed form: -(2/3) R_a(ci)b xi^i
     - (1/6)(2 R_a(ci)b,j + R_aijb,c) xi^i xi^j."""
-    xi = [poly_var(i) for i in range(DIM)]
-    out = np.empty((DIM, DIM, DIM), dtype=object)
-    for a, b, c in itertools.product(range(DIM), repeat=3):
-        p = poly_zero()
-        for i in range(DIM):
-            sym = Fraction(jet.R0[a, c, i, b] + jet.R0[a, i, c, b], 2)
-            if sym:
-                p = poly_add(p, poly_scale(xi[i], -Fraction(2, 3) * sym))
-            for j in range(DIM):
-                symd = Fraction(jet.R1[a, c, i, b, j] + jet.R1[a, i, c, b, j], 2)
-                coef = -Fraction(2 * symd + jet.R1[a, i, j, b, c], 6)
-                if coef:
-                    p = poly_add(p, poly_scale(poly_mul(xi[i], xi[j]), coef))
-        out[a, b, c] = p
-    return out
+    R0, R1 = jet.R0, jet.R1
+    sym = (np.einsum("acib->abci", R0) + np.einsum("aicb->abci", R0)) * Fraction(1, 2)
+    symd = (np.einsum("acibj->abcij", R1) + np.einsum("aicbj->abcij", R1)) * Fraction(1, 2)
+    quad = (2 * symd + np.einsum("aijbc->abcij", R1)) * Fraction(-1, 6)
+    return _from_terms(sym * Fraction(-2, 3), 1) + _from_terms(quad, 2)
 
 
 def contracted_first_derivative(mt: MetricTaylor):
     """d_a g^{ab} by formal contraction; requires a conformal-normal jet."""
     if not mt.jet.conformal_normal:
         raise ValueError("conformal-normal jet required")
-    d = d_inverse_metric(mt)
-    out = np.empty(DIM, dtype=object)
-    for b in range(DIM):
-        out[b] = poly_add(*[d[a, b, a] for a in range(DIM)])
-    return out
+    return np.trace(d_inverse_metric(mt), axis1=0, axis2=2)
 
 
 def contracted_first_derivative_display(jet: CurvatureJet):
     """Closed form -(1/6)(2 R_ib,j - R_ij,b) xi^i xi^j."""
     dr = ricci_deriv_of(jet.R1)
-    xi = [poly_var(i) for i in range(DIM)]
-    out = np.empty(DIM, dtype=object)
-    for b in range(DIM):
-        p = poly_zero()
-        for i, j in itertools.product(range(DIM), repeat=2):
-            coef = -Fraction(2 * dr[i, b, j] - dr[i, j, b], 6)
-            if coef:
-                p = poly_add(p, poly_scale(poly_mul(xi[i], xi[j]), coef))
-        out[b] = p
-    return out
+    coef = (2 * np.einsum("ibj->bij", dr) - np.einsum("ijb->bij", dr)) * Fraction(-1, 6)
+    return _from_terms(coef, 2)
 
 
 def contracted_second_derivative(mt: MetricTaylor):
     """d_a d_d g^{ab}; linear term (2/3) R_id,b xi^i for conformal-normal jets."""
     if not mt.jet.conformal_normal:
         raise ValueError("conformal-normal jet required")
-    inv = inverse_metric_taylor(mt)
-    out = np.empty((DIM, DIM), dtype=object)
-    for b, d in itertools.product(range(DIM), repeat=2):
-        p = poly_zero()
-        for a in range(DIM):
-            p = poly_add(p, poly_diff(poly_diff(inv.comps[a, b], a), d))
-        out[b, d] = poly_truncate(p, 1)
-    return out
+    d2 = poly_diff(poly_diff(inverse_metric_taylor(mt).comps))
+    return poly_truncate(np.trace(d2, axis1=0, axis2=2), 1)
 
 
 def contracted_second_derivative_display(jet: CurvatureJet):
     dr = ricci_deriv_of(jet.R1)
-    xi = [poly_var(i) for i in range(DIM)]
-    out = np.empty((DIM, DIM), dtype=object)
-    for b, d in itertools.product(range(DIM), repeat=2):
-        p = poly_zero()
-        for i in range(DIM):
-            coef = Fraction(2, 3) * Fraction(dr[i, d, b])
-            if coef:
-                p = poly_add(p, poly_scale(xi[i], coef))
-        out[b, d] = p
-    return out
+    return _from_terms(np.einsum("idb->bdi", dr) * Fraction(2, 3), 1)
 
 
 def log_det_poly(mt: MetricTaylor):
     """log det g through degree 3 (= trace of g - delta there, since the
     perturbation starts at degree 2)."""
-    p = poly_zero()
-    for a in range(DIM):
-        q = dict(mt.comps[a, a])
-        q.pop((0, 0, 0, 0), None)
-        p = poly_add(p, q)
-    return poly_truncate(p, 3)
+    return np.where(DEGREE > 0, np.trace(mt.comps), 0)
 
 
 def cnc_identity_suite(jet: CurvatureJet):
@@ -570,11 +458,6 @@ def cnc_identity_suite(jet: CurvatureJet):
         lhs = sum(jet.R1[p, i, j, q, p] for p in range(DIM))
         worst = max(worst, abs(lhs - (dr[i, q, j] - dr[i, j, q])))
     report["contracted_second_bianchi"] = {"residual": float(worst), "pass": worst == 0}
-    if jet.R2 is None:
-        report["laplacian_scalar_weyl"] = {"status": "not checkable (R2 missing)"}
-        report["second_deriv_ricci_quadratic"] = {
-            "status": "not checkable (R2 missing)"
-        }
     return report
 
 
@@ -601,7 +484,7 @@ def detone_laplacian(ginv_jet, gu, hu, tu=None):
 
 
 # ---------------------------------------------------------------------------
-# blow-up metric and serialization
+# blow-up metric
 
 
 class PolynomialMetric:
@@ -654,47 +537,6 @@ def blowup_metric(jet: CurvatureJet, eps, half_width=None):
     if half_width is None:
         half_width = 10.0 if eps == 0 else 1.0 / eps
     domain = Box.cube(half_width)
-    scale = Fraction(eps)
-    comps = np.empty((DIM, DIM), dtype=object)
-    for idx, p in np.ndenumerate(metric_taylor_from_jet(jet).comps):
-        comps[idx] = {m: c * scale ** sum(m) for m, c in p.items()}
-    g = PolynomialMetric(comps, domain)
+    scale = np.array([Fraction(eps) ** k for k in range(4)], dtype=object)
+    g = PolynomialMetric(metric_taylor_from_jet(jet).comps * scale[DEGREE], domain)
     return MetricField.flat(domain) if g.is_flat else g
-
-
-def dump_jet(jet: CurvatureJet, path):
-    """Text format: sections [R0] / [R1], lines 'a b c d [e] value', 1-based."""
-    with open(path, "w") as fh:
-        fh.write("[R0]\n")
-        for idx in itertools.product(range(DIM), repeat=4):
-            v = jet.R0[idx]
-            if v != 0:
-                fh.write(" ".join(str(i + 1) for i in idx) + f" {v}\n")
-        fh.write("[R1]\n")
-        for idx in itertools.product(range(DIM), repeat=5):
-            v = jet.R1[idx]
-            if v != 0:
-                fh.write(" ".join(str(i + 1) for i in idx) + f" {v}\n")
-
-
-def load_jet(path, conformal_normal=False) -> CurvatureJet:
-    R0 = _tensor((DIM,) * 4)
-    R1 = _tensor((DIM,) * 5)
-    target = None
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if line == "[R0]":
-                target = R0
-                continue
-            if line == "[R1]":
-                target = R1
-                continue
-            if target is None:
-                raise ValueError("jet file must start with a section header")
-            *idx, val = line.split()
-            idx = tuple(int(i) - 1 for i in idx)
-            target[idx] = Fraction(val)
-    return CurvatureJet(R0=R0, R1=R1, conformal_normal=conformal_normal)

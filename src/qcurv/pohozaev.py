@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cnc import detone_laplacian, inverse_metric_taylor, poly_jet, ricci_deriv_of
+from .cnc import DEGREE, detone_laplacian, inverse_metric_taylor, poly_jet, ricci_deriv_of
 from .quadrature import ball_rule, sphere_rule, BALL4_VOL, S3_AREA
 
 
@@ -295,13 +295,7 @@ def pohozaev_balance(
 
 
 def _taylor_cubic_scale(mt):
-    worst = 0.0
-    for a in range(4):
-        for b in range(4):
-            for m, c in mt.comps[a, b].items():
-                if sum(m) == 3:
-                    worst = max(worst, abs(float(c)))
-    return worst
+    return float(np.abs(mt.comps[..., DEGREE == 3]).max())
 
 
 def flat_boundary_functional(u, ball: BallDomain):

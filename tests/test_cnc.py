@@ -16,14 +16,14 @@ from qcurv.cnc import (
     contracted_second_derivative_display,
     d_inverse_metric,
     d_inverse_metric_display,
+    DEGREE,
     detone_laplacian,
-    dump_jet,
     inverse_metric_taylor,
-    load_jet,
     log_det_poly,
     metric_taylor_from_jet,
     poly_diff,
     poly_jet,
+    poly_mul,
     poly_truncate,
     product_defect,
     random_conformal_normal_jet,
@@ -43,10 +43,11 @@ from qcurv.fields import (
 def test_zero_jet_gives_identity_metric():
     jet = CurvatureJet.constant_curvature(0)
     mt = metric_taylor_from_jet(jet)
+    assert mt.comps.shape == (4, 4, 35)
     for a in range(4):
         for b in range(4):
-            expected = {(0, 0, 0, 0): 1} if a == b else {}
-            assert dict(mt.comps[a, b]) == expected
+            assert mt.comps[a, b, 0] == (a == b)
+            assert _is_zero(mt.comps[a, b, 1:])
 
 
 def test_constant_curvature_quadratic_coefficient():
@@ -57,7 +58,7 @@ def test_constant_curvature_quadratic_coefficient():
     r2 = float(x @ x)
     for a in range(4):
         for b in range(4):
-            quad = poly_jet(poly_truncate({k: v for k, v in mt.comps[a, b].items() if sum(k) == 2}, 2), x, 0)[0][0]
+            quad = poly_jet(np.where(DEGREE == 2, mt.comps[a, b], 0), x, 0)[0][0]
             expected = float(K) / 3.0 * (x[a] * x[b] - (r2 if a == b else 0.0))
             assert abs(float(quad) - expected) < 1e-12
 
@@ -69,10 +70,12 @@ def test_inverse_flips_sign_and_product_is_exact():
     x = np.array([0.2, 0.1, -0.3, 0.05])
     for a in range(4):
         for b in range(4):
-            q_fwd = {k: v for k, v in mt.comps[a, b].items() if sum(k) == 2}
-            q_inv = {k: v for k, v in inv.comps[a, b].items() if sum(k) == 2}
+            q_fwd = np.where(DEGREE == 2, mt.comps[a, b], 0)
+            q_inv = np.where(DEGREE == 2, inv.comps[a, b], 0)
             assert poly_jet(q_fwd, x, 0)[0][0] == -poly_jet(q_inv, x, 0)[0][0]
-    assert product_defect(mt, inv) == {}
+    assert np.all(inv.comps[..., DEGREE == 0] == mt.comps[..., DEGREE == 0])
+    assert np.all(inv.comps[..., DEGREE > 0] == -mt.comps[..., DEGREE > 0])
+    assert _is_zero(product_defect(mt, inv))
 
 
 def test_random_jet_exact_identities():
@@ -81,14 +84,12 @@ def test_random_jet_exact_identities():
         jet = random_conformal_normal_jet(rng=int(rng.integers(0, 2**31)))
         mt = metric_taylor_from_jet(jet)
         inv = inverse_metric_taylor(mt)
-        assert product_defect(mt, inv) == {}
-        assert poly_truncate(log_det_poly(mt), 2) == {}
+        assert _is_zero(product_defect(mt, inv))
+        assert _is_zero(poly_truncate(log_det_poly(mt), 2))
         report = cnc_identity_suite(jet)
+        assert len(report) == 4
         for name, entry in report.items():
-            if "pass" in entry:
-                assert entry["pass"], name
-            else:
-                assert "not checkable" in entry["status"]
+            assert entry["pass"] is True, name
 
 
 def test_d_inverse_matches_display_and_fd_of_polynomial():
@@ -96,10 +97,8 @@ def test_d_inverse_matches_display_and_fd_of_polynomial():
     mt = metric_taylor_from_jet(jet)
     d = d_inverse_metric(mt)
     disp = d_inverse_metric_display(jet)
-    for a in range(4):
-        for b in range(4):
-            for c in range(4):
-                assert d[a, b, c] == disp[a, b, c]
+    assert d.shape == disp.shape == (4, 4, 4, 35)
+    assert np.all(d == disp)
     # centered difference of the inverse polynomial
     inv = inverse_metric_taylor(mt)
     x = np.array([0.3, -0.2, 0.1, 0.15])
@@ -117,15 +116,12 @@ def test_contractions_match_displays():
     mt = metric_taylor_from_jet(jet)
     c1 = contracted_first_derivative(mt)
     c1d = contracted_first_derivative_display(jet)
-    for b in range(4):
-        assert c1[b] == c1d[b]
-        # linear term vanishes
-        assert all(sum(k) != 1 for k in c1[b])
+    assert c1.shape == (4, 35) and np.all(c1 == c1d)
+    # linear term vanishes
+    assert _is_zero(c1[:, DEGREE == 1])
     c2 = contracted_second_derivative(mt)
     c2d = contracted_second_derivative_display(jet)
-    for b in range(4):
-        for d in range(4):
-            assert c2[b, d] == c2d[b, d]
+    assert c2.shape == (4, 4, 35) and np.all(c2 == c2d)
 
 
 def test_contraction_requires_conformal_normal_flag():
@@ -144,7 +140,7 @@ def test_symmetric_trace_free_zeroed_derivative_vanishes():
     )
     mt = metric_taylor_from_jet(jet)
     c1 = contracted_first_derivative(mt)
-    assert all(c1[b] == {} for b in range(4))
+    assert _is_zero(c1)
 
 
 def test_identity_suite_flags_constructed_violation():
@@ -156,7 +152,7 @@ def test_identity_suite_flags_constructed_violation():
     bad.R1[0, 1, 1, 0, 0] -= Fraction(1)
     bad.R1[1, 0, 0, 1, 0] -= Fraction(1)
     report = cnc_identity_suite(bad)
-    assert not all(e.get("pass", True) for e in report.values())
+    assert not all(e["pass"] for e in report.values())
 
 
 def test_sphere_point_fails_ricci_precondition():
@@ -220,27 +216,6 @@ def test_scale_jet_scales_metric_coefficients():
         assert sj.R0[idx] * 3 == jet.R0[idx]
 
 
-def test_jet_dump_load_roundtrip(tmp_path):
-    jet = random_conformal_normal_jet(rng=13)
-    path = tmp_path / "jet.txt"
-    dump_jet(jet, path)
-    back = load_jet(path, conformal_normal=True)
-    assert all(
-        back.R0[i] == jet.R0[i] for i in np.ndindex(4, 4, 4, 4)
-    )
-    assert all(
-        back.R1[i] == jet.R1[i] for i in np.ndindex(4, 4, 4, 4, 4)
-    )
-
-
-def test_poly_printout_stable():
-    jet = CurvatureJet.constant_curvature(Fraction(1))
-    mt = metric_taylor_from_jet(jet)
-    text = str(mt)
-    assert text == str(metric_taylor_from_jet(jet))
-    assert "xi" in text or "x" in text
-
-
 def test_blowup_metric_flat_at_zero_eps():
     jet = random_conformal_normal_jet(rng=1)
     g = blowup_metric(jet, 0.0)
@@ -250,12 +225,101 @@ def test_blowup_metric_flat_at_zero_eps():
     assert not blowup_metric(jet, 0.3).is_flat
 
 
-_MONOMIALS = [m for m in itertools.product(range(4), repeat=4) if sum(m) <= 3]
+# a test-local reference: dict polynomials {exponent tuple: Fraction}, kept
+# at full degree, over the same basis as the dense type
+_BASIS = [m for m in itertools.product(range(4), repeat=4) if sum(m) <= 3]
+
+
+def _to_dict(p):
+    """The nonzero coefficients of one dense polynomial, by exponents."""
+    return {m: c for m, c in zip(_BASIS, p) if c != 0}
+
+
+def _ref_mul(p, q):
+    """The full product of two dict polynomials, up to degree 6."""
+    out = {}
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            m = tuple(a + b for a, b in zip(m1, m2))
+            out[m] = out.get(m, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c != 0}
+
+
+def _ref_diff(p, i):
+    out = {}
+    for m, c in p.items():
+        if m[i]:
+            m2 = list(m)
+            m2[i] -= 1
+            out[tuple(m2)] = c * m[i]
+    return out
+
+
+def _ref_truncate(p, max_deg):
+    return {m: c for m, c in p.items() if sum(m) <= max_deg}
+
+
+def _is_zero(p):
+    """Every coefficient is exactly zero."""
+    return all(c == 0 for c in np.ravel(p))
+
+
+def _is_exact(p):
+    return all(type(c) in (int, Fraction) for c in np.ravel(p))
+
+
+def _random_dense(rng, shape):
+    """Random dense polynomials: each has a random number of nonzero
+    Fraction coefficients at random monomials; the rest are the int 0."""
+    out = np.zeros(shape + (len(_BASIS),), dtype=object)
+    for idx in np.ndindex(shape):
+        pick = rng.choice(len(_BASIS), int(rng.integers(1, len(_BASIS) + 1)), replace=False)
+        for k in pick:
+            out[idx + (k,)] = Fraction(int(rng.integers(-99, 100)) or 1, int(rng.integers(1, 50)))
+    return out
+
+
+def test_poly_mul_diff_truncate_match_dict_reference():
+    assert DEGREE.tolist() == [sum(m) for m in _BASIS]
+    rng = np.random.default_rng(3)
+    p, q = _random_dense(rng, (8, 1)), _random_dense(rng, (1, 4))
+    prod = poly_mul(p, q)
+    assert prod.shape == (8, 4, 35) and _is_exact(prod)
+    for i, j in np.ndindex(8, 4):
+        want = _ref_truncate(_ref_mul(_to_dict(p[i, 0]), _to_dict(q[0, j])), 3)
+        assert _to_dict(prod[i, j]) == want
+    grad = poly_diff(p)
+    assert grad.shape == (8, 1, 4, 35) and _is_exact(grad)
+    for i in range(8):
+        pi = _to_dict(p[i, 0])
+        for c in range(4):
+            assert _to_dict(grad[i, 0, c]) == _ref_diff(pi, c)
+        for deg in range(4):
+            assert _to_dict(poly_truncate(p[i, 0], deg)) == _ref_truncate(pi, deg)
+    # zeros no term reaches stay the int 0
+    zero = np.zeros(35, dtype=object)
+    for out in (poly_mul(zero, zero), poly_diff(zero), poly_truncate(zero, 1)):
+        assert all(type(c) is int for c in out.ravel())
+
+
+def test_exact_identity_failures_can_fail(monkeypatch):
+    import qcurv.cnc as cnc
+    from qcurv.cli import run_cnc
+
+    # the forward expansion in place of the inverse: no sign flip
+    monkeypatch.setattr(cnc, "inverse_metric_taylor", lambda mt: mt)
+    mt = metric_taylor_from_jet(random_conformal_normal_jet(rng=7))
+    assert not _is_zero(product_defect(mt, cnc.inverse_metric_taylor(mt)))
+    checks, _, _ = run_cnc({"n_jets": 2}, 0)
+    assert [(c["name"], c["value"], c["pass"]) for c in checks] == [
+        ("exact_identity_failures", 2, False)
+    ]
 
 
 def _exact_at(p, x):
-    """Exact value of ``p`` at the rational point ``x``, and the sum of the
-    magnitudes of its terms, the scale a float evaluation is judged on."""
+    """Exact value of the dict polynomial ``p`` at the rational point ``x``,
+    and the sum of the magnitudes of its terms, the scale a float
+    evaluation is judged on."""
     value = scale = Fraction(0)
     for m, c in p.items():
         term = c
@@ -269,29 +333,21 @@ def _exact_at(p, x):
 def test_poly_jet_matches_exact_rational_evaluation():
     rng = np.random.default_rng(0)
     for _ in range(10):
-        polys = np.empty((2, 3), dtype=object)
-        for idx in np.ndindex(polys.shape):
-            pick = rng.choice(len(_MONOMIALS), int(rng.integers(1, len(_MONOMIALS) + 1)), replace=False)
-            polys[idx] = {
-                _MONOMIALS[k]: Fraction(int(rng.integers(-99, 100)) or 1, int(rng.integers(1, 50)))
-                for k in pick
-            }
+        polys = _random_dense(rng, (2, 3))
         pts = rng.uniform(-2.0, 2.0, (4, 4))
         jets = poly_jet(polys, pts, 2)
         for n, x in enumerate(pts):
             xq = [Fraction(v) for v in x.tolist()]  # the float point, exactly
             for k, jet in enumerate(jets):
                 assert jet.shape == (4, 2, 3) + (4,) * k
-                for idx in np.ndindex(polys.shape):
+                for idx in np.ndindex(polys.shape[:-1]):
                     for axes in itertools.product(range(4), repeat=k):
-                        p = polys[idx]
+                        p = _to_dict(polys[idx])
                         for ax in axes:
-                            p = poly_diff(p, ax)
+                            p = _ref_diff(p, ax)
                         value, scale = _exact_at(p, xq)
                         got = Fraction(float(jet[(n,) + idx + axes]))
                         assert abs(got - value) <= Fraction(1, 10**15) * scale
-    with pytest.raises(ValueError):
-        poly_jet({(2, 2, 0, 0): Fraction(1)}, np.zeros(4), 0)
 
 
 def _sympy_blowup(jet, eps, half_width):
@@ -304,7 +360,7 @@ def _sympy_blowup(jet, eps, half_width):
         row = []
         for b in range(4):
             expr = sp.Integer(0)
-            for m, c in mt.comps[a, b].items():
+            for m, c in zip(_BASIS, mt.comps[a, b]):
                 term = sp.Rational(c.numerator, c.denominator) * sp.Float(eps) ** sum(m)
                 for i, e in enumerate(m):
                     term *= COORDS[i] ** e
@@ -335,10 +391,9 @@ def test_polynomial_metric_matches_sympy_metric_field():
 
 
 def test_polynomial_metric_rejects_degenerate_points():
-    comps = np.empty((4, 4), dtype=object)
-    for a, b in np.ndindex(4, 4):
-        comps[a, b] = {(0, 0, 0, 0): Fraction(int(a == b))}
-    comps[0, 0] = {(0, 0, 0, 0): Fraction(1), (2, 0, 0, 0): Fraction(-1)}
+    comps = np.zeros((4, 4, 35), dtype=object)
+    comps[..., 0] = np.where(np.eye(4, dtype=bool), Fraction(1), 0)
+    comps[0, 0, _BASIS.index((2, 0, 0, 0))] = Fraction(-1)
     g = PolynomialMetric(comps, Box.cube(2.0))
     assert not g.is_flat
     assert g.eval([0.5, 0.0, 0.0, 0.0])[0, 0] == 0.75
