@@ -1,4 +1,4 @@
-"""Standard bubbles, linearized kernel, mass integrals, barrier checks.
+"""Standard bubbles, linearized kernel, mass integrals, weighted sup-norms.
 
 The rescaled profile is U(y) = -log(1 + rho |y|^2) with rho = sqrt(H)/(4 sqrt 3)
 (so rho^2 = H/48), which satisfies Delta^2 U = 2 H e^{4U} identically on R^4.
@@ -64,10 +64,6 @@ class RescaledBubble:
     def _s(self, r):
         return self.rho * np.asarray(r, float) ** 2
 
-    def val(self, y):
-        r = np.linalg.norm(np.atleast_2d(y), axis=1)
-        return -np.log1p(self._s(r))
-
     def val_r(self, r):
         return -np.log1p(self._s(r))
 
@@ -82,11 +78,6 @@ class RescaledBubble:
     def d3(self, r):
         s = self._s(r)
         return 4.0 * self.rho**2 * r * (3.0 - s) / (1.0 + s) ** 3
-
-    def grad(self, y):
-        y = np.atleast_2d(np.asarray(y, float))
-        s = self.rho * np.sum(y**2, axis=1)
-        return -2.0 * self.rho * y / (1.0 + s)[:, None]
 
     def lap(self, y_or_r):
         r = _radius(y_or_r)
@@ -109,9 +100,10 @@ class RescaledBubble:
 
 
 def _radius(y_or_r):
+    """Radii from points (n, 4); any other array already holds radii."""
     a = np.asarray(y_or_r, float)
-    if a.ndim >= 1 and a.shape[-1] == 4 and a.ndim <= 2:
-        return np.linalg.norm(np.atleast_2d(a), axis=1)
+    if a.ndim == 2 and a.shape[1] == 4:
+        return np.linalg.norm(a, axis=1)
     return a
 
 
@@ -134,11 +126,9 @@ class KernelElement:
     """The five bounded solutions of Delta^2 phi = 8 e^{4U} phi at H = 1.
 
     psi_0 = (1-s)/(1+s) (dilation), psi_j = y_j/(1+s) (translations),
-    where s = |y|^2 / (4 sqrt 3).  Closed-form Laplacians:
+    where s = |y|^2 / (4 sqrt 3).  Closed-form bi-Laplacians:
 
-        Delta psi_0 = -16 rho0 (1+s)^{-3}
         Delta^2 psi_0 = 8 (1-s)(1+s)^{-5}
-        Delta psi_j = -4 rho0 y_j (3+s)(1+s)^{-3}
         Delta^2 psi_j = 8 y_j (1+s)^{-5}
     """
 
@@ -164,13 +154,6 @@ class KernelElement:
         if self.index == 0:
             return 8.0 * (1.0 - s) / (1.0 + s) ** 5
         return 8.0 * y[:, self.index - 1] / (1.0 + s) ** 5
-
-    def lap(self, y):
-        y = np.atleast_2d(np.asarray(y, float))
-        s = self._s(y)
-        if self.index == 0:
-            return -16.0 * RHO0 / (1.0 + s) ** 3
-        return -4.0 * RHO0 * y[:, self.index - 1] * (3.0 + s) / (1.0 + s) ** 3
 
 
 def linearized_residual(k: KernelElement, y):
@@ -207,44 +190,6 @@ def mass_integral_exact(rb: RescaledBubble, R):
         return -0.5 / (1.0 + t) ** 2 + 1.0 / (3.0 * (1.0 + t) ** 3)
 
     return 96.0 * np.pi**2 * (F(T) - F(0.0))
-
-
-def bubble_scalar_field(rb: RescaledBubble, domain):
-    """U as an analytic ScalarField on ``domain`` (for operator application)."""
-    import sympy as sp
-
-    from .fields import COORDS, ScalarField
-
-    r2 = sum(c**2 for c in COORDS)
-    return ScalarField.from_expr(-sp.log(1 + sp.Float(rb.rho) * r2), domain)
-
-
-def perturbed_paneitz_residual(rb: RescaledBubble, g_field, y, step=None):
-    """P_g U(y) - 2 H e^{4U(y)} for a blow-up metric g.
-
-    For the flat metric this reduces to bubble_pde_residual.  ``g_field``
-    must cover y with margin (Taylor validity is the caller's contract).
-    """
-    from .curvature import paneitz_apply
-
-    y = np.asarray(y, float)
-    g_field.domain.require_interior(y, margin=0.0)
-    u = bubble_scalar_field(rb, g_field.domain)
-    return paneitz_apply(g_field, u, y, step=step) - 2.0 * rb.H * float(
-        rb.exp4u(y[None, :])[0]
-    )
-
-
-def barrier_check(lap_v, rb: RescaledBubble, A, L, c_max=1e6, n=200):
-    """Search for C with Delta[C(1 + 1/|y|)] <= -|Delta v - Delta U| on A<=r<=L.
-
-    In R^4, Delta(1/r) = -r^{-3}, so the condition reads C >= r^3 |dlap(r)|.
-    Returns (admissible, minimal_C).  ``lap_v`` maps radius to Delta v.
-    """
-    r = np.geomspace(A, L, n)
-    gap = np.abs(np.asarray(lap_v(r), float) - rb.lap(r))
-    c_min = float(np.max(r**3 * gap))
-    return c_min <= c_max, c_min
 
 
 def weighted_sup_norm(u, b: BubbleParams, tau, delta, n=2000, rng=None):

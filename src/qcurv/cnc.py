@@ -338,12 +338,13 @@ def scale_jet(jet: CurvatureJet, factor) -> CurvatureJet:
     return CurvatureJet(R0=R0, R1=R1, conformal_normal=jet.conformal_normal)
 
 
-def random_conformal_normal_jet(rng=None, spread=6):
-    """Random exact-rational jet satisfying all conformal-normal constraints."""
+def random_conformal_normal_jet(rng=None):
+    """Random exact-rational jet satisfying all conformal-normal constraints:
+    integer combinations, coefficients in [-6, 6], of the constraint bases."""
     rng = np.random.default_rng(rng)
 
     def combo(basis, fill):
-        coeffs = [Fraction(int(c)) for c in rng.integers(-spread, spread + 1, len(basis))]
+        coeffs = [Fraction(int(c)) for c in rng.integers(-6, 7, len(basis))]
         vec = [
             sum(c * Fraction(b[k]) for c, b in zip(coeffs, basis))
             for k in range(len(basis[0]))

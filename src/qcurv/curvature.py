@@ -223,21 +223,12 @@ def paneitz_apply(g: MetricField, u: ScalarField, x, step=None) -> float:
         step = g.fd_step
     pt = x[None, :]
 
-    # outer Laplacian of f = Delta_g u:
-    # Delta_g f = g^{ij} d_ij f + (d_i(sqrt(g) g^{ij})/sqrt(g)) d_j f,
-    # with the coefficient fields exact from jets and f-derivatives by FD.
-    g0, dg = (a[0] for a in g.jet(pt, 1))
-    ginv = np.linalg.inv(g0)
-    sg = np.sqrt(np.linalg.det(g0))
-    # d_i sqrt(g) = (1/2) sqrt(g) g^{ab} d_i g_ab
-    dsg = 0.5 * sg * np.einsum("ab,abi->i", ginv, dg)
-    dginv = -np.einsum("am,mni,nb->abi", ginv, dg, ginv)
-    coef = (np.einsum("i,ij->j", dsg, ginv) + sg * np.einsum("iji->j", dginv)) / sg
-
+    # outer Laplacian of f = Delta_g u: the metric from exact jets, the
+    # derivatives of f by FD
     grad_f, hess_f = _grad_hess(
         fd_partials(lambda p: laplace_beltrami(g, u, p), pt, _GRAD + _HESS, step)
     )
-    bilap = float(np.einsum("ij,ij->", ginv, hess_f[0]) + coef @ grad_f[0])
+    bilap = float(_laplacian(g, pt, grad_f, hess_f)[0])
 
     # divergence term: V^i = sqrt(g) T^{ij} d_j u with
     # T^{ij} = (2/3) R g^{ij} - 2 Ric^{ij}; div = (1/sqrt(g)) d_i V^i by FD.
@@ -254,7 +245,7 @@ def paneitz_apply(g: MetricField, u: ScalarField, x, step=None) -> float:
     div = 0.0
     for i in range(DIM):
         div += dv[i][0, i]
-    div /= sg
+    div /= np.sqrt(np.linalg.det(g.eval_batch(pt)[0]))
     return bilap - div
 
 

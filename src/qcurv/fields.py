@@ -163,20 +163,6 @@ def fd_partials(func, pts, indices, step):
     return out
 
 
-def fd_partial(func, x, index, step):
-    """Centered finite difference of ``func`` at the single point ``x``.
-
-    ``index`` is a tuple of coordinate axes (one entry per derivative);
-    this is ``fd_partials`` for one index at one point.
-    """
-    x = np.asarray(x, float)
-
-    def batch(pts):
-        return np.array([func(p) for p in pts], float)
-
-    return fd_partials(batch, x[None, :], [tuple(index)], step)[0][0]
-
-
 def _lambdify(expr):
     """Compile a sympy scalar to a vectorized function of points (n, 4)."""
     f = sp.lambdify(COORDS, expr, modules="numpy")
@@ -252,15 +238,6 @@ class ScalarField:
             for b in range(a, DIM):
                 h[:, a, b] = h[:, b, a] = self.partial(pts, (a, b))
         return h
-
-    def third(self, pts):
-        pts = np.atleast_2d(np.asarray(pts, float))
-        t = np.empty((pts.shape[0], DIM, DIM, DIM))
-        for idx in itertools.combinations_with_replacement(range(DIM), 3):
-            val = self.partial(pts, idx)
-            for perm in set(itertools.permutations(idx)):
-                t[(slice(None),) + perm] = val
-        return t
 
 
 class MetricField:
@@ -369,14 +346,6 @@ class MetricField:
             jets.append(arr)
         return jets
 
-    def inverse(self, pts):
-        return np.linalg.inv(self.eval_batch(pts))
-
     def sqrt_det(self, pts):
         return np.sqrt(np.linalg.det(self.eval_batch(pts)))
 
-
-def symmetry_defect(g_field, pts):
-    """Max |g_ab - g_ba| over sampled points (exactly 0 on the analytic path)."""
-    g = g_field.eval_batch(pts)
-    return float(np.max(np.abs(g - np.swapaxes(g, -1, -2))))

@@ -38,7 +38,6 @@ class SequenceConfig:
     n_modes: int = 2
     delta1: float = 0.5
     tau: float = 0.5
-    sigma: float = 0.9
     n_r: int = 64
     n_u: int = 20
     n_phi: int = 20
@@ -55,15 +54,13 @@ class SequenceConfig:
             raise ValueError(f"H must be >= {H_FLOOR}")
         if not 0.0 < self.tau < 1.0:
             raise ValueError("tau must lie in (0, 1)")
-        if not self.tau / 2.0 + 0.5 < self.sigma < 1.0:
-            raise ValueError("sigma must lie in (tau/2 + 1/2, 1)")
         if abs(self.amp) * max(self.n_modes, 1) > 10.0:
             raise ValueError("correction amplitude would overflow e^{4u} quadrature")
 
 
 @dataclass
 class SynthField:
-    """u_eps = bubble profile + smooth cosine correction, with metadata."""
+    """u_eps = bubble profile + smooth cosine correction."""
 
     eps: float
     H: float
@@ -87,15 +84,6 @@ class SynthField:
         d = np.linalg.norm(pts, axis=1)
         return bubble_eval(self.params, d) + self.correction(pts)
 
-    @property
-    def metadata(self):
-        return {
-            "eps": self.eps,
-            "H": self.H,
-            "amp": self.amp,
-            "wavevectors": self.wavevectors.tolist(),
-        }
-
 
 def synth_sequence(cfg: SequenceConfig):
     """Deterministic list of SynthField, one per eps (shared correction)."""
@@ -111,11 +99,6 @@ def synth_sequence(cfg: SequenceConfig):
 def big_l(eps):
     """L = -log eps."""
     return -np.log(eps)
-
-
-def small_l(eps):
-    """l = -eps log eps, the concentration-ball radius."""
-    return -eps * np.log(eps)
 
 
 def _alpha_of_field(f: SynthField, cfg: SequenceConfig, n_r):

@@ -44,8 +44,6 @@ class SphereModel:
     perturbs the metric; the volume element picks up e^{4u}.
     """
 
-    volume_round = S4_VOLUME
-
     def __init__(self, n_theta=16, n_u=8, n_phi=8, conformal_expr=None):
         domain = Box.cube(1e4)
         if conformal_expr is None:

@@ -19,7 +19,7 @@ modeled and enter the report only as a sup-norm bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,28 +49,6 @@ class BallDomain:
     @property
     def normals(self):
         return self.bdy_pts / self.R
-
-
-def radial_third_derivative(profile, y, i, m, l):
-    """d_iml f(|y|) for a radial profile with derivatives d1, d2, d3.
-
-    Closed form (independently derived; the source display's last
-    coefficient reads (f''-f') there, which fails the FD cross-check,
-    while (f''-f'/r) passes):
-
-        (f''' - 3f''/r + 3f'/r^2) y_i y_m y_l / r^3
-      + (f'' - f'/r) (delta_il y_m + delta_im y_l + delta_ml y_i) / r^2
-    """
-    y = np.asarray(y, float)
-    r = float(np.linalg.norm(y))
-    if r == 0:
-        raise ValueError("radial third derivative undefined at the origin")
-    f1, f2, f3 = profile.d1(r), profile.d2(r), profile.d3(r)
-    a = (f3 - 3.0 * f2 / r + 3.0 * f1 / r**2) * y[i] * y[m] * y[l] / r**3
-    b = (f2 - f1 / r) * (
-        (i == l) * y[m] + (i == m) * y[l] + (m == l) * y[i]
-    ) / r**2
-    return float(a + b)
 
 
 class RadialProfileField:
@@ -114,6 +92,14 @@ class RadialProfileField:
         )
 
     def third(self, pts):
+        """d_iml f(|y|) at each point, with n = y / r:
+
+            (f''' - 3f''/r + 3f'/r^2) n_i n_m n_l
+          + (f'' - f'/r) (delta_il n_m + delta_im n_l + delta_ml n_i) / r
+
+        The source display's last coefficient reads (f'' - f'), which fails
+        the FD cross-check of ``qcurv pohozaev``; (f'' - f'/r) passes.
+        """
         pts = np.atleast_2d(np.asarray(pts, float))
         r = self._r(pts)
         f1, f2, f3 = self.profile.d1(r), self.profile.d2(r), self.profile.d3(r)
@@ -296,62 +282,3 @@ def pohozaev_balance(
 
 def _taylor_cubic_scale(mt):
     return float(np.abs(mt.comps[..., DEGREE == 3]).max())
-
-
-def flat_boundary_functional(u, ball: BallDomain):
-    """The 4-vector of flat boundary integrals
-    int_dO (-d_i(lap v) d_a v nu_i + lap v d_ia v nu_i - (1/2)(lap v)^2 nu_a)."""
-    xi_b, w_b, nu = ball.bdy_pts, ball.bdy_w, ball.normals
-    gu = u.grad(xi_b)
-    hu = u.hess(xi_b)
-    tu = u.third(xi_b)
-    lap = _flat_lap(hu)
-    glap = _flat_grad_lap(tu)
-    out = np.empty(4)
-    for a in range(4):
-        integ = (
-            -np.einsum("ni,ni->n", glap, nu) * gu[:, a]
-            + lap * np.einsum("ni,ni->n", hu[:, :, a], nu)
-            - 0.5 * lap**2 * nu[:, a]
-        )
-        out[a] = float(np.sum(w_b * integ))
-    return out
-
-
-def energy_balance(profile, h_of_r, radii, n_r=64):
-    """alpha(R) = 2 int_{B_R} h e^{4u} and the boundary functional B(R).
-
-    ``profile`` is radial with val_r/d1/d2/d3; ``h_of_r`` maps radius to h.
-    Returns rows {R, alpha, B, gap} with gap = B - alpha^2 / 16 pi^2.
-    """
-    from .quadrature import gauss_legendre
-
-    rows = []
-    for R in radii:
-        edges = np.geomspace(max(1e-3, R * 1e-4), R, 12)
-        edges = np.concatenate([[0.0], edges])
-        alpha = 0.0
-        for a, b2 in zip(edges[:-1], edges[1:]):
-            r, w = gauss_legendre(n_r, a, b2)
-            alpha += float(
-                np.sum(w * r**3 * h_of_r(r) * np.exp(4.0 * profile.val_r(r)))
-            )
-        alpha *= 2.0 * S3_AREA
-        f1 = float(profile.d1(R))
-        f2 = float(profile.d2(R))
-        f3 = float(profile.d3(R))
-        lap = f2 + 3.0 * f1 / R
-        dlap = f3 + 3.0 * f2 / R - 3.0 * f1 / R**2
-        # d_nu(y . grad v) = d_r(r v') = v' + r v''
-        bfun = S3_AREA * R**3 * (
-            -R * dlap * f1 + (f1 + R * f2) * lap - 0.5 * R * lap**2
-        )
-        rows.append(
-            {
-                "R": float(R),
-                "alpha": alpha,
-                "B": bfun,
-                "gap": bfun - alpha**2 / (16.0 * np.pi**2),
-            }
-        )
-    return rows

@@ -31,7 +31,7 @@ from .quadrature import gauss_legendre, s3_nodes
 class TorusSpectralField:
     """Real periodic scalar field on [0, L)^4 as Fourier coefficients."""
 
-    def __init__(self, L, coeffs, require_real=True):
+    def __init__(self, L, coeffs):
         self.L = float(L)
         self.coeffs = np.asarray(coeffs, complex)
         if self.coeffs.ndim != 4:
@@ -41,15 +41,9 @@ class TorusSpectralField:
             raise ValueError("coefficient array must be N^4")
         if self.N % 2 != 0:
             raise ValueError("N must be even")
-        if require_real:
-            v = self.grid_values()
-            if np.max(np.abs(v.imag)) > 1e-10 * max(1.0, np.max(np.abs(v.real))):
-                raise ValueError("coefficients violate conjugate symmetry")
-
-    @classmethod
-    def from_grid(cls, L, values):
-        values = np.asarray(values, float)
-        return cls(L, sfft.fftn(values) / values.size)
+        v = self.grid_values()
+        if np.max(np.abs(v.imag)) > 1e-10 * max(1.0, np.max(np.abs(v.real))):
+            raise ValueError("coefficients violate conjugate symmetry")
 
     @classmethod
     def from_modes(cls, L, N, modes):
@@ -62,10 +56,6 @@ class TorusSpectralField:
             c[k] += a / 2.0
             c[kneg] += a / 2.0
         return cls(L, c)
-
-    @property
-    def zero_mean(self):
-        return abs(self.coeffs[0, 0, 0, 0]) < 1e-12
 
     def ksq(self):
         return _ksq(self.N, self.L)
@@ -95,12 +85,6 @@ class TorusSpectralField:
         waves, ks, amps = self._waves(pts)
         fac = 1j * 2.0 * np.pi / self.L
         return np.stack([(waves @ (fac * ks[:, a] * amps)).real for a in range(4)], axis=1)
-
-    def parseval_gap(self):
-        v = self.values()
-        lhs = float(np.mean(v**2))
-        rhs = float(np.sum(np.abs(self.coeffs) ** 2))
-        return abs(lhs - rhs)
 
 
 def _ksq(N, L, half=False):
@@ -153,12 +137,6 @@ def _green_on_product(N, L, axes):
     t = np.exp(1j * w * np.outer(x1, k)) @ t.reshape(-1, N, len(x2))
     t = np.exp(1j * w * np.outer(x0, k)) @ t.reshape(len(x3), N, -1)
     return t.real.reshape(len(x3), len(x0), len(x1), len(x2)).transpose(1, 2, 3, 0)
-
-
-def biharmonic_green_torus(N, L) -> TorusSpectralField:
-    """Spectral solution of Delta^2 G = delta_0 - 1/L^4, zero mean."""
-    m = _multiplier(N, L)
-    return TorusSpectralField(L, np.concatenate([m, m[..., N // 2 - 1 : 0 : -1]], axis=-1))
 
 
 def green_grid_values(N, L):

@@ -65,9 +65,3 @@ def ball_rule(radius, n_r=48, n_u=24, n_phi=24, r_min=0.0):
     pts = r[:, None, None] * s_pts[None, :, :]
     w = (wr * r**3)[:, None] * s_w[None, :]
     return pts.reshape(-1, 4), w.reshape(-1)
-
-
-def radial_ball_integral(f_of_r, radius, n_r=200, r_min=0.0):
-    """Integrate a radial function over the 4-ball: 2 pi^2 * int r^3 f(r) dr."""
-    r, wr = gauss_legendre(n_r, r_min, radius)
-    return S3_AREA * float(np.sum(wr * r**3 * f_of_r(r)))

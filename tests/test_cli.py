@@ -2,11 +2,13 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from qcurv import cli
 from qcurv.cli import main
 from qcurv.fields import ChartError, DegenerateMetricError
+from qcurv.pohozaev import RadialProfileField
 
 
 def run_cli(args):
@@ -150,3 +152,28 @@ def test_plain_value_error_is_usage_error(tmp_path, monkeypatch, capsys):
     assert run_cli(["mass", "--out", str(out)]) == 2
     assert "config error: bad parameter" in capsys.readouterr().err
     assert not (out / "mass.json").exists()
+
+
+def test_radial_third_check_can_fail(monkeypatch):
+    # small balls: the check under test does not depend on them
+    small = dict(cli.DEFAULTS["pohozaev"], r=5.0, n_r=8, n_u=8, n_phi=8, eps_list="0.1,0.05", n_third=20)
+
+    def third_check():
+        checks, _, _ = cli.run_pohozaev(small, 0)
+        return next(c for c in checks if c["name"] == "radial_third_vs_fd")
+
+    assert third_check()["pass"]
+
+    def third_without_delta_terms(self, pts):
+        # the closed form with its (f'' - f'/r) term dropped
+        pts = np.atleast_2d(np.asarray(pts, float))
+        r = np.linalg.norm(pts, axis=1)
+        f1, f2, f3 = self.profile.d1(r), self.profile.d2(r), self.profile.d3(r)
+        n = pts / r[:, None]
+        a = f3 - 3.0 * f2 / r + 3.0 * f1 / r**2
+        return a[:, None, None, None] * np.einsum("ni,nm,nl->niml", n, n, n)
+
+    monkeypatch.setattr(RadialProfileField, "third", third_without_delta_terms)
+    check = third_check()
+    assert not check["pass"]
+    assert check["value"] > 1e-2

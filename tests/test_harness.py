@@ -10,7 +10,6 @@ from qcurv.harness import (
     long_range_checks,
     mainest_fit,
     sine_source,
-    small_l,
     synth_sequence,
     tuned_source,
     vrate_balance,
@@ -29,8 +28,6 @@ def test_sequence_config_validation():
     with pytest.raises(ValueError):
         SequenceConfig(eps_list=(0.1,), tau=1.5)
     with pytest.raises(ValueError):
-        SequenceConfig(eps_list=(0.1,), tau=0.5, sigma=0.5)
-    with pytest.raises(ValueError):
         SequenceConfig(eps_list=(0.1,), amp=20.0)
     with pytest.raises(ValueError):
         SequenceConfig(eps_list=(0.1, -0.05))
@@ -38,7 +35,6 @@ def test_sequence_config_validation():
 
 def test_scales():
     assert abs(big_l(np.exp(-3.0)) - 3.0) < 1e-14
-    assert abs(small_l(np.exp(-3.0)) - 3.0 * np.exp(-3.0)) < 1e-14
 
 
 def test_synth_sequence_deterministic_and_normalized():

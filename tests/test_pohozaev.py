@@ -1,18 +1,10 @@
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
-from qcurv.bubble import MASS_LIMIT, RescaledBubble
+from qcurv.bubble import RescaledBubble
 from qcurv.cnc import metric_taylor_from_jet, random_conformal_normal_jet, scale_jet
-from qcurv.pohozaev import (
-    BallDomain,
-    RadialProfileField,
-    energy_balance,
-    flat_boundary_functional,
-    pohozaev_balance,
-    radial_third_derivative,
-)
+from qcurv.pohozaev import BallDomain, RadialProfileField, pohozaev_balance
 
 
 def const_h(c):
@@ -51,23 +43,9 @@ def test_flat_identity_negative_control():
     assert abs(rep.residual) > 10.0 * max(rep.error_estimate, 1e-6)
 
 
-def test_boundary_functional_radial_vanishes():
-    rb = RescaledBubble(1.0)
-    out = flat_boundary_functional(RadialProfileField(rb), BallDomain(10.0))
-    assert np.max(np.abs(out)) < 1e-10
-
-
-def test_boundary_functional_first_order_in_tilt():
-    rb = RescaledBubble(1.0)
-    ball = BallDomain(10.0)
-    beta = 1e-3
-    b1 = flat_boundary_functional(RadialProfileField(rb, tilt=[beta, 0, 0, 0]), ball)
-    b2 = flat_boundary_functional(RadialProfileField(rb, tilt=[beta / 2, 0, 0, 0]), ball)
-    assert abs(b1[0]) > 0
-    # the functional is first order in the tilt: halving beta halves it
-    assert abs(b1[0] / b2[0] - 2.0) < 0.05
-    # components orthogonal to the tilt stay at the symmetry zero
-    assert np.max(np.abs(b1[1:])) < 1e-6 * abs(b1[0])
+def _third(prof, y, i, m, l):
+    """d_iml of the radial profile at y, from ``RadialProfileField.third``."""
+    return float(RadialProfileField(prof).third(y[None, :])[0, i, m, l])
 
 
 class _Quadratic:
@@ -104,7 +82,7 @@ def test_radial_third_derivative_of_r_squared_vanishes():
     for i in range(4):
         for m in range(4):
             for l in range(4):
-                assert abs(radial_third_derivative(prof, y, i, m, l)) < 1e-14
+                assert abs(_third(prof, y, i, m, l)) < 1e-14
 
 
 def test_radial_third_derivative_matches_fd():
@@ -136,7 +114,7 @@ def test_radial_third_derivative_matches_fd():
         qp[i] += h
         qm2[i] -= h
         fd = (d_ml(qp) - d_ml(qm2)) / (2 * h)
-        assert abs(radial_third_derivative(prof, y, i, m, l) - fd) < 1e-3
+        assert abs(_third(prof, y, i, m, l) - fd) < 1e-3
 
 
 def test_radial_third_derivative_traces_to_gradient_of_laplacian():
@@ -148,26 +126,8 @@ def test_radial_third_derivative_traces_to_gradient_of_laplacian():
         # d_r of lap f = f''' + 3 f''/r - 3 f'/r^2
         dlap = float(prof.d3(r) + 3.0 * prof.d2(r) / r - 3.0 * prof.d1(r) / r**2)
         for i in range(4):
-            tr = sum(radial_third_derivative(prof, y, i, m, m) for m in range(4))
+            tr = sum(_third(prof, y, i, m, m) for m in range(4))
             assert abs(tr - dlap * y[i] / r) < 1e-10
-
-
-def test_radial_third_derivative_origin_rejected():
-    with pytest.raises(ValueError):
-        radial_third_derivative(_LogProfile(), np.zeros(4), 0, 0, 0)
-
-
-def test_energy_balance_limit_and_decay():
-    rb = RescaledBubble(1.0)
-    rows = energy_balance(rb, lambda r: np.ones_like(np.asarray(r, float)), [5.0, 10.0, 20.0, 40.0])
-    alphas = [row["alpha"] for row in rows]
-    gaps = [abs(row["gap"]) for row in rows]
-    assert all(b > a for a, b in zip(alphas[:-1], alphas[1:]))
-    assert abs(alphas[-1] - MASS_LIMIT) / MASS_LIMIT < 0.02
-    # the mismatch decays with the ball radius, consistent with an R^-4 tail
-    slope = np.polyfit(np.log([r["R"] for r in rows]), np.log(gaps), 1)[0]
-    assert slope < -3.0
-    assert gaps[-1] / abs(rows[-1]["B"]) < 1e-3
 
 
 def test_curved_terms_shrink_with_eps():

@@ -5,7 +5,6 @@ from qcurv.quadrature import (
     S3_AREA,
     ball_rule,
     gauss_legendre,
-    radial_ball_integral,
     s3_nodes,
     sphere_rule,
 )
@@ -40,9 +39,3 @@ def test_ball_rule_volume_and_moment():
     r2 = np.sum(pts**2, axis=1)
     exact = S3_AREA * 2.0**6 / 6.0  # integral of r^2 over the ball
     assert abs(np.sum(w * r2) - exact) < 1e-8
-
-
-def test_radial_ball_integral_matches_closed_form():
-    val = radial_ball_integral(lambda r: np.exp(-(r**2)), 6.0, n_r=200)
-    # int_0^inf r^3 e^{-r^2} dr = 1/2, times the S^3 area
-    assert abs(val - S3_AREA * 0.5) < 1e-10
