@@ -420,7 +420,7 @@ def run_mainest(p, seed):
     cfg = SequenceConfig(eps_list=eps_list, amp=p["amp"], tau=p["tau"], seed=seed)
     rep = mainest_fit(synth_sequence(cfg), cfg)
     checks = [_check("constant_ratio", rep["ratio"], 3.0, rep["bounded_constant"])]
-    rows = [[r["eps"], r["outer_norm"], r["core_norm"], 0.05 * r["outer_norm"]] for r in rep["rows"]]
+    rows = [[r["eps"], r["outer_norm"], r["core_norm"], r["sampling_error"]] for r in rep["rows"]]
     return checks, ["eps", "outer_norm", "core_norm", "sampling_error_estimate"], rows
 
 

@@ -25,7 +25,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-import sympy as sp
 
 from .fields import Box, DerivativeOrderError, MetricField, require_positive_definite
 
@@ -165,32 +164,30 @@ def _tensor(shape):
     return np.full(shape, Fraction(0), dtype=object)
 
 
-def riemann_symmetry_violation(R0):
-    worst = Fraction(0)
-    for a, b, c, d in itertools.product(range(DIM), repeat=4):
-        worst = max(
-            worst,
-            abs(R0[a, b, c, d] + R0[b, a, c, d]),
-            abs(R0[a, b, c, d] + R0[a, b, d, c]),
-            abs(R0[a, b, c, d] - R0[c, d, a, b]),
-            abs(R0[a, b, c, d] + R0[a, c, d, b] + R0[a, d, b, c]),
-        )
-    return worst
+def riemann_symmetry_violation(R):
+    """Largest violation of the four algebraic Riemann symmetries over the
+    first four axes of ``R``; trailing axes are carried along."""
+    residuals = (
+        R + np.einsum("bacd...->abcd...", R),
+        R + np.einsum("abdc...->abcd...", R),
+        R - np.einsum("cdab...->abcd...", R),
+        R + np.einsum("acdb...->abcd...", R) + np.einsum("adbc...->abcd...", R),
+    )
+    return max(np.abs(r).max() for r in residuals)
 
 
 def ricci_of(R0):
-    ric = _tensor((DIM, DIM))
-    for i, j in itertools.product(range(DIM), repeat=2):
-        ric[i, j] = sum(R0[a, i, a, j] for a in range(DIM))
-    return ric
+    return np.trace(R0, axis1=0, axis2=2)
 
 
 def ricci_deriv_of(R1):
     """Ric_{ij,k} from R_{abcd,e}."""
-    out = _tensor((DIM, DIM, DIM))
-    for i, j, k in itertools.product(range(DIM), repeat=3):
-        out[i, j, k] = sum(R1[a, i, a, j, k] for a in range(DIM))
-    return out
+    return np.trace(R1, axis1=0, axis2=2)
+
+
+def _cyclic_sum(dr):
+    """dr_ijk + dr_jki + dr_kij."""
+    return dr + np.einsum("jki->ijk", dr) + np.einsum("kij->ijk", dr)
 
 
 @dataclass
@@ -213,31 +210,22 @@ class CurvatureJet:
         self.R1 = np.asarray(self.R1, dtype=object)
         if riemann_symmetry_violation(self.R0) != 0:
             raise ValueError("R0 violates Riemann symmetries")
-        for e in range(DIM):
-            if riemann_symmetry_violation(self.R1[..., e]) != 0:
-                raise ValueError("R1 violates Riemann symmetries slot-wise")
+        if riemann_symmetry_violation(self.R1) != 0:
+            raise ValueError("R1 violates Riemann symmetries slot-wise")
         if self.conformal_normal:
-            ric = ricci_of(self.R0)
-            if any(ric[i, j] != 0 for i in range(DIM) for j in range(DIM)):
+            if ricci_of(self.R0).any():
                 raise ValueError("conformal-normal jet must have Ric(0) = 0")
-            dr = ricci_deriv_of(self.R1)
-            for i, j, k in itertools.product(range(DIM), repeat=3):
-                if dr[i, j, k] + dr[j, k, i] + dr[k, i, j] != 0:
-                    raise ValueError(
-                        "conformal-normal jet violates the symmetrized "
-                        "Ricci-derivative identity"
-                    )
+            if _cyclic_sum(ricci_deriv_of(self.R1)).any():
+                raise ValueError(
+                    "conformal-normal jet violates the symmetrized "
+                    "Ricci-derivative identity"
+                )
 
     @classmethod
     def constant_curvature(cls, K):
-        K = Fraction(K)
-        R0 = _tensor((DIM,) * 4)
-        for a, b, c, d in itertools.product(range(DIM), repeat=4):
-            R0[a, b, c, d] = K * (
-                Fraction(int(a == c) * int(b == d))
-                - Fraction(int(a == d) * int(b == c))
-            )
-        return cls(R0=R0)
+        delta = np.eye(DIM, dtype=object)
+        pairs = delta[:, None, :, None] * delta[None, :, None, :]
+        return cls(R0=Fraction(K) * (pairs - np.einsum("abdc->abcd", pairs)))
 
 
 # ---------------------------------------------------------------------------
@@ -246,96 +234,106 @@ class CurvatureJet:
 _PAIRS = [(a, b) for a in range(DIM) for b in range(a + 1, DIM)]
 _COMPS0 = [(i, j) for i in range(6) for j in range(i, 6)]  # 21 pair-sym slots
 
+# the eight entries each of the 21 pair-symmetric slots fills, with signs
+_FILL_SLOT, _FILL_SIGN, _FILL_AT = zip(*[
+    (n, Fraction(s * t), at)
+    for n, (i, j) in enumerate(_COMPS0)
+    for ab, s in ((_PAIRS[i], 1), (_PAIRS[i][::-1], -1))
+    for cd, t in ((_PAIRS[j], 1), (_PAIRS[j][::-1], -1))
+    for at in (ab + cd, cd + ab)
+])
+_FILL_AT = tuple(np.array(_FILL_AT).T)
+
 
 def _fill_riemann(vec):
     R = _tensor((DIM,) * 4)
-    for val, (i, j) in zip(vec, _COMPS0):
-        (a, b), (c, d) = _PAIRS[i], _PAIRS[j]
-        val = Fraction(val)
-        for (p, q), sp_ in (((a, b), 1), ((b, a), -1)):
-            for (r, s), sq in (((c, d), 1), ((d, c), -1)):
-                R[p, q, r, s] = sp_ * sq * val
-                R[r, s, p, q] = sp_ * sq * val
+    R[_FILL_AT] = np.asarray(vec, dtype=object)[list(_FILL_SLOT)] * _FILL_SIGN
     return R
 
 
+def _nullspace(mat):
+    """Exact nullspace basis of a rational matrix, one vector per row.
+
+    The basis is the one sympy's ``Matrix.nullspace`` returns, since the
+    reduced row echelon form is unique: one vector per free column, in
+    ascending order, with 1 in that column and minus the reduced pivot
+    rows' entries of that column in the pivot columns.
+    """
+    m = np.vectorize(Fraction, otypes=[object])(mat)
+    pivots = []
+    for c in range(m.shape[1]):
+        r = len(pivots)
+        nonzero = np.flatnonzero(m[r:, c])
+        if not nonzero.size:
+            continue
+        m[[r, r + nonzero[0]]] = m[[r + nonzero[0], r]]
+        m[r] = m[r] / m[r, c]
+        hit = np.flatnonzero(m[:, c])
+        hit = hit[hit != r]
+        m[hit] -= np.outer(m[hit, c], m[r])
+        pivots.append(c)
+    free = [c for c in range(m.shape[1]) if c not in pivots]
+    basis = _tensor((len(free), m.shape[1]))
+    basis[range(len(free)), free] = Fraction(1)
+    basis[:, pivots] = -m[: len(pivots), free].T
+    return basis
+
+
 def _riemann_constraints(vec_to_tensor, n_vars, rows_fn):
-    cols = []
-    for k in range(n_vars):
-        v = [Fraction(0)] * n_vars
-        v[k] = Fraction(1)
-        cols.append(rows_fn(vec_to_tensor(v)))
-    mat = sp.Matrix([[cols[k][r] for k in range(n_vars)] for r in range(len(cols[0]))])
-    return mat.nullspace()
+    cols = [rows_fn(vec_to_tensor(unit)) for unit in np.eye(n_vars, dtype=object)]
+    basis = _nullspace(np.array(cols, dtype=object).T)
+    basis.flags.writeable = False
+    return basis
 
 
-def _bianchi1_rows(R):
-    return [R[0, 1, 2, 3] + R[0, 2, 3, 1] + R[0, 3, 1, 2]]
+def _bianchi1(R):
+    """First Bianchi sum R_0123 + R_0231 + R_0312, per trailing slot."""
+    return R[0, 1, 2, 3] + R[0, 2, 3, 1] + R[0, 3, 1, 2]
 
 
 @lru_cache(maxsize=1)
 def _weyl_basis():
-    """Exact basis of algebraic curvature tensors with Ric = 0 (dim 10)."""
+    """Exact basis of algebraic curvature tensors with Ric = 0 (dim 10),
+    one vector per row."""
 
     def rows(R):
-        out = _bianchi1_rows(R)
-        ric = ricci_of(R)
-        for i in range(DIM):
-            for j in range(i, DIM):
-                out.append(ric[i, j])
-        return out
+        return [_bianchi1(R), *ricci_of(R)[np.triu_indices(DIM)]]
 
-    return tuple(
-        tuple(v) for v in _riemann_constraints(_fill_riemann, 21, rows)
-    )
+    return _riemann_constraints(_fill_riemann, 21, rows)
 
 
 def _fill_riemann_deriv(vec):
-    R1 = _tensor((DIM,) * 5)
-    for e in range(DIM):
-        sub = _fill_riemann(vec[21 * e : 21 * (e + 1)])
-        R1[..., e] = sub
-    return R1
+    return np.stack([_fill_riemann(vec[21 * e : 21 * (e + 1)]) for e in range(DIM)], axis=-1)
 
 
 @lru_cache(maxsize=1)
 def _deriv_basis():
-    """Exact basis for admissible R_abcd,e jets at a conformal-normal origin.
+    """Exact basis for admissible R_abcd,e jets at a conformal-normal origin,
+    one vector per row.
 
     Constraints: slot-wise first Bianchi, the second Bianchi identity, and
     the symmetrized Ricci-derivative identity (nabla R(0) = 0 follows).
     """
+    a, b, c, d, e = np.array(
+        [ab + cde for ab in _PAIRS for cde in itertools.combinations(range(DIM), 3)]
+    ).T
+    sym = tuple(np.array(list(itertools.combinations_with_replacement(range(DIM), 3))).T)
 
     def rows(R1):
-        out = []
-        for e in range(DIM):
-            out.extend(_bianchi1_rows(R1[..., e]))
-        # second Bianchi: R_ab[cd,e] cyclic sum
-        for a, b in _PAIRS:
-            for c, d, e in itertools.combinations(range(DIM), 3):
-                out.append(
-                    R1[a, b, c, d, e] + R1[a, b, d, e, c] + R1[a, b, e, c, d]
-                )
-        dr = ricci_deriv_of(R1)
-        for i, j, k in itertools.combinations_with_replacement(range(DIM), 3):
-            out.append(dr[i, j, k] + dr[j, k, i] + dr[k, i, j])
-        return out
+        return [
+            *_bianchi1(R1),
+            # second Bianchi: R_ab[cd,e] cyclic sum
+            *(R1[a, b, c, d, e] + R1[a, b, d, e, c] + R1[a, b, e, c, d]),
+            *_cyclic_sum(ricci_deriv_of(R1))[sym],
+        ]
 
-    return tuple(
-        tuple(v) for v in _riemann_constraints(_fill_riemann_deriv, 84, rows)
-    )
+    return _riemann_constraints(_fill_riemann_deriv, 84, rows)
 
 
 def scale_jet(jet: CurvatureJet, factor) -> CurvatureJet:
     """Jet with R0 and R1 multiplied by an exact rational factor."""
     f = Fraction(factor)
-    R0 = _tensor((DIM,) * 4)
-    R1 = _tensor((DIM,) * 5)
-    for idx in itertools.product(range(DIM), repeat=4):
-        R0[idx] = f * jet.R0[idx]
-    for idx in itertools.product(range(DIM), repeat=5):
-        R1[idx] = f * jet.R1[idx]
-    return CurvatureJet(R0=R0, R1=R1, conformal_normal=jet.conformal_normal)
+    return CurvatureJet(R0=f * jet.R0, R1=f * jet.R1, conformal_normal=jet.conformal_normal)
 
 
 def random_conformal_normal_jet(rng=None):
@@ -344,12 +342,7 @@ def random_conformal_normal_jet(rng=None):
     rng = np.random.default_rng(rng)
 
     def combo(basis, fill):
-        coeffs = [Fraction(int(c)) for c in rng.integers(-6, 7, len(basis))]
-        vec = [
-            sum(c * Fraction(b[k]) for c, b in zip(coeffs, basis))
-            for k in range(len(basis[0]))
-        ]
-        return fill(vec)
+        return fill(rng.integers(-6, 7, len(basis)).astype(object) @ basis)
 
     R0 = combo(_weyl_basis(), _fill_riemann)
     R1 = combo(_deriv_basis(), _fill_riemann_deriv)
@@ -438,28 +431,19 @@ def log_det_poly(mt: MetricTaylor):
 
 def cnc_identity_suite(jet: CurvatureJet):
     """Residual report for the conformal-normal-coordinate identities."""
-    report = {}
-    ric = ricci_of(jet.R0)
-    report["ricci_zero"] = {
-        "residual": float(max(abs(ric[i, j]) for i in range(DIM) for j in range(DIM))),
-        "pass": all(ric[i, j] == 0 for i in range(DIM) for j in range(DIM)),
-    }
     dr = ricci_deriv_of(jet.R1)
-    worst = max(
-        abs(dr[i, j, k] + dr[j, k, i] + dr[k, i, j])
-        for i, j, k in itertools.product(range(DIM), repeat=3)
-    )
-    report["ricci_deriv_symmetrized"] = {"residual": float(worst), "pass": worst == 0}
-    grad_r = [sum(dr[i, i, k] for i in range(DIM)) for k in range(DIM)]
-    worst = max(abs(v) for v in grad_r)
-    report["scalar_gradient_zero"] = {"residual": float(worst), "pass": worst == 0}
-    # contracted second Bianchi: R_pijq,p = Ric_iq,j - Ric_ij,q
-    worst = Fraction(0)
-    for i, j, q in itertools.product(range(DIM), repeat=3):
-        lhs = sum(jet.R1[p, i, j, q, p] for p in range(DIM))
-        worst = max(worst, abs(lhs - (dr[i, q, j] - dr[i, j, q])))
-    report["contracted_second_bianchi"] = {"residual": float(worst), "pass": worst == 0}
-    return report
+    residuals = {
+        "ricci_zero": ricci_of(jet.R0),
+        "ricci_deriv_symmetrized": _cyclic_sum(dr),
+        "scalar_gradient_zero": np.trace(dr),
+        # contracted second Bianchi: R_pijq,p = Ric_iq,j - Ric_ij,q
+        "contracted_second_bianchi": np.einsum("pijqp->ijq", jet.R1)
+        - (np.einsum("iqj->ijq", dr) - dr),
+    }
+    return {
+        name: {"residual": float(np.abs(r).max()), "pass": not r.any()}
+        for name, r in residuals.items()
+    }
 
 
 def detone_laplacian(ginv_jet, gu, hu, tu=None):

@@ -250,16 +250,12 @@ def paneitz_apply(g: MetricField, u: ScalarField, x, step=None) -> float:
 
 
 def conformal_transform(g: MetricField, u: ScalarField) -> MetricField:
-    """The conformal metric e^{2u} g, with composed derivative access."""
+    """The conformal metric e^{2u} g of an analytic metric and factor."""
     if g.domain != u.domain:
         raise ValueError("domains must match")
-    if g.analytic and u.analytic:
-        return MetricField.from_exprs(sp.exp(2 * u.expr) * g.matrix, g.domain)
-
-    def func(p):
-        return np.exp(2.0 * u(p)) * g.eval_batch(np.atleast_2d(p))[0]
-
-    return MetricField.from_callable(func, g.domain, fd_step=g.fd_step)
+    if not (g.analytic and u.analytic):
+        raise ValueError("conformal_transform needs an analytic metric and factor")
+    return MetricField.from_exprs(sp.exp(2 * u.expr) * g.matrix, g.domain)
 
 
 def check_conformal_covariance(g, u, f, pts, step=None):

@@ -3,13 +3,15 @@
 Two kinds of derivative access coexist:
 
 * analytic  -- fields built from sympy expressions; partial derivatives of
-  any order are obtained symbolically and compiled (lambdified) once.
+  any order are obtained symbolically and compiled (lambdified) once per
+  distinct expression per process, shared by every field that needs it.
 * sampled   -- fields given only as callables; partials fall back to
   centered finite differences of order 4, with the step recorded.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -163,8 +165,18 @@ def fd_partials(func, pts, indices, step):
     return out
 
 
-def _lambdify(expr):
-    """Compile a sympy scalar to a vectorized function of points (n, 4)."""
+@functools.lru_cache(maxsize=None)
+def _compiled(expr, index=()):
+    """The partial of the sympy scalar ``expr`` for the sorted multi-index
+    ``index``, compiled to a vectorized function of points (n, 4).
+
+    A partial is looked up again by its own expression, so identical
+    derivatives of different fields share one compiled function.
+    """
+    if index:
+        for ax in index:
+            expr = sp.diff(expr, COORDS[ax])
+        return _compiled(expr)
     f = sp.lambdify(COORDS, expr, modules="numpy")
 
     def call(pts):
@@ -186,7 +198,6 @@ class ScalarField:
         self._func = func
         self.analytic = expr is not None
         self.fd_step = fd_step if fd_step is not None else domain.width * 1e-2
-        self._partials = {}
 
     @classmethod
     def from_expr(cls, expr, domain):
@@ -200,19 +211,10 @@ class ScalarField:
     def constant(cls, value, domain):
         return cls(domain, expr=sp.Float(value))
 
-    def _partial_fn(self, index):
-        key = tuple(sorted(index))
-        if key not in self._partials:
-            e = self.expr
-            for ax in key:
-                e = sp.diff(e, COORDS[ax])
-            self._partials[key] = _lambdify(e)
-        return self._partials[key]
-
     def eval(self, pts):
         pts = np.atleast_2d(np.asarray(pts, float))
         if self.analytic:
-            return self._partial_fn(())(pts)
+            return _compiled(self.expr)(pts)
         return np.array([self._func(p) for p in pts], float)
 
     def __call__(self, x):
@@ -224,7 +226,7 @@ class ScalarField:
             raise DerivativeOrderError("derivatives available up to order 4")
         pts = np.atleast_2d(np.asarray(pts, float))
         if self.analytic:
-            return self._partial_fn(tuple(index))(pts)
+            return _compiled(self.expr, tuple(sorted(index)))(pts)
         return fd_partials(self.eval, pts, [tuple(index)], self.fd_step)[0]
 
     def gradient(self, pts):
@@ -258,7 +260,6 @@ class MetricField:
         self._func = func
         self.analytic = matrix is not None
         self.fd_step = fd_step if fd_step is not None else domain.width * 1e-2
-        self._comp_fns = {}
 
     @classmethod
     def from_exprs(cls, matrix, domain):
@@ -276,15 +277,6 @@ class MetricField:
     def is_flat(self):
         return self.analytic and self.matrix == sp.eye(DIM)
 
-    def _component_fn(self, a, b, index):
-        key = (a, b, tuple(sorted(index)))
-        if key not in self._comp_fns:
-            e = self.matrix[a, b]
-            for ax in key[2]:
-                e = sp.diff(e, COORDS[ax])
-            self._comp_fns[key] = _lambdify(e)
-        return self._comp_fns[key]
-
     def eval(self, x, check=True):
         pts = np.atleast_2d(np.asarray(x, float))
         g = self.eval_batch(pts)
@@ -298,7 +290,7 @@ class MetricField:
         if self.analytic:
             for a in range(DIM):
                 for b in range(a, DIM):
-                    g[:, a, b] = g[:, b, a] = self._component_fn(a, b, ())(pts)
+                    g[:, a, b] = g[:, b, a] = _compiled(self.matrix[a, b])(pts)
         else:
             for i, p in enumerate(pts):
                 m = np.asarray(self._func(p), float)
@@ -311,10 +303,11 @@ class MetricField:
             return fd_partials(self.eval_batch, pts, indices, self.fd_step)
         out = []
         for index in indices:
+            key = tuple(sorted(index))
             arr = np.empty((pts.shape[0], DIM, DIM))
             for a in range(DIM):
                 for b in range(a, DIM):
-                    arr[:, a, b] = arr[:, b, a] = self._component_fn(a, b, index)(pts)
+                    arr[:, a, b] = arr[:, b, a] = _compiled(self.matrix[a, b], key)(pts)
             out.append(arr)
         return out
 

@@ -225,8 +225,11 @@ def regular_part_field(b: TorusSpectralField) -> TorusSpectralField:
 # R^4 log-potential quadrature
 
 
-def _polar_panels(r_max, n_panels=10, r_inner=1e-3):
-    edges = [0.0, r_inner]
+R_INNER = 1e-3  # the first radial panel edge; each later one is 3 times larger
+
+
+def _polar_panels(r_max):
+    edges = [0.0, R_INNER]
     while edges[-1] < r_max:
         edges.append(min(edges[-1] * 3.0, r_max))
     return edges
@@ -237,7 +240,6 @@ class BallDensity:
 
     def __init__(self, func, sigma=1.0, C=1.0, r_cut=None):
         self.func = func
-        self.sigma = sigma
         if r_cut is None:
             # (1+R)^{-8+sigma} < 1e-12
             r_cut = 10.0 ** (12.0 / (8.0 - sigma)) - 1.0

@@ -106,6 +106,14 @@ def test_vrate_passes(tmp_path):
     assert any("exponent" in n for n in names)
 
 
+def test_mainest_error_column_is_the_sample_doubling_change():
+    _, header, rows = cli.run_mainest(dict(cli.DEFAULTS["mainest"]), 0)
+    col = header.index("sampling_error_estimate")
+    for row in rows:
+        assert row[col] > 0.0
+        assert row[col] != 0.05 * row[header.index("outer_norm")]
+
+
 def test_console_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "qcurv.cli", "longrange", "--out", str(tmp_path / "o"), "--quiet"],

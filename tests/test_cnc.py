@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
+import qcurv.cnc as cnc
 from qcurv.cnc import (
     CurvatureJet,
     PolynomialMetric,
@@ -162,6 +163,92 @@ def test_sphere_point_fails_ricci_precondition():
     assert not report["ricci_zero"]["pass"]
 
 
+def _outer(x, y):
+    return x[:, :, None, None] * y[None, None, :, :]
+
+
+def _two_form(i, j):
+    form = np.zeros((4, 4), dtype=object)
+    form[i, j], form[j, i] = 1, -1
+    return form
+
+
+def _levi_civita():
+    eps = np.zeros((4,) * 4, dtype=object)
+    for perm in itertools.permutations(range(4)):
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        eps[perm] = (-1) ** inversions
+    return eps
+
+
+_DELTA, _E01, _E23 = np.eye(4, dtype=object), _two_form(0, 1), _two_form(2, 3)
+# perturbations that break, in order: R_abcd = -R_bacd, R_abcd = -R_abdc,
+# R_abcd = R_cdab (keeping both antisymmetries) and the first Bianchi
+# identity (keeping the other three)
+_SYMMETRY_BREAKERS = {
+    "antisymmetric_ab": _outer(_DELTA, _E01),
+    "antisymmetric_cd": _outer(_E01, _DELTA),
+    "pair_symmetric": _outer(_E01, _E23) - _outer(_E23, _E01),
+    "first_bianchi": _levi_civita(),
+}
+
+
+@pytest.mark.parametrize("broken", list(_SYMMETRY_BREAKERS))
+def test_each_riemann_symmetry_is_checked_in_r0_and_each_r1_slot(broken):
+    jet = random_conformal_normal_jet(rng=1)
+    bad = _SYMMETRY_BREAKERS[broken] * Fraction(1, 2)
+    with pytest.raises(ValueError, match="R0 violates"):
+        CurvatureJet(R0=jet.R0 + bad, R1=jet.R1)
+    for slot in range(4):
+        R1 = jet.R1.copy()
+        R1[..., slot] += bad
+        with pytest.raises(ValueError, match="R1 violates"):
+            CurvatureJet(R0=jet.R0, R1=R1)
+
+
+def _reference_bases():
+    """The sympy nullspaces, as Fractions, of the two jet bases' constraint
+    matrices written out with plain loops."""
+
+    def ric(R, i, j, *k):
+        return sum(R[(a, i, a, j) + k] for a in range(4))
+
+    def weyl_rows(R):
+        rows = [R[0, 1, 2, 3] + R[0, 2, 3, 1] + R[0, 3, 1, 2]]
+        return rows + [ric(R, i, j) for i in range(4) for j in range(i, 4)]
+
+    def deriv_rows(R):
+        rows = [R[0, 1, 2, 3, e] + R[0, 2, 3, 1, e] + R[0, 3, 1, 2, e] for e in range(4)]
+        for a, b in itertools.combinations(range(4), 2):
+            for c, d, e in itertools.combinations(range(4), 3):
+                rows.append(R[a, b, c, d, e] + R[a, b, d, e, c] + R[a, b, e, c, d])
+        for i, j, k in itertools.combinations_with_replacement(range(4), 3):
+            rows.append(ric(R, i, j, k) + ric(R, j, k, i) + ric(R, k, i, j))
+        return rows
+
+    out = []
+    for fill, n, rows in ((cnc._fill_riemann, 21, weyl_rows), (cnc._fill_riemann_deriv, 84, deriv_rows)):
+        cols = [rows(fill([Fraction(int(i == k)) for i in range(n)])) for k in range(n)]
+        mat = sp.Matrix([[col[r] for col in cols] for r in range(len(cols[0]))])
+        out.append([[Fraction(int(x.p), int(x.q)) for x in v] for v in mat.nullspace()])
+    return out
+
+
+def test_constraint_bases_are_sympy_nullspaces_without_sympy(monkeypatch):
+    weyl, deriv = _reference_bases()
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("sympy called for a jet basis")
+
+    monkeypatch.setattr(sp, "Matrix", forbidden)
+    for basis, want in ((cnc._weyl_basis, weyl), (cnc._deriv_basis, deriv)):
+        basis.cache_clear()
+        got = basis()
+        assert got.shape == (len(want), len(want[0]))
+        assert got.tolist() == want
+        assert all(type(x) is Fraction for x in got.ravel())
+
+
 def test_conformal_normal_flag_validation():
     with pytest.raises(ValueError):
         CurvatureJet(
@@ -303,7 +390,6 @@ def test_poly_mul_diff_truncate_match_dict_reference():
 
 
 def test_exact_identity_failures_can_fail(monkeypatch):
-    import qcurv.cnc as cnc
     from qcurv.cli import run_cnc
 
     # the forward expansion in place of the inverse: no sign flip
@@ -406,7 +492,6 @@ def test_blowup_geodesic_and_curved_pohozaev_do_not_call_sympy(monkeypatch):
     from qcurv.geodesic import geodesic_distance
     from qcurv.pohozaev import BallDomain, RadialProfileField, pohozaev_balance
 
-    # the random jet's exact basis comes from a sympy nullspace: draw it first
     jet = scale_jet(random_conformal_normal_jet(rng=5), Fraction(1, 10))
 
     def forbidden(*args, **kwargs):

@@ -159,6 +159,22 @@ def test_conformal_transform_identity_and_sphere():
     x = np.array([0.3, -0.2, 0.5, 0.1])
     expected = 4.0 / (1.0 + x @ x) ** 2 * np.eye(4)
     assert np.max(np.abs(gs.eval(x) - expected)) < 1e-12
+    with pytest.raises(ValueError, match="analytic"):
+        conformal_transform(MetricField.from_callable(lambda p: np.eye(4), dom), u)
+
+
+def test_conformal_transform_compiles_each_expression_once(monkeypatch):
+    dom = Box.cube(5.0)
+    u = ScalarField.from_expr(sp.log(2 / (1 + R2)), dom)
+    pts = np.array([[0.3, -0.2, 0.5, 0.1]])
+    first = conformal_transform(MetricField.flat(dom), u).jet(pts, 2)
+    compiled = []
+    lambdify = sp.lambdify
+    monkeypatch.setattr(sp, "lambdify", lambda *a, **k: compiled.append(a) or lambdify(*a, **k))
+    second = conformal_transform(MetricField.flat(dom), u).jet(pts, 2)
+    assert compiled == []
+    for a, b in zip(first, second):
+        assert np.array_equal(a, b)
 
 
 def test_constant_conformal_factor_scales_volume():
