@@ -184,7 +184,7 @@ def run_pohozaev(p, seed):
     b = lambda pts: np.zeros(len(np.atleast_2d(pts)))
     rep = pohozaev_balance(u, h, b, ball)
     rel = abs(rep.residual) / abs(rep.I0)
-    rows = [["flat", rep.I0, rep.I1, rep.I2, rep.I3, rep.I4, rep.residual, rep.error_estimate]]
+    rows = [["flat", rep.I0, rep.I1, rep.I2, rep.I3, rep.I4, rep.residual, rep.error_estimate, 0.0]]
 
     # curved sweep on a unit ball with a tilted bubble
     jet = random_conformal_normal_jet(rng=int(rng.integers(0, 2**31)))
@@ -198,7 +198,8 @@ def run_pohozaev(p, seed):
         mt = metric_taylor_from_jet(sj)
         r = pohozaev_balance(ut, h, b, small, metric_taylor=mt, jet=sj)
         mags.append(abs(r.I2) + abs(r.I3) + abs(r.I4))
-        rows.append([eps, r.I0, r.I1, r.I2, r.I3, r.I4, r.residual, r.error_estimate])
+        rows.append([eps, r.I0, r.I1, r.I2, r.I3, r.I4, r.residual, r.error_estimate,
+                     r.unmodeled_remainder])
     slope = float(np.polyfit(np.log(eps_list), np.log(mags), 1)[0])
 
     worst3 = 0.0
@@ -217,7 +218,8 @@ def run_pohozaev(p, seed):
         _check("curved_eps_slope", slope, "1 +- 0.3", abs(slope - 1.0) <= 0.3),
         _check("radial_third_vs_fd", worst3, 1e-6, worst3 <= 1e-6),
     ]
-    header = ["parameter", "I0", "I1", "I2", "I3", "I4", "residual", "error_estimate"]
+    header = ["parameter", "I0", "I1", "I2", "I3", "I4", "residual", "error_estimate",
+              "unmodeled_remainder"]
     return checks, header, rows
 
 
@@ -420,8 +422,11 @@ def run_mainest(p, seed):
     cfg = SequenceConfig(eps_list=eps_list, amp=p["amp"], tau=p["tau"], seed=seed)
     rep = mainest_fit(synth_sequence(cfg), cfg)
     checks = [_check("constant_ratio", rep["ratio"], 3.0, rep["bounded_constant"])]
-    rows = [[r["eps"], r["outer_norm"], r["core_norm"], r["sampling_error"]] for r in rep["rows"]]
-    return checks, ["eps", "outer_norm", "core_norm", "sampling_error_estimate"], rows
+    keys = ["eps", "outer_norm", "core_norm", "sampling_error", "core_sampling_error"]
+    rows = [[r[k] for k in keys] for r in rep["rows"]]
+    header = ["eps", "outer_norm", "core_norm", "sampling_error_estimate",
+              "core_sampling_error_estimate"]
+    return checks, header, rows
 
 
 def run_vrate(p, seed):

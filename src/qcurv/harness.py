@@ -180,8 +180,9 @@ def long_range_checks(profile, eps, alpha=None, delta1=0.5):
 def mainest_fit(seq, cfg: SequenceConfig, delta=None, n=2000):
     """tau-weighted sup-norm per eps plus a constancy verdict (max/min <= 3).
 
-    The sampled sup is only a lower bound; each row's ``sampling_error`` is
-    its change when the samples are doubled, |outer(2n) - outer(n)|.
+    The sampled sups are only lower bounds; each row's ``sampling_error``
+    and ``core_sampling_error`` are their changes when the samples are
+    doubled, |outer(2n) - outer(n)| and |core(2n) - core(n)|.
     """
     if delta is None:
         delta = cfg.delta1
@@ -190,9 +191,9 @@ def mainest_fit(seq, cfg: SequenceConfig, delta=None, n=2000):
         outer, core = weighted_sup_norm(
             f, f.params, cfg.tau, delta, n=n, rng=cfg.seed
         )
-        doubled, _ = weighted_sup_norm(f, f.params, cfg.tau, delta, n=2 * n, rng=cfg.seed)
-        error = abs(doubled - outer)
-        rows.append({"eps": f.eps, "outer_norm": outer, "core_norm": core, "sampling_error": error})
+        outer2, core2 = weighted_sup_norm(f, f.params, cfg.tau, delta, n=2 * n, rng=cfg.seed)
+        rows.append({"eps": f.eps, "outer_norm": outer, "core_norm": core,
+                     "sampling_error": abs(outer2 - outer), "core_sampling_error": abs(core2 - core)})
     cs = np.array([max(r["outer_norm"], 1e-12) for r in rows])
     verdict = float(np.max(cs) / np.min(cs)) <= 3.0
     return {"rows": rows, "bounded_constant": verdict, "ratio": float(np.max(cs) / np.min(cs))}

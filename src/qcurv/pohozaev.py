@@ -13,8 +13,26 @@ The identity is evaluated term by term over a ball in the det-one gauge:
 
 residual = I0 - (I1 + I2 + I3 + I4).  On the flat metric the curvature
 and metric-derivative terms vanish identically and are reported as exact
-zeros; the O(r^2)/O(r^3)/O(r^4) remainders of the curved identity are not
-modeled and enter the report only as a sup-norm bound.
+zeros, and the interior Hessian of u is never evaluated.
+
+The interior needs no second derivative of g^{ij}.  The Euler operator
+E = xi^m d_m multiplies the degree-k part of a polynomial by k, so with
+A_j = d_i g^{ij} the terms read xi^m d_im g^{ij} = (E A)_j and
+xi^m d_m g^{ij} = (E g^{-1})^{ij}, and
+
+  lap u = A.grad u + g^{ij} d_ij u,
+  I2 metric part = int_O lap u ((A + E A).grad u + (E g^{-1}) : hess u).
+
+The interior nodes evaluate the values of the 40 exact polynomials g^{ij},
+A, A + E A and E g^{-1}; only the boundary nodes, whose flux needs
+d_i(lap u), evaluate the order-2 jet of g^{ij}.  I3 and I4 contract
+M_ij = R_ij,l(0) xi^l with grad u once per node.
+
+The curved identity leaves out the degree >= 4 tail of the metric
+expansion.  ``unmodeled_remainder`` bounds that tail's share, sized from
+the cubic Taylor coefficients: eps3 int_O (r^2 |grad u|^2 + r^4 |hess u|),
+eps3 the largest of them.  It is a bound on the omitted terms, not an
+estimate of the residual.
 """
 
 from __future__ import annotations
@@ -23,7 +41,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cnc import DEGREE, detone_laplacian, inverse_metric_taylor, poly_jet, ricci_deriv_of
+from .cnc import (
+    DEGREE, detone_laplacian, inverse_metric_taylor, poly_diff, poly_jet, ricci_deriv_of,
+)
 from .quadrature import ball_rule, sphere_rule, BALL4_VOL, S3_AREA
 
 
@@ -116,14 +136,6 @@ class RadialProfileField:
         return a * nnn + b * sym
 
 
-def _flat_lap(hess):
-    return np.trace(hess, axis1=1, axis2=2)
-
-
-def _flat_grad_lap(third):
-    return np.einsum("naai->ni", third)
-
-
 @dataclass
 class PohozaevReport:
     I0: float
@@ -152,26 +164,19 @@ def pohozaev_balance(
     """Term-by-term Pohozaev report.
 
     ``u`` is an order-3 jet object with val/grad/hess/third over points,
-    such as RadialProfileField;
-    ``h`` and ``b`` are callables over points (m, 4) -> values, with
-    ``h.gradient`` used when available (else FD-free exact zero for
-    constants is the caller's responsibility via grad_h).  Flat metric when
-    ``metric_taylor`` is None.
+    such as RadialProfileField; ``h`` and ``b`` are callables over points
+    (m, 4) -> values, and ``h.gradient`` is used when it exists (else grad h
+    is taken as zero).  Flat metric when ``metric_taylor`` is None.
     """
     xi_i, w_i = ball.int_pts, ball.int_w
     xi_b, w_b = ball.bdy_pts, ball.bdy_w
     nu = ball.normals
 
     hv = np.asarray(h(xi_i), float)
-    grad_h = (
-        h.gradient(xi_i)
-        if hasattr(h, "gradient")
-        else np.zeros_like(xi_i)
-    )
+    grad_h = h.gradient(xi_i) if hasattr(h, "gradient") else np.zeros_like(xi_i)
     bv = np.asarray(b(xi_i), float)
     uv = u.val(xi_i)
     gu_i = u.grad(xi_i)
-    hu_i = u.hess(xi_i)
     gu_b = u.grad(xi_b)
     hu_b = u.hess(xi_b)
     tu_b = u.third(xi_b)
@@ -180,17 +185,14 @@ def pohozaev_balance(
 
     flat = metric_taylor is None
     if flat:
-        lap_b = _flat_lap(hu_b)
-        glap_b = _flat_grad_lap(tu_b)
-        lap_i = _flat_lap(hu_i)
+        lap_b = np.trace(hu_b, axis1=1, axis2=2)
+        glap_b = np.einsum("naai->ni", tu_b)
         ginv_b = np.broadcast_to(np.eye(4), (len(xi_b), 4, 4))
     else:
-        # one g^{ij} jet per point set: [g^{ij}, d_k g^{ij}, d_k d_l g^{ij}]
+        # the boundary needs d_i lap u, so the order-2 jet of g^{ij}
         inv = inverse_metric_taylor(metric_taylor).comps
         jet_b = poly_jet(inv, xi_b, 2)
-        jet_i = poly_jet(inv, xi_i, 2)
         lap_b, glap_b = detone_laplacian(jet_b, gu_b, hu_b, tu_b)
-        lap_i = detone_laplacian(jet_i, gu_i, hu_i)
         ginv_b = jet_b[0]
 
     e4u = np.exp(4.0 * uv)
@@ -215,46 +217,28 @@ def pohozaev_balance(
     I1 = float(sum(bterms.values()))
 
     if flat:
-        I2_metric = 0.0
-        I3 = 0.0
-        I4 = 0.0
+        I2_metric = I3 = I4 = remainder = 0.0
     else:
-        _, dginv, d2ginv = jet_i
-        I2_metric = float(
-            np.sum(
-                w_i
-                * (
-                    np.einsum("n,niji,nj->n", lap_i, dginv, gu_i)
-                    + np.einsum("nm,n,nijim,nj->n", xi_i, lap_i, d2ginv, gu_i)
-                    + np.einsum("nm,n,nijm,nij->n", xi_i, lap_i, dginv, hu_i)
-                )
-            )
+        hu_i = u.hess(xi_i)
+        hu_flat = hu_i.reshape(-1, 16)
+        ginv_i, A_i, A_EA_i, Eginv_i = np.split(
+            poly_jet(_interior_polys(inv), xi_i, 0)[0], [16, 20, 24], axis=1
         )
+        lap_i = np.sum(A_i * gu_i, axis=1) + np.sum(ginv_i * hu_flat, axis=1)
+        metric = np.sum(A_EA_i * gu_i, axis=1) + np.sum(Eginv_i * hu_flat, axis=1)
+        I2_metric = float(np.sum(w_i * lap_i * metric))
         ric1 = np.array(ricci_deriv_of(jet.R1), dtype=float)
-        I3 = 2.0 * float(
-            np.sum(
-                w_b
-                * np.einsum(
-                    "ijl,nl,nm,ni,nj,nm->n", ric1, xi_b, xi_b, nu, gu_b, gu_b
-                )
-            )
-        )
-        I4 = -float(
-            np.sum(
-                w_i
-                * (
-                    2.0
-                    * np.einsum("ijl,nl,nj,ni->n", ric1, xi_i, gu_i, gu_i)
-                    + 2.0
-                    * np.einsum(
-                        "ijl,nm,nl,nj,nim->n", ric1, xi_i, xi_i, gu_i, hu_i
-                    )
-                )
-            )
-        )
-    I2 = I2_metric - 2.0 * float(
-        np.sum(w_i * bv * np.einsum("ni,ni->n", xi_i, gu_i))
-    )
+        ric_l = ric1.transpose(2, 0, 1).reshape(4, 16)
+        Mg_b = _contract_ricci(ric_l, xi_b, gu_b)
+        Mg_i = _contract_ricci(ric_l, xi_i, gu_i)
+        I3 = 2.0 * float(np.sum(w_b * np.sum(nu * Mg_b, axis=1) * xdotgu))
+        hu_xi = (hu_i @ xi_i[:, :, None])[:, :, 0]
+        I4 = -2.0 * float(np.sum(w_i * np.sum(Mg_i * (gu_i + hu_xi), axis=1)))
+        eps3 = float(np.abs(metric_taylor.comps[..., DEGREE == 3]).max())
+        r_i = np.linalg.norm(xi_i, axis=1)
+        du, d2u = np.linalg.norm(gu_i, axis=1), np.linalg.norm(hu_flat, axis=1)
+        remainder = float(np.sum(w_i * (eps3 * r_i**2 * du**2 + eps3 * r_i**4 * d2u)))
+    I2 = I2_metric - 2.0 * float(np.sum(w_i * bv * np.einsum("ni,ni->n", xi_i, gu_i)))
 
     err = 0.0
     if _estimate:
@@ -267,18 +251,19 @@ def pohozaev_balance(
         fine = PohozaevReport(I0, I1, I2, I3, I4, bterms, 0.0)
         err = abs(fine.residual - rep_c.residual)
 
-    remainder = 0.0
-    if not flat:
-        r_i = np.linalg.norm(xi_i, axis=1)
-        du = np.linalg.norm(gu_i, axis=1)
-        d2u = np.linalg.norm(hu_i.reshape(len(xi_i), -1), axis=1)
-        eps3 = _taylor_cubic_scale(metric_taylor)
-        remainder = float(
-            np.sum(w_i * (eps3 * r_i**2 * du**2 + eps3 * r_i**4 * d2u))
-        )
-
     return PohozaevReport(I0, I1, I2, I3, I4, bterms, err, remainder)
 
 
-def _taylor_cubic_scale(mt):
-    return float(np.abs(mt.comps[..., DEGREE == 3]).max())
+def _interior_polys(inv):
+    """g^{ij}, A, A + EA and E g^{-1} as one (40, 35) exact array, where
+    A_j = d_i g^{ij} and E = xi^m d_m multiplies each degree-k part by k."""
+    A = np.trace(poly_diff(inv), axis1=0, axis2=2)
+    flat_inv = inv.reshape(16, -1)
+    return np.concatenate([flat_inv, A, A * (1 + DEGREE), flat_inv * DEGREE])
+
+
+def _contract_ricci(ric_l, xi, gu):
+    """Ric_ij,l xi^l d_j u at each point: one (n, 4) @ (4, 16) matmul for
+    the matrices, then one batched matrix-vector product."""
+    M = (xi @ ric_l).reshape(-1, 4, 4)
+    return (M @ gu[:, :, None])[:, :, 0]

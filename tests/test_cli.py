@@ -109,9 +109,21 @@ def test_vrate_passes(tmp_path):
 def test_mainest_error_column_is_the_sample_doubling_change():
     _, header, rows = cli.run_mainest(dict(cli.DEFAULTS["mainest"]), 0)
     col = header.index("sampling_error_estimate")
+    core_col = header.index("core_sampling_error_estimate")
     for row in rows:
         assert row[col] > 0.0
         assert row[col] != 0.05 * row[header.index("outer_norm")]
+        assert 0.0 < row[core_col] != row[col]
+
+
+def test_pohozaev_rows_carry_the_unmodeled_remainder():
+    small = dict(cli.DEFAULTS["pohozaev"], r=5.0, n_r=8, n_u=8, n_phi=8, eps_list="0.1,0.05", n_third=1)
+    _, header, rows = cli.run_pohozaev(small, 0)
+    col = header.index("unmodeled_remainder")
+    assert rows[0][0] == "flat" and rows[0][col] == 0.0
+    # the cubic coefficients, and with them the bound, are linear in eps
+    r1, r2 = rows[1][col], rows[2][col]
+    assert r1 > 0.0 and abs(r1 - 2.0 * r2) <= 1e-12 * r1
 
 
 def test_console_entry_point(tmp_path):

@@ -389,6 +389,22 @@ def test_poly_mul_diff_truncate_match_dict_reference():
         assert all(type(c) is int for c in out.ravel())
 
 
+def test_euler_operator_is_the_degree_multiplier():
+    # sum_m xi^m d_m p multiplies each degree-k part of p by k; the curved
+    # Pohozaev interior relies on it for g^{ij} and A_j = d_i g^{ij}
+    xi = np.zeros((4, 35), dtype=object)
+    for m in range(4):
+        xi[m, _BASIS.index(tuple(np.eye(4, dtype=int)[m]))] = Fraction(1)
+    for seed in (0, 5, 11):
+        inv = inverse_metric_taylor(metric_taylor_from_jet(random_conformal_normal_jet(rng=seed))).comps
+        A = np.trace(poly_diff(inv), axis1=0, axis2=2)
+        assert not _is_zero(A)
+        for p in (inv, A):
+            euler = poly_mul(xi, poly_diff(p)).sum(axis=-2)
+            assert _is_exact(euler)
+            assert (euler == p * DEGREE).all()
+
+
 def test_exact_identity_failures_can_fail(monkeypatch):
     from qcurv.cli import run_cnc
 

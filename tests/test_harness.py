@@ -13,6 +13,7 @@ from qcurv.harness import (
     synth_sequence,
     tuned_source,
     vrate_balance,
+    weighted_sup_norm,
     vrate_rate_fit,
 )
 from qcurv.potential import TorusSpectralField
@@ -104,6 +105,16 @@ def test_mainest_fit_verdicts():
     out = mainest_fit(synth_sequence(cfg), cfg, n=1000)
     assert out["bounded_constant"]
     assert out["ratio"] < 3.0
+
+
+def test_mainest_error_columns_are_sample_doubling_changes():
+    cfg = SequenceConfig(eps_list=(1e-2, 1e-3), amp=0.02, tau=0.5, seed=1)
+    seq = synth_sequence(cfg)
+    out = mainest_fit(seq, cfg, n=500)
+    for f, r in zip(seq, out["rows"]):
+        outer2, core2 = weighted_sup_norm(f, f.params, cfg.tau, cfg.delta1, n=1000, rng=cfg.seed)
+        assert r["sampling_error"] == abs(outer2 - r["outer_norm"])
+        assert r["core_sampling_error"] == abs(core2 - r["core_norm"]) > 0.0
 
 
 def test_vrate_balance_tuned_source_annihilates():

@@ -3,7 +3,16 @@ from fractions import Fraction
 import numpy as np
 
 from qcurv.bubble import RescaledBubble
-from qcurv.cnc import metric_taylor_from_jet, random_conformal_normal_jet, scale_jet
+from qcurv.cnc import (
+    CurvatureJet,
+    detone_laplacian,
+    inverse_metric_taylor,
+    metric_taylor_from_jet,
+    poly_jet,
+    random_conformal_normal_jet,
+    ricci_deriv_of,
+    scale_jet,
+)
 from qcurv.pohozaev import BallDomain, RadialProfileField, pohozaev_balance
 
 
@@ -159,3 +168,57 @@ def test_curved_terms_shrink_with_eps():
     slope = np.polyfit(np.log(eps_list), np.log(np.abs(I2)), 1)[0]
     print(f"curved-term eps-slope: {slope:.4f}")
     assert abs(slope - 2.0) <= 0.05
+
+
+def _einsum_interior_terms(u, ball, mt, jet):
+    """I2 (with b = 0), I3 and I4 from the order-2 jet of g^{ij} at every
+    interior node and the direct index contractions of the module
+    docstring, the reference for the Euler-operator kernel."""
+    xi, w = ball.int_pts, ball.int_w
+    xb, wb, nu = ball.bdy_pts, ball.bdy_w, ball.normals
+    ginv, dginv, d2ginv = poly_jet(inverse_metric_taylor(mt).comps, xi, 2)
+    gu, hu, gub = u.grad(xi), u.hess(xi), u.grad(xb)
+    lap = detone_laplacian((ginv, dginv), gu, hu)
+    I2 = np.sum(
+        w
+        * (
+            np.einsum("n,niji,nj->n", lap, dginv, gu)
+            + np.einsum("nm,n,nijim,nj->n", xi, lap, d2ginv, gu)
+            + np.einsum("nm,n,nijm,nij->n", xi, lap, dginv, hu)
+        )
+    )
+    ric1 = np.array(ricci_deriv_of(jet.R1), dtype=float)
+    I3 = 2.0 * np.sum(wb * np.einsum("ijl,nl,nm,ni,nj,nm->n", ric1, xb, xb, nu, gub, gub))
+    I4 = -np.sum(
+        w
+        * (
+            2.0 * np.einsum("ijl,nl,nj,ni->n", ric1, xi, gu, gu)
+            + 2.0 * np.einsum("ijl,nm,nl,nj,nim->n", ric1, xi, xi, gu, hu)
+        )
+    )
+    return I2, I3, I4
+
+
+def test_curved_kernel_matches_direct_contractions():
+    # R_abcd,e = K_e R_abcd of curvature 1: Ric_ij,l = 3 K_l delta_ij does
+    # not vanish, so I3 and I4 are far from rounding level
+    R0 = CurvatureJet.constant_curvature(1).R0
+    K = [Fraction(1), Fraction(-2), Fraction(3), Fraction(1, 2)]
+    jet = CurvatureJet(R0=R0, R1=np.stack([k * R0 for k in K], axis=-1))
+    mt = metric_taylor_from_jet(jet)
+    u = RadialProfileField(RescaledBubble(1.0), tilt=[0.3, -0.2, 0.1, 0.25])
+    ball = BallDomain(1.0, 8, 6, 6)
+    rep = pohozaev_balance(u, const_h(1.0), zero_b, ball, metric_taylor=mt, jet=jet, _estimate=False)
+    for got, want in zip((rep.I2, rep.I3, rep.I4), _einsum_interior_terms(u, ball, mt, jet)):
+        assert abs(want) > 1e-3
+        assert abs(got - want) <= 1e-12 * abs(want)
+
+
+def test_flat_balance_evaluates_no_interior_hessian(monkeypatch):
+    u = RadialProfileField(RescaledBubble(1.0))
+    ball = BallDomain(5.0, n_r=8, n_u=8, n_phi=8)
+    points = []
+    hess = u.hess
+    monkeypatch.setattr(u, "hess", lambda pts: points.append(len(pts)) or hess(pts))
+    pohozaev_balance(u, const_h(1.0), zero_b, ball, _estimate=False)
+    assert sum(points) <= len(ball.bdy_w) < len(ball.int_w)
