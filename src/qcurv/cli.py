@@ -53,7 +53,7 @@ DEFAULTS = {
 COMMANDS = list(DEFAULTS) + ["all"]
 
 
-class ConfigError(Exception):
+class ConfigError(ValueError):
     pass
 
 
@@ -85,14 +85,14 @@ def load_config(path, command):
     return params
 
 
-def parse_eps_list(raw, decreasing=True):
+def parse_eps_list(raw):
     try:
         eps = tuple(float(tok) for tok in str(raw).split(",") if tok.strip())
     except ValueError as exc:
         raise ConfigError(f"bad eps_list: {raw}") from exc
     if not eps or any(e <= 0 for e in eps):
         raise ConfigError("eps_list must contain positive values")
-    if decreasing and not all(b < a for a, b in zip(eps[:-1], eps[1:])):
+    if not all(b < a for a, b in zip(eps[:-1], eps[1:])):
         raise ConfigError("eps_list must be strictly decreasing")
     return eps
 
@@ -101,8 +101,17 @@ def _check(name, value, bound, passed):
     return {"name": name, "value": value, "bound": bound, "pass": bool(passed)}
 
 
+def _at_most(name, value, bound):
+    return _check(name, value, bound, value <= bound)
+
+
+def _band(name, value, center, width):
+    return _check(name, value, f"{center:g} +- {width:g}", abs(value - center) <= width)
+
+
 # ---------------------------------------------------------------------------
-# suites; each returns (checks, csv_header, csv_rows)
+# suites; each returns (checks, rows), rows None or a list of dicts keyed by
+# CSV column in column order
 
 
 def run_bubble_check(p, seed):
@@ -125,10 +134,10 @@ def run_bubble_check(p, seed):
         xi = rng.uniform(-3, 3, 4)
         gap = max(gap, rescaling_identity_gap(b, xi))
     checks = [
-        _check("max_pde_residual", worst, 1e-10, worst <= 1e-10),
-        _check("rescaling_identity_gap", gap, 1e-14, gap <= 1e-14),
+        _at_most("max_pde_residual", worst, 1e-10),
+        _at_most("rescaling_identity_gap", gap, 1e-14),
     ]
-    return checks, None, None
+    return checks, None
 
 
 def run_kernel_check(p, seed):
@@ -141,7 +150,7 @@ def run_kernel_check(p, seed):
         float(np.max(np.abs(linearized_residual(KernelElement(j), pts))))
         for j in range(5)
     )
-    return [_check("max_linearized_residual", worst, 1e-8, worst <= 1e-8)], None, None
+    return [_at_most("max_linearized_residual", worst, 1e-8)], None
 
 
 def run_mass(p, seed):
@@ -157,16 +166,16 @@ def run_mass(p, seed):
     for R in radii:
         mq = mass_integral(rb, R, n_r=int(p["n_r"]))
         ex = mass_integral_exact(rb, R)
-        rows.append([R, mq, ex, abs(mq - ex)])
+        rows.append({"R": R, "mass": mq, "exact": ex, "error_estimate": abs(mq - ex)})
         gaps.append(abs(ex - MASS_LIMIT))
     # fit on the asymptotic radii (the R^-4 law is a tail statement)
     slope = float(np.polyfit(np.log(radii[1:]), np.log(gaps[1:]), 1)[0])
     checks = [
         _check("mass_over_16pi2", ratio, "[0.999, 1.001]", 0.999 <= ratio <= 1.001),
-        _check("tail_log_slope", slope, "-4 +- 0.2", abs(slope + 4.0) <= 0.2),
-        _check("quadrature_vs_exact", quad_gap, 1e-10, quad_gap <= 1e-10),
+        _band("tail_log_slope", slope, -4.0, 0.2),
+        _at_most("quadrature_vs_exact", quad_gap, 1e-10),
     ]
-    return checks, ["R", "mass", "exact", "error_estimate"], rows
+    return checks, rows
 
 
 def run_pohozaev(p, seed):
@@ -184,7 +193,7 @@ def run_pohozaev(p, seed):
     b = lambda pts: np.zeros(len(np.atleast_2d(pts)))
     rep = pohozaev_balance(u, h, b, ball)
     rel = abs(rep.residual) / abs(rep.I0)
-    rows = [["flat", rep.I0, rep.I1, rep.I2, rep.I3, rep.I4, rep.residual, rep.error_estimate, 0.0]]
+    reports = [("flat", rep)]
 
     # curved sweep on a unit ball with a tilted bubble
     jet = random_conformal_normal_jet(rng=int(rng.integers(0, 2**31)))
@@ -196,10 +205,9 @@ def run_pohozaev(p, seed):
     for eps in eps_list:
         sj = scale_jet(jet, Fraction(eps).limit_denominator(10**6))
         mt = metric_taylor_from_jet(sj)
-        r = pohozaev_balance(ut, h, b, small, metric_taylor=mt, jet=sj)
+        r = pohozaev_balance(ut, h, b, small, metric_taylor=mt)
         mags.append(abs(r.I2) + abs(r.I3) + abs(r.I4))
-        rows.append([eps, r.I0, r.I1, r.I2, r.I3, r.I4, r.residual, r.error_estimate,
-                     r.unmodeled_remainder])
+        reports.append((eps, r))
     slope = float(np.polyfit(np.log(eps_list), np.log(mags), 1)[0])
 
     worst3 = 0.0
@@ -214,13 +222,17 @@ def run_pohozaev(p, seed):
         worst3 = max(worst3, abs(third - _fd_third(prof, y, i, m, l)))
 
     checks = [
-        _check("flat_rel_residual", rel, 1e-4, rel <= 1e-4),
-        _check("curved_eps_slope", slope, "1 +- 0.3", abs(slope - 1.0) <= 0.3),
-        _check("radial_third_vs_fd", worst3, 1e-6, worst3 <= 1e-6),
+        _at_most("flat_rel_residual", rel, 1e-4),
+        _band("curved_eps_slope", slope, 1.0, 0.3),
+        _at_most("radial_third_vs_fd", worst3, 1e-6),
     ]
-    header = ["parameter", "I0", "I1", "I2", "I3", "I4", "residual", "error_estimate",
-              "unmodeled_remainder"]
-    return checks, header, rows
+    rows = [
+        {"parameter": k, "I0": r.I0, "I1": r.I1, "I2": r.I2, "I3": r.I3, "I4": r.I4,
+         "residual": r.residual, "error_estimate": r.error_estimate,
+         "unmodeled_remainder": r.unmodeled_remainder}
+        for k, r in reports
+    ]
+    return checks, rows
 
 
 class _SmoothRadial:
@@ -281,11 +293,12 @@ def run_green_fit(p, seed):
             sym, abs(green_pair_value(N, L, xi, eta) - green_pair_value(N, L, eta, xi))
         )
     checks = [
-        _check("c_log_rel_error", rel, 0.02, rel <= 0.02),
-        _check("symmetry_defect", sym, 1e-10, sym <= 1e-10),
+        _at_most("c_log_rel_error", rel, 0.02),
+        _at_most("symmetry_defect", sym, 1e-10),
     ]
-    rows = [[dec.fit_window[0], dec.fit_window[1], dec.c_log, dec.rms]]
-    return checks, ["window_lo", "window_hi", "c_log", "rms_error_estimate"], rows
+    rows = [{"window_lo": dec.fit_window[0], "window_hi": dec.fit_window[1],
+             "c_log": dec.c_log, "rms_error_estimate": dec.rms}]
+    return checks, rows
 
 
 def run_represent(p, seed):
@@ -304,10 +317,9 @@ def run_represent(p, seed):
             modes[kv] = float(rng.uniform(-1, 1))
         f = TorusSpectralField.from_modes(L, N, modes)
         dev = representation_check(f)
-        rows.append([k, dev, np.finfo(float).eps * N**2])
+        rows.append({"field": k, "deviation": dev, "roundoff_scale": np.finfo(float).eps * N**2})
         worst = max(worst, dev)
-    checks = [_check("max_representation_deviation", worst, 1e-9, worst <= 1e-9)]
-    return checks, ["field", "deviation", "roundoff_scale"], rows
+    return [_at_most("max_representation_deviation", worst, 1e-9)], rows
 
 
 def run_cnc(p, seed):
@@ -339,8 +351,7 @@ def run_cnc(p, seed):
             or not all(r["pass"] for r in cnc_identity_suite(jet).values())
         )
         failures += bool(failed)
-    checks = [_check("exact_identity_failures", failures, 0, failures == 0)]
-    return checks, None, None
+    return [_at_most("exact_identity_failures", failures, 0)], None
 
 
 def run_distance(p, seed):
@@ -359,32 +370,26 @@ def run_distance(p, seed):
     rep = distance_ratio_sweep(jet, eps_list, pairs, n_nodes=int(p["n_nodes"]))
     cs = np.array(list(rep["per_eps_c"].values()))
     dev = float(np.max(np.abs(cs - np.mean(cs))) / np.mean(cs))
-    keys = ["eps", "y_norm", "z_norm", "euclid", "geodesic", "ratio_gap", "fitted_c", "error_estimate"]
-    rows = [[r[k] for k in keys] for r in rep["rows"]]
     checks = [
-        _check("constant_stability", dev, 0.25, dev <= 0.25),
-        _check("eps_exponent", rep["eps_exponent"], "2 +- 0.3", abs(rep["eps_exponent"] - 2.0) <= 0.3),
+        _at_most("constant_stability", dev, 0.25),
+        _band("eps_exponent", rep["eps_exponent"], 2.0, 0.3),
     ]
-    return checks, keys, rows
+    return checks, rep["rows"]
 
 
 def run_longrange(p, seed):
     from .bubble import RescaledBubble
     from .harness import long_range_checks
 
-    rep = long_range_checks(RescaledBubble(H=p["h"]), p["eps"])
+    rows = long_range_checks(RescaledBubble(H=p["h"]), p["eps"])
     bands = {"slope_v_vs_logr": 0.01, "lap_v_times_L2": 0.05, "dr_lap_v_times_L3": 0.05}
-    checks = []
-    rows = []
-    for c in rep["checks"]:
-        rows.append([c["name"], c["value"], c["target"], abs(c["gap"]), c["gap_times_L"]])
-        if c["name"] in bands:
-            rel = abs(c["gap"] / c["target"])
-            checks.append(
-                _check(c["name"], c["value"], f"{c['target']} +- {bands[c['name']]:.0%}", rel <= bands[c["name"]])
-            )
-    header = ["name", "value", "target", "error_estimate", "gap_times_L"]
-    return checks, header, rows
+    checks = [
+        _check(r["name"], r["value"], f"{r['target']} +- {bands[r['name']]:.0%}",
+               r["error_estimate"] / abs(r["target"]) <= bands[r["name"]])
+        for r in rows
+        if r["name"] in bands
+    ]
+    return checks, rows
 
 
 def run_alpha_sweep(p, seed):
@@ -392,27 +397,14 @@ def run_alpha_sweep(p, seed):
 
     eps_list = parse_eps_list(p["eps_list"])
     cfg = SequenceConfig(eps_list=eps_list, H=p["h"], amp=p["amp"], seed=seed)
-    rep = alpha_sweep(synth_sequence(cfg), cfg)
+    rep = alpha_sweep(synth_sequence(cfg))
     small = [r for r in rep["rows"] if r["eps"] <= 1e-3]
     worst = max((abs(r["rel_gap"]) for r in small), default=0.0)
-    checks = [
-        _check("alpha_rel_gap_eps_le_1e-3", worst, 0.005, worst <= 0.005),
-    ]
+    checks = [_at_most("alpha_rel_gap_eps_le_1e-3", worst, 0.005)]
     if "tail_log_slope" in rep:
-        checks.append(
-            _check(
-                "deviation_faster_than_1_over_L",
-                rep["tail_log_slope"],
-                "log-slope < -1",
-                rep["faster_than_one_over_L"],
-            )
-        )
-    rows = [
-        [r["eps"], r["L"], r["alpha"], r["gap"], r["rel_gap"], r["error_estimate"]]
-        for r in rep["rows"]
-    ]
-    header = ["eps", "L", "alpha", "gap", "rel_gap", "error_estimate"]
-    return checks, header, rows
+        tail = rep["tail_log_slope"]
+        checks.append(_check("deviation_faster_than_1_over_L", tail, "log-slope < -1", tail < -1.0))
+    return checks, rep["rows"]
 
 
 def run_mainest(p, seed):
@@ -421,12 +413,7 @@ def run_mainest(p, seed):
     eps_list = parse_eps_list(p["eps_list"])
     cfg = SequenceConfig(eps_list=eps_list, amp=p["amp"], tau=p["tau"], seed=seed)
     rep = mainest_fit(synth_sequence(cfg), cfg)
-    checks = [_check("constant_ratio", rep["ratio"], 3.0, rep["bounded_constant"])]
-    keys = ["eps", "outer_norm", "core_norm", "sampling_error", "core_sampling_error"]
-    rows = [[r[k] for k in keys] for r in rep["rows"]]
-    header = ["eps", "outer_norm", "core_norm", "sampling_error_estimate",
-              "core_sampling_error_estimate"]
-    return checks, header, rows
+    return [_at_most("constant_ratio", rep["ratio"], 3.0)], rep["rows"]
 
 
 def run_vrate(p, seed):
@@ -452,18 +439,19 @@ def run_vrate(p, seed):
 
     boff = sine_source(L, N, {(0, 0, 1, 0): 0.5})
     fit = vrate_rate_fit(h, bt, boff, [1e-1, 1e-2, 1e-3], p["tau"])
+    target = p["tau"] / 2.0
     checks = [
-        _check("tuned_balance", tuned, 1e-8, tuned <= 1e-8),
-        _check("untuned_vs_fd_oracle", gap, 1e-6, gap <= 1e-6),
-        _check(
-            "rate_exponent",
-            fit["exponent"],
-            f"tau/2 = {fit['target']}",
-            abs(fit["exponent"] - fit["target"]) <= 0.05,
-        ),
+        _at_most("tuned_balance", tuned, 1e-8),
+        _at_most("untuned_vs_fd_oracle", gap, 1e-6),
+        _check("rate_exponent", fit["exponent"], f"tau/2 = {target}",
+               abs(fit["exponent"] - target) <= 0.05),
     ]
-    rows = [[e, n, abs(n - n)] for e, n in fit["norms"].items()]
-    return checks, ["eps", "balance_norm", "error_estimate"], rows
+    rows = []
+    for e, n in fit["norms"].items():
+        # the norm's gap to the finite-difference oracle's at the origin
+        fd = float(np.linalg.norm(_fd_balance(h, fit["sources"][e], np.zeros(4))))
+        rows.append({"eps": e, "balance_norm": n, "error_estimate": abs(n - fd)})
+    return checks, rows
 
 
 def _fd_balance(h, b, q, step=1e-5):
@@ -510,7 +498,7 @@ def _versions():
     }
 
 
-def _write_outputs(out_dir, command, checks, header, rows, seed, quiet):
+def _write_outputs(out_dir, command, checks, rows, seed, quiet):
     passed = all(c["pass"] for c in checks)
     summary = {
         "command": command,
@@ -524,10 +512,10 @@ def _write_outputs(out_dir, command, checks, header, rows, seed, quiet):
     with open(out / f"{command}.json", "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    if header is not None:
+    if rows:
         with open(out / f"{command}.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(header)
+            w = csv.DictWriter(fh, fieldnames=list(rows[0]))
+            w.writeheader()
             w.writerows(rows)
     if not quiet:
         for c in checks:
@@ -560,17 +548,14 @@ def main(argv=None):
             params = (
                 load_config(args.config, name) if args.config else dict(DEFAULTS[name])
             )
-            checks, header, rows = RUNNERS[name](params, args.seed)
-        except ConfigError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return USAGE_ERROR
+            checks, rows = RUNNERS[name](params, args.seed)
         except (ChartError, DegenerateMetricError, RuntimeError) as exc:
             checks = [_check(type(exc).__name__, str(exc), "no numerical failure", False)]
-            header = rows = None
+            rows = None
         except ValueError as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return USAGE_ERROR
-        all_pass &= _write_outputs(args.out, name, checks, header, rows, args.seed, args.quiet)
+        all_pass &= _write_outputs(args.out, name, checks, rows, args.seed, args.quiet)
     return 0 if all_pass else 1
 
 

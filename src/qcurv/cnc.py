@@ -165,12 +165,13 @@ def _tensor(shape):
 
 
 def riemann_symmetry_violation(R):
-    """Largest violation of the four algebraic Riemann symmetries over the
-    first four axes of ``R``; trailing axes are carried along."""
+    """Largest violation of the algebraic Riemann symmetries over the first
+    four axes of ``R``; trailing axes are carried along.  The two
+    antisymmetries and the first Bianchi identity are checked; pair
+    symmetry R_abcd = R_cdab follows from them."""
     residuals = (
         R + np.einsum("bacd...->abcd...", R),
         R + np.einsum("abdc...->abcd...", R),
-        R - np.einsum("cdab...->abcd...", R),
         R + np.einsum("acdb...->abcd...", R) + np.einsum("adbc...->abcd...", R),
     )
     return max(np.abs(r).max() for r in residuals)
@@ -504,11 +505,10 @@ class PolynomialMetric:
     def eval_batch(self, pts):
         return self.jet(pts, 0)[0]
 
-    def eval(self, x, check=True):
+    def eval(self, x):
         pts = np.atleast_2d(np.asarray(x, float))
         g = self.eval_batch(pts)
-        if check:
-            require_positive_definite(g, pts)
+        require_positive_definite(g, pts)
         return g[0]
 
 

@@ -143,9 +143,9 @@ def riemann_of_metric(g: MetricField, x) -> RiemannAtPoint:
     return RiemannAtPoint(components=r_low, g=g0)
 
 
-def weyl_tensor(riem: RiemannAtPoint, g_at_x=None) -> np.ndarray:
+def weyl_tensor(riem: RiemannAtPoint) -> np.ndarray:
     """Lowered Weyl tensor W_abcd (trace-free part of Riemann, n = 4)."""
-    g = riem.g if g_at_x is None else np.asarray(g_at_x, float)
+    g = riem.g
     r = riem.components
     ric = riem.ricci
     scal = np.asarray(riem.scalar)[..., None, None, None, None]

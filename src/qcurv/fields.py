@@ -49,9 +49,10 @@ class Box:
             raise ValueError("Box must be 4-dimensional")
 
     @classmethod
-    def cube(cls, half_width, center=(0.0,) * DIM):
-        c = np.asarray(center, float)
-        return cls(tuple(c - half_width), tuple(c + half_width))
+    def cube(cls, half_width):
+        """The origin-centered cube of the given half-width."""
+        h = float(half_width)
+        return cls((-h,) * DIM, (h,) * DIM)
 
     @property
     def width(self):
@@ -277,11 +278,10 @@ class MetricField:
     def is_flat(self):
         return self.analytic and self.matrix == sp.eye(DIM)
 
-    def eval(self, x, check=True):
+    def eval(self, x):
         pts = np.atleast_2d(np.asarray(x, float))
         g = self.eval_batch(pts)
-        if check:
-            require_positive_definite(g, pts)
+        require_positive_definite(g, pts)
         return g[0]
 
     def eval_batch(self, pts):

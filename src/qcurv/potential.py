@@ -236,16 +236,13 @@ def _polar_panels(r_max):
 
 
 class BallDensity:
-    """Density on R^4 with decay |rho| <= C (1+|y|)^{-8+sigma}, truncated."""
+    """Density on R^4 with decay |rho| <= (1+|y|)^-7, truncated where that
+    bound falls to 1e-12: (1 + r_cut)^-7 = 1e-12."""
 
-    def __init__(self, func, sigma=1.0, C=1.0, r_cut=None):
+    r_cut = 10.0 ** (12.0 / 7.0) - 1.0
+
+    def __init__(self, func):
         self.func = func
-        if r_cut is None:
-            # (1+R)^{-8+sigma} < 1e-12
-            r_cut = 10.0 ** (12.0 / (8.0 - sigma)) - 1.0
-            r_cut = min(r_cut, 200.0)
-        self.r_cut = float(r_cut)
-        self.truncation_bound = C * (1.0 + self.r_cut) ** (-8.0 + sigma)
 
     def __call__(self, pts):
         pts = np.atleast_2d(np.asarray(pts, float))

@@ -36,14 +36,13 @@ def s3_nodes(n_u=24, n_phi=24):
 
     su = np.sqrt(u)  # sin(eta)
     cu = np.sqrt(1.0 - u)  # cos(eta)
-    c1, s1 = np.cos(phi), np.sin(phi)
-    c2, s2 = np.cos(phi), np.sin(phi)
+    cphi, sphi = np.cos(phi), np.sin(phi)
 
     pts = np.empty((n_u, n_phi, n_phi, 4))
-    pts[..., 0] = cu[:, None, None] * c1[None, :, None]
-    pts[..., 1] = cu[:, None, None] * s1[None, :, None]
-    pts[..., 2] = su[:, None, None] * c2[None, None, :]
-    pts[..., 3] = su[:, None, None] * s2[None, None, :]
+    pts[..., 0] = cu[:, None, None] * cphi[None, :, None]
+    pts[..., 1] = cu[:, None, None] * sphi[None, :, None]
+    pts[..., 2] = su[:, None, None] * cphi[None, None, :]
+    pts[..., 3] = su[:, None, None] * sphi[None, None, :]
 
     w = 0.5 * wu[:, None, None] * wphi * wphi * np.ones((n_u, n_phi, n_phi))
     return pts.reshape(-1, 4), w.reshape(-1)
@@ -55,12 +54,12 @@ def sphere_rule(radius, n_u=24, n_phi=24):
     return radius * pts, radius**3 * w
 
 
-def ball_rule(radius, n_r=48, n_u=24, n_phi=24, r_min=0.0):
-    """Polar product rule on the (annular) ball r_min <= |x| <= radius.
+def ball_rule(radius, n_r=48, n_u=24, n_phi=24):
+    """Polar product rule on the ball |x| <= radius.
 
     Returns nodes (m, 4) and weights summing to the 4-volume.
     """
-    r, wr = gauss_legendre(n_r, r_min, radius)
+    r, wr = gauss_legendre(n_r, 0.0, radius)
     s_pts, s_w = s3_nodes(n_u, n_phi)
     pts = r[:, None, None] * s_pts[None, :, :]
     w = (wr * r**3)[:, None] * s_w[None, :]

@@ -20,7 +20,7 @@ from qcurv.cli import DEFAULTS, RUNNERS
 
 
 def _suite(name, seed=0):
-    checks, _, rows = RUNNERS[name](dict(DEFAULTS[name]), seed)
+    checks, rows = RUNNERS[name](dict(DEFAULTS[name]), seed)
     return {c["name"]: c for c in checks}, rows
 
 
@@ -84,12 +84,12 @@ def test_criterion_03_energy_quantization():
 
     # mass rows: R, quadrature, exact, error estimate
     gaps = [
-        abs(v / _quantized_mass(H_mass, R) - 1.0)
-        for R, quad, exact, _ in mass_rows
-        for v in (quad, exact)
+        abs(v / _quantized_mass(H_mass, r["R"]) - 1.0)
+        for r in mass_rows
+        for v in (r["mass"], r["exact"])
     ]
     # alpha rows: eps, L, alpha, gap, rel_gap, error estimate
-    small = [(eps, alpha) for eps, _, alpha, *_ in alpha_rows if eps <= 1e-3]
+    small = [(r["eps"], r["alpha"]) for r in alpha_rows if r["eps"] <= 1e-3]
     gaps += [abs(alpha / _quantized_mass(H_alpha, -np.log(eps)) - 1.0) for eps, alpha in small]
     law = max(gaps)
     tails = m["tail_log_slope"]["pass"] and a["deviation_faster_than_1_over_L"]["pass"]

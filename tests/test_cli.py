@@ -1,3 +1,4 @@
+import csv
 import json
 import subprocess
 import sys
@@ -8,7 +9,9 @@ import pytest
 from qcurv import cli
 from qcurv.cli import main
 from qcurv.fields import ChartError, DegenerateMetricError
+from qcurv.harness import sine_source, tuned_source, vrate_balance
 from qcurv.pohozaev import RadialProfileField
+from qcurv.potential import TorusSpectralField
 
 
 def run_cli(args):
@@ -107,20 +110,72 @@ def test_vrate_passes(tmp_path):
 
 
 def test_mainest_error_column_is_the_sample_doubling_change():
-    _, header, rows = cli.run_mainest(dict(cli.DEFAULTS["mainest"]), 0)
-    col = header.index("sampling_error_estimate")
-    core_col = header.index("core_sampling_error_estimate")
+    _, rows = cli.run_mainest(dict(cli.DEFAULTS["mainest"]), 0)
+    col = "sampling_error_estimate"
+    core_col = "core_sampling_error_estimate"
     for row in rows:
         assert row[col] > 0.0
-        assert row[col] != 0.05 * row[header.index("outer_norm")]
+        assert row[col] != 0.05 * row["outer_norm"]
         assert 0.0 < row[core_col] != row[col]
+
+
+def test_vrate_error_column_is_the_gap_to_the_fd_oracle():
+    p = dict(cli.DEFAULTS["vrate"])
+    _, rows = cli.run_vrate(p, 0)
+    N, L = p["n"], p["l"]
+    hc = sine_source(L, N, {(1, 0, 0, 0): 0.3, (0, 1, 0, 0): -0.2, (0, 0, 1, 1): 0.15}).coeffs.copy()
+    hc[0, 0, 0, 0] = 2.0
+    h = TorusSpectralField(L, hc)
+    bt, boff = tuned_source(h), sine_source(L, N, {(0, 0, 1, 0): 0.5})
+    assert [r["eps"] for r in rows] == [1e-1, 1e-2, 1e-3]
+    for r in rows:
+        b = TorusSpectralField(L, bt.coeffs + r["eps"] ** (p["tau"] / 2.0) * boff.coeffs)
+        norm = float(np.linalg.norm(vrate_balance(h, b)))
+        fd = float(np.linalg.norm(cli._fd_balance(h, b, np.zeros(4))))
+        assert r["balance_norm"] == norm
+        assert r["error_estimate"] == abs(norm - fd) > 0.0
+
+
+# the CSV columns of each sweep suite, and config keys that keep it small
+_CSV_HEADERS = {
+    "mass": (["R", "mass", "exact", "error_estimate"], {"n_r": 16}),
+    "pohozaev": (
+        ["parameter", "I0", "I1", "I2", "I3", "I4", "residual", "error_estimate",
+         "unmodeled_remainder"],
+        {"r": 5.0, "n_r": 8, "n_u": 8, "n_phi": 8, "eps_list": "0.1,0.05", "n_third": 1},
+    ),
+    "green-fit": (["window_lo", "window_hi", "c_log", "rms_error_estimate"], {"n": 32, "n_pairs": 1}),
+    "represent": (["field", "deviation", "roundoff_scale"], {"n_fields": 2, "n_modes": 2}),
+    "distance": (
+        ["eps", "y_norm", "z_norm", "euclid", "geodesic", "ratio_gap", "fitted_c", "error_estimate"],
+        {"eps_list": "0.1,0.05", "n_pairs": 1, "n_nodes": 12},
+    ),
+    "longrange": (["name", "value", "target", "error_estimate", "gap_times_L"], {}),
+    "alpha-sweep": (["eps", "L", "alpha", "gap", "rel_gap", "error_estimate"], {"eps_list": "1e-2,1e-3"}),
+    "mainest": (
+        ["eps", "outer_norm", "core_norm", "sampling_error_estimate", "core_sampling_error_estimate"],
+        {"eps_list": "1e-2,1e-3"},
+    ),
+    "vrate": (["eps", "balance_norm", "error_estimate"], {"n": 8}),
+}
+
+
+@pytest.mark.parametrize("suite", list(_CSV_HEADERS))
+def test_csv_header_lists_the_suite_columns(tmp_path, suite):
+    header, sizes = _CSV_HEADERS[suite]
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(f"[{suite}]\n" + "".join(f"{k} = {v}\n" for k, v in sizes.items()))
+    out = tmp_path / "out"
+    assert run_cli([suite, "--config", str(cfg), "--out", str(out), "--quiet"]) in (0, 1)
+    with open(out / f"{suite}.csv", newline="") as fh:
+        assert next(csv.reader(fh)) == header
 
 
 def test_pohozaev_rows_carry_the_unmodeled_remainder():
     small = dict(cli.DEFAULTS["pohozaev"], r=5.0, n_r=8, n_u=8, n_phi=8, eps_list="0.1,0.05", n_third=1)
-    _, header, rows = cli.run_pohozaev(small, 0)
-    col = header.index("unmodeled_remainder")
-    assert rows[0][0] == "flat" and rows[0][col] == 0.0
+    _, rows = cli.run_pohozaev(small, 0)
+    col = "unmodeled_remainder"
+    assert rows[0]["parameter"] == "flat" and rows[0][col] == 0.0
     # the cubic coefficients, and with them the bound, are linear in eps
     r1, r2 = rows[1][col], rows[2][col]
     assert r1 > 0.0 and abs(r1 - 2.0 * r2) <= 1e-12 * r1
@@ -179,7 +234,7 @@ def test_radial_third_check_can_fail(monkeypatch):
     small = dict(cli.DEFAULTS["pohozaev"], r=5.0, n_r=8, n_u=8, n_phi=8, eps_list="0.1,0.05", n_third=20)
 
     def third_check():
-        checks, _, _ = cli.run_pohozaev(small, 0)
+        checks, _ = cli.run_pohozaev(small, 0)
         return next(c for c in checks if c["name"] == "radial_third_vs_fd")
 
     assert third_check()["pass"]

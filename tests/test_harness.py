@@ -3,6 +3,7 @@ import pytest
 
 from qcurv.bubble import MASS_LIMIT
 from qcurv.harness import (
+    DELTA1,
     ORIGIN,
     SequenceConfig,
     alpha_sweep,
@@ -57,7 +58,7 @@ def test_synth_sequence_deterministic_and_normalized():
 
 def test_alpha_sweep_pure_bubble_tail():
     cfg = SequenceConfig(eps_list=(1e-2, 1e-3, 1e-4))
-    out = alpha_sweep(synth_sequence(cfg), cfg)
+    out = alpha_sweep(synth_sequence(cfg))
     rows = out["rows"]
     assert len(rows) == 3
     for r in rows:
@@ -66,13 +67,13 @@ def test_alpha_sweep_pure_bubble_tail():
     gaps = [abs(r["gap"]) for r in rows]
     assert all(b < a for a, b in zip(gaps[:-1], gaps[1:]))
     # zero-correction deviation is a bubble tail, far faster than 1/L
-    assert out["faster_than_one_over_L"]
+    assert out["tail_log_slope"] < -1.0
     assert out["tail_log_slope"] < -1.5
 
 
 def test_alpha_sweep_with_correction_converges():
     cfg = SequenceConfig(eps_list=(1e-2, 1e-3), amp=0.02, n_modes=2, seed=1)
-    out = alpha_sweep(synth_sequence(cfg), cfg)
+    out = alpha_sweep(synth_sequence(cfg))
     rel = [abs(r["rel_gap"]) for r in out["rows"]]
     assert rel[1] < rel[0]
     assert rel[1] < 0.1
@@ -83,27 +84,27 @@ def test_long_range_checks_on_exact_bubble():
 
     eps = 1e-4
     out = long_range_checks(RescaledBubble(1.0), eps)
-    names = {c["name"]: c for c in out["checks"]}
+    names = {c["name"]: c for c in out}
     a8 = MASS_LIMIT / (8.0 * np.pi**2)  # = 2
     assert abs(names["slope_v_vs_logr"]["value"] + a8) / a8 < 0.01
     assert abs(names["dr_v_times_L"]["value"] + a8) / a8 < 0.1
     assert abs(names["lap_v_times_L2"]["value"] + 2 * a8) / (2 * a8) < 0.01
     assert abs(names["dr_lap_v_times_L3"]["value"] - 4 * a8) / (4 * a8) < 0.02
     # the next-order correction enters at O(1/L): gap * L stays bounded
-    for c in out["checks"]:
+    for c in out:
         assert abs(c["gap_times_L"]) < 10.0
 
 
 def test_mainest_fit_verdicts():
     cfg0 = SequenceConfig(eps_list=(1e-2, 1e-3, 1e-4), tau=0.5)
     out0 = mainest_fit(synth_sequence(cfg0), cfg0, n=1000)
-    assert out0["bounded_constant"]
+    assert out0["ratio"] <= 3.0
     for r in out0["rows"]:
         assert r["outer_norm"] < 1e-10
 
     cfg = SequenceConfig(eps_list=(1e-2, 1e-3, 1e-4), amp=0.02, n_modes=2, tau=0.5, seed=3)
     out = mainest_fit(synth_sequence(cfg), cfg, n=1000)
-    assert out["bounded_constant"]
+    assert out["ratio"] <= 3.0
     assert out["ratio"] < 3.0
 
 
@@ -112,9 +113,9 @@ def test_mainest_error_columns_are_sample_doubling_changes():
     seq = synth_sequence(cfg)
     out = mainest_fit(seq, cfg, n=500)
     for f, r in zip(seq, out["rows"]):
-        outer2, core2 = weighted_sup_norm(f, f.params, cfg.tau, cfg.delta1, n=1000, rng=cfg.seed)
-        assert r["sampling_error"] == abs(outer2 - r["outer_norm"])
-        assert r["core_sampling_error"] == abs(core2 - r["core_norm"]) > 0.0
+        outer2, core2 = weighted_sup_norm(f, f.params, cfg.tau, DELTA1, n=1000, rng=cfg.seed)
+        assert r["sampling_error_estimate"] == abs(outer2 - r["outer_norm"])
+        assert r["core_sampling_error_estimate"] == abs(core2 - r["core_norm"]) > 0.0
 
 
 def test_vrate_balance_tuned_source_annihilates():

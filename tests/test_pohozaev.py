@@ -154,7 +154,7 @@ def test_curved_terms_shrink_with_eps():
     def curved(eps):
         sj = scale_jet(jet, Fraction(eps).limit_denominator(10**6))
         mt = metric_taylor_from_jet(sj)
-        rep = pohozaev_balance(u, const_h(1.0), zero_b, ball, metric_taylor=mt, jet=sj, _estimate=False)
+        rep = pohozaev_balance(u, const_h(1.0), zero_b, ball, metric_taylor=mt, _estimate=False)
         assert rep.unmodeled_remainder >= 0.0
         return rep
 
@@ -208,7 +208,7 @@ def test_curved_kernel_matches_direct_contractions():
     mt = metric_taylor_from_jet(jet)
     u = RadialProfileField(RescaledBubble(1.0), tilt=[0.3, -0.2, 0.1, 0.25])
     ball = BallDomain(1.0, 8, 6, 6)
-    rep = pohozaev_balance(u, const_h(1.0), zero_b, ball, metric_taylor=mt, jet=jet, _estimate=False)
+    rep = pohozaev_balance(u, const_h(1.0), zero_b, ball, metric_taylor=mt, _estimate=False)
     for got, want in zip((rep.I2, rep.I3, rep.I4), _einsum_interior_terms(u, ball, mt, jet)):
         assert abs(want) > 1e-3
         assert abs(got - want) <= 1e-12 * abs(want)
