@@ -82,6 +82,9 @@ def load_config(path, command):
                     params[key] = float(raw)
             except ValueError as exc:
                 raise ConfigError(f"bad value for {command}.{key}: {raw}") from exc
+            # a size below 1 would run no case, and its check could not fail
+            if isinstance(default, int) and params[key] < 1:
+                raise ConfigError(f"{command}.{key} must be at least 1, got {raw}")
     return params
 
 

@@ -42,7 +42,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cnc import (
-    DEGREE, detone_laplacian, inverse_metric_taylor, poly_diff, poly_jet, ricci_deriv_of,
+    DEGREE, concatenate, detone_laplacian, inverse_metric_taylor, poly_diff, poly_jet,
+    ricci_deriv_of,
 )
 from .quadrature import ball_rule, sphere_rule, BALL4_VOL, S3_AREA
 
@@ -219,14 +220,14 @@ def pohozaev_balance(
         lap_i = np.sum(A_i * gu_i, axis=1) + np.sum(ginv_i * hu_flat, axis=1)
         metric = np.sum(A_EA_i * gu_i, axis=1) + np.sum(Eginv_i * hu_flat, axis=1)
         I2_metric = float(np.sum(w_i * lap_i * metric))
-        ric1 = np.array(ricci_deriv_of(metric_taylor.jet.R1), dtype=float)
+        ric1 = ricci_deriv_of(metric_taylor.jet.R1).to_float()
         ric_l = ric1.transpose(2, 0, 1).reshape(4, 16)
         Mg_b = _contract_ricci(ric_l, xi_b, gu_b)
         Mg_i = _contract_ricci(ric_l, xi_i, gu_i)
         I3 = 2.0 * float(np.sum(w_b * np.sum(nu * Mg_b, axis=1) * xdotgu))
         hu_xi = (hu_i @ xi_i[:, :, None])[:, :, 0]
         I4 = -2.0 * float(np.sum(w_i * np.sum(Mg_i * (gu_i + hu_xi), axis=1)))
-        eps3 = float(np.abs(metric_taylor.comps[..., DEGREE == 3]).max())
+        eps3 = metric_taylor.comps[..., DEGREE == 3].abs_max()
         r_i = np.linalg.norm(xi_i, axis=1)
         du, d2u = np.linalg.norm(gu_i, axis=1), np.linalg.norm(hu_flat, axis=1)
         remainder = float(np.sum(w_i * (eps3 * r_i**2 * du**2 + eps3 * r_i**4 * d2u)))
@@ -247,9 +248,9 @@ def pohozaev_balance(
 def _interior_polys(inv):
     """g^{ij}, A, A + EA and E g^{-1} as one (40, 35) exact array, where
     A_j = d_i g^{ij} and E = xi^m d_m multiplies each degree-k part by k."""
-    A = np.trace(poly_diff(inv), axis1=0, axis2=2)
+    A = poly_diff(inv).einsum("abak->bk")
     flat_inv = inv.reshape(16, -1)
-    return np.concatenate([flat_inv, A, A * (1 + DEGREE), flat_inv * DEGREE])
+    return concatenate([flat_inv, A, A * (1 + DEGREE), flat_inv * DEGREE])
 
 
 def _contract_ricci(ric_l, xi, gu):

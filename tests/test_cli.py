@@ -43,6 +43,16 @@ def test_unknown_config_key_is_usage_error(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("suite, key", [("cnc", "n_jets"), ("represent", "n_fields")])
+def test_zero_size_config_is_usage_error(tmp_path, capsys, suite, key):
+    # a run over no jets or no fields would check nothing and pass
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(f"[{suite}]\n{key} = 0\n")
+    assert run_cli([suite, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert f"{suite}.{key} must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_unknown_config_section_is_usage_error(tmp_path, capsys):
     cfg = tmp_path / "cfg.ini"
     cfg.write_text("[nonsense]\nx = 1\n")

@@ -1,5 +1,7 @@
 import itertools
+import math
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ import sympy as sp
 import qcurv.cnc as cnc
 from qcurv.cnc import (
     CurvatureJet,
+    ExactArray,
     PolynomialMetric,
     blowup_metric,
     cnc_identity_suite,
@@ -59,7 +62,7 @@ def test_constant_curvature_quadratic_coefficient():
     r2 = float(x @ x)
     for a in range(4):
         for b in range(4):
-            quad = poly_jet(np.where(DEGREE == 2, mt.comps[a, b], 0), x, 0)[0][0]
+            quad = poly_jet(mt.comps[a, b] * (DEGREE == 2), x, 0)[0][0]
             expected = float(K) / 3.0 * (x[a] * x[b] - (r2 if a == b else 0.0))
             assert abs(float(quad) - expected) < 1e-12
 
@@ -71,8 +74,8 @@ def test_inverse_flips_sign_and_product_is_exact():
     x = np.array([0.2, 0.1, -0.3, 0.05])
     for a in range(4):
         for b in range(4):
-            q_fwd = np.where(DEGREE == 2, mt.comps[a, b], 0)
-            q_inv = np.where(DEGREE == 2, inv.comps[a, b], 0)
+            q_fwd = mt.comps[a, b] * (DEGREE == 2)
+            q_inv = inv.comps[a, b] * (DEGREE == 2)
             assert poly_jet(q_fwd, x, 0)[0][0] == -poly_jet(q_inv, x, 0)[0][0]
     assert np.all(inv.comps[..., DEGREE == 0] == mt.comps[..., DEGREE == 0])
     assert np.all(inv.comps[..., DEGREE > 0] == -mt.comps[..., DEGREE > 0])
@@ -147,11 +150,10 @@ def test_symmetric_trace_free_zeroed_derivative_vanishes():
 def test_identity_suite_flags_constructed_violation():
     jet = random_conformal_normal_jet(rng=2)
     # break the symmetrized-derivative identity by hand
-    bad = scale_jet(jet, Fraction(1))
-    bad.R1[0, 1, 0, 1, 0] += Fraction(1)
-    bad.R1[1, 0, 1, 0, 0] += Fraction(1)
-    bad.R1[0, 1, 1, 0, 0] -= Fraction(1)
-    bad.R1[1, 0, 0, 1, 0] -= Fraction(1)
+    kick = np.zeros((4,) * 5, dtype=np.int64)
+    kick[0, 1, 0, 1, 0] = kick[1, 0, 1, 0, 0] = 1
+    kick[0, 1, 1, 0, 0] = kick[1, 0, 0, 1, 0] = -1
+    bad = CurvatureJet(R0=jet.R0, R1=jet.R1 + ExactArray(kick))
     report = cnc_identity_suite(bad)
     assert not all(e["pass"] for e in report.values())
 
@@ -197,16 +199,41 @@ _SYMMETRY_BREAKERS = {
 @pytest.mark.parametrize("broken", list(_SYMMETRY_BREAKERS))
 def test_each_riemann_symmetry_is_checked_in_r0_and_each_r1_slot(broken):
     jet = random_conformal_normal_jet(rng=1)
-    bad = _SYMMETRY_BREAKERS[broken] * Fraction(1, 2)
+    bad = _SYMMETRY_BREAKERS[broken]
     with pytest.raises(ValueError, match="R0 violates"):
-        CurvatureJet(R0=jet.R0 + bad, R1=jet.R1)
+        CurvatureJet(R0=jet.R0 + ExactArray(bad, 2), R1=jet.R1)
     for slot in range(4):
-        R1 = jet.R1.copy()
-        R1[..., slot] += bad
+        kick = np.zeros((4,) * 5, dtype=np.int64)
+        kick[..., slot] = bad
         with pytest.raises(ValueError, match="R1 violates"):
-            CurvatureJet(R0=jet.R0, R1=R1)
+            CurvatureJet(R0=jet.R0, R1=jet.R1 + ExactArray(kick, 2))
 
 
+_PAIRS = list(itertools.combinations(range(4), 2))
+
+
+def _ref_fill(vec):
+    """The curvature tensor, as Fractions, whose pair-symmetric slots
+    (ab, cd), ab <= cd in the order of ``_PAIRS``, hold the 21 values of
+    ``vec``; 84 values fill R_abcd,e, slot e from 21e on."""
+    if len(vec) == 84:
+        return np.stack([_ref_fill(vec[21 * e : 21 * (e + 1)]) for e in range(4)], axis=-1)
+    R = np.full((4,) * 4, Fraction(0), dtype=object)
+    slots = [(i, j) for i in range(6) for j in range(i, 6)]
+    for v, (i, j) in zip(vec, slots):
+        (a, b), (c, d) = _PAIRS[i], _PAIRS[j]
+        for ab, s in (((a, b), 1), ((b, a), -1)):
+            for cd, t in (((c, d), 1), ((d, c), -1)):
+                R[ab + cd] = R[cd + ab] = s * t * v
+    return R
+
+
+def _fr(x):
+    """An exact array as an object array of Fractions."""
+    return np.vectorize(lambda n: Fraction(int(n), x.den), otypes=[object])(x.num)
+
+
+@lru_cache(maxsize=1)
 def _reference_bases():
     """The sympy nullspaces, as Fractions, of the two jet bases' constraint
     matrices written out with plain loops."""
@@ -228,8 +255,8 @@ def _reference_bases():
         return rows
 
     out = []
-    for fill, n, rows in ((cnc._fill_riemann, 21, weyl_rows), (cnc._fill_riemann_deriv, 84, deriv_rows)):
-        cols = [rows(fill([Fraction(int(i == k)) for i in range(n)])) for k in range(n)]
+    for n, rows in ((21, weyl_rows), (84, deriv_rows)):
+        cols = [rows(_ref_fill([Fraction(int(i == k)) for i in range(n)])) for k in range(n)]
         mat = sp.Matrix([[col[r] for col in cols] for r in range(len(cols[0]))])
         out.append([[Fraction(int(x.p), int(x.q)) for x in v] for v in mat.nullspace()])
     return out
@@ -246,8 +273,10 @@ def test_constraint_bases_are_sympy_nullspaces_without_sympy(monkeypatch):
         basis.cache_clear()
         got = basis()
         assert got.shape == (len(want), len(want[0]))
-        assert got.tolist() == want
-        assert all(type(x) is Fraction for x in got.ravel())
+        assert got.num.dtype == np.int64
+        # numerators over the least common denominator of sympy's entries
+        assert got.den == math.lcm(*(x.denominator for v in want for x in v))
+        assert _fr(got).tolist() == want
 
 
 def test_conformal_normal_flag_validation():
@@ -319,8 +348,16 @@ _BASIS = [m for m in itertools.product(range(4), repeat=4) if sum(m) <= 3]
 
 
 def _to_dict(p):
-    """The nonzero coefficients of one dense polynomial, by exponents."""
-    return {m: c for m, c in zip(_BASIS, p) if c != 0}
+    """The nonzero coefficients of one dense exact polynomial, by exponents."""
+    return {m: c for m, c in zip(_BASIS, _fr(p)) if c != 0}
+
+
+def _ref_add(*ps):
+    out = {}
+    for p in ps:
+        for m, c in p.items():
+            out[m] = out.get(m, 0) + c
+    return {m: c for m, c in out.items() if c != 0}
 
 
 def _ref_mul(p, q):
@@ -347,24 +384,25 @@ def _ref_truncate(p, max_deg):
     return {m: c for m, c in p.items() if sum(m) <= max_deg}
 
 
+def _monomial(*variables):
+    """The exponent tuple of xi^i1 ... xi^id."""
+    return tuple(np.bincount(variables, minlength=4).tolist())
+
+
 def _is_zero(p):
     """Every coefficient is exactly zero."""
-    return all(c == 0 for c in np.ravel(p))
-
-
-def _is_exact(p):
-    return all(type(c) in (int, Fraction) for c in np.ravel(p))
+    return all(c == 0 for c in np.ravel(_fr(p)))
 
 
 def _random_dense(rng, shape):
-    """Random dense polynomials: each has a random number of nonzero
-    Fraction coefficients at random monomials; the rest are the int 0."""
-    out = np.zeros(shape + (len(_BASIS),), dtype=object)
+    """Random dense exact polynomials over one random denominator: each has
+    a random number of nonzero coefficients at random monomials."""
+    out = np.zeros(shape + (len(_BASIS),), dtype=np.int64)
     for idx in np.ndindex(shape):
         pick = rng.choice(len(_BASIS), int(rng.integers(1, len(_BASIS) + 1)), replace=False)
         for k in pick:
-            out[idx + (k,)] = Fraction(int(rng.integers(-99, 100)) or 1, int(rng.integers(1, 50)))
-    return out
+            out[idx + (k,)] = int(rng.integers(-99, 100)) or 1
+    return ExactArray(out, int(rng.integers(1, 50)))
 
 
 def test_poly_mul_diff_truncate_match_dict_reference():
@@ -372,37 +410,59 @@ def test_poly_mul_diff_truncate_match_dict_reference():
     rng = np.random.default_rng(3)
     p, q = _random_dense(rng, (8, 1)), _random_dense(rng, (1, 4))
     prod = poly_mul(p, q)
-    assert prod.shape == (8, 4, 35) and _is_exact(prod)
+    assert prod.shape == (8, 4, 35) and prod.num.dtype == np.int64
     for i, j in np.ndindex(8, 4):
         want = _ref_truncate(_ref_mul(_to_dict(p[i, 0]), _to_dict(q[0, j])), 3)
         assert _to_dict(prod[i, j]) == want
     grad = poly_diff(p)
-    assert grad.shape == (8, 1, 4, 35) and _is_exact(grad)
+    assert grad.shape == (8, 1, 4, 35) and grad.num.dtype == np.int64
     for i in range(8):
         pi = _to_dict(p[i, 0])
         for c in range(4):
             assert _to_dict(grad[i, 0, c]) == _ref_diff(pi, c)
         for deg in range(4):
             assert _to_dict(poly_truncate(p[i, 0], deg)) == _ref_truncate(pi, deg)
-    # zeros no term reaches stay the int 0
-    zero = np.zeros(35, dtype=object)
-    for out in (poly_mul(zero, zero), poly_diff(zero), poly_truncate(zero, 1)):
-        assert all(type(c) is int for c in out.ravel())
+
+
+def test_products_and_rescalings_beyond_int64_raise():
+    # each case would wrap to exactly 0 in unchecked int64 arithmetic
+    # (2**32 * 2**32 = 2**64), so only the bound checked beforehand can
+    # tell it from a true zero
+    big = ExactArray(np.full(35, 2**32))
+    assert not (big.num * big.num).any()
+    with pytest.raises(OverflowError):
+        poly_mul(big, big)
+    with pytest.raises(OverflowError):
+        big * 2**32
+    with pytest.raises(OverflowError):
+        big == ExactArray(np.ones(35, dtype=np.int64), 2**32)
+    with pytest.raises(OverflowError):
+        big + ExactArray(np.ones(35, dtype=np.int64), 2**32)
+    # a jet with numerators +-256 times 2**56 would wrap to the zero jet
+    jet = CurvatureJet.constant_curvature(256)
+    with pytest.raises(OverflowError):
+        scale_jet(jet, Fraction(2**56, 3))
+    with pytest.raises(OverflowError):
+        ExactArray([2**64])
+    # within the bound the product is exact
+    fits = ExactArray(np.full(35, 2**20))
+    want = _ref_truncate(_ref_mul(_to_dict(fits), _to_dict(fits)), 3)
+    assert _to_dict(poly_mul(fits, fits)) == want
 
 
 def test_euler_operator_is_the_degree_multiplier():
     # sum_m xi^m d_m p multiplies each degree-k part of p by k; the curved
     # Pohozaev interior relies on it for g^{ij} and A_j = d_i g^{ij}
-    xi = np.zeros((4, 35), dtype=object)
+    xi = np.zeros((4, 35), dtype=np.int64)
     for m in range(4):
-        xi[m, _BASIS.index(tuple(np.eye(4, dtype=int)[m]))] = Fraction(1)
+        xi[m, _BASIS.index(tuple(np.eye(4, dtype=int)[m]))] = 1
+    xi = ExactArray(xi)
     for seed in (0, 5, 11):
         inv = inverse_metric_taylor(metric_taylor_from_jet(random_conformal_normal_jet(rng=seed))).comps
-        A = np.trace(poly_diff(inv), axis1=0, axis2=2)
+        A = poly_diff(inv).einsum("abak->bk")
         assert not _is_zero(A)
         for p in (inv, A):
-            euler = poly_mul(xi, poly_diff(p)).sum(axis=-2)
-            assert _is_exact(euler)
+            euler = poly_mul(xi, poly_diff(p)).einsum("...mk->...k")
             assert (euler == p * DEGREE).all()
 
 
@@ -417,6 +477,85 @@ def test_exact_identity_failures_can_fail(monkeypatch):
     assert [(c["name"], c["value"], c["pass"]) for c in checks] == [
         ("exact_identity_failures", 2, False)
     ]
+
+
+def _ref_jet(seed):
+    """A random conformal-normal jet, as Fractions: the module's draws
+    combined with the sympy bases and filled with plain loops."""
+    rng = np.random.default_rng(seed)
+    weyl, deriv = _reference_bases()
+    out = []
+    for basis in (weyl, deriv):
+        coef = rng.integers(-6, 7, len(basis))
+        vec = [sum(int(c) * v[k] for c, v in zip(coef, basis)) for k in range(len(basis[0]))]
+        out.append(_ref_fill(vec))
+    return out
+
+
+def _ref_metric(R0, R1):
+    """g_ab = delta_ab + (1/3) R_aijb xi^i xi^j + (1/6) R_aijb,k xi^i xi^j xi^k
+    as a 4 x 4 nested list of dict polynomials."""
+    g = [[{} for _ in range(4)] for _ in range(4)]
+    for a, b in itertools.product(range(4), repeat=2):
+        terms = [{_monomial(): Fraction(int(a == b))}]
+        for i, j in itertools.product(range(4), repeat=2):
+            terms.append({_monomial(i, j): R0[a, i, j, b] / 3})
+            for k in range(4):
+                terms.append({_monomial(i, j, k): R1[a, i, j, b, k] / 6})
+        g[a][b] = _ref_add(*terms)
+    return g
+
+
+def _ref_float_table(g, eps):
+    """The float coefficients of g(eps y) and its first and second partials
+    in the ``_jet_table`` layout: each exact coefficient times the exact
+    Fraction(eps)^degree, rounded by ``Fraction.__float__``."""
+    e = Fraction(eps)
+    scaled = [{m: c * e ** sum(m) for m, c in g[a][b].items()} for a in range(4) for b in range(4)]
+    polys = list(scaled)
+    polys += [_ref_diff(p, c) for p in scaled for c in range(4)]
+    polys += [_ref_diff(_ref_diff(p, c), d) for p in scaled for c in range(4) for d in range(4)]
+    return np.array([[float(p.get(m, 0)) for p in polys] for m in _BASIS])
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_integer_algebra_matches_fraction_reference(seed):
+    R0, R1 = _ref_jet(seed)
+    jet = random_conformal_normal_jet(rng=seed)
+    assert (_fr(jet.R0) == R0).all() and (_fr(jet.R1) == R1).all()
+
+    g = _ref_metric(R0, R1)
+    mt = metric_taylor_from_jet(jet)
+    for a, b in itertools.product(range(4), repeat=2):
+        assert _to_dict(mt.comps[a, b]) == g[a][b]
+
+    ginv = [[{m: c if sum(m) == 0 else -c for m, c in p.items()} for p in row] for row in g]
+    defect = product_defect(mt, inverse_metric_taylor(mt))
+    for a, c in itertools.product(range(4), repeat=2):
+        prods = [_ref_truncate(_ref_mul(g[a][b], ginv[b][c]), 3) for b in range(4)]
+        want = _ref_add(*prods, {_monomial(): -Fraction(int(a == c))})
+        assert _to_dict(defect[a, c]) == want == {}
+
+    # Ric_ij,k = sum_a R_aiaj,k
+    ric = np.sum([R1[a, :, a] for a in range(4)], axis=0)
+    first = contracted_first_derivative_display(jet)
+    second = contracted_second_derivative_display(jet)
+    for b in range(4):
+        want = _ref_add(*[
+            {_monomial(i, j): -(2 * ric[i, b, j] - ric[i, j, b]) / 6}
+            for i, j in itertools.product(range(4), repeat=2)
+        ])
+        assert _to_dict(first[b]) == want
+        for d in range(4):
+            want = _ref_add(*[{_monomial(i): 2 * ric[i, d, b] / 3} for i in range(4)])
+            assert _to_dict(second[b, d]) == want
+
+    # the distance suite's blow-up metrics, rounded to float exactly once
+    tenth = Fraction(1, 10)
+    g_tenth = _ref_metric(R0 * tenth, R1 * tenth)
+    for eps in (0.1, 0.05, 0.025):
+        metric = blowup_metric(scale_jet(jet, tenth), eps)
+        assert metric._table.tobytes() == _ref_float_table(g_tenth, eps).tobytes()
 
 
 def _exact_at(p, x):
@@ -457,13 +596,13 @@ def _sympy_blowup(jet, eps, half_width):
     """The blow-up expansion as a sympy MetricField, the reference for the
     float evaluator: each term c * eps^deg * x^m built and differentiated
     symbolically."""
-    mt = metric_taylor_from_jet(jet)
+    comps = _fr(metric_taylor_from_jet(jet).comps)
     rows = []
     for a in range(4):
         row = []
         for b in range(4):
             expr = sp.Integer(0)
-            for m, c in zip(_BASIS, mt.comps[a, b]):
+            for m, c in zip(_BASIS, comps[a, b]):
                 term = sp.Rational(c.numerator, c.denominator) * sp.Float(eps) ** sum(m)
                 for i, e in enumerate(m):
                     term *= COORDS[i] ** e
@@ -494,10 +633,10 @@ def test_polynomial_metric_matches_sympy_metric_field():
 
 
 def test_polynomial_metric_rejects_degenerate_points():
-    comps = np.zeros((4, 4, 35), dtype=object)
-    comps[..., 0] = np.where(np.eye(4, dtype=bool), Fraction(1), 0)
-    comps[0, 0, _BASIS.index((2, 0, 0, 0))] = Fraction(-1)
-    g = PolynomialMetric(comps, Box.cube(2.0))
+    comps = np.zeros((4, 4, 35), dtype=np.int64)
+    comps[..., 0] = np.eye(4, dtype=np.int64)
+    comps[0, 0, _BASIS.index((2, 0, 0, 0))] = -1
+    g = PolynomialMetric(ExactArray(comps), Box.cube(2.0))
     assert not g.is_flat
     assert g.eval([0.5, 0.0, 0.0, 0.0])[0, 0] == 0.75
     with pytest.raises(DegenerateMetricError):

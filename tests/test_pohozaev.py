@@ -5,6 +5,7 @@ import numpy as np
 from qcurv.bubble import RescaledBubble
 from qcurv.cnc import (
     CurvatureJet,
+    ExactArray,
     detone_laplacian,
     inverse_metric_taylor,
     metric_taylor_from_jet,
@@ -187,7 +188,7 @@ def _einsum_interior_terms(u, ball, mt, jet):
             + np.einsum("nm,n,nijm,nij->n", xi, lap, dginv, hu)
         )
     )
-    ric1 = np.array(ricci_deriv_of(jet.R1), dtype=float)
+    ric1 = ricci_deriv_of(jet.R1).to_float()
     I3 = 2.0 * np.sum(wb * np.einsum("ijl,nl,nm,ni,nj,nm->n", ric1, xb, xb, nu, gub, gub))
     I4 = -np.sum(
         w
@@ -203,8 +204,9 @@ def test_curved_kernel_matches_direct_contractions():
     # R_abcd,e = K_e R_abcd of curvature 1: Ric_ij,l = 3 K_l delta_ij does
     # not vanish, so I3 and I4 are far from rounding level
     R0 = CurvatureJet.constant_curvature(1).R0
-    K = [Fraction(1), Fraction(-2), Fraction(3), Fraction(1, 2)]
-    jet = CurvatureJet(R0=R0, R1=np.stack([k * R0 for k in K], axis=-1))
+    # K = (1, -2, 3, 1/2), as numerators over 2
+    R1 = np.stack([k * R0.num for k in (2, -4, 6, 1)], axis=-1)
+    jet = CurvatureJet(R0=R0, R1=ExactArray(R1, 2 * R0.den))
     mt = metric_taylor_from_jet(jet)
     u = RadialProfileField(RescaledBubble(1.0), tilt=[0.3, -0.2, 0.1, 0.25])
     ball = BallDomain(1.0, 8, 6, 6)
