@@ -35,7 +35,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fields import Box, DerivativeOrderError, MetricField, require_positive_definite
+from .fields import Box, DerivativeOrderError, require_positive_definite
 
 DIM = 4
 
@@ -642,14 +642,13 @@ class PolynomialMetric:
     the coefficients, times their exact powers of eps, stay exact until
     its single float conversion.  It offers what the geodesic, curvature
     and bubble code read from a metric: ``domain``, ``analytic``,
-    ``fd_step``, ``is_flat``, ``eval_batch``, ``eval`` and ``jet``.
+    ``is_flat``, ``eval_batch``, ``eval`` and ``jet``.
     """
 
     analytic = True
 
     def __init__(self, comps, domain, eps=1.0):
         self.domain = domain
-        self.fd_step = domain.width * 1e-2
         self._table, self._shapes = _jet_table(comps, 2, eps)
         const = self._table[0, : DIM * DIM]
         self.is_flat = not self._table[1:, : DIM * DIM].any() and np.array_equal(
@@ -679,10 +678,9 @@ def blowup_metric(jet: CurvatureJet, eps, half_width=None):
 
     Each coefficient of degree k is multiplied by the exact eps^k, so the
     quadratic terms scale by eps^2 and the cubic by eps^3 (the blow-up
-    gauge).  eps = 0 or a zero jet returns the flat ``MetricField``.
+    gauge).  For eps = 0 or a zero jet the metric ``is_flat``, so the
+    geodesic solver returns the Euclidean distance.
     """
     if half_width is None:
         half_width = 10.0 if eps == 0 else 1.0 / eps
-    domain = Box.cube(half_width)
-    g = PolynomialMetric(metric_taylor_from_jet(jet).comps, domain, eps)
-    return MetricField.flat(domain) if g.is_flat else g
+    return PolynomialMetric(metric_taylor_from_jet(jet).comps, Box.cube(half_width), eps)

@@ -2,9 +2,12 @@
 
 Conventions (fixed once, used everywhere):
 
-* Riemann:  R^a_{bcd} = d_c Gamma^a_{db} - d_d Gamma^a_{cb}
-            + Gamma^a_{ce} Gamma^e_{db} - Gamma^a_{de} Gamma^e_{cb};
-  Ricci is the (a,c) trace.  The round sphere then has R = +12.
+* Riemann:  R_abcd = (1/2)(d_b d_c g_ad + d_a d_d g_bc - d_b d_d g_ac - d_a d_c g_bd)
+                   + Gamma^e_bc Gamma_{e,ad} - Gamma^e_bd Gamma_{e,ac},
+  with Gamma_{e,ad} = g_ef Gamma^f_ad, the lowered form of
+  R^a_{bcd} = d_c Gamma^a_{db} - d_d Gamma^a_{cb} + Gamma^a_{ce} Gamma^e_{db}
+  - Gamma^a_{de} Gamma^e_{cb}; Ricci is the (a,c) trace.  The round sphere
+  then has R = +12.
 * All tensors are stored with lowered indices; raising is explicit.
 * Weyl (dimension 4, lowered):
       W_abcd = R_abcd - (1/2)(g_ac Ric_bd - g_ad Ric_bc
@@ -20,13 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 import sympy as sp
 
-from .fields import (
-    DIM,
-    MetricField,
-    ScalarField,
-    fd_partials,
-    require_positive_definite,
-)
+from .fields import DIM, MetricField, ScalarField, fd_partials, require_positive_definite
 
 # derivative multi-indices of a gradient and of the upper Hessian triangle
 _GRAD = [(i,) for i in range(DIM)]
@@ -70,15 +67,12 @@ def _laplacian(g, pts, grad, hess):
 
 @dataclass
 class RiemannAtPoint:
-    """Lowered Riemann tensor with the metric at one point, or at each of n
-    points along a leading axis."""
+    """Lowered Riemann tensor with the metric and its inverse at one point, or
+    at each of n points along a leading axis."""
 
     components: np.ndarray  # R_abcd
     g: np.ndarray
-
-    @property
-    def g_inv(self):
-        return np.linalg.inv(self.g)
+    g_inv: np.ndarray
 
     @property
     def ricci(self):
@@ -127,20 +121,18 @@ def riemann_of_metric(g: MetricField, x) -> RiemannAtPoint:
     g0, dg, d2g = g.jet(pts, 2)
     require_positive_definite(g0, pts)
     ginv = np.linalg.inv(g0)
-    brack = _bracket(dg)
-    gam = _christoffel(ginv, brack)
-    # d_e Gamma^a_{bc}, with d_e g^{ad} = -g^{am} d_e g_mp g^{pd}
-    dginv = -np.einsum("nam,nmpe,npd->nade", ginv, dg, ginv)
-    dgam = 0.5 * np.einsum("nade,ndbc->nabce", dginv, brack)
-    dgam += 0.5 * np.einsum("nad,ndbce->nabce", ginv, _bracket(d2g))
-    # R^a_{bcd} = d_c Gam^a_{db} - d_d Gam^a_{cb} + Gam Gam terms
-    r_up = dgam.transpose(0, 1, 3, 4, 2) - dgam.transpose(0, 1, 3, 2, 4)
-    r_up += np.einsum("nace,nedb->nabcd", gam, gam)
-    r_up -= np.einsum("nade,necb->nabcd", gam, gam)
-    r_low = np.einsum("nae,nebcd->nabcd", g0, r_up)
-    if x.ndim == 1:
-        return RiemannAtPoint(components=r_low[0], g=g0[0])
-    return RiemannAtPoint(components=r_low, g=g0)
+    brack = _bracket(dg)  # 2 Gamma_{e,ad}
+    gam = _christoffel(ginv, brack)  # Gamma^e_bc
+    # gg[n, a, d, b, c] = Gamma^e_bc Gamma_{e,ad}
+    rows = (len(pts), DIM, DIM * DIM)
+    gg = np.matmul(0.5 * brack.reshape(rows).transpose(0, 2, 1), gam.reshape(rows))
+    # R_abcd = h_abcd - h_abdc with h_abcd = (1/2)(d_b d_c g_ad + d_a d_d g_bc)
+    # + Gamma^e_bc Gamma_{e,ad}; d2g[n, a, b, c, d] = d_c d_d g_ab
+    h = 0.5 * (np.einsum("nadbc->nabcd", d2g) + np.einsum("nbcad->nabcd", d2g))
+    h += np.einsum("nadbc->nabcd", gg.reshape(h.shape))
+    r = h - np.einsum("nabcd->nabdc", h)
+    one = 0 if x.ndim == 1 else slice(None)
+    return RiemannAtPoint(components=r[one], g=g0[one], g_inv=ginv[one])
 
 
 def weyl_tensor(riem: RiemannAtPoint) -> np.ndarray:
@@ -181,6 +173,18 @@ def laplace_beltrami(g: MetricField, u: ScalarField, x):
     return _like(x, _laplacian(g, pts, u.gradient(pts), u.hessian(pts)))
 
 
+def _default_step(pts):
+    """The FD step max(1e-2, 1e-2 |x|) at each point of ``pts`` (n, 4)."""
+    # the norm of each point alone: a row-wise norm can differ in the last bit
+    return np.array([max(1e-2, 1e-2 * float(np.linalg.norm(p))) for p in pts])
+
+
+def _fd_laplacian(g, func, pts, step):
+    """Delta_g of the scalar ``func`` at ``pts``: the metric from exact jets,
+    the derivatives of ``func`` by finite differences."""
+    return _laplacian(g, pts, *_grad_hess(fd_partials(func, pts, _GRAD + _HESS, step)))
+
+
 def q_curvature(g: MetricField, x, step=None):
     """Q_g(x) = -(1/12)(Delta_g R - R^2 + 3 |Ric|^2) at one point or (n, 4).
 
@@ -193,42 +197,28 @@ def q_curvature(g: MetricField, x, step=None):
         return _like(x, np.zeros(len(pts)))
     riem = riemann_of_metric(g, pts)
     if step is None:
-        # the norm of each point alone: a row-wise norm can differ in the last bit
-        step = np.array([max(1e-2, 1e-2 * float(np.linalg.norm(p))) for p in pts])
-    grad_r, hess_r = _grad_hess(
-        fd_partials(lambda p: riemann_of_metric(g, p).scalar, pts, _GRAD + _HESS, step)
-    )
-    lap_r = _laplacian(g, pts, grad_r, hess_r)
+        step = _default_step(pts)
+    lap_r = _fd_laplacian(g, lambda p: riemann_of_metric(g, p).scalar, pts, step)
     return _like(x, -(lap_r - riem.scalar**2 + 3.0 * riem.ricci_norm_sq) / 12.0)
 
 
-def paneitz_apply(g: MetricField, u: ScalarField, x, step=None) -> float:
-    """P_g u(x) = Delta_g^2 u - div_g((2/3 R g - 2 Ric) grad u).
+def paneitz_apply(g: MetricField, u: ScalarField, x, step=None):
+    """P_g u(x) = Delta_g^2 u - div_g((2/3 R g - 2 Ric) grad u) at one point
+    or (n, 4).
 
     The second term is the codifferential pairing delta(T du); the sign is
     pinned by conformal covariance (on the round S^4 it gives the known
     P = Delta^2 - 2 Delta).  Flat metrics take an exact path.  Curved metrics
     evaluate inner quantities from exact jets and apply the outer
-    derivatives with order-4 centered differences of step ``step``.
+    derivatives with order-4 centered differences, with the default step
+    max(1e-2, 1e-2 |x|) at each point.
     """
-    x = np.asarray(x, float)
+    pts = np.atleast_2d(np.asarray(x, float))
     if g.is_flat:
-        total = 0.0
-        pt = np.atleast_2d(x)
-        for i in range(DIM):
-            for j in range(DIM):
-                total += float(u.partial(pt, (i, i, j, j))[0])
-        return total
+        return _like(x, sum(u.partial(pts, (i, i, j, j)) for i in range(DIM) for j in range(DIM)))
     if step is None:
-        step = g.fd_step
-    pt = x[None, :]
-
-    # outer Laplacian of f = Delta_g u: the metric from exact jets, the
-    # derivatives of f by FD
-    grad_f, hess_f = _grad_hess(
-        fd_partials(lambda p: laplace_beltrami(g, u, p), pt, _GRAD + _HESS, step)
-    )
-    bilap = float(_laplacian(g, pt, grad_f, hess_f)[0])
+        step = _default_step(pts)
+    bilap = _fd_laplacian(g, lambda p: laplace_beltrami(g, u, p), pts, step)
 
     # divergence term: V^i = sqrt(g) T^{ij} d_j u with
     # T^{ij} = (2/3) R g^{ij} - 2 Ric^{ij}; div = (1/sqrt(g)) d_i V^i by FD.
@@ -241,12 +231,9 @@ def paneitz_apply(g: MetricField, u: ScalarField, x, step=None) -> float:
         sgp = np.sqrt(np.linalg.det(riem.g))
         return sgp[:, None] * np.einsum("nij,nj->ni", t_up, u.gradient(p))
 
-    dv = fd_partials(v_field, pt, _GRAD, step)
-    div = 0.0
-    for i in range(DIM):
-        div += dv[i][0, i]
-    div /= np.sqrt(np.linalg.det(g.eval_batch(pt)[0]))
-    return bilap - div
+    dv = fd_partials(v_field, pts, _GRAD, step)
+    div = sum(dv[i][:, i] for i in range(DIM)) / np.sqrt(np.linalg.det(g.eval_batch(pts)))
+    return _like(x, bilap - div)
 
 
 def conformal_transform(g: MetricField, u: ScalarField) -> MetricField:
@@ -261,23 +248,19 @@ def conformal_transform(g: MetricField, u: ScalarField) -> MetricField:
 def check_conformal_covariance(g, u, f, pts, step=None):
     """Max over ``pts`` of |P_gt f - e^{-4u} P_g f| for gt = e^{2u} g."""
     gt = conformal_transform(g, u)
-    worst = 0.0
-    for p in np.atleast_2d(np.asarray(pts, float)):
-        lhs = paneitz_apply(gt, f, p, step=step)
-        rhs = np.exp(-4.0 * u(p)) * paneitz_apply(g, f, p, step=step)
-        worst = max(worst, abs(lhs - rhs))
-    return worst
+    pts = np.atleast_2d(np.asarray(pts, float))
+    lhs = paneitz_apply(gt, f, pts, step=step)
+    rhs = np.exp(-4.0 * u.eval(pts)) * paneitz_apply(g, f, pts, step=step)
+    return float(np.max(np.abs(lhs - rhs)))
 
 
 def check_q_transformation(g, u, pts, step=None):
     """Max over ``pts`` of |P_g u + 2 Q_g - 2 Q_gt e^{4u}|."""
     gt = conformal_transform(g, u)
-    worst = 0.0
-    for p in np.atleast_2d(np.asarray(pts, float)):
-        lhs = paneitz_apply(g, u, p, step=step) + 2.0 * q_curvature(g, p, step=step)
-        rhs = 2.0 * q_curvature(gt, p, step=step) * np.exp(4.0 * u(p))
-        worst = max(worst, abs(lhs - rhs))
-    return worst
+    pts = np.atleast_2d(np.asarray(pts, float))
+    lhs = paneitz_apply(g, u, pts, step=step) + 2.0 * q_curvature(g, pts, step=step)
+    rhs = 2.0 * q_curvature(gt, pts, step=step) * np.exp(4.0 * u.eval(pts))
+    return float(np.max(np.abs(lhs - rhs)))
 
 
 def gauss_bonnet_check(model):
@@ -298,7 +281,4 @@ def gauss_bonnet_check(model):
     riem = riemann_of_metric(g, pts)
     q = q_curvature(g, pts)
     wsq = weyl_norm_sq(weyl_tensor(riem), riem.g)
-    total = 0.0
-    for wt, val in zip(w, q + wsq / 8.0):
-        total += wt * val
-    return total
+    return float(w @ (q + wsq / 8.0))

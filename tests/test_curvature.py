@@ -40,6 +40,29 @@ def test_sphere_curvature_at_origin_and_off_origin():
         assert riem.check(tol=1e-9)
 
 
+def _kulkarni_nomizu(h, k):
+    """(h o k)_abcd = h_ac k_bd + h_bd k_ac - h_ad k_bc - h_bc k_ad, per point."""
+    sym = np.einsum("nac,nbd->nabcd", h, k) + np.einsum("nbd,nac->nabcd", h, k)
+    return sym - np.einsum("nabcd->nabdc", sym)
+
+
+def test_riemann_matches_conformally_flat_closed_form():
+    # g = e^{2w} delta has Rm = e^{2w} delta o (-hess w + dw dw - |dw|^2 delta / 2)
+    # (Besse, Einstein Manifolds, 1.159); this w has non-constant curvature
+    w = sp.log(2 / (1 + R2)) + sp.Rational(1, 20) / (1 + R2)
+    g = MetricField.from_exprs(sp.exp(2 * w) * sp.eye(4), Box.cube(10.0))
+    pts = np.array([[0.0, 0.0, 0.0, 0.0], [0.3, -0.2, 0.1, 0.4], [1.5, -0.7, 0.2, 1.1]])
+    wf = ScalarField.from_expr(w, g.domain)
+    dw, hw = wf.gradient(pts), wf.hessian(pts)
+    eye = np.broadcast_to(np.eye(4), hw.shape)
+    k = -hw + np.einsum("na,nb->nab", dw, dw) - 0.5 * np.sum(dw**2, axis=1)[:, None, None] * eye
+    want = np.exp(2 * wf.eval(pts))[:, None, None, None, None] * _kulkarni_nomizu(eye, k)
+    riem = riemann_of_metric(g, pts)
+    for n in range(len(pts)):
+        assert np.max(np.abs(riem.components[n] - want[n])) <= 1e-12 * np.max(np.abs(want[n]))
+    assert np.ptp(riem.scalar) > 1e-3  # the scalar curvature varies: not a round sphere
+
+
 def test_riemann_outside_domain_raises():
     g = sphere_metric(Box.cube(1.0))
     with pytest.raises(ChartError):
@@ -126,6 +149,13 @@ def test_paneitz_on_constants_and_bubble():
         lhs = paneitz_apply(g, u, x)
         rhs = 2.0 * np.exp(4.0 * u(x))
         assert abs(lhs - rhs) < 1e-8
+
+
+def test_paneitz_default_step_on_round_sphere():
+    # P_g f = e^{-4w} Delta^2 f on g = e^{2w} delta, and Delta^2 f = 0 here
+    g = sphere_metric()
+    f = ScalarField.from_expr(x0**2 * x1 + x2, g.domain)
+    assert abs(paneitz_apply(g, f, np.array([0.3, 0.1, -0.2, 0.4]))) < 1e-6
 
 
 def test_flat_bilaplacian_of_sphere_factor():
@@ -266,7 +296,9 @@ def test_batched_kernel_matches_single_points(metric):
     g = metric()
     riem = riemann_of_metric(g, _BATCH)
     q = q_curvature(g, _BATCH)
-    assert riem.components.shape == (3, 4, 4, 4, 4) and q.shape == (3,)
+    f = ScalarField.from_expr(x0**2 * x1**2 + x2 * x3, g.domain)
+    pan = paneitz_apply(g, f, _BATCH)
+    assert riem.components.shape == (3, 4, 4, 4, 4) and q.shape == pan.shape == (3,)
     wsq = weyl_norm_sq(weyl_tensor(riem), riem.g)
     for n, x in enumerate(_BATCH):
         one = riemann_of_metric(g, x)
@@ -277,6 +309,7 @@ def test_batched_kernel_matches_single_points(metric):
         assert abs(riem.ricci_norm_sq[n] - one.ricci_norm_sq) <= 1e-13 * one.ricci_norm_sq
         assert abs(wsq[n] - weyl_norm_sq(weyl_tensor(one), one.g)) <= 1e-13 * max(wsq[n], 1.0)
         assert abs(q[n] - q_curvature(g, x)) <= 1e-13 * abs(q[n])
+        assert abs(pan[n] - paneitz_apply(g, f, x)) <= 1e-13 * abs(pan[n])
     assert abs(q[0] - 3.0) > 1e-3  # genuinely perturbed, not the round value
 
 
