@@ -457,19 +457,18 @@ def run_vrate(p, seed):
     return checks, rows
 
 
-def _fd_balance(h, b, q, step=1e-5):
+def _fd_balance(h, b, q, step=1e-3):
+    """grad h / h + 4 grad phi at ``q``, phi = 2 int G b, from one stencil
+    evaluation of the stacked (h, phi) values."""
+    from .fields import fd_partials
     from .potential import regular_part_field
 
     phi = regular_part_field(b)
-    out = np.zeros(4)
     hq = float(h.eval(q[None, :])[0])
-    for a in range(4):
-        e = np.zeros(4)
-        e[a] = step
-        dh = (float(h.eval((q + e)[None, :])[0]) - float(h.eval((q - e)[None, :])[0])) / (2 * step)
-        dp = (float(phi.eval((q + e)[None, :])[0]) - float(phi.eval((q - e)[None, :])[0])) / (2 * step)
-        out[a] = dh / hq + 4.0 * dp
-    return out
+    d = fd_partials(
+        lambda p: np.stack([h.eval(p), phi.eval(p)], axis=-1), q, [(a,) for a in range(4)], step
+    )
+    return np.array([da[0, 0] / hq + 4.0 * da[0, 1] for da in d])
 
 
 RUNNERS = {

@@ -641,11 +641,9 @@ class PolynomialMetric:
     Values and partials up to order 2 come from ``poly_jet``'s evaluator;
     the coefficients, times their exact powers of eps, stay exact until
     its single float conversion.  It offers what the geodesic, curvature
-    and bubble code read from a metric: ``domain``, ``analytic``,
-    ``is_flat``, ``eval_batch``, ``eval`` and ``jet``.
+    and bubble code read from a metric: ``domain``, ``is_flat``,
+    ``eval_batch``, ``eval`` and ``jet``.
     """
-
-    analytic = True
 
     def __init__(self, comps, domain, eps=1.0):
         self.domain = domain

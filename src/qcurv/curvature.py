@@ -19,6 +19,7 @@ Conventions (fixed once, used everywhere):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import sympy as sp
@@ -74,7 +75,7 @@ class RiemannAtPoint:
     g: np.ndarray
     g_inv: np.ndarray
 
-    @property
+    @cached_property
     def ricci(self):
         return np.einsum("...ac,...abcd->...bd", self.g_inv, self.components)
 
@@ -110,14 +111,12 @@ class RiemannAtPoint:
 def riemann_of_metric(g: MetricField, x) -> RiemannAtPoint:
     """Lowered Riemann tensor of ``g`` at ``x``, one point (4,) or many (n, 4).
 
-    The one curvature kernel: every point must lie inside the chart (with a
-    margin of two FD steps for a sampled metric) and carry a positive-definite
-    metric.
+    The one curvature kernel: every point must lie inside the chart and
+    carry a positive-definite metric.
     """
     x = np.asarray(x, float)
     pts = np.atleast_2d(x)
-    margin = 0.0 if g.analytic else 2 * g.fd_step
-    g.domain.require_interior(pts, margin)
+    g.domain.require_interior(pts)
     g0, dg, d2g = g.jet(pts, 2)
     require_positive_definite(g0, pts)
     ginv = np.linalg.inv(g0)
@@ -163,7 +162,9 @@ def weyl_trace_residual(w, g):
 def weyl_norm_sq(w, g):
     """|W|^2 = W_abcd W^abcd with indices raised by g^{-1}; one per point."""
     gi = np.linalg.inv(g)
-    w_up = np.einsum("...ae,...bf,...cg,...dh,...efgh->...abcd", gi, gi, gi, gi, w)
+    w_up = np.einsum(
+        "...ae,...bf,...cg,...dh,...efgh->...abcd", gi, gi, gi, gi, w, optimize=True
+    )
     return np.einsum("...abcd,...abcd->...", w, w_up)
 
 
@@ -237,11 +238,9 @@ def paneitz_apply(g: MetricField, u: ScalarField, x, step=None):
 
 
 def conformal_transform(g: MetricField, u: ScalarField) -> MetricField:
-    """The conformal metric e^{2u} g of an analytic metric and factor."""
+    """The conformal metric e^{2u} g."""
     if g.domain != u.domain:
         raise ValueError("domains must match")
-    if not (g.analytic and u.analytic):
-        raise ValueError("conformal_transform needs an analytic metric and factor")
     return MetricField.from_exprs(sp.exp(2 * u.expr) * g.matrix, g.domain)
 
 

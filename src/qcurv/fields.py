@@ -1,12 +1,11 @@
 """Coordinate-chart fields on 4-dimensional patches.
 
-Two kinds of derivative access coexist:
-
-* analytic  -- fields built from sympy expressions; partial derivatives of
-  any order are obtained symbolically and compiled (lambdified) once per
-  distinct expression per process, shared by every field that needs it.
-* sampled   -- fields given only as callables; partials fall back to
-  centered finite differences of order 4, with the step recorded.
+Fields are sympy expressions: each partial derivative (the value is the
+partial for the empty multi-index) is taken symbolically and compiled
+(lambdified) once per distinct expression per process, shared by every
+field that needs it.  ``fd_partials`` is the centered finite-difference
+engine for the outer derivatives the curvature module applies to computed
+quantities.
 """
 
 from __future__ import annotations
@@ -54,24 +53,18 @@ class Box:
         h = float(half_width)
         return cls((-h,) * DIM, (h,) * DIM)
 
-    @property
-    def width(self):
-        return float(np.min(np.asarray(self.hi) - np.asarray(self.lo)))
-
-    def contains(self, x, margin=0.0):
+    def contains(self, x):
         """Whether ``x`` lies in the box; one flag per point for (n, 4)."""
         x = np.asarray(x, float)
-        lo = np.asarray(self.lo) + margin
-        hi = np.asarray(self.hi) - margin
-        inside = np.all((x >= lo) & (x <= hi), axis=-1)
+        inside = np.all((x >= self.lo) & (x <= self.hi), axis=-1)
         return bool(inside) if inside.ndim == 0 else inside
 
-    def require_interior(self, x, margin=0.0):
+    def require_interior(self, x):
         """Raise ChartError unless every point of ``x`` (one or (n, 4)) is inside."""
-        inside = np.atleast_1d(self.contains(x, margin))
+        inside = np.atleast_1d(self.contains(x))
         if not inside.all():
             bad = np.atleast_2d(np.asarray(x, float))[np.argmin(inside)]
-            raise ChartError(f"point {bad} outside domain (margin {margin})")
+            raise ChartError(f"point {bad} outside domain")
 
 
 def require_positive_definite(g, pts):
@@ -167,9 +160,10 @@ def fd_partials(func, pts, indices, step):
 
 
 @functools.lru_cache(maxsize=None)
-def _compiled(expr, index=()):
+def _compiled(expr, index):
     """The partial of the sympy scalar ``expr`` for the sorted multi-index
-    ``index``, compiled to a vectorized function of points (n, 4).
+    ``index`` (``()`` for the value), compiled to a vectorized function of
+    points (n, 4).
 
     A partial is looked up again by its own expression, so identical
     derivatives of different fields share one compiled function.
@@ -177,7 +171,7 @@ def _compiled(expr, index=()):
     if index:
         for ax in index:
             expr = sp.diff(expr, COORDS[ax])
-        return _compiled(expr)
+        return _compiled(expr, ())
     f = sp.lambdify(COORDS, expr, modules="numpy")
 
     def call(pts):
@@ -189,34 +183,23 @@ def _compiled(expr, index=()):
 
 
 class ScalarField:
-    """Real field on a chart box with derivative access up to order 4."""
+    """Real field given by a sympy expression on a chart box, with partial
+    derivatives up to order 4."""
 
-    def __init__(self, domain, expr=None, func=None, fd_step=None):
-        if (expr is None) == (func is None):
-            raise ValueError("give exactly one of expr / func")
+    def __init__(self, domain, expr):
         self.domain = domain
-        self.expr = sp.sympify(expr) if expr is not None else None
-        self._func = func
-        self.analytic = expr is not None
-        self.fd_step = fd_step if fd_step is not None else domain.width * 1e-2
+        self.expr = sp.sympify(expr)
 
     @classmethod
     def from_expr(cls, expr, domain):
-        return cls(domain, expr=expr)
-
-    @classmethod
-    def from_callable(cls, func, domain, fd_step=None):
-        return cls(domain, func=func, fd_step=fd_step)
+        return cls(domain, expr)
 
     @classmethod
     def constant(cls, value, domain):
-        return cls(domain, expr=sp.Float(value))
+        return cls(domain, sp.Float(value))
 
     def eval(self, pts):
-        pts = np.atleast_2d(np.asarray(pts, float))
-        if self.analytic:
-            return _compiled(self.expr)(pts)
-        return np.array([self._func(p) for p in pts], float)
+        return self.partial(pts, ())
 
     def __call__(self, x):
         return float(self.eval(np.atleast_2d(x))[0])
@@ -225,10 +208,7 @@ class ScalarField:
         """Partial derivative for multi-index ``index`` at each point."""
         if len(index) > 4:
             raise DerivativeOrderError("derivatives available up to order 4")
-        pts = np.atleast_2d(np.asarray(pts, float))
-        if self.analytic:
-            return _compiled(self.expr, tuple(sorted(index)))(pts)
-        return fd_partials(self.eval, pts, [tuple(index)], self.fd_step)[0]
+        return _compiled(self.expr, tuple(sorted(index)))(pts)
 
     def gradient(self, pts):
         pts = np.atleast_2d(np.asarray(pts, float))
@@ -244,39 +224,26 @@ class ScalarField:
 
 
 class MetricField:
-    """Symmetric positive-definite 4x4 metric on a chart box."""
+    """Symmetric positive-definite 4x4 metric on a chart box, given by a
+    sympy matrix."""
 
-    dim = DIM
-
-    def __init__(self, domain, matrix=None, func=None, fd_step=None):
-        if (matrix is None) == (func is None):
-            raise ValueError("give exactly one of matrix / func")
+    def __init__(self, domain, matrix):
         self.domain = domain
-        self.matrix = sp.Matrix(matrix) if matrix is not None else None
-        if self.matrix is not None and not self.matrix.is_symmetric():
+        self.matrix = sp.Matrix(matrix)
+        if not self.matrix.is_symmetric():
             # tolerate numerically symmetric inputs, reject structural asymmetry
             d = sp.simplify(self.matrix - self.matrix.T)
             if any(e != 0 for e in d):
                 raise ValueError("metric matrix must be symmetric")
-        self._func = func
-        self.analytic = matrix is not None
-        self.fd_step = fd_step if fd_step is not None else domain.width * 1e-2
+        self.is_flat = self.matrix == sp.eye(DIM)
 
     @classmethod
     def from_exprs(cls, matrix, domain):
-        return cls(domain, matrix=matrix)
-
-    @classmethod
-    def from_callable(cls, func, domain, fd_step=None):
-        return cls(domain, func=func, fd_step=fd_step)
+        return cls(domain, matrix)
 
     @classmethod
     def flat(cls, domain):
-        return cls(domain, matrix=sp.eye(DIM))
-
-    @property
-    def is_flat(self):
-        return self.analytic and self.matrix == sp.eye(DIM)
+        return cls(domain, sp.eye(DIM))
 
     def eval(self, x):
         pts = np.atleast_2d(np.asarray(x, float))
@@ -285,60 +252,27 @@ class MetricField:
         return g[0]
 
     def eval_batch(self, pts):
-        pts = np.atleast_2d(np.asarray(pts, float))
-        g = np.empty((pts.shape[0], DIM, DIM))
-        if self.analytic:
-            for a in range(DIM):
-                for b in range(a, DIM):
-                    g[:, a, b] = g[:, b, a] = _compiled(self.matrix[a, b])(pts)
-        else:
-            for i, p in enumerate(pts):
-                m = np.asarray(self._func(p), float)
-                g[i] = 0.5 * (m + m.T)
-        return g
-
-    def _partials(self, pts, indices):
-        pts = np.atleast_2d(np.asarray(pts, float))
-        if not self.analytic:
-            return fd_partials(self.eval_batch, pts, indices, self.fd_step)
-        out = []
-        for index in indices:
-            key = tuple(sorted(index))
-            arr = np.empty((pts.shape[0], DIM, DIM))
-            for a in range(DIM):
-                for b in range(a, DIM):
-                    arr[:, a, b] = arr[:, b, a] = _compiled(self.matrix[a, b], key)(pts)
-            out.append(arr)
-        return out
+        return self.jet(pts, 0)[0]
 
     def jet(self, pts, order):
         """Metric derivative jet.
 
         Returns ``[g, dg, d2g, ...]`` up to ``order``; derivative axes come
         last, so ``dg[n, a, b, c] = d_c g_ab`` and
-        ``d2g[n, a, b, c, d] = d_c d_d g_ab``.  A sampled metric takes every
-        derivative from one stencil evaluation.
+        ``d2g[n, a, b, c, d] = d_c d_d g_ab``.
         """
         if order > 4:
             raise DerivativeOrderError("metric derivatives available up to order 4")
         pts = np.atleast_2d(np.asarray(pts, float))
-        n = pts.shape[0]
-        indices = [
-            idx
-            for k in range(1, order + 1)
-            for idx in itertools.combinations_with_replacement(range(DIM), k)
-        ]
-        parts = iter(self._partials(pts, indices))
-        jets = [self.eval_batch(pts)]
-        for k in range(1, order + 1):
-            arr = np.empty((n,) + (DIM, DIM) + (DIM,) * k)
+        jets = []
+        for k in range(order + 1):
+            arr = np.empty((pts.shape[0], DIM, DIM) + (DIM,) * k)
             for idx in itertools.combinations_with_replacement(range(DIM), k):
-                val = next(parts)
+                val = np.empty((pts.shape[0], DIM, DIM))
+                for a in range(DIM):
+                    for b in range(a, DIM):
+                        val[:, a, b] = val[:, b, a] = _compiled(self.matrix[a, b], idx)(pts)
                 for perm in set(itertools.permutations(idx)):
                     arr[(slice(None), slice(None), slice(None)) + perm] = val
             jets.append(arr)
         return jets
-
-    def sqrt_det(self, pts):
-        return np.sqrt(np.linalg.det(self.eval_batch(pts)))
-

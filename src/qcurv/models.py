@@ -15,24 +15,12 @@ from .quadrature import gauss_legendre, s3_nodes
 S4_VOLUME = 8.0 * np.pi**2 / 3.0
 
 
-def sphere_conformal_factor_expr():
-    """u with e^{2u} delta = round S^4 chart metric: u = log(2/(1+|x|^2))."""
-    r2 = sum(c**2 for c in COORDS)
-    return sp.log(2 / (1 + r2))
-
-
 def sphere_metric(domain=None) -> MetricField:
     """Round unit-S^4 metric in the stereographic chart."""
     if domain is None:
         domain = Box.cube(100.0)
     r2 = sum(c**2 for c in COORDS)
     return MetricField.from_exprs(4 / (1 + r2) ** 2 * sp.eye(4), domain)
-
-
-def sphere_conformal_u(domain=None) -> ScalarField:
-    if domain is None:
-        domain = Box.cube(100.0)
-    return ScalarField.from_expr(sphere_conformal_factor_expr(), domain)
 
 
 class SphereModel:

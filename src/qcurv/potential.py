@@ -7,10 +7,7 @@ multiplier 1 / (L^4 |2 pi k / L|^4), built once per (N, L) on the rfft half
 spectrum; point values come from a separable mode sum over its four axes.
 
 R^4 side: the log-potential v(x) = (1/4 pi^2) int log(|y|/|x-y|) rho(y) dy
-and its derivative kernels, integrated in polar coordinates centered at
-the singular point x (the r^3 Jacobian absorbs every kernel singularity
-up to second order; second derivatives get a principal-value-safe polar
-patch automatically for the same reason).
+of a radial density, with the angular integral in closed form.
 """
 
 from __future__ import annotations
@@ -21,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import fft as sfft
 
-from .quadrature import gauss_legendre, s3_nodes
+from .quadrature import gauss_legendre
 
 
 # ---------------------------------------------------------------------------
@@ -222,68 +219,7 @@ def regular_part_field(b: TorusSpectralField) -> TorusSpectralField:
 
 
 # ---------------------------------------------------------------------------
-# R^4 log-potential quadrature
-
-
-R_INNER = 1e-3  # the first radial panel edge; each later one is 3 times larger
-
-
-def _polar_panels(r_max):
-    edges = [0.0, R_INNER]
-    while edges[-1] < r_max:
-        edges.append(min(edges[-1] * 3.0, r_max))
-    return edges
-
-
-class BallDensity:
-    """Density on R^4 with decay |rho| <= (1+|y|)^-7, truncated where that
-    bound falls to 1e-12: (1 + r_cut)^-7 = 1e-12."""
-
-    r_cut = 10.0 ** (12.0 / 7.0) - 1.0
-
-    def __init__(self, func):
-        self.func = func
-
-    def __call__(self, pts):
-        pts = np.atleast_2d(np.asarray(pts, float))
-        vals = np.asarray(self.func(pts), float)
-        vals = np.where(np.linalg.norm(pts, axis=1) <= self.r_cut, vals, 0.0)
-        return vals
-
-
-def _integrate_centered(kernel_of_ry, rho, x, n_r=32, n_u=16, n_phi=16):
-    """int kernel(r, y) rho(y) dy in polar coordinates centered at x.
-
-    ``kernel_of_ry(r, y)`` receives the distance r = |y - x| and the
-    absolute points y, vectorized.
-    """
-    x = np.asarray(x, float)
-    r_max = float(np.linalg.norm(x)) + rho.r_cut
-    s_pts, s_w = s3_nodes(n_u, n_phi)
-    total = 0.0
-    edges = _polar_panels(r_max)
-    for a, b in zip(edges[:-1], edges[1:]):
-        r, wr = gauss_legendre(n_r, a, b)
-        y = x[None, None, :] + r[:, None, None] * s_pts[None, :, :]
-        dens = rho(y.reshape(-1, 4)).reshape(len(r), -1)
-        ker = kernel_of_ry(
-            np.repeat(r, s_pts.shape[0]).reshape(len(r), -1), y
-        )
-        total += float(
-            np.sum((wr * r**3)[:, None] * s_w[None, :] * dens * ker)
-        )
-    return total
-
-
-def log_potential(rho, x, **quad):
-    """(1/4 pi^2) int log(|y| / |x-y|) rho(y) dy."""
-
-    def kernel(r, y):
-        ay = np.linalg.norm(y, axis=-1)
-        with np.errstate(divide="ignore"):
-            return np.log(np.maximum(ay, 1e-300)) - np.log(np.maximum(r, 1e-300))
-
-    return _integrate_centered(kernel, rho, x, **quad) / (4.0 * np.pi**2)
+# R^4 log-potential
 
 
 def radial_log_potential(rho_of_r, x_norm, r_cut, n_r=200):
@@ -332,48 +268,3 @@ def radial_log_potential(rho_of_r, x_norm, r_cut, n_r=200):
     )
     dlap = 2.0 * inner_mass / x**3
     return {"v": v, "dv": dv, "lap": lap, "dlap": dlap, "inner_mass": inner_mass}
-
-
-def potential_derivatives(rho, x, which, index=None, **quad):
-    """Derivative kernels of the log-potential per the closed-form displays.
-
-    which: 'grad' (index a), 'lap', 'hess' (index (i, j)), 'gradlap'
-    (index i).  All integrals converge absolutely against the r^3
-    Jacobian of the centered polar rule.
-    """
-    x = np.asarray(x, float)
-
-    if which == "grad":
-        a = index
-
-        def kernel(r, y):
-            return -(x[a] - y[..., a]) / np.maximum(r, 1e-300) ** 2 / (4.0 * np.pi**2)
-
-    elif which == "lap":
-
-        def kernel(r, y):
-            return -1.0 / np.maximum(r, 1e-300) ** 2 / (2.0 * np.pi**2)
-
-    elif which == "hess":
-        i, j = index
-
-        def kernel(r, y):
-            d_i = x[i] - y[..., i]
-            d_j = x[j] - y[..., j]
-            rr = np.maximum(r, 1e-300)
-            return (
-                -(float(i == j) * rr**2 - 2.0 * d_i * d_j)
-                / rr**4
-                / (4.0 * np.pi**2)
-            )
-
-    elif which == "gradlap":
-        i = index
-
-        def kernel(r, y):
-            return (x[i] - y[..., i]) / np.maximum(r, 1e-300) ** 4 / np.pi**2
-
-    else:
-        raise ValueError(f"unknown derivative spec {which!r}")
-
-    return _integrate_centered(kernel, rho, x, **quad)

@@ -203,7 +203,7 @@ def test_console_entry_point(tmp_path):
 @pytest.mark.parametrize(
     "exc",
     [
-        ChartError("point [2. 0. 0. 0.] outside domain (margin 0.0)"),
+        ChartError("point [2. 0. 0. 0.] outside domain"),
         DegenerateMetricError("metric eigenvalue 1.000e-12 below floor at [0. 0. 0. 0.]"),
         RuntimeError("geodesic solver did not converge"),
     ],

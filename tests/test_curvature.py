@@ -15,8 +15,17 @@ from qcurv.curvature import (
     weyl_tensor,
     weyl_trace_residual,
 )
-from qcurv.fields import Box, COORDS, ChartError, DegenerateMetricError, MetricField, ScalarField
-from qcurv.models import FlatTorusModel, SphereModel, sphere_conformal_u, sphere_metric
+from qcurv.cnc import _MONOMIAL_INDEX, ExactArray, PolynomialMetric
+from qcurv.fields import (
+    COORDS,
+    Box,
+    ChartError,
+    DegenerateMetricError,
+    MetricField,
+    ScalarField,
+    fd_partials,
+)
+from qcurv.models import FlatTorusModel, SphereModel, sphere_metric
 
 x0, x1, x2, x3 = COORDS
 R2 = sum(c**2 for c in COORDS)
@@ -38,6 +47,13 @@ def test_sphere_curvature_at_origin_and_off_origin():
         gx = g.eval(x)
         assert np.max(np.abs(riem.ricci - 3.0 * gx)) < 1e-9
         assert riem.check(tol=1e-9)
+
+
+def test_ricci_is_contracted_once():
+    riem = riemann_of_metric(_sampled_metric(), _BATCH)
+    ric = riem.ricci
+    assert riem.ricci is ric
+    assert np.array_equal(ric, np.einsum("...ac,...abcd->...bd", riem.g_inv, riem.components))
 
 
 def _kulkarni_nomizu(h, k):
@@ -70,37 +86,47 @@ def test_riemann_outside_domain_raises():
 
 
 def test_perturbed_metric_matches_fd_oracle():
-    dom = Box.cube(2.0)
     g = MetricField.from_exprs(
-        sp.eye(4) + sp.diag(x1**2, x2**2, x3**2, x0**2) / 10, dom
+        sp.eye(4) + sp.diag(x1**2, x2**2, x3**2, x0**2) / 10, Box.cube(2.0)
     )
-    gn = MetricField.from_callable(
-        lambda p: np.eye(4)
-        + np.diag([p[1] ** 2, p[2] ** 2, p[3] ** 2, p[0] ** 2]) / 10,
-        dom,
-        fd_step=0.02,
-    )
-    x = np.array([0.3, 0.1, -0.2, 0.4])
-    ra = riemann_of_metric(g, x)
-    rn = riemann_of_metric(gn, x)
-    assert np.max(np.abs(ra.components - rn.components)) < 1e-6
+
+    def gfun(p):
+        return np.eye(4) + np.eye(4) * (p[:, [1, 2, 3, 0]] ** 2 / 10)[:, None, :]
+
+    x = np.array([[0.3, 0.1, -0.2, 0.4]])
+    g0, dg, d2g = g.jet(x, 2)
+    first = [(c,) for c in range(4)]
+    second = [(c, d) for c in range(4) for d in range(4)]
+    fd = fd_partials(gfun, x, first + second, 0.02)
+    assert np.max(np.abs(g0 - gfun(x))) < 1e-15
+    for (c,), v in zip(first, fd):
+        assert np.max(np.abs(dg[..., c] - v)) < 1e-6
+    for (c, d), v in zip(second, fd[4:]):
+        assert np.max(np.abs(d2g[..., c, d] - v)) < 1e-6
+    assert np.max(np.abs(d2g)) > 0.1
+
+
+def _random_quadratic_metric(rng, den=1000):
+    """delta + sum_ij c_abij x_i x_j with c_abij = c_baij in [-0.1, 0.1],
+    exact integer numerators over ``den``."""
+    coef = rng.integers(-50, 51, (4, 4, 4, 4))
+    coef = coef + coef.transpose(1, 0, 2, 3)
+    comps = np.zeros((4, 4, 35), dtype=np.int64)
+    comps[..., 0] = den * np.eye(4, dtype=np.int64)
+    for i in range(4):
+        for j in range(4):
+            monomial = tuple(np.bincount([i, j], minlength=4).tolist())
+            comps[..., _MONOMIAL_INDEX[monomial]] += coef[:, :, i, j]
+    return PolynomialMetric(ExactArray(comps, den), Box.cube(2.0))
 
 
 def test_riemann_symmetries_on_random_perturbations():
-    # quadratic metric entries are differentiated exactly by the order-4
-    # stencils, so the FD path carries no truncation error here
+    # exact polynomial metrics: their jets carry no finite-difference error
     rng = np.random.default_rng(3)
-    dom = Box.cube(2.0)
     for _ in range(100):
-        coef = rng.uniform(-0.05, 0.05, (4, 4, 4, 4))
-        coef = coef + coef.transpose(1, 0, 2, 3)
-
-        def gfun(p, coef=coef):
-            quad = np.einsum("abij,i,j->ab", coef, p, p)
-            return np.eye(4) + quad
-
-        g = MetricField.from_callable(gfun, dom, fd_step=0.05)
+        g = _random_quadratic_metric(rng)
         riem = riemann_of_metric(g, rng.uniform(-0.5, 0.5, 4))
+        assert np.max(np.abs(riem.components)) > 1e-2
         assert riem.check(tol=1e-10)
 
 
@@ -110,6 +136,20 @@ def test_weyl_vanishes_on_constant_curvature():
     w = weyl_tensor(riem)
     assert np.max(np.abs(w)) < 1e-9
     assert weyl_norm_sq(w, riem.g) < 1e-18
+
+
+def test_weyl_norm_matches_one_step_contraction():
+    rng = np.random.default_rng(5)
+    w = rng.standard_normal((50, 4, 4, 4, 4))
+    a = rng.standard_normal((50, 4, 4))
+    g = np.eye(4) + 0.3 * a @ np.swapaxes(a, 1, 2)
+    gi = np.linalg.inv(g)
+    w_up = np.einsum("nae,nbf,ncg,ndh,nefgh->nabcd", gi, gi, gi, gi, w)
+    want = np.einsum("nabcd,nabcd->n", w, w_up)
+    got = weyl_norm_sq(w, g)
+    assert got.shape == (50,)
+    assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13
+    assert weyl_norm_sq(w[7], g[7]) == pytest.approx(want[7], rel=1e-13)
 
 
 def test_weyl_trace_free_on_generic_input():
@@ -189,8 +229,8 @@ def test_conformal_transform_identity_and_sphere():
     x = np.array([0.3, -0.2, 0.5, 0.1])
     expected = 4.0 / (1.0 + x @ x) ** 2 * np.eye(4)
     assert np.max(np.abs(gs.eval(x) - expected)) < 1e-12
-    with pytest.raises(ValueError, match="analytic"):
-        conformal_transform(MetricField.from_callable(lambda p: np.eye(4), dom), u)
+    with pytest.raises(ValueError, match="domains"):
+        conformal_transform(MetricField.flat(Box.cube(1.0)), u)
 
 
 def test_conformal_transform_compiles_each_expression_once(monkeypatch):
@@ -213,7 +253,7 @@ def test_constant_conformal_factor_scales_volume():
     c = 0.3
     gt = conformal_transform(g, ScalarField.constant(c, dom))
     pts = np.random.default_rng(1).uniform(-0.5, 0.5, (5, 4))
-    ratio = gt.sqrt_det(pts) / g.sqrt_det(pts)
+    ratio = np.sqrt(np.linalg.det(gt.eval_batch(pts)) / np.linalg.det(g.eval_batch(pts)))
     assert np.max(np.abs(ratio - np.exp(4 * c))) < 1e-12
 
 
@@ -264,25 +304,17 @@ def test_gauss_bonnet_conformally_perturbed_sphere():
     assert abs(val - target) < 0.01 * target
 
 
-def test_sphere_conformal_u_consistency():
-    u = sphere_conformal_u()
-    x = np.array([0.3, 0.0, 0.1, -0.2])
-    assert abs(u(x) - np.log(2.0 / (1.0 + x @ x))) < 1e-12
-
-
 def _perturbed_sphere():
     w = sp.Rational(1, 20) / (1 + R2)
     return MetricField.from_exprs(sp.exp(2 * w) * 4 / (1 + R2) ** 2 * sp.eye(4), Box.cube(100.0))
 
 
 def _sampled_metric():
-    def gfun(p):
-        a = 0.1 * np.sin(p[0]) * p[1] + 0.05 * p[2] ** 2
-        m = np.eye(4) * (1.0 + 0.1 * p @ p)
-        m[0, 1] = m[1, 0] = a
-        return m
-
-    return MetricField.from_callable(gfun, Box.cube(10.0), fd_step=0.05)
+    """A metric with a non-polynomial off-diagonal entry, not conformally flat."""
+    a = sp.sin(x0) * x1 / 10 + x2**2 / 20
+    m = sp.eye(4) * (1 + R2 / 10)
+    m[0, 1] = m[1, 0] = a
+    return MetricField.from_exprs(m, Box.cube(10.0))
 
 
 # |x| > 1 at the last two points, so each has its own default Q step

@@ -8,13 +8,10 @@ from qcurv import potential
 from qcurv.bubble import RHO0, RescaledBubble
 from qcurv.potential import (
     LOG_COEFF,
-    BallDensity,
     TorusSpectralField,
     fit_log_singularity,
     green_grid_values,
     green_pair_value,
-    log_potential,
-    potential_derivatives,
     radial_log_potential,
     regular_part_field,
     representation_check,
@@ -26,10 +23,6 @@ L = 2.0 * np.pi
 def sphere_density(r):
     """e^{4U} for the unit-strength radial profile; v[rho] == U exactly."""
     return 1.0 / (1.0 + RHO0 * np.asarray(r, float) ** 2) ** 4
-
-
-def sphere_density_pts(pts):
-    return sphere_density(np.linalg.norm(np.atleast_2d(pts), axis=1))
 
 
 def test_green_zero_mean_and_size_validation():
@@ -163,11 +156,6 @@ def test_regular_part_field_cases():
     assert abs(phi.eval(np.array([[np.pi, 0, 0, 0]]))[0] + 2.0) < 1e-12
 
 
-def test_log_potential_trivial_at_origin():
-    dens = BallDensity(sphere_density_pts)
-    assert abs(log_potential(dens, np.zeros(4))) < 1e-12
-
-
 def test_radial_log_potential_matches_closed_forms():
     rb = RescaledBubble(1.0)
     for xn in (3.0, 8.0, 20.0):
@@ -176,19 +164,6 @@ def test_radial_log_potential_matches_closed_forms():
         assert abs(out["dv"] - rb.d1(xn)) < 1e-9
         assert abs(out["lap"] - rb.lap(xn)) < 1e-9
         assert abs(out["dlap"] - rb.dlap_dr(xn)) < 1e-9
-
-
-def test_log_potential_agrees_with_radial_reduction():
-    # the polar rule is centered at x, so the log|y| factor is singular
-    # off-center and convergence is only algebraic; check the error against
-    # the near-exact radial reduction and that refinement shrinks it
-    dens = BallDensity(sphere_density_pts)
-    x = np.array([5.0, 0.0, 0.0, 0.0])
-    v_rad = radial_log_potential(sphere_density, 5.0, r_cut=dens.r_cut, n_r=400)["v"]
-    e_lo = abs(log_potential(dens, x, n_r=32, n_u=24, n_phi=24) - v_rad)
-    e_hi = abs(log_potential(dens, x, n_r=48, n_u=32, n_phi=32) - v_rad)
-    assert e_hi < 5e-3
-    assert e_hi < 0.5 * e_lo
 
 
 def test_far_field_log_slope_is_half_mass():
@@ -200,46 +175,3 @@ def test_far_field_log_slope_is_half_mass():
     ]
     slope = np.polyfit(np.log(xs), vals, 1)[0]
     assert abs(slope + 2.0) / 2.0 < 0.01
-
-
-def test_potential_derivative_kernels():
-    dens = BallDensity(sphere_density_pts)
-    rb = RescaledBubble(1.0)
-
-    # odd kernel against an even density: gradient vanishes at the origin
-    for a in range(4):
-        assert abs(potential_derivatives(dens, np.zeros(4), "grad", a)) < 1e-10
-
-    x = np.array([5.0, 0.0, 0.0, 0.0])
-    lap = potential_derivatives(dens, x, "lap", n_r=32, n_u=24, n_phi=24)
-    assert abs(lap - rb.lap(5.0)) < 1e-3
-
-    # the Hessian kernels contract to the Laplacian kernel identically
-    tr = sum(
-        potential_derivatives(dens, x, "hess", (i, i), n_r=24, n_u=16, n_phi=16)
-        for i in range(4)
-    )
-    lap2 = potential_derivatives(dens, x, "lap", n_r=24, n_u=16, n_phi=16)
-    assert abs(tr - lap2) < 1e-8
-
-    with pytest.raises(ValueError):
-        potential_derivatives(dens, x, "bogus")
-
-
-def test_gradient_kernel_matches_radial_derivative():
-    dens = BallDensity(sphere_density_pts)
-    rb = RescaledBubble(1.0)
-    x = np.array([5.0, 0.0, 0.0, 0.0])
-    g0 = potential_derivatives(dens, x, "grad", 0, n_r=32, n_u=24, n_phi=24)
-    assert abs(g0 - rb.d1(5.0)) < 1e-3
-    # off-axis components vanish by symmetry
-    for a in (1, 2, 3):
-        assert abs(potential_derivatives(dens, x, "grad", a, n_r=24, n_u=16, n_phi=16)) < 1e-8
-
-
-def test_gradlap_kernel_matches_radial_derivative():
-    dens = BallDensity(sphere_density_pts)
-    rb = RescaledBubble(1.0)
-    x = np.array([5.0, 0.0, 0.0, 0.0])
-    gl = potential_derivatives(dens, x, "gradlap", 0, n_r=32, n_u=24, n_phi=24)
-    assert abs(gl - rb.dlap_dr(5.0)) < 1e-3
