@@ -324,13 +324,9 @@ def riemann_symmetry_violation(R):
     return max(r.abs_max() for r in residuals)
 
 
-def ricci_of(R0):
-    return R0.einsum("abad...->bd...")
-
-
-def ricci_deriv_of(R1):
-    """Ric_{ij,k} from R_{abcd,e}."""
-    return R1.einsum("abad...->bd...")
+def ricci_of(R):
+    """Ric_bd from R_abcd; trailing axes ride along, so Ric_{bd,e} from R_{abcd,e}."""
+    return R.einsum("abad...->bd...")
 
 
 def _cyclic_sum(dr):
@@ -361,7 +357,7 @@ class CurvatureJet:
         if self.conformal_normal:
             if ricci_of(self.R0).any():
                 raise ValueError("conformal-normal jet must have Ric(0) = 0")
-            if _cyclic_sum(ricci_deriv_of(self.R1)).any():
+            if _cyclic_sum(ricci_of(self.R1)).any():
                 raise ValueError(
                     "conformal-normal jet violates the symmetrized "
                     "Ricci-derivative identity"
@@ -477,7 +473,7 @@ def _deriv_basis():
         _bianchi1(R1),
         # second Bianchi: R_ab[cd,e] cyclic sum
         R1[a, b, c, d, e] + R1[a, b, d, e, c] + R1[a, b, e, c, d],
-        _cyclic_sum(ricci_deriv_of(R1))[sym],
+        _cyclic_sum(ricci_of(R1))[sym],
     ])
     return _nullspace(rows.num)
 
@@ -568,7 +564,7 @@ def contracted_first_derivative(mt: MetricTaylor):
 
 def contracted_first_derivative_display(jet: CurvatureJet):
     """Closed form -(1/6)(2 R_ib,j - R_ij,b) xi^i xi^j."""
-    dr = ricci_deriv_of(jet.R1)
+    dr = ricci_of(jet.R1)
     return _from_terms((2 * dr.einsum("ibj->bij") - dr.einsum("ijb->bij")) / -6, 2)
 
 
@@ -581,7 +577,7 @@ def contracted_second_derivative(mt: MetricTaylor):
 
 
 def contracted_second_derivative_display(jet: CurvatureJet):
-    dr = ricci_deriv_of(jet.R1)
+    dr = ricci_of(jet.R1)
     return _from_terms(dr.einsum("idb->bdi") * 2 / 3, 1)
 
 
@@ -593,7 +589,7 @@ def log_det_poly(mt: MetricTaylor):
 
 def cnc_identity_suite(jet: CurvatureJet):
     """Residual report for the conformal-normal-coordinate identities."""
-    dr = ricci_deriv_of(jet.R1)
+    dr = ricci_of(jet.R1)
     residuals = {
         "ricci_zero": ricci_of(jet.R0),
         "ricci_deriv_symmetrized": _cyclic_sum(dr),

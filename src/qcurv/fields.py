@@ -24,11 +24,11 @@ COORDS = sp.symbols("x0 x1 x2 x3")
 EIG_FLOOR = 1e-8
 
 
-class ChartError(ValueError):
+class ChartError(RuntimeError):
     """Point outside the chart domain (or too close to its boundary)."""
 
 
-class DegenerateMetricError(ValueError):
+class DegenerateMetricError(RuntimeError):
     """Metric not positive definite at an evaluation point."""
 
 

@@ -214,21 +214,9 @@ def tuned_source(h: TorusSpectralField, q=ORIGIN):
     amp = target / (4.0 * mult * kfac)
     phase = kfac * q
     units = [tuple(k) for k in np.eye(4, dtype=int)]
-    sines = sine_source(h.L, h.N, dict(zip(units, amp * np.cos(phase))))
-    cosines = TorusSpectralField.from_modes(h.L, h.N, dict(zip(units, -amp * np.sin(phase))))
-    return TorusSpectralField(h.L, sines.coeffs + cosines.coeffs)
-
-
-def sine_source(L, N, modes):
-    """sum_k a_k sin(2 pi k.x / L) as a TorusSpectralField (gradients of
-    sine modes do not vanish at the origin, unlike from_modes cosines)."""
-    c = np.zeros((N,) * 4, complex)
-    for k, a in modes.items():
-        kp = tuple(int(v) % N for v in k)
-        kn = tuple((-int(v)) % N for v in k)
-        c[kp] += a / 2.0j
-        c[kn] -= a / 2.0j
-    return TorusSpectralField(L, c)
+    return TorusSpectralField(
+        h.L, cos=dict(zip(units, -amp * np.sin(phase))), sin=dict(zip(units, amp * np.cos(phase)))
+    )
 
 
 def vrate_rate_fit(h, b_tuned, b_off, eps_list, tau, q=ORIGIN):
@@ -239,10 +227,7 @@ def vrate_rate_fit(h, b_tuned, b_off, eps_list, tau, q=ORIGIN):
     sources b_eps, each keyed by eps, and the exponent.
     """
     eps_list = [float(e) for e in eps_list]
-    sources = [
-        TorusSpectralField(b_tuned.L, b_tuned.coeffs + e ** (tau / 2.0) * b_off.coeffs)
-        for e in eps_list
-    ]
+    sources = [b_tuned + e ** (tau / 2.0) * b_off for e in eps_list]
     norms = [float(np.linalg.norm(vrate_balance(h, b, q))) for b in sources]
     if min(norms) <= 0.0:
         raise ValueError(

@@ -43,7 +43,7 @@ import numpy as np
 
 from .cnc import (
     DEGREE, concatenate, detone_laplacian, inverse_metric_taylor, poly_diff, poly_jet,
-    ricci_deriv_of,
+    ricci_of,
 )
 from .quadrature import ball_rule, sphere_rule, BALL4_VOL, S3_AREA
 
@@ -220,7 +220,7 @@ def pohozaev_balance(
         lap_i = np.sum(A_i * gu_i, axis=1) + np.sum(ginv_i * hu_flat, axis=1)
         metric = np.sum(A_EA_i * gu_i, axis=1) + np.sum(Eginv_i * hu_flat, axis=1)
         I2_metric = float(np.sum(w_i * lap_i * metric))
-        ric1 = ricci_deriv_of(metric_taylor.jet.R1).to_float()
+        ric1 = ricci_of(metric_taylor.jet.R1).to_float()
         ric_l = ric1.transpose(2, 0, 1).reshape(4, 16)
         Mg_b = _contract_ricci(ric_l, xi_b, gu_b)
         Mg_i = _contract_ricci(ric_l, xi_i, gu_i)

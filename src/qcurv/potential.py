@@ -1,10 +1,10 @@
 """Fundamental solutions and Green's functions.
 
-Torus side: zero-mean periodic fields stored as full FFT coefficient
-arrays (numpy ``fftn`` layout, f(x) = sum_k c_k e^{2 pi i k.x / L}); the
-biharmonic Green's function is exact in the truncated spectral space with
-multiplier 1 / (L^4 |2 pi k / L|^4), built once per (N, L) on the rfft half
-spectrum; point values come from a separable mode sum over its four axes.
+Torus side: real fields are trigonometric polynomials stored as their cos
+and sin modes; the biharmonic Green's function is exact in the truncated
+spectral space with multiplier 1 / (L^4 |2 pi k / L|^4), built once per
+(N, L) on the rfft half spectrum; point values come from a separable mode
+sum over its four axes.
 
 R^4 side: the log-potential v(x) = (1/4 pi^2) int log(|y|/|x-y|) rho(y) dy
 of a radial density, with the angular integral in closed form.
@@ -26,76 +26,49 @@ from .quadrature import gauss_legendre
 
 
 class TorusSpectralField:
-    """Real periodic scalar field on [0, L)^4 as Fourier coefficients."""
+    """Real trigonometric polynomial on the torus [0, L)^4,
 
-    def __init__(self, L, coeffs):
+        f(x) = sum_k cos[k] cos(2 pi k.x / L) + sin[k] sin(2 pi k.x / L),
+
+    over integer wave vectors k; ``cos[(0, 0, 0, 0)]`` is the mean."""
+
+    def __init__(self, L, cos=None, sin=None):
         self.L = float(L)
-        self.coeffs = np.asarray(coeffs, complex)
-        if self.coeffs.ndim != 4:
-            raise ValueError("coefficient array must be 4-dimensional")
-        self.N = self.coeffs.shape[0]
-        if any(s != self.N for s in self.coeffs.shape):
-            raise ValueError("coefficient array must be N^4")
-        if self.N % 2 != 0:
-            raise ValueError("N must be even")
-        v = self.grid_values()
-        if np.max(np.abs(v.imag)) > 1e-10 * max(1.0, np.max(np.abs(v.real))):
-            raise ValueError("coefficients violate conjugate symmetry")
+        self.cos = {tuple(int(v) for v in k): float(a) for k, a in (cos or {}).items()}
+        self.sin = {tuple(int(v) for v in k): float(a) for k, a in (sin or {}).items()}
 
-    @classmethod
-    def from_modes(cls, L, N, modes):
-        """``modes``: dict mapping integer wave vectors k to amplitudes of
-        cos terms; builds sum_k a_k cos(2 pi k.x / L) (manifestly real)."""
-        c = np.zeros((N,) * 4, complex)
-        for k, a in modes.items():
-            k = tuple(int(v) % N for v in k)
-            kneg = tuple((-int(v)) % N for v in k)
-            c[k] += a / 2.0
-            c[kneg] += a / 2.0
-        return cls(L, c)
-
-    def ksq(self):
-        return _ksq(self.N, self.L)
-
-    def grid_values(self):
-        return sfft.ifftn(self.coeffs) * self.coeffs.size
-
-    def values(self):
-        return self.grid_values().real
-
-    def _waves(self, pts):
-        """e^{2 pi i k.x / L} of the nonzero modes at pts (m, 4), with k and c_k."""
+    def _phases(self, pts):
+        """(2 pi k.x / L at pts (m, 4), k (n, 4), amplitudes) for the cos, then the sin modes."""
         pts = np.atleast_2d(np.asarray(pts, float))
-        idx = np.nonzero(self.coeffs)
-        ks = np.stack([sfft.fftfreq(self.N, d=1.0 / self.N)[i] for i in idx], axis=1)
-        phase = 2.0 * np.pi / self.L * pts @ ks.T
-        return np.exp(1j * phase), ks, self.coeffs[idx]
+        out = []
+        for modes in (self.cos, self.sin):
+            ks = np.array(list(modes), float).reshape(-1, 4)
+            out.append((2.0 * np.pi / self.L * pts @ ks.T, ks, np.array(list(modes.values()))))
+        return out
 
     def eval(self, pts):
-        """Direct mode-sum evaluation at arbitrary points (m, 4)."""
-        if np.count_nonzero(self.coeffs) > 20000:
-            raise ValueError("direct evaluation only for sparse spectra")
-        waves, _, amps = self._waves(pts)
-        return (waves @ amps).real
+        """Mode-sum values at points (m, 4)."""
+        (pc, _, a), (ps, _, b) = self._phases(pts)
+        return np.cos(pc) @ a + np.sin(ps) @ b
 
     def gradient(self, pts):
-        waves, ks, amps = self._waves(pts)
-        fac = 1j * 2.0 * np.pi / self.L
-        return np.stack([(waves @ (fac * ks[:, a] * amps)).real for a in range(4)], axis=1)
+        (pc, kc, a), (ps, ks, b) = self._phases(pts)
+        dcos = -np.sin(pc) @ (a[:, None] * kc)
+        return 2.0 * np.pi / self.L * (np.cos(ps) @ (b[:, None] * ks) + dcos)
 
+    def __add__(self, other):
+        if other.L != self.L:
+            raise ValueError("fields live on tori of different sizes")
 
-def _ksq(N, L, half=False):
-    """|2 pi k / L|^2 on the fftfreq grid (N,)*4, or on its rfftfreq half."""
-    k2 = sfft.fftfreq(N, d=1.0 / N) ** 2
-    k3 = sfft.rfftfreq(N, d=1.0 / N) ** 2 if half else k2
-    ksq = (
-        k2[:, None, None, None]
-        + k2[None, :, None, None]
-        + k2[None, None, :, None]
-        + k3[None, None, None, :]
-    )
-    ksq *= (2.0 * np.pi / L) ** 2
-    return ksq
+        def merged(p, q):
+            return {k: p.get(k, 0.0) + q.get(k, 0.0) for k in {**p, **q}}
+
+        return TorusSpectralField(self.L, merged(self.cos, other.cos), merged(self.sin, other.sin))
+
+    def __rmul__(self, s):
+        return TorusSpectralField(
+            self.L, {k: s * a for k, a in self.cos.items()}, {k: s * a for k, a in self.sin.items()}
+        )
 
 
 @lru_cache
@@ -103,7 +76,14 @@ def _multiplier(N, L):
     """Read-only multiplier 1 / (L^4 |2 pi k / L|^4) on the rfft half, k = 0 -> 0."""
     if N < 16 or N % 2:
         raise ValueError("N must be even and >= 16")
-    m = _ksq(N, L, half=True)
+    k2 = sfft.fftfreq(N, d=1.0 / N) ** 2
+    m = (
+        k2[:, None, None, None]
+        + k2[None, :, None, None]
+        + k2[None, None, :, None]
+        + (sfft.rfftfreq(N, d=1.0 / N) ** 2)[None, None, None, :]
+    )
+    m *= (2.0 * np.pi / L) ** 2
     np.square(m, out=m)
     m *= L**4
     with np.errstate(divide="ignore"):
@@ -197,25 +177,37 @@ def fit_log_singularity(N, L, grid=None, window=None) -> GreenDecomposition:
     )
 
 
-def representation_check(f: TorusSpectralField):
-    """Max grid deviation of f(xi) - fbar - int G(xi,.) Delta^2 f."""
-    ksq = f.ksq()
-    c = f.coeffs.copy()
-    bilap = c * ksq**2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        back = np.where(ksq > 0, bilap / ksq**2, 0.0)
-    target = c.copy()
-    target[0, 0, 0, 0] = 0.0
-    gap = sfft.ifftn(back - target) * c.size
-    return float(np.max(np.abs(gap)))
+def representation_check(f: TorusSpectralField, N):
+    """Max deviation of f(xi) - fbar - int G(xi,.) Delta^2 f over the N^4 grid.
+
+    Delta^2 multiplies the coefficient c_k of e^{2 pi i k.x / L} by
+    |2 pi k / L|^4 and G divides it out again; the gaps c_k |k|^4 / |k|^4 - c_k
+    of the modes k != 0 are scattered into one fftn array and summed onto
+    the grid by one inverse FFT.
+    """
+    c = np.zeros((N,) * 4, complex)
+    # a cos(k.x) = a/2 (e^{ik.x} + e^{-ik.x}), a sin(k.x) = a/2i (e^{ik.x} - e^{-ik.x})
+    for modes, at_k, at_minus_k in ((f.cos, 0.5, 0.5), (f.sin, -0.5j, 0.5j)):
+        for k, a in modes.items():
+            c[tuple(np.mod(k, N))] += at_k * a
+            c[tuple(np.mod(np.negative(k), N))] += at_minus_k * a
+    c[0, 0, 0, 0] = 0.0
+    idx = np.nonzero(c)
+    freq = sfft.fftfreq(N, d=1.0 / N)
+    ksq = sum(freq[i] ** 2 for i in idx) * (2.0 * np.pi / f.L) ** 2
+    amp = c[idx]
+    c[idx] = amp * ksq**2 / ksq**2 - amp
+    return float(np.max(np.abs(sfft.ifftn(c) * c.size)))
 
 
 def regular_part_field(b: TorusSpectralField) -> TorusSpectralField:
-    """phi = 2 int G(.,eta) b(eta) dV, i.e. multiplier 2/|2 pi k/L|^4."""
-    ksq = b.ksq()
-    with np.errstate(divide="ignore", invalid="ignore"):
-        c = np.where(ksq > 0, 2.0 * b.coeffs / ksq**2, 0.0)
-    return TorusSpectralField(b.L, c)
+    """phi = 2 int G(.,eta) b(eta) dV: each mode k != 0 scaled by 2/|2 pi k/L|^4."""
+    w2 = (2.0 * np.pi / b.L) ** 2
+
+    def scaled(modes):
+        return {k: 2.0 * a / (sum(v * v for v in k) * w2) ** 2 for k, a in modes.items() if any(k)}
+
+    return TorusSpectralField(b.L, scaled(b.cos), scaled(b.sin))
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +221,8 @@ def radial_log_potential(rho_of_r, x_norm, r_cut, n_r=200):
     sin^2 weight) gives, with M = max(s, x), m = min(s, x):
 
         v(x)    = (1/2) int rho(s) s^3 [log s - log M - m^2/(4 M^2)] ds
-        Dv(x)   = -(1/x^3) int_0^x rho s^3 [x^2 - s^2/2]/x^0 ... (see code)
+        dv(x)   = (1/2) [int_0^x rho(s) s^3 (-1/x + s^2/(2 x^3)) ds
+                         - int_x^r_cut rho(s) s^3 x/(2 s^2) ds]
         lap v   = - int rho(s) s^3 / M^2 ds
         d_r lap = (2/x^3) int_0^x rho(s) s^3 ds
 

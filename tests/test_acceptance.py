@@ -16,7 +16,7 @@ line next to the asserted law.
 
 import numpy as np
 
-from qcurv.cli import DEFAULTS, RUNNERS
+from qcurv.cli import ALPHA_AMP, BUBBLE_H, DEFAULTS, RUNNERS
 
 
 def _suite(name, seed=0):
@@ -77,20 +77,19 @@ def test_criterion_03_energy_quantization():
     R_z = 10 gives 0.99971 and eps = 1e-3 a gap of 1.2e-3.
     """
     # the pure-bubble closed form only covers an uncorrected sequence
-    assert DEFAULTS["alpha-sweep"]["amp"] == 0.0
+    assert ALPHA_AMP == 0.0
     m, mass_rows = _suite("mass")
     a, alpha_rows = _suite("alpha-sweep")
-    H_mass, H_alpha = DEFAULTS["mass"]["h"], DEFAULTS["alpha-sweep"]["h"]
 
     # mass rows: R, quadrature, exact, error estimate
     gaps = [
-        abs(v / _quantized_mass(H_mass, r["R"]) - 1.0)
+        abs(v / _quantized_mass(BUBBLE_H, r["R"]) - 1.0)
         for r in mass_rows
         for v in (r["mass"], r["exact"])
     ]
     # alpha rows: eps, L, alpha, gap, rel_gap, error estimate
     small = [(r["eps"], r["alpha"]) for r in alpha_rows if r["eps"] <= 1e-3]
-    gaps += [abs(alpha / _quantized_mass(H_alpha, -np.log(eps)) - 1.0) for eps, alpha in small]
+    gaps += [abs(alpha / _quantized_mass(BUBBLE_H, -np.log(eps)) - 1.0) for eps, alpha in small]
     law = max(gaps)
     tails = m["tail_log_slope"]["pass"] and a["deviation_faster_than_1_over_L"]["pass"]
     ok = len(mass_rows) == 5 and len(small) == 3 and law <= 1e-10 and tails

@@ -9,7 +9,7 @@ import pytest
 from qcurv import cli
 from qcurv.cli import main
 from qcurv.fields import ChartError, DegenerateMetricError
-from qcurv.harness import sine_source, tuned_source, vrate_balance
+from qcurv.harness import tuned_source, vrate_balance
 from qcurv.pohozaev import RadialProfileField
 from qcurv.potential import TorusSpectralField
 
@@ -130,16 +130,15 @@ def test_mainest_error_column_is_the_sample_doubling_change():
 
 
 def test_vrate_error_column_is_the_gap_to_the_fd_oracle():
-    p = dict(cli.DEFAULTS["vrate"])
-    _, rows = cli.run_vrate(p, 0)
-    N, L = p["n"], p["l"]
-    hc = sine_source(L, N, {(1, 0, 0, 0): 0.3, (0, 1, 0, 0): -0.2, (0, 0, 1, 1): 0.15}).coeffs.copy()
-    hc[0, 0, 0, 0] = 2.0
-    h = TorusSpectralField(L, hc)
-    bt, boff = tuned_source(h), sine_source(L, N, {(0, 0, 1, 0): 0.5})
+    _, rows = cli.run_vrate(dict(cli.DEFAULTS["vrate"]), 0)
+    L = cli.TORUS_L
+    h = TorusSpectralField(
+        L, cos={(0, 0, 0, 0): 2.0}, sin={(1, 0, 0, 0): 0.3, (0, 1, 0, 0): -0.2, (0, 0, 1, 1): 0.15}
+    )
+    bt, boff = tuned_source(h), TorusSpectralField(L, sin={(0, 0, 1, 0): 0.5})
     assert [r["eps"] for r in rows] == [1e-1, 1e-2, 1e-3]
     for r in rows:
-        b = TorusSpectralField(L, bt.coeffs + r["eps"] ** (p["tau"] / 2.0) * boff.coeffs)
+        b = bt + r["eps"] ** (cli.TAU / 2.0) * boff
         norm = float(np.linalg.norm(vrate_balance(h, b)))
         fd = float(np.linalg.norm(cli._fd_balance(h, b, np.zeros(4))))
         assert r["balance_norm"] == norm
@@ -166,8 +165,38 @@ _CSV_HEADERS = {
         ["eps", "outer_norm", "core_norm", "sampling_error_estimate", "core_sampling_error_estimate"],
         {"eps_list": "1e-2,1e-3"},
     ),
-    "vrate": (["eps", "balance_norm", "error_estimate"], {"n": 8}),
+    "vrate": (["eps", "balance_norm", "error_estimate"], {}),
 }
+
+
+# the suite parameters that became constants: each is now an unknown key
+_FIXED_KEYS = [
+    ("mass", "h"), ("pohozaev", "tilt_amp"), ("green-fit", "l"), ("represent", "l"),
+    ("longrange", "eps"), ("longrange", "h"), ("alpha-sweep", "h"), ("alpha-sweep", "amp"),
+    ("mainest", "amp"), ("mainest", "tau"), ("vrate", "n"), ("vrate", "l"), ("vrate", "tau"),
+]
+
+
+@pytest.mark.parametrize("suite, key", _FIXED_KEYS)
+def test_fixed_parameter_is_usage_error(tmp_path, capsys, suite, key):
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(f"[{suite}]\n{key} = 1\n")
+    assert run_cli([suite, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert f"unknown key '{key}' in section [{suite}]" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_light_suites_leave_sympy_unimported(tmp_path):
+    # mass and represent import neither cnc nor fields, so sympy stays out
+    code = (
+        "import sys; from qcurv.cli import main\n"
+        f"for suite in ('mass', 'represent'): main([suite, '--out', {str(tmp_path)!r}, '--quiet'])\n"
+        "print('sympy' in sys.modules)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+    assert (tmp_path / "represent.json").exists()
 
 
 @pytest.mark.parametrize("suite", list(_CSV_HEADERS))

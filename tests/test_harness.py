@@ -10,7 +10,6 @@ from qcurv.harness import (
     big_l,
     long_range_checks,
     mainest_fit,
-    sine_source,
     synth_sequence,
     tuned_source,
     vrate_balance,
@@ -119,47 +118,39 @@ def test_mainest_error_columns_are_sample_doubling_changes():
 
 
 def test_vrate_balance_tuned_source_annihilates():
-    h = TorusSpectralField.from_modes(
-        L_TORUS, 16, {(1, 0, 0, 0): 0.3, (0, 1, 1, 0): -0.2}
+    # the zero mode 2 keeps h > 0 everywhere
+    h = TorusSpectralField(
+        L_TORUS, cos={(0, 0, 0, 0): 2.0, (1, 0, 0, 0): 0.3, (0, 1, 1, 0): -0.2}
     )
-    # shift the zero mode so h > 0 everywhere
-    c = h.coeffs.copy()
-    c[0, 0, 0, 0] += 2.0
-    h = TorusSpectralField(L_TORUS, c)
 
     q = np.array([0.7, 1.3, 0.2, 2.1])
     b = tuned_source(h, q)
     assert np.max(np.abs(vrate_balance(h, b, q))) < 1e-12
 
     # an untuned source leaves a finite imbalance
-    b_off = sine_source(L_TORUS, 16, {(1, 0, 0, 0): 0.5})
+    b_off = TorusSpectralField(L_TORUS, sin={(1, 0, 0, 0): 0.5})
     assert np.max(np.abs(vrate_balance(h, b_off, q))) > 1e-3
 
 
 def test_vrate_balance_requires_positive_h():
-    h = TorusSpectralField.from_modes(L_TORUS, 16, {(1, 0, 0, 0): 1.0})
-    b = sine_source(L_TORUS, 16, {(1, 0, 0, 0): 0.1})
+    h = TorusSpectralField(L_TORUS, cos={(1, 0, 0, 0): 1.0})
+    b = TorusSpectralField(L_TORUS, sin={(1, 0, 0, 0): 0.1})
     with pytest.raises(ValueError):
         vrate_balance(h, b, np.array([np.pi, 0.0, 0.0, 0.0]))
 
 
 def test_vrate_balance_cases():
     def const(v):
-        c = np.zeros((16,) * 4, complex)
-        c[0, 0, 0, 0] = v
-        return TorusSpectralField(L_TORUS, c)
+        return TorusSpectralField(L_TORUS, cos={(0, 0, 0, 0): v})
 
     # constant h and a constant source (no regular part): exactly zero
     for q in (ORIGIN, (0.7, 1.3, 0.2, 2.1)):
         assert np.max(np.abs(vrate_balance(const(2.0), const(1.0), q))) == 0.0
 
     # balanced pair at the origin: grad(h)/h = -4 grad(phi), to rounding
-    h = sine_source(
-        L_TORUS, 16, {(1, 0, 0, 0): 0.4, (0, 1, 0, 0): -0.2, (0, 0, 1, 0): 0.1, (0, 0, 0, 1): 0.3}
+    h = const(2.0) + TorusSpectralField(
+        L_TORUS, sin={(1, 0, 0, 0): 0.4, (0, 1, 0, 0): -0.2, (0, 0, 1, 0): 0.1, (0, 0, 0, 1): 0.3}
     )
-    c = h.coeffs.copy()
-    c[0, 0, 0, 0] = 2.0
-    h = TorusSpectralField(L_TORUS, c)
     assert np.max(np.abs(h.gradient(np.zeros((1, 4))))) > 0.1
     assert np.max(np.abs(vrate_balance(h, tuned_source(h)))) < 1e-14
 
@@ -169,24 +160,17 @@ def test_vrate_balance_cases():
 
 
 def test_vrate_rate_fit_returns_half_tau():
-    c = np.zeros((16,) * 4, complex)
-    c[0, 0, 0, 0] = 2.0
-    base = TorusSpectralField(L_TORUS, c)
-    h = TorusSpectralField(
-        L_TORUS,
-        base.coeffs
-        + TorusSpectralField.from_modes(L_TORUS, 16, {(1, 0, 0, 0): 0.3}).coeffs,
-    )
+    base = TorusSpectralField(L_TORUS, cos={(0, 0, 0, 0): 2.0})
+    h = base + TorusSpectralField(L_TORUS, cos={(1, 0, 0, 0): 0.3})
     q = np.array([0.5, 0.0, 0.0, 0.0])
     b_tuned = tuned_source(h, q)
-    b_off = sine_source(L_TORUS, 16, {(0, 1, 0, 0): 0.4})
+    b_off = TorusSpectralField(L_TORUS, sin={(0, 1, 0, 0): 0.4})
     tau = 0.5
     out = vrate_rate_fit(h, b_tuned, b_off, [1e-2, 1e-3, 1e-4], tau, q)
     assert abs(out["exponent"] - tau / 2.0) < 1e-6
 
     # a cosine offset has zero gradient at the origin and must be rejected
-    b_cos = TorusSpectralField.from_modes(L_TORUS, 16, {(0, 1, 0, 0): 0.4})
-    h0 = TorusSpectralField(L_TORUS, base.coeffs)
-    b0 = tuned_source(h0)
+    b_cos = TorusSpectralField(L_TORUS, cos={(0, 1, 0, 0): 0.4})
+    b0 = tuned_source(base)
     with pytest.raises(ValueError):
-        vrate_rate_fit(h0, b0, b_cos, [1e-2, 1e-3], tau)
+        vrate_rate_fit(base, b0, b_cos, [1e-2, 1e-3], tau)

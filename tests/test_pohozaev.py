@@ -11,7 +11,7 @@ from qcurv.cnc import (
     metric_taylor_from_jet,
     poly_jet,
     random_conformal_normal_jet,
-    ricci_deriv_of,
+    ricci_of,
     scale_jet,
 )
 from qcurv.pohozaev import BallDomain, RadialProfileField, pohozaev_balance
@@ -188,7 +188,7 @@ def _einsum_interior_terms(u, ball, mt, jet):
             + np.einsum("nm,n,nijm,nij->n", xi, lap, dginv, hu)
         )
     )
-    ric1 = ricci_deriv_of(jet.R1).to_float()
+    ric1 = ricci_of(jet.R1).to_float()
     I3 = 2.0 * np.sum(wb * np.einsum("ijl,nl,nm,ni,nj,nm->n", ric1, xb, xb, nu, gub, gub))
     I4 = -np.sum(
         w

@@ -35,8 +35,8 @@ def test_green_zero_mean_and_size_validation():
 
 
 def test_single_mode_representation_exact():
-    f = TorusSpectralField.from_modes(L, 16, {(1, 0, 0, 0): 0.8})
-    assert representation_check(f) < 1e-12
+    f = TorusSpectralField(L, cos={(1, 0, 0, 0): 0.8})
+    assert representation_check(f, 16) < 1e-12
 
 
 def test_representation_random_fields():
@@ -48,15 +48,13 @@ def test_representation_random_fields():
             if k == (0, 0, 0, 0):
                 k = (2, 0, 0, 0)
             modes[k] = float(rng.uniform(-1, 1))
-        f = TorusSpectralField.from_modes(L, 16, modes)
-        assert representation_check(f) < 1e-9
+        f = TorusSpectralField(L, cos=modes, sin={k: -a for k, a in modes.items()})
+        assert representation_check(f, 16) < 1e-9
 
 
 def test_constant_field_representation_trivial():
-    c = np.zeros((16,) * 4, complex)
-    c[0, 0, 0, 0] = 3.0
-    f = TorusSpectralField(L, c)
-    assert representation_check(f) < 1e-12
+    f = TorusSpectralField(L, cos={(0, 0, 0, 0): 3.0})
+    assert representation_check(f, 16) < 1e-12
 
 
 def test_green_symmetry_random_pairs():
@@ -144,16 +142,58 @@ def test_second_order_green_rejected_by_fit():
 
 
 def test_regular_part_field_cases():
-    c = np.zeros((16,) * 4, complex)
-    c[0, 0, 0, 0] = 5.0
-    const = TorusSpectralField(L, c)
-    assert np.max(np.abs(regular_part_field(const).values())) < 1e-14
+    const = TorusSpectralField(L, cos={(0, 0, 0, 0): 5.0})
+    grid = np.random.default_rng(4).uniform(0, L, (50, 4))
+    assert np.max(np.abs(regular_part_field(const).eval(grid))) < 1e-14
 
-    b = TorusSpectralField.from_modes(L, 16, {(1, 0, 0, 0): 1.0})
+    b = TorusSpectralField(L, cos={(1, 0, 0, 0): 1.0})
     phi = regular_part_field(b)
     # multiplier 2 / |2 pi k / L|^4 = 2 at |k| = 1, L = 2 pi
     assert abs(phi.eval(np.zeros((1, 4)))[0] - 2.0) < 1e-12
     assert abs(phi.eval(np.array([[np.pi, 0, 0, 0]]))[0] + 2.0) < 1e-12
+
+
+def test_regular_part_of_sine_modes():
+    # sin(x0 + x1) has |2 pi k / L|^4 = 4 (multiplier 1/2), sin(2 x2) 16 (1/8)
+    b = TorusSpectralField(L, cos={(0, 0, 0, 0): 3.0}, sin={(1, 1, 0, 0): 0.6, (0, 0, 2, 0): -0.4})
+    phi = regular_part_field(b)
+    assert phi.cos == {} and phi.sin == {(1, 1, 0, 0): 0.3, (0, 0, 2, 0): -0.05}
+    x = np.random.default_rng(5).uniform(0, L, (20, 4))
+    want = 0.3 * np.sin(x[:, 0] + x[:, 1]) - 0.05 * np.sin(2 * x[:, 2])
+    assert np.max(np.abs(phi.eval(x) - want)) < 1e-14
+
+
+def test_constant_field_has_zero_gradient():
+    f = TorusSpectralField(L, cos={(0, 0, 0, 0): 2.5})
+    x = np.random.default_rng(6).uniform(0, L, (20, 4))
+    assert np.array_equal(f.eval(x), np.full(20, 2.5))
+    assert np.array_equal(f.gradient(x), np.zeros((20, 4)))
+
+
+def test_sine_mode_gradient_at_origin():
+    # d/dx of b sin(2 pi k.x / L) at 0 is b 2 pi k / L; cosines add nothing there
+    f = TorusSpectralField(3.0, cos={(1, 2, 0, 0): 0.7}, sin={(1, 0, -1, 2): 0.4})
+    grad = f.gradient(np.zeros(4))
+    assert np.max(np.abs(grad[0] - 0.4 * 2.0 * np.pi / 3.0 * np.array([1, 0, -1, 2]))) < 1e-15
+
+
+def test_sum_and_scalar_multiple_match_mode_sums():
+    f = TorusSpectralField(L, cos={(0, 0, 0, 0): 1.0, (1, 0, 0, 0): 0.5}, sin={(0, 1, 1, 0): 0.2})
+    g = TorusSpectralField(L, cos={(1, 0, 0, 0): -0.25}, sin={(0, 0, 0, 3): 0.1})
+    x = np.random.default_rng(7).uniform(0, L, (30, 4))
+    s = f + (-2.0) * g
+    assert s.cos == {(0, 0, 0, 0): 1.0, (1, 0, 0, 0): 1.0}
+    assert s.sin == {(0, 1, 1, 0): 0.2, (0, 0, 0, 3): -0.2}
+    want = 1.0 + np.cos(x[:, 0]) + 0.2 * np.sin(x[:, 1] + x[:, 2]) - 0.2 * np.sin(3 * x[:, 3])
+    assert np.max(np.abs(s.eval(x) - want)) < 1e-14
+    grad = np.stack(
+        [-np.sin(x[:, 0]), 0.2 * np.cos(x[:, 1] + x[:, 2]), 0.2 * np.cos(x[:, 1] + x[:, 2]),
+         -0.6 * np.cos(3 * x[:, 3])],
+        axis=1,
+    )
+    assert np.max(np.abs(s.gradient(x) - grad)) < 1e-14
+    with pytest.raises(ValueError):
+        f + TorusSpectralField(3.0, cos={(0, 0, 0, 0): 1.0})
 
 
 def test_radial_log_potential_matches_closed_forms():
