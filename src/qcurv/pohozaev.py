@@ -83,7 +83,10 @@ class RadialProfileField:
         self.tilt = None if tilt is None else np.asarray(tilt, float)
 
     def _r(self, pts):
-        return np.linalg.norm(pts, axis=1)
+        r = pts[:, 0] * pts[:, 0]  # np.linalg.norm(pts, axis=1) to the bit, in place
+        for x in pts.T[1:]:
+            r += x * x
+        return np.sqrt(r, out=r)
 
     def val(self, pts):
         pts = np.atleast_2d(np.asarray(pts, float))

@@ -181,9 +181,9 @@ def representation_check(f: TorusSpectralField, N):
     """Max deviation of f(xi) - fbar - int G(xi,.) Delta^2 f over the N^4 grid.
 
     Delta^2 multiplies the coefficient c_k of e^{2 pi i k.x / L} by
-    |2 pi k / L|^4 and G divides it out again; the gaps c_k |k|^4 / |k|^4 - c_k
-    of the modes k != 0 are scattered into one fftn array and summed onto
-    the grid by one inverse FFT.
+    |2 pi k / L|^4 and convolving with G by L^4 times G's multiplier, which
+    is even in each k_a and so read at |k_3| on the rfft half; the gaps from
+    c_k of the modes k != 0 are summed onto the grid by one inverse FFT.
     """
     c = np.zeros((N,) * 4, complex)
     # a cos(k.x) = a/2 (e^{ik.x} + e^{-ik.x}), a sin(k.x) = a/2i (e^{ik.x} - e^{-ik.x})
@@ -195,8 +195,9 @@ def representation_check(f: TorusSpectralField, N):
     idx = np.nonzero(c)
     freq = sfft.fftfreq(N, d=1.0 / N)
     ksq = sum(freq[i] ** 2 for i in idx) * (2.0 * np.pi / f.L) ** 2
+    green = _multiplier(N, f.L)[idx[:3] + (np.minimum(idx[3], N - idx[3]),)]
     amp = c[idx]
-    c[idx] = amp * ksq**2 / ksq**2 - amp
+    c[idx] = amp * ksq**2 * f.L**4 * green - amp
     return float(np.max(np.abs(sfft.ifftn(c) * c.size)))
 
 

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from qcurv import cli
+from qcurv import cli, potential
 from qcurv.cli import main
 from qcurv.fields import ChartError, DegenerateMetricError
 from qcurv.harness import tuned_source, vrate_balance
@@ -291,3 +291,16 @@ def test_radial_third_check_can_fail(monkeypatch):
     check = third_check()
     assert not check["pass"]
     assert check["value"] > 1e-2
+
+
+def test_representation_check_can_fail(monkeypatch):
+    params = dict(cli.DEFAULTS["represent"], n_fields=2)
+    (check,), _ = cli.run_represent(params, 0)
+    assert check["name"] == "max_representation_deviation" and check["pass"]
+    assert check["value"] < 1e-14
+
+    multiplier = potential._multiplier
+    monkeypatch.setattr(potential, "_multiplier", lambda N, L: 2.0 * multiplier(N, L))
+    (check,), _ = cli.run_represent(params, 0)
+    assert not check["pass"]
+    assert check["value"] > 0.1

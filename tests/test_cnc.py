@@ -592,6 +592,34 @@ def test_poly_jet_matches_exact_rational_evaluation():
                         assert abs(got - value) <= Fraction(1, 10**15) * scale
 
 
+def test_poly_jet_matches_exact_evaluation_across_blocks():
+    # at small integer points every monomial value is exact
+    ints = np.array(list(itertools.product(range(-2, 3), repeat=4)), float)
+    unit = ExactArray(np.eye(len(_BASIS), dtype=np.int64))
+    assert np.array_equal(poly_jet(unit, ints, 0)[0], np.prod(ints[:, None, :] ** _BASIS, axis=-1))
+
+    # two full blocks and three more points, with |xi^i| up to 2 in every column
+    rng = np.random.default_rng(7)
+    num = _random_dense(rng, ()).num.copy()
+    num[DEGREE == 3] = rng.integers(1, 100, 20)
+    polys = ExactArray(num, int(rng.integers(1, 50)))
+    pts = rng.uniform(-2.0, 2.0, (2 * cnc.JET_BLOCK + 3, 4))
+    pts[:8] = np.concatenate([2.0 * np.eye(4), -2.0 * np.eye(4)])
+    jets = poly_jet(polys, pts, 2)
+    # exactly: the points as integers over one power of two D, each degree-k
+    # monomial over D^3, the partials' coefficients over polys.den
+    D = max(v.as_integer_ratio()[1] for v in pts.ravel().tolist())
+    xs = np.array([[int(v * D) for v in x] for x in pts.tolist()], dtype=object)
+    mono = np.stack([np.prod(xs**m, axis=1) * D ** (3 - sum(m)) for m in _BASIS], axis=1)
+    partials = [polys, poly_diff(polys), poly_diff(poly_diff(polys))]
+    for jet, p in zip(jets, partials):
+        coef = p.num.reshape(-1, len(_BASIS)).T.astype(object)
+        got = np.array([v.as_integer_ratio() for v in jet.ravel().tolist()], dtype=object)
+        num, den = got.T.reshape((2, len(pts), -1))
+        gap = abs(num * (polys.den * D**3) - (mono @ coef) * den) * 10**15
+        assert np.all(gap <= (abs(mono) @ abs(coef)) * den)
+
+
 def _sympy_blowup(jet, eps, half_width):
     """The blow-up expansion as a sympy MetricField, the reference for the
     float evaluator: each term c * eps^deg * x^m built and differentiated
@@ -630,6 +658,25 @@ def test_polynomial_metric_matches_sympy_metric_field():
         assert np.max(np.abs(g.eval(pts[0]) - ref.eval(pts[0]))) < 1e-13
     with pytest.raises(DerivativeOrderError):
         g.jet(pts, 3)
+
+
+def test_polynomial_metric_rows_agree_across_batch_sizes_to_rounding():
+    # a point's jet may round differently in another batch, by at most 35
+    # ulp of the sum of the magnitudes of its 35 terms
+    jet = scale_jet(random_conformal_normal_jet(rng=3), Fraction(1, 10))
+    g = blowup_metric(jet, 0.1, half_width=40.0)
+    pts = np.random.default_rng(1).uniform(-3.0, 3.0, (40, 4))
+
+    def flat(p):
+        return np.concatenate([j.reshape(len(p), -1) for j in g.jet(p, 2)], axis=1)
+
+    terms = np.prod(np.abs(pts)[:, None, :] ** _BASIS, axis=-1) @ np.abs(g._table)
+    tol = len(_BASIS) * np.finfo(float).eps * terms
+    whole = flat(pts)
+    for size in (1, 2, 7):
+        for s in range(0, len(pts), size):
+            rows = slice(s, s + size)
+            assert np.all(np.abs(flat(pts[rows]) - whole[rows]) <= tol[rows])
 
 
 def test_polynomial_metric_rejects_degenerate_points():

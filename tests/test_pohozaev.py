@@ -86,6 +86,14 @@ class _LogProfile:
         return 4.0 * r * (r**2 - 3.0) / (1.0 + r**2) ** 3
 
 
+def test_profile_radii_are_linalg_norm_to_the_bit():
+    rng = np.random.default_rng(4)
+    wide = rng.standard_normal((10_000, 4)) * 10.0 ** rng.integers(-8, 8, (10_000, 4))
+    field = RadialProfileField(RescaledBubble(1.0))
+    for pts in (BallDomain(1.0, n_r=8, n_u=8, n_phi=8).int_pts, wide):
+        assert np.array_equal(field._r(pts), np.linalg.norm(pts, axis=1))
+
+
 def test_radial_third_derivative_of_r_squared_vanishes():
     prof = _Quadratic()
     y = np.array([0.7, -0.3, 0.2, 0.5])
