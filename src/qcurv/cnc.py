@@ -35,7 +35,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fields import Box, DerivativeOrderError, require_positive_definite
+from .fields import Box, DerivativeOrderError
 
 DIM = 4
 
@@ -646,7 +646,7 @@ class PolynomialMetric:
     the coefficients, times their exact powers of eps, stay exact until
     its single float conversion.  It offers what the geodesic, curvature
     and bubble code read from a metric: ``domain``, ``is_flat``,
-    ``eval_batch``, ``eval`` and ``jet``.
+    ``eval_batch`` and ``jet``.
     """
 
     def __init__(self, comps, domain, eps=1.0):
@@ -667,12 +667,6 @@ class PolynomialMetric:
 
     def eval_batch(self, pts):
         return self.jet(pts, 0)[0]
-
-    def eval(self, x):
-        pts = np.atleast_2d(np.asarray(x, float))
-        g = self.eval_batch(pts)
-        require_positive_definite(g, pts)
-        return g[0]
 
 
 def blowup_metric(jet: CurvatureJet, eps, half_width=None):

@@ -14,6 +14,11 @@ Conventions (fixed once, used everywhere):
                               + g_bd Ric_ac - g_bc Ric_ad)
              + (R/6)(g_ac g_bd - g_ad g_bc),
   the normalization pinned by W = 0 on constant-curvature metrics.
+
+A metric here is anything with ``domain``, ``is_flat``, ``eval_batch(pts)``
+and ``jet(pts, order)`` for order <= 2 in the ``fields.MetricField.jet``
+layout: a conformally flat ``fields.MetricField`` or an exact
+``cnc.PolynomialMetric``.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from functools import cached_property
 import numpy as np
 import sympy as sp
 
-from .fields import DIM, MetricField, ScalarField, fd_partials, require_positive_definite
+from .fields import DIM, MetricField, fd_partials, require_positive_definite
 
 # derivative multi-indices of a gradient and of the upper Hessian triangle
 _GRAD = [(i,) for i in range(DIM)]
@@ -108,7 +113,7 @@ class RiemannAtPoint:
         return all(v <= tol for v in self.symmetry_residuals().values())
 
 
-def riemann_of_metric(g: MetricField, x) -> RiemannAtPoint:
+def riemann_of_metric(g, x) -> RiemannAtPoint:
     """Lowered Riemann tensor of ``g`` at ``x``, one point (4,) or many (n, 4).
 
     The one curvature kernel: every point must lie inside the chart and
@@ -168,7 +173,7 @@ def weyl_norm_sq(w, g):
     return np.einsum("...abcd,...abcd->...", w, w_up)
 
 
-def laplace_beltrami(g: MetricField, u: ScalarField, x):
+def laplace_beltrami(g, u, x):
     """Delta_g u(x) = g^{ij}(d_ij u - Gamma^k_ij d_k u) at one point or (n, 4)."""
     pts = np.atleast_2d(np.asarray(x, float))
     return _like(x, _laplacian(g, pts, u.gradient(pts), u.hessian(pts)))
@@ -186,7 +191,7 @@ def _fd_laplacian(g, func, pts, step):
     return _laplacian(g, pts, *_grad_hess(fd_partials(func, pts, _GRAD + _HESS, step)))
 
 
-def q_curvature(g: MetricField, x, step=None):
+def q_curvature(g, x, step=None):
     """Q_g(x) = -(1/12)(Delta_g R - R^2 + 3 |Ric|^2) at one point or (n, 4).
 
     R and Ric come from exact metric jets; Delta_g R uses order-4 centered
@@ -194,6 +199,7 @@ def q_curvature(g: MetricField, x, step=None):
     step max(1e-2, 1e-2 |x|) at each point.
     """
     pts = np.atleast_2d(np.asarray(x, float))
+    g.domain.require_interior(pts)
     if g.is_flat:
         return _like(x, np.zeros(len(pts)))
     riem = riemann_of_metric(g, pts)
@@ -203,7 +209,7 @@ def q_curvature(g: MetricField, x, step=None):
     return _like(x, -(lap_r - riem.scalar**2 + 3.0 * riem.ricci_norm_sq) / 12.0)
 
 
-def paneitz_apply(g: MetricField, u: ScalarField, x, step=None):
+def paneitz_apply(g, u, x, step=None):
     """P_g u(x) = Delta_g^2 u - div_g((2/3 R g - 2 Ric) grad u) at one point
     or (n, 4).
 
@@ -215,6 +221,7 @@ def paneitz_apply(g: MetricField, u: ScalarField, x, step=None):
     max(1e-2, 1e-2 |x|) at each point.
     """
     pts = np.atleast_2d(np.asarray(x, float))
+    g.domain.require_interior(pts)
     if g.is_flat:
         return _like(x, sum(u.partial(pts, (i, i, j, j)) for i in range(DIM) for j in range(DIM)))
     if step is None:
@@ -237,11 +244,11 @@ def paneitz_apply(g: MetricField, u: ScalarField, x, step=None):
     return _like(x, bilap - div)
 
 
-def conformal_transform(g: MetricField, u: ScalarField) -> MetricField:
-    """The conformal metric e^{2u} g."""
+def conformal_transform(g: MetricField, u) -> MetricField:
+    """The conformal metric e^{2u} g of a conformally flat ``g``."""
     if g.domain != u.domain:
         raise ValueError("domains must match")
-    return MetricField.from_exprs(sp.exp(2 * u.expr) * g.matrix, g.domain)
+    return MetricField(g.domain, sp.exp(2 * u.expr) * g.factor.expr)
 
 
 def check_conformal_covariance(g, u, f, pts, step=None):

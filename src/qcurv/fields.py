@@ -3,9 +3,12 @@
 Fields are sympy expressions: each partial derivative (the value is the
 partial for the empty multi-index) is taken symbolically and compiled
 (lambdified) once per distinct expression per process, shared by every
-field that needs it.  ``fd_partials`` is the centered finite-difference
-engine for the outer derivatives the curvature module applies to computed
-quantities.
+field that needs it.  A ``MetricField`` is conformally flat, g = f delta,
+and is its factor f: a ``ScalarField`` whose value, gradient and Hessian
+give the metric jet to order 2.  Metrics that are not conformally flat
+are exact polynomials, ``cnc.PolynomialMetric``.  ``fd_partials`` is the
+centered finite-difference engine for the outer derivatives the curvature
+module applies to computed quantities.
 """
 
 from __future__ import annotations
@@ -194,15 +197,8 @@ class ScalarField:
     def from_expr(cls, expr, domain):
         return cls(domain, expr)
 
-    @classmethod
-    def constant(cls, value, domain):
-        return cls(domain, sp.Float(value))
-
     def eval(self, pts):
         return self.partial(pts, ())
-
-    def __call__(self, x):
-        return float(self.eval(np.atleast_2d(x))[0])
 
     def partial(self, pts, index):
         """Partial derivative for multi-index ``index`` at each point."""
@@ -224,55 +220,36 @@ class ScalarField:
 
 
 class MetricField:
-    """Symmetric positive-definite 4x4 metric on a chart box, given by a
-    sympy matrix."""
+    """Conformally flat metric g = f delta on a chart box, stored as its
+    factor f, a sympy expression."""
 
-    def __init__(self, domain, matrix):
+    def __init__(self, domain, factor):
         self.domain = domain
-        self.matrix = sp.Matrix(matrix)
-        if not self.matrix.is_symmetric():
-            # tolerate numerically symmetric inputs, reject structural asymmetry
-            d = sp.simplify(self.matrix - self.matrix.T)
-            if any(e != 0 for e in d):
-                raise ValueError("metric matrix must be symmetric")
-        self.is_flat = self.matrix == sp.eye(DIM)
-
-    @classmethod
-    def from_exprs(cls, matrix, domain):
-        return cls(domain, matrix)
+        self.factor = ScalarField(domain, factor)
+        self.is_flat = self.factor.expr == 1
 
     @classmethod
     def flat(cls, domain):
-        return cls(domain, sp.eye(DIM))
-
-    def eval(self, x):
-        pts = np.atleast_2d(np.asarray(x, float))
-        g = self.eval_batch(pts)
-        require_positive_definite(g, pts)
-        return g[0]
+        return cls(domain, 1)
 
     def eval_batch(self, pts):
         return self.jet(pts, 0)[0]
 
     def jet(self, pts, order):
-        """Metric derivative jet.
+        """Metric derivative jet ``[g, dg, d2g]`` up to ``order``.
 
-        Returns ``[g, dg, d2g, ...]`` up to ``order``; derivative axes come
-        last, so ``dg[n, a, b, c] = d_c g_ab`` and
-        ``d2g[n, a, b, c, d] = d_c d_d g_ab``.
+        Derivative axes come last, so ``dg[n, a, b, c] = d_c g_ab`` and
+        ``d2g[n, a, b, c, d] = d_c d_d g_ab``; the factor's value, gradient
+        and Hessian sit on the (a, a) diagonal.
         """
-        if order > 4:
-            raise DerivativeOrderError("metric derivatives available up to order 4")
+        if order > 2:
+            raise DerivativeOrderError("metric derivatives available up to order 2")
         pts = np.atleast_2d(np.asarray(pts, float))
+        parts = (self.factor.eval, self.factor.gradient, self.factor.hessian)
+        diag = np.arange(DIM)
         jets = []
-        for k in range(order + 1):
-            arr = np.empty((pts.shape[0], DIM, DIM) + (DIM,) * k)
-            for idx in itertools.combinations_with_replacement(range(DIM), k):
-                val = np.empty((pts.shape[0], DIM, DIM))
-                for a in range(DIM):
-                    for b in range(a, DIM):
-                        val[:, a, b] = val[:, b, a] = _compiled(self.matrix[a, b], idx)(pts)
-                for perm in set(itertools.permutations(idx)):
-                    arr[(slice(None), slice(None), slice(None)) + perm] = val
+        for k, part in enumerate(parts[: order + 1]):
+            arr = np.zeros((pts.shape[0], DIM, DIM) + (DIM,) * k)
+            arr[:, diag, diag] = part(pts)[:, None]
             jets.append(arr)
         return jets

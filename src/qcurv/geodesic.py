@@ -15,7 +15,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .cnc import blowup_metric
-from .fields import ChartError, MetricField
+from .fields import ChartError
 
 DEFAULT_NODES = 64
 GRAD_TOL = 1e-10
@@ -41,7 +41,7 @@ class PathPolyline:
     def deltas(self):
         return self.nodes[1:] - self.nodes[:-1]
 
-    def length(self, g: MetricField):
+    def length(self, g):
         G = g.eval_batch(self.midpoints)
         d = self.deltas
         return float(np.sum(np.sqrt(np.einsum("na,nab,nb->n", d, G, d))))
@@ -64,7 +64,7 @@ def _energy_and_grad(flat_interior, g, y, z, n_seg):
     return energy, n_seg * grad[1:-1].ravel()
 
 
-def geodesic_distance(g: MetricField, y, z, n_nodes=DEFAULT_NODES):
+def geodesic_distance(g, y, z, n_nodes=DEFAULT_NODES):
     """Length of the energy-minimizing polyline from y to z.
 
     Equals |y - z| exactly for the flat metric (the straight equispaced

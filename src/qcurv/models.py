@@ -7,8 +7,8 @@ element is sin^3(theta) d(theta) dS^3.
 """
 
 import numpy as np
-import sympy as sp
 
+from .curvature import conformal_transform
 from .fields import Box, COORDS, MetricField, ScalarField
 from .quadrature import gauss_legendre, s3_nodes
 
@@ -20,7 +20,7 @@ def sphere_metric(domain=None) -> MetricField:
     if domain is None:
         domain = Box.cube(100.0)
     r2 = sum(c**2 for c in COORDS)
-    return MetricField.from_exprs(4 / (1 + r2) ** 2 * sp.eye(4), domain)
+    return MetricField(domain, 4 / (1 + r2) ** 2)
 
 
 class SphereModel:
@@ -34,14 +34,7 @@ class SphereModel:
 
     def __init__(self, n_theta=16, n_u=8, n_phi=8, conformal_expr=None):
         domain = Box.cube(1e4)
-        if conformal_expr is None:
-            self.metric = sphere_metric(domain)
-        else:
-            r2 = sum(c**2 for c in COORDS)
-            self.metric = MetricField.from_exprs(
-                sp.exp(2 * conformal_expr) * 4 / (1 + r2) ** 2 * sp.eye(4),
-                domain,
-            )
+        self.metric = sphere_metric(domain)
         theta, wth = gauss_legendre(n_theta, 0.0, np.pi)
         sphere_pts, sphere_w = s3_nodes(n_u, n_phi)
         r = np.tan(theta / 2.0)
@@ -49,14 +42,12 @@ class SphereModel:
         # round-sphere volume element in (theta, S^3) coordinates: sin^3(theta)
         w = (wth * np.sin(theta) ** 3)[:, None] * sphere_w[None, :]
         self.quad_points = pts.reshape(-1, 4)
-        base_w = w.reshape(-1)
-        if conformal_expr is None:
-            self.quad_weights = base_w
-            self.volume = S4_VOLUME
-        else:
+        self.quad_weights = w.reshape(-1)
+        self.volume = S4_VOLUME
+        if conformal_expr is not None:
             u = ScalarField.from_expr(conformal_expr, domain)
-            factor = np.exp(4.0 * u.eval(self.quad_points))
-            self.quad_weights = base_w * factor
+            self.metric = conformal_transform(self.metric, u)
+            self.quad_weights = self.quad_weights * np.exp(4.0 * u.eval(self.quad_points))
             self.volume = float(np.sum(self.quad_weights))
 
 

@@ -39,8 +39,8 @@ from qcurv.fields import (
     COORDS,
     DegenerateMetricError,
     DerivativeOrderError,
-    MetricField,
     ScalarField,
+    _compiled,
 )
 
 
@@ -620,24 +620,40 @@ def test_poly_jet_matches_exact_evaluation_across_blocks():
         assert np.all(gap <= (abs(mono) @ abs(coef)) * den)
 
 
-def _sympy_blowup(jet, eps, half_width):
-    """The blow-up expansion as a sympy MetricField, the reference for the
-    float evaluator: each term c * eps^deg * x^m built and differentiated
-    symbolically."""
-    comps = _fr(metric_taylor_from_jet(jet).comps)
-    rows = []
-    for a in range(4):
-        row = []
-        for b in range(4):
-            expr = sp.Integer(0)
-            for m, c in zip(_BASIS, comps[a, b]):
-                term = sp.Rational(c.numerator, c.denominator) * sp.Float(eps) ** sum(m)
-                for i, e in enumerate(m):
-                    term *= COORDS[i] ** e
-                expr += term
-            row.append(expr)
-        rows.append(row)
-    return MetricField.from_exprs(sp.Matrix(rows), Box.cube(half_width))
+class _SympyBlowup:
+    """The blow-up expansion in sympy, the reference for the float
+    evaluator: each term c * eps^deg * x^m built symbolically, and each
+    entry's partials taken and compiled by ``fields._compiled``."""
+
+    is_flat = False
+
+    def __init__(self, jet, eps, half_width):
+        self.domain = Box.cube(half_width)
+        comps = _fr(metric_taylor_from_jet(jet).comps)
+        self.entries = np.empty((4, 4), dtype=object)
+        for a in range(4):
+            for b in range(4):
+                expr = sp.Integer(0)
+                for m, c in zip(_BASIS, comps[a, b]):
+                    term = sp.Rational(c.numerator, c.denominator) * sp.Float(eps) ** sum(m)
+                    for i, e in enumerate(m):
+                        term *= COORDS[i] ** e
+                    expr += term
+                self.entries[a, b] = expr
+
+    def jet(self, pts, order):
+        pts = np.atleast_2d(pts)
+        jets = []
+        for k in range(order + 1):
+            arr = np.empty((len(pts), 4, 4) + (4,) * k)
+            for idx in itertools.product(range(4), repeat=k):
+                for a in range(4):
+                    for b in range(4):
+                        arr[(slice(None), a, b) + idx] = _compiled(
+                            self.entries[a, b], tuple(sorted(idx))
+                        )(pts)
+            jets.append(arr)
+        return jets
 
 
 def test_polynomial_metric_matches_sympy_metric_field():
@@ -647,7 +663,7 @@ def test_polynomial_metric_matches_sympy_metric_field():
     pts = np.random.default_rng(1).uniform(-3.0, 3.0, (40, 4))
     for eps in (0.1, 0.025):
         g = blowup_metric(jet, eps, half_width=4.0 / eps)
-        ref = _sympy_blowup(jet, eps, 4.0 / eps)
+        ref = _SympyBlowup(jet, eps, 4.0 / eps)
         assert isinstance(g, PolynomialMetric) and not g.is_flat
         assert g.domain == ref.domain
         for got, want in zip(g.jet(pts, 2), ref.jet(pts, 2)):
@@ -655,7 +671,6 @@ def test_polynomial_metric_matches_sympy_metric_field():
         r_got = riemann_of_metric(g, pts[:10]).components
         r_want = riemann_of_metric(ref, pts[:10]).components
         assert np.max(np.abs(r_got - r_want)) < 1e-13 * np.max(np.abs(r_want))
-        assert np.max(np.abs(g.eval(pts[0]) - ref.eval(pts[0]))) < 1e-13
     with pytest.raises(DerivativeOrderError):
         g.jet(pts, 3)
 
@@ -680,14 +695,16 @@ def test_polynomial_metric_rows_agree_across_batch_sizes_to_rounding():
 
 
 def test_polynomial_metric_rejects_degenerate_points():
+    from qcurv.curvature import riemann_of_metric
+
     comps = np.zeros((4, 4, 35), dtype=np.int64)
     comps[..., 0] = np.eye(4, dtype=np.int64)
     comps[0, 0, _BASIS.index((2, 0, 0, 0))] = -1
     g = PolynomialMetric(ExactArray(comps), Box.cube(2.0))
     assert not g.is_flat
-    assert g.eval([0.5, 0.0, 0.0, 0.0])[0, 0] == 0.75
+    assert g.eval_batch([0.5, 0.0, 0.0, 0.0])[0, 0, 0] == 0.75
     with pytest.raises(DegenerateMetricError):
-        g.eval([1.0, 0.3, 0.0, 0.0])
+        riemann_of_metric(g, [1.0, 0.3, 0.0, 0.0])
 
 
 def test_blowup_geodesic_and_curved_pohozaev_do_not_call_sympy(monkeypatch):

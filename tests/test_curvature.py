@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 import sympy as sp
 
+import qcurv.curvature as curvature
 from qcurv.curvature import (
     check_conformal_covariance,
     check_q_transformation,
@@ -39,13 +42,23 @@ def test_flat_metric_zero_curvature():
     assert q_curvature(g, np.zeros(4)) == 0.0
 
 
+def test_flat_shortcuts_check_the_chart():
+    dom = Box.cube(1.0)
+    g = MetricField.flat(dom)
+    f = ScalarField.from_expr(x0**4, dom)
+    x = np.array([2.0, 0.0, 0.0, 0.0])
+    with pytest.raises(ChartError):
+        q_curvature(g, x)
+    with pytest.raises(ChartError):
+        paneitz_apply(g, f, x)
+
+
 def test_sphere_curvature_at_origin_and_off_origin():
     g = sphere_metric()
     for x in [np.zeros(4), np.array([0.4, -0.2, 0.1, 0.3])]:
         riem = riemann_of_metric(g, x)
         assert abs(riem.scalar - 12.0) < 1e-9
-        gx = g.eval(x)
-        assert np.max(np.abs(riem.ricci - 3.0 * gx)) < 1e-9
+        assert np.max(np.abs(riem.ricci - 3.0 * riem.g)) < 1e-9
         assert riem.check(tol=1e-9)
 
 
@@ -66,7 +79,7 @@ def test_riemann_matches_conformally_flat_closed_form():
     # g = e^{2w} delta has Rm = e^{2w} delta o (-hess w + dw dw - |dw|^2 delta / 2)
     # (Besse, Einstein Manifolds, 1.159); this w has non-constant curvature
     w = sp.log(2 / (1 + R2)) + sp.Rational(1, 20) / (1 + R2)
-    g = MetricField.from_exprs(sp.exp(2 * w) * sp.eye(4), Box.cube(10.0))
+    g = MetricField(Box.cube(10.0), sp.exp(2 * w))
     pts = np.array([[0.0, 0.0, 0.0, 0.0], [0.3, -0.2, 0.1, 0.4], [1.5, -0.7, 0.2, 1.1]])
     wf = ScalarField.from_expr(w, g.domain)
     dw, hw = wf.gradient(pts), wf.hessian(pts)
@@ -85,10 +98,21 @@ def test_riemann_outside_domain_raises():
         riemann_of_metric(g, np.array([2.0, 0.0, 0.0, 0.0]))
 
 
+def _exact_metric(matrix, half_width):
+    """A sympy matrix of polynomials of degree <= 3 with rational
+    coefficients, as an exact ``PolynomialMetric``."""
+    terms = [[sp.Poly(e, *COORDS).terms() for e in row] for row in matrix.tolist()]
+    den = math.lcm(*(int(c.q) for row in terms for entry in row for _, c in entry))
+    comps = np.zeros((4, 4, 35), dtype=np.int64)
+    for a, row in enumerate(terms):
+        for b, entry in enumerate(row):
+            for m, c in entry:
+                comps[a, b, _MONOMIAL_INDEX[m]] = int(c * den)
+    return PolynomialMetric(ExactArray(comps, den), Box.cube(half_width))
+
+
 def test_perturbed_metric_matches_fd_oracle():
-    g = MetricField.from_exprs(
-        sp.eye(4) + sp.diag(x1**2, x2**2, x3**2, x0**2) / 10, Box.cube(2.0)
-    )
+    g = _exact_metric(sp.eye(4) + sp.diag(x1**2, x2**2, x3**2, x0**2) / 10, 2.0)
 
     def gfun(p):
         return np.eye(4) + np.eye(4) * (p[:, [1, 2, 3, 0]] ** 2 / 10)[:, None, :]
@@ -154,10 +178,10 @@ def test_weyl_norm_matches_one_step_contraction():
 
 def test_weyl_trace_free_on_generic_input():
     dom = Box.cube(2.0)
-    g = MetricField.from_exprs(
+    g = _exact_metric(
         sp.eye(4) + sp.Matrix(4, 4, lambda a, b: (x0 * x1 if {a, b} == {0, 1} else 0)) / 5
         + sp.diag(x2**2, 0, x3**2, x1**2) / 7,
-        dom,
+        2.0,
     )
     riem = riemann_of_metric(g, np.array([0.3, 0.2, -0.1, 0.25]))
     w = weyl_tensor(riem)
@@ -180,14 +204,14 @@ def test_total_q_over_sphere():
 def test_paneitz_on_constants_and_bubble():
     dom = Box.cube(20.0)
     g = MetricField.flat(dom)
-    c = ScalarField.constant(2.5, dom)
+    c = ScalarField(dom, 2.5)
     assert paneitz_apply(g, c, np.array([0.3, 0.1, 0.0, 0.0])) == 0.0
 
     rho = sp.sqrt(sp.Integer(1)) / (4 * sp.sqrt(3))
     u = ScalarField.from_expr(-sp.log(1 + rho * R2), dom)
     for x in [np.zeros(4), np.array([1.0, -2.0, 0.5, 3.0])]:
         lhs = paneitz_apply(g, u, x)
-        rhs = 2.0 * np.exp(4.0 * u(x))
+        rhs = 2.0 * np.exp(4.0 * u.eval(x[None])[0])
         assert abs(lhs - rhs) < 1e-8
 
 
@@ -203,7 +227,7 @@ def test_flat_bilaplacian_of_sphere_factor():
     g = MetricField.flat(dom)
     u = ScalarField.from_expr(sp.log(2 / (1 + R2)), dom)
     for x in [np.zeros(4), np.array([0.7, 0.2, -0.4, 0.1])]:
-        assert abs(paneitz_apply(g, u, x) - 6.0 * np.exp(4.0 * u(x))) < 1e-8
+        assert abs(paneitz_apply(g, u, x) - 6.0 * np.exp(4.0 * u.eval(x[None])[0])) < 1e-8
 
 
 def test_laplace_beltrami_matches_sphere_closed_form():
@@ -221,14 +245,14 @@ def test_laplace_beltrami_matches_sphere_closed_form():
 def test_conformal_transform_identity_and_sphere():
     dom = Box.cube(5.0)
     g = MetricField.flat(dom)
-    zero = ScalarField.constant(0.0, dom)
-    assert conformal_transform(g, zero).matrix == sp.eye(4)
+    zero = ScalarField(dom, 0.0)
+    assert conformal_transform(g, zero).is_flat
 
     u = ScalarField.from_expr(sp.log(2 / (1 + R2)), dom)
     gs = conformal_transform(g, u)
     x = np.array([0.3, -0.2, 0.5, 0.1])
     expected = 4.0 / (1.0 + x @ x) ** 2 * np.eye(4)
-    assert np.max(np.abs(gs.eval(x) - expected)) < 1e-12
+    assert np.max(np.abs(gs.eval_batch(x[None])[0] - expected)) < 1e-12
     with pytest.raises(ValueError, match="domains"):
         conformal_transform(MetricField.flat(Box.cube(1.0)), u)
 
@@ -251,7 +275,7 @@ def test_constant_conformal_factor_scales_volume():
     dom = Box.cube(1.0)
     g = MetricField.flat(dom)
     c = 0.3
-    gt = conformal_transform(g, ScalarField.constant(c, dom))
+    gt = conformal_transform(g, ScalarField(dom, c))
     pts = np.random.default_rng(1).uniform(-0.5, 0.5, (5, 4))
     ratio = np.sqrt(np.linalg.det(gt.eval_batch(pts)) / np.linalg.det(g.eval_batch(pts)))
     assert np.max(np.abs(ratio - np.exp(4 * c))) < 1e-12
@@ -272,11 +296,11 @@ def test_conformal_covariance_refines_at_stencil_order():
 def test_conformal_covariance_trivial_cases():
     dom = Box.cube(5.0)
     g = MetricField.flat(dom)
-    zero = ScalarField.constant(0.0, dom)
+    zero = ScalarField(dom, 0.0)
     f = ScalarField.from_expr(x0**3 + x1 * x2, dom)
     pts = np.array([[0.3, 0.1, -0.2, 0.4]])
     assert check_conformal_covariance(g, zero, f, pts, step=0.05) < 1e-9
-    const = ScalarField.constant(1.7, dom)
+    const = ScalarField(dom, 1.7)
     u = ScalarField.from_expr(sp.log(2 / (1 + R2)), dom)
     assert check_conformal_covariance(g, u, const, pts, step=0.05) < 1e-12
 
@@ -306,21 +330,48 @@ def test_gauss_bonnet_conformally_perturbed_sphere():
 
 def _perturbed_sphere():
     w = sp.Rational(1, 20) / (1 + R2)
-    return MetricField.from_exprs(sp.exp(2 * w) * 4 / (1 + R2) ** 2 * sp.eye(4), Box.cube(100.0))
+    return MetricField(Box.cube(100.0), sp.exp(2 * w) * 4 / (1 + R2) ** 2)
 
 
 def _sampled_metric():
-    """A metric with a non-polynomial off-diagonal entry, not conformally flat."""
-    a = sp.sin(x0) * x1 / 10 + x2**2 / 20
+    """A cubic metric with an off-diagonal entry, not conformally flat."""
     m = sp.eye(4) * (1 + R2 / 10)
-    m[0, 1] = m[1, 0] = a
-    return MetricField.from_exprs(m, Box.cube(10.0))
+    m[0, 1] = m[1, 0] = x0 * x1 / 10 + x2**2 / 20 - x0**3 / 60
+    return _exact_metric(m, 10.0)
 
 
 # |x| > 1 at the last two points, so each has its own default Q step
 _BATCH = np.array(
     [[0.3, -0.2, 0.1, 0.0], [1.5, -0.7, 0.2, 1.1], [3.0, 1.0, -2.0, 0.5]]
 )
+
+
+def _closed_form_q(g):
+    """Q_g = (1/2) e^{-4w} Delta^2 w for g = e^{2w} delta, w = (1/2) log f,
+    from P_g u + 2 Q_g = 2 Q_gt e^{4u} with the flat g = delta."""
+    w = sp.log(g.factor.expr) / 2
+    bilap = sum(sp.diff(w, a, a, b, b) for a in COORDS for b in COORDS)
+    q = sp.lambdify(COORDS, sp.exp(-4 * w) * bilap / 2, modules="numpy")
+    return lambda pts: np.broadcast_to(q(*pts.T), len(pts))
+
+
+_Q_POINTS = np.vstack([np.zeros(4), _BATCH])
+
+
+@pytest.mark.parametrize("metric", [sphere_metric, _perturbed_sphere])
+def test_q_curvature_matches_conformal_factor_closed_form(metric):
+    g = metric()
+    assert np.max(np.abs(q_curvature(g, _Q_POINTS) - _closed_form_q(g)(_Q_POINTS))) < 1e-8
+
+
+def test_q_closed_form_sees_the_laplacian_of_scalar_curvature(monkeypatch):
+    # Delta_g R = 0 on the round sphere, so only the perturbed sphere sees
+    # a sign error in that term
+    fd_laplacian = curvature._fd_laplacian
+    monkeypatch.setattr(curvature, "_fd_laplacian", lambda *a: -fd_laplacian(*a))
+    for g, can_see in [(sphere_metric(), False), (_perturbed_sphere(), True)]:
+        gap = np.max(np.abs(q_curvature(g, _Q_POINTS) - _closed_form_q(g)(_Q_POINTS)))
+        assert (gap > 1e-8) == can_see
 
 
 @pytest.mark.parametrize("metric", [_perturbed_sphere, _sampled_metric])
@@ -352,7 +403,7 @@ def test_batched_kernel_checks_every_point():
     with pytest.raises(ChartError, match=r"2\."):
         riemann_of_metric(g, np.vstack([inside, [2.0, 0.0, 0.0, 0.0]]))
 
-    bad = MetricField.from_exprs(sp.diag(1 + x0, 1, 1, 1), Box.cube(2.0))
+    bad = MetricField(Box.cube(2.0), 1 + x0)
     pts = np.array([[0.5, 0.0, 0.0, 0.0], [-1.0, 0.3, 0.0, 0.0], [0.2, 0.0, 0.0, 0.0]])
     with pytest.raises(DegenerateMetricError):
         riemann_of_metric(bad, pts)

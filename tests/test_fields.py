@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
+from qcurv.cnc import _MONOMIAL_INDEX, ExactArray, PolynomialMetric
 from qcurv.fields import (
     COORDS,
     Box,
@@ -11,6 +12,7 @@ from qcurv.fields import (
     MetricField,
     ScalarField,
     fd_partials,
+    require_positive_definite,
 )
 
 x0, x1, x2, x3 = COORDS
@@ -75,34 +77,75 @@ def test_fd_partial_polynomial_exact_to_stencil_order():
 
 
 def test_metric_symmetry_and_degeneracy():
-    dom = Box.cube(2.0)
-    skew = sp.Matrix(4, 4, lambda a, b: x0 if (a, b) == (0, 1) else sp.Integer(a == b))
-    with pytest.raises(ValueError):
-        MetricField.from_exprs(skew, dom)
-
-    bad = MetricField.from_exprs(sp.diag(x0, 1, 1, 1), dom)
+    # a factor times delta: every jet is symmetric in (a, b) by construction
+    bad = MetricField(Box.cube(2.0), x0)
+    pts = np.array([[1e-12, 0.0, 0.0, 0.0], [0.5, 0.2, -0.1, 0.3]])
+    for j in bad.jet(pts, 2):
+        assert np.array_equal(j, np.swapaxes(j, 1, 2))
     with pytest.raises(DegenerateMetricError):
-        bad.eval(np.array([1e-12, 0.0, 0.0, 0.0]))
+        require_positive_definite(bad.eval_batch(pts), pts)
+
+
+def _polynomial_metric(entries, den):
+    """delta + ``{(a, b): {monomial: numerator}}`` / ``den`` with g_ba = g_ab,
+    as an exact ``PolynomialMetric``."""
+    comps = np.zeros((4, 4, 35), dtype=np.int64)
+    comps[..., 0] = den * np.eye(4, dtype=np.int64)
+    for (a, b), terms in entries.items():
+        for m, c in terms.items():
+            comps[a, b, _MONOMIAL_INDEX[m]] += c
+            if a != b:
+                comps[b, a, _MONOMIAL_INDEX[m]] += c
+    return PolynomialMetric(ExactArray(comps, den), Box.cube(2.0))
 
 
 def test_metric_jet_layout():
     dom = Box.cube(2.0)
-    g = MetricField.from_exprs(sp.eye(4) + sp.Matrix(4, 4, lambda a, b: 0), dom)
-    gm = MetricField.from_exprs(
-        sp.Matrix(4, 4, lambda a, b: sp.Integer(a == b) + (x0**2 if (a, b) == (1, 1) else 0)),
-        dom,
-    )
+    # delta + x0^2 in g_11: not conformally flat
+    gm = _polynomial_metric({(1, 1): {(2, 0, 0, 0): 1}}, 1)
     pts = np.array([[0.5, 0.0, 0.0, 0.0]])
     gval, dg = gm.jet(pts, 1)
     assert gval.shape == (1, 4, 4) and dg.shape == (1, 4, 4, 4)
     assert abs(dg[0, 1, 1, 0] - 1.0) < 1e-12  # d_0 g_11 = 2 x0
-    assert np.max(np.abs(g.jet(pts, 2)[1])) == 0.0
+    assert np.max(np.abs(MetricField.flat(dom).jet(pts, 2)[1])) == 0.0
+
+
+# f delta with f = 1 + x0^2/10 + x1 x2/20 - x3^3/30, in both metric types
+_FACTOR = 1 + x0**2 / 10 + x1 * x2 / 20 - x3**3 / 30
+_FACTOR_TERMS = {(2, 0, 0, 0): 6, (0, 1, 1, 0): 3, (0, 0, 0, 3): -2}  # (f - 1) * 60
+
+
+@pytest.mark.parametrize(
+    "metric",
+    [
+        lambda: MetricField(Box.cube(2.0), _FACTOR),
+        lambda: _polynomial_metric({(a, a): _FACTOR_TERMS for a in range(4)}, 60),
+    ],
+    ids=["MetricField", "PolynomialMetric"],
+)
+def test_both_metric_types_share_the_jet_interface(metric):
+    g = metric()
+    pts = np.array([[0.5, -0.3, 0.2, 0.7], [-1.0, 0.4, 1.5, -0.2]])
+    f = ScalarField(Box.cube(2.0), _FACTOR)
+    eye = np.eye(4)
+    want = [
+        np.einsum("n,ab->nab", f.eval(pts), eye),
+        np.einsum("nc,ab->nabc", f.gradient(pts), eye),
+        np.einsum("ncd,ab->nabcd", f.hessian(pts), eye),
+    ]
+    jets = g.jet(pts, 2)
+    assert [j.shape for j in jets] == [(2, 4, 4), (2, 4, 4, 4), (2, 4, 4, 4, 4)]
+    for got, exp in zip(jets, want):
+        assert np.max(np.abs(got - exp)) < 1e-14
+    assert np.array_equal(g.eval_batch(pts), jets[0]) and not g.is_flat
+    with pytest.raises(DerivativeOrderError):
+        g.jet(pts, 3)
 
 
 def test_flat_metric_flag():
     dom = Box.cube(2.0)
     assert MetricField.flat(dom).is_flat
-    assert not MetricField.from_exprs(2 * sp.eye(4), dom).is_flat
+    assert not MetricField(dom, 2).is_flat
 
 
 def test_stencil_engine_exact_on_polynomial_with_one_evaluation():
