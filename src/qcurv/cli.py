@@ -34,7 +34,6 @@ TORUS_L = 2.0 * np.pi  # side of the torus in green-fit, represent and vrate
 BUBBLE_H = 1.0  # bubble strength in mass, longrange and alpha-sweep
 TILT_AMP = 0.05  # pohozaev's bubble tilt
 LONGRANGE_EPS = 1e-4
-ALPHA_AMP = 0.0  # alpha-sweep's correction; criterion 3's closed form needs 0
 MAINEST_AMP = 0.02
 TAU = 0.5  # mainest's weight exponent and vrate's rate
 
@@ -405,11 +404,9 @@ def run_longrange(p, seed):
 
 
 def run_alpha_sweep(p, seed):
-    from .harness import SequenceConfig, alpha_sweep, synth_sequence
+    from .harness import alpha_sweep
 
-    eps_list = parse_eps_list(p["eps_list"])
-    cfg = SequenceConfig(eps_list=eps_list, H=BUBBLE_H, amp=ALPHA_AMP, seed=seed)
-    rep = alpha_sweep(synth_sequence(cfg))
+    rep = alpha_sweep(parse_eps_list(p["eps_list"]), BUBBLE_H)
     small = [r for r in rep["rows"] if r["eps"] <= 1e-3]
     worst = max((abs(r["rel_gap"]) for r in small), default=0.0)
     checks = [_at_most("alpha_rel_gap_eps_le_1e-3", worst, 0.005)]
@@ -420,11 +417,9 @@ def run_alpha_sweep(p, seed):
 
 
 def run_mainest(p, seed):
-    from .harness import SequenceConfig, mainest_fit, synth_sequence
+    from .harness import mainest_fit
 
-    eps_list = parse_eps_list(p["eps_list"])
-    cfg = SequenceConfig(eps_list=eps_list, amp=MAINEST_AMP, tau=TAU, seed=seed)
-    rep = mainest_fit(synth_sequence(cfg), cfg)
+    rep = mainest_fit(parse_eps_list(p["eps_list"]), MAINEST_AMP, TAU, seed)
     return [_at_most("constant_ratio", rep["ratio"], 3.0)], rep["rows"]
 
 

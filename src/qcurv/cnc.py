@@ -669,14 +669,13 @@ class PolynomialMetric:
         return self.jet(pts, 0)[0]
 
 
-def blowup_metric(jet: CurvatureJet, eps, half_width=None):
+def blowup_metric(jet: CurvatureJet, eps, half_width):
     """Rescaled metric g(eps*y) in y, as a ``PolynomialMetric``.
 
     Each coefficient of degree k is multiplied by the exact eps^k, so the
     quadratic terms scale by eps^2 and the cubic by eps^3 (the blow-up
-    gauge).  For eps = 0 or a zero jet the metric ``is_flat``, so the
-    geodesic solver returns the Euclidean distance.
+    gauge), on the cube of the given half-width.  For eps = 0 or a zero jet
+    the metric ``is_flat``, so the geodesic solver returns the Euclidean
+    distance.
     """
-    if half_width is None:
-        half_width = 10.0 if eps == 0 else 1.0 / eps
     return PolynomialMetric(metric_taylor_from_jet(jet).comps, Box.cube(half_width), eps)

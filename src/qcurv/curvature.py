@@ -176,6 +176,7 @@ def weyl_norm_sq(w, g):
 def laplace_beltrami(g, u, x):
     """Delta_g u(x) = g^{ij}(d_ij u - Gamma^k_ij d_k u) at one point or (n, 4)."""
     pts = np.atleast_2d(np.asarray(x, float))
+    g.domain.require_interior(pts)
     return _like(x, _laplacian(g, pts, u.gradient(pts), u.hessian(pts)))
 
 

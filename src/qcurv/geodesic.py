@@ -104,9 +104,8 @@ def distance_ratio_sweep(jet, eps_list, pairs, n_nodes=DEFAULT_NODES):
 
     The metric is the blow-up expansion of the jet with its quadratic term
     scaled by eps^2 (cubic by eps^3).  Returns per-pair rows, the per-eps
-    worst constant, a stability ratio max/min of those constants, and the
-    log-log exponent of the mean ratio gap in eps (2 for a genuine
-    second-order departure).  Each row's ``error_estimate`` is the
+    worst constant, and the log-log exponent of the mean ratio gap in eps
+    (2 for a genuine second-order departure).  Each row's ``error_estimate`` is the
     node-halving change |d(n) - d(max(n // 2, 8))| of its distance.
     """
     eps_list = [float(e) for e in eps_list]
@@ -143,13 +142,6 @@ def distance_ratio_sweep(jet, eps_list, pairs, n_nodes=DEFAULT_NODES):
             gaps.append(gap)
         per_eps_c[eps] = float(np.max(consts))
         mean_gap.append(float(np.mean(gaps)))
-    cs = np.array([per_eps_c[e] for e in eps_list])
-    stability = float(np.max(cs) / np.min(cs))
     slope = float(np.polyfit(np.log(eps_list), np.log(mean_gap), 1)[0])
-    return {
-        "rows": rows,
-        "per_eps_c": per_eps_c,
-        "stability_ratio": stability,
-        "eps_exponent": slope,
-    }
+    return {"rows": rows, "per_eps_c": per_eps_c, "eps_exponent": slope}
 

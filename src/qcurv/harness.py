@@ -1,10 +1,11 @@
-"""Synthetic concentration sequences and the estimate/rate check batteries.
+"""The blow-up profile's estimate and rate batteries.
 
 True concentrating solution families are out of reach without an existence
-solver, so the harness manufactures fields of exactly the predicted shape
-(bubble plus a controlled smooth correction) and validates every estimate
-on them: energy quantization, weighted sup-norm stability, long-range ring
-asymptotics, and the gradient-balance rate at the concentration point.
+solver, so each battery checks its estimate on a field of exactly the
+predicted shape: energy quantization on the rescaled bubble itself,
+the weighted sup-norm on the bubble plus a smooth correction
+(``SynthField``), long-range ring asymptotics on a radial profile, and the
+gradient-balance rate at the concentration point on torus fields.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bubble import (
-    H_FLOOR,
     MASS_LIMIT,
     BubbleParams,
     RescaledBubble,
@@ -23,60 +23,32 @@ from .bubble import (
     weighted_sup_norm,
 )
 from .potential import TorusSpectralField, regular_part_field
-from .quadrature import ball_rule
 
 ORIGIN = (0.0, 0.0, 0.0, 0.0)
 # outer radius of the weighted sup-norm's shell; the long-range ring's is DELTA1 / eps
 DELTA1 = 0.5
-# the polar rule of the corrected energy integrals
-N_R, N_U, N_PHI = 64, 20, 20
-
-
-@dataclass(frozen=True)
-class SequenceConfig:
-    """Parameters of a synthetic concentrating sequence at the origin."""
-
-    eps_list: tuple
-    H: float = 1.0
-    amp: float = 0.0
-    n_modes: int = 2
-    tau: float = 0.5
-    seed: int = 0
-
-    def __post_init__(self):
-        eps = tuple(float(e) for e in self.eps_list)
-        object.__setattr__(self, "eps_list", eps)
-        if not eps or any(e <= 0 for e in eps):
-            raise ValueError("eps_list must contain positive values")
-        if len(eps) > 1 and not all(b < a for a, b in zip(eps[:-1], eps[1:])):
-            raise ValueError("eps_list must be strictly decreasing")
-        if self.H < H_FLOOR:
-            raise ValueError(f"H must be >= {H_FLOOR}")
-        if not 0.0 < self.tau < 1.0:
-            raise ValueError("tau must lie in (0, 1)")
-        if abs(self.amp) * max(self.n_modes, 1) > 10.0:
-            raise ValueError("correction amplitude would overflow e^{4u} quadrature")
+# radial nodes per shell of the energy integrals
+N_R = 64
+# wave vectors of mainest's correction
+N_MODES = 2
 
 
 @dataclass
 class SynthField:
-    """u_eps = bubble profile + smooth cosine correction."""
+    """u_eps = unit-strength bubble profile + smooth cosine correction."""
 
     eps: float
-    H: float
     amp: float
     wavevectors: np.ndarray = field(repr=False)
 
     @property
     def params(self):
-        return BubbleParams(p=ORIGIN, eps=self.eps, H=self.H)
+        return BubbleParams(p=ORIGIN, eps=self.eps, H=1.0)
 
     def correction(self, pts):
         """amp * sum_k (cos(k.xi) - 1): vanishes with its gradient at 0,
         the normalization the weighted estimates require of corrections."""
         pts = np.atleast_2d(np.asarray(pts, float))
-        if self.amp == 0.0 or len(self.wavevectors) == 0:
-            return np.zeros(pts.shape[0])
         return self.amp * np.sum(np.cos(pts @ self.wavevectors.T) - 1.0, axis=1)
 
     def __call__(self, pts):
@@ -85,47 +57,29 @@ class SynthField:
         return bubble_eval(self.params, d) + self.correction(pts)
 
 
-def synth_sequence(cfg: SequenceConfig):
-    """Deterministic list of SynthField, one per eps (shared correction)."""
-    rng = np.random.default_rng(cfg.seed)
-    if cfg.amp != 0.0 and cfg.n_modes > 0:
-        waves = rng.integers(-3, 4, size=(cfg.n_modes, 4)).astype(float)
-        waves[np.all(waves == 0, axis=1)] = np.array([1.0, 0.0, 0.0, 0.0])
-    else:
-        waves = np.zeros((0, 4))
-    return [SynthField(eps=e, H=cfg.H, amp=cfg.amp, wavevectors=waves) for e in cfg.eps_list]
-
-
 def big_l(eps):
     """L = -log eps."""
     return -np.log(eps)
 
 
-def _alpha_of_field(f: SynthField, n_r):
-    """alpha = 2 H int_{B_l} e^{4u} dxi, computed in rescaled coordinates."""
-    L = big_l(f.eps)
-    rb = RescaledBubble(H=f.H)
-    if f.amp == 0.0:
-        return mass_integral(rb, L, n_r=n_r)
-    pts, w = ball_rule(L, n_r=n_r, n_u=N_U, n_phi=N_PHI)
-    vals = rb.exp4u(pts) * np.exp(4.0 * f.correction(f.eps * pts))
-    return 2.0 * f.H * float(np.sum(w * vals))
+def alpha_sweep(eps_list, H):
+    """Energy rows alpha(eps) = 2 H int_{B_L} e^{4U} of the rescaled bubble,
+    L = -log eps, and the log-log slope of |alpha - 16 pi^2| in L.
 
-
-def alpha_sweep(seq):
-    """Energy rows alpha(eps) and the log-log slope of |alpha - 16 pi^2| in L.
-
-    For zero correction the deviation is a pure bubble tail, a power law
-    in L much faster than the 1/L the generic theory allows.
+    The deviation is a pure bubble tail, a power law in L much faster than
+    the 1/L the generic theory allows.  Each row's ``error_estimate`` is the
+    change |alpha(N_R) - alpha(N_R // 2)| when the radial nodes are halved.
     """
+    rb = RescaledBubble(H=H)
     rows = []
-    for f in seq:
-        a = _alpha_of_field(f, N_R)
-        a_half = _alpha_of_field(f, N_R // 2)
+    for eps in eps_list:
+        L = big_l(eps)
+        a = mass_integral(rb, L, n_r=N_R)
+        a_half = mass_integral(rb, L, n_r=N_R // 2)
         rows.append(
             {
-                "eps": f.eps,
-                "L": float(big_l(f.eps)),
+                "eps": eps,
+                "L": float(L),
                 "alpha": a,
                 "gap": a - MASS_LIMIT,
                 "rel_gap": (a - MASS_LIMIT) / MASS_LIMIT,
@@ -166,19 +120,25 @@ def long_range_checks(profile, eps):
     ]
 
 
-def mainest_fit(seq, cfg: SequenceConfig, n=2000):
-    """tau-weighted sup-norm per eps and the spread ``ratio`` = max/min.
+def mainest_fit(eps_list, amp, tau, seed, n=2000):
+    """tau-weighted sup-norm of u - U_eps per eps and the spread ``ratio`` =
+    max/min.
 
-    The sampled sups are only lower bounds; each row's
-    ``sampling_error_estimate`` and ``core_sampling_error_estimate`` are
-    their changes when the samples are doubled, |outer(2n) - outer(n)| and
-    |core(2n) - core(n)|.
+    u is a ``SynthField`` of amplitude ``amp`` whose ``N_MODES`` integer wave
+    vectors, shared by every eps, are drawn from ``default_rng(seed)``; the
+    sup-norm's samples use the same seed.  The sampled sups are only lower
+    bounds; each row's ``sampling_error_estimate`` and
+    ``core_sampling_error_estimate`` are their changes when the samples are
+    doubled, |outer(2n) - outer(n)| and |core(2n) - core(n)|.
     """
+    waves = np.random.default_rng(seed).integers(-3, 4, size=(N_MODES, 4)).astype(float)
+    waves[np.all(waves == 0, axis=1)] = np.array([1.0, 0.0, 0.0, 0.0])
     rows = []
-    for f in seq:
-        outer, core = weighted_sup_norm(f, f.params, cfg.tau, DELTA1, n=n, rng=cfg.seed)
-        outer2, core2 = weighted_sup_norm(f, f.params, cfg.tau, DELTA1, n=2 * n, rng=cfg.seed)
-        rows.append({"eps": f.eps, "outer_norm": outer, "core_norm": core,
+    for eps in eps_list:
+        f = SynthField(eps=eps, amp=amp, wavevectors=waves)
+        outer, core = weighted_sup_norm(f, f.params, tau, DELTA1, n=n, rng=seed)
+        outer2, core2 = weighted_sup_norm(f, f.params, tau, DELTA1, n=2 * n, rng=seed)
+        rows.append({"eps": eps, "outer_norm": outer, "core_norm": core,
                      "sampling_error_estimate": abs(outer2 - outer),
                      "core_sampling_error_estimate": abs(core2 - core)})
     cs = np.array([max(r["outer_norm"], 1e-12) for r in rows])

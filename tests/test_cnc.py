@@ -335,11 +335,11 @@ def test_scale_jet_scales_metric_coefficients():
 
 def test_blowup_metric_flat_at_zero_eps():
     jet = random_conformal_normal_jet(rng=1)
-    g = blowup_metric(jet, 0.0)
+    g = blowup_metric(jet, 0.0, half_width=10.0)
     assert g.is_flat
-    zero = blowup_metric(scale_jet(jet, Fraction(0)), 0.3)
+    zero = blowup_metric(scale_jet(jet, Fraction(0)), 0.3, half_width=10.0)
     assert zero.is_flat
-    assert not blowup_metric(jet, 0.3).is_flat
+    assert not blowup_metric(jet, 0.3, half_width=10.0).is_flat
 
 
 # a test-local reference: dict polynomials {exponent tuple: Fraction}, kept
@@ -554,7 +554,7 @@ def test_integer_algebra_matches_fraction_reference(seed):
     tenth = Fraction(1, 10)
     g_tenth = _ref_metric(R0 * tenth, R1 * tenth)
     for eps in (0.1, 0.05, 0.025):
-        metric = blowup_metric(scale_jet(jet, tenth), eps)
+        metric = blowup_metric(scale_jet(jet, tenth), eps, half_width=4.0 / eps)
         assert metric._table.tobytes() == _ref_float_table(g_tenth, eps).tobytes()
 
 

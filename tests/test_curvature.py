@@ -53,6 +53,22 @@ def test_flat_shortcuts_check_the_chart():
         paneitz_apply(g, f, x)
 
 
+def test_laplace_beltrami_checks_the_chart():
+    # inside the box the chart's points are accepted, outside they raise as
+    # riemann_of_metric does
+    dom = Box.cube(1.0)
+    g = sphere_metric(dom)
+    u = ScalarField.from_expr(x0**2, dom)
+    assert np.isfinite(laplace_beltrami(g, u, np.array([0.5, 0.0, 0.0, 0.0])))
+    outside = np.array([2.0, 0.0, 0.0, 0.0])
+    batch = np.array([[0.1, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, -1.5]])
+    for x in (outside, batch):
+        with pytest.raises(ChartError):
+            riemann_of_metric(g, x)
+        with pytest.raises(ChartError):
+            laplace_beltrami(g, u, x)
+
+
 def test_sphere_curvature_at_origin_and_off_origin():
     g = sphere_metric()
     for x in [np.zeros(4), np.array([0.4, -0.2, 0.1, 0.3])]:

@@ -1,16 +1,17 @@
 import numpy as np
 import pytest
 
-from qcurv.bubble import MASS_LIMIT
+from qcurv.bubble import MASS_LIMIT, RescaledBubble, mass_integral
 from qcurv.harness import (
     DELTA1,
+    N_MODES,
+    N_R,
     ORIGIN,
-    SequenceConfig,
+    SynthField,
     alpha_sweep,
     big_l,
     long_range_checks,
     mainest_fit,
-    synth_sequence,
     tuned_source,
     vrate_balance,
     weighted_sup_norm,
@@ -21,31 +22,13 @@ from qcurv.potential import TorusSpectralField
 L_TORUS = 2.0 * np.pi
 
 
-def test_sequence_config_validation():
-    with pytest.raises(ValueError):
-        SequenceConfig(eps_list=())
-    with pytest.raises(ValueError):
-        SequenceConfig(eps_list=(0.1, 0.2))
-    with pytest.raises(ValueError):
-        SequenceConfig(eps_list=(0.1,), tau=1.5)
-    with pytest.raises(ValueError):
-        SequenceConfig(eps_list=(0.1,), amp=20.0)
-    with pytest.raises(ValueError):
-        SequenceConfig(eps_list=(0.1, -0.05))
-
-
 def test_scales():
     assert abs(big_l(np.exp(-3.0)) - 3.0) < 1e-14
 
 
-def test_synth_sequence_deterministic_and_normalized():
-    cfg = SequenceConfig(eps_list=(0.1, 0.01), amp=0.05, n_modes=3, seed=5)
-    s1 = synth_sequence(cfg)
-    s2 = synth_sequence(cfg)
-    assert np.array_equal(s1[0].wavevectors, s2[0].wavevectors)
-    assert len(s1) == 2
-    # the correction and its gradient vanish at the concentration point
-    f = s1[0]
+def test_synth_field_correction_vanishes_with_gradient_at_origin():
+    waves = np.array([[1.0, -2.0, 0.0, 3.0], [0.0, 1.0, 1.0, -1.0], [2.0, 0.0, -3.0, 0.0]])
+    f = SynthField(eps=0.1, amp=0.05, wavevectors=waves)
     assert abs(f.correction(np.zeros((1, 4)))[0]) < 1e-15
     h = 1e-6
     for a in range(4):
@@ -53,11 +36,15 @@ def test_synth_sequence_deterministic_and_normalized():
         e[0, a] = h
         fd = (f.correction(e)[0] - f.correction(-e)[0]) / (2 * h)
         assert abs(fd) < 1e-8
+    # away from the origin the correction is there, and u is bubble plus it
+    x = np.array([[0.3, 0.1, -0.2, 0.4]])
+    assert abs(f.correction(x)[0]) > 1e-3
+    bubble = SynthField(eps=0.1, amp=0.0, wavevectors=waves)
+    assert f(x)[0] == bubble(x)[0] + f.correction(x)[0]
 
 
 def test_alpha_sweep_pure_bubble_tail():
-    cfg = SequenceConfig(eps_list=(1e-2, 1e-3, 1e-4))
-    out = alpha_sweep(synth_sequence(cfg))
+    out = alpha_sweep((1e-2, 1e-3, 1e-4), 1.0)
     rows = out["rows"]
     assert len(rows) == 3
     for r in rows:
@@ -65,17 +52,21 @@ def test_alpha_sweep_pure_bubble_tail():
         assert r["error_estimate"] < 1e-8
     gaps = [abs(r["gap"]) for r in rows]
     assert all(b < a for a, b in zip(gaps[:-1], gaps[1:]))
-    # zero-correction deviation is a bubble tail, far faster than 1/L
+    # the deviation is a bubble tail, far faster than 1/L
     assert out["tail_log_slope"] < -1.0
     assert out["tail_log_slope"] < -1.5
 
 
-def test_alpha_sweep_with_correction_converges():
-    cfg = SequenceConfig(eps_list=(1e-2, 1e-3), amp=0.02, n_modes=2, seed=1)
-    out = alpha_sweep(synth_sequence(cfg))
-    rel = [abs(r["rel_gap"]) for r in out["rows"]]
-    assert rel[1] < rel[0]
-    assert rel[1] < 0.1
+@pytest.mark.parametrize("H", [1.0, 0.5])
+def test_alpha_sweep_rows_are_the_bubble_mass_on_b_l(H):
+    eps_list = (1e-2, 1e-3, 1e-5)
+    rb = RescaledBubble(H=H)
+    for eps, r in zip(eps_list, alpha_sweep(eps_list, H)["rows"]):
+        L = -np.log(eps)
+        a, a_half = mass_integral(rb, L, n_r=N_R), mass_integral(rb, L, n_r=N_R // 2)
+        assert (r["eps"], r["L"], r["alpha"]) == (eps, L, a)
+        assert r["gap"] == a - MASS_LIMIT
+        assert r["error_estimate"] == abs(a - a_half)
 
 
 def test_long_range_checks_on_exact_bubble():
@@ -95,24 +86,34 @@ def test_long_range_checks_on_exact_bubble():
 
 
 def test_mainest_fit_verdicts():
-    cfg0 = SequenceConfig(eps_list=(1e-2, 1e-3, 1e-4), tau=0.5)
-    out0 = mainest_fit(synth_sequence(cfg0), cfg0, n=1000)
+    eps_list = (1e-2, 1e-3, 1e-4)
+    out0 = mainest_fit(eps_list, 0.0, 0.5, 0, n=1000)
     assert out0["ratio"] <= 3.0
     for r in out0["rows"]:
         assert r["outer_norm"] < 1e-10
 
-    cfg = SequenceConfig(eps_list=(1e-2, 1e-3, 1e-4), amp=0.02, n_modes=2, tau=0.5, seed=3)
-    out = mainest_fit(synth_sequence(cfg), cfg, n=1000)
+    out = mainest_fit(eps_list, 0.02, 0.5, 3, n=1000)
     assert out["ratio"] <= 3.0
     assert out["ratio"] < 3.0
+    assert min(r["outer_norm"] for r in out["rows"]) > 1e-4
+
+
+def _mainest_field(eps, amp, seed):
+    """The field mainest_fit draws: N_MODES integer wave vectors in [-3, 3]
+    from default_rng(seed), a zero row replaced by e_1."""
+    waves = np.random.default_rng(seed).integers(-3, 4, size=(N_MODES, 4)).astype(float)
+    waves[np.all(waves == 0, axis=1)] = [1.0, 0.0, 0.0, 0.0]
+    return SynthField(eps=eps, amp=amp, wavevectors=waves)
 
 
 def test_mainest_error_columns_are_sample_doubling_changes():
-    cfg = SequenceConfig(eps_list=(1e-2, 1e-3), amp=0.02, tau=0.5, seed=1)
-    seq = synth_sequence(cfg)
-    out = mainest_fit(seq, cfg, n=500)
-    for f, r in zip(seq, out["rows"]):
-        outer2, core2 = weighted_sup_norm(f, f.params, cfg.tau, DELTA1, n=1000, rng=cfg.seed)
+    seed, tau = 1, 0.5
+    out = mainest_fit((1e-2, 1e-3), 0.02, tau, seed, n=500)
+    for r in out["rows"]:
+        f = _mainest_field(r["eps"], 0.02, seed)
+        outer, core = weighted_sup_norm(f, f.params, tau, DELTA1, n=500, rng=seed)
+        outer2, core2 = weighted_sup_norm(f, f.params, tau, DELTA1, n=1000, rng=seed)
+        assert (r["outer_norm"], r["core_norm"]) == (outer, core)
         assert r["sampling_error_estimate"] == abs(outer2 - r["outer_norm"])
         assert r["core_sampling_error_estimate"] == abs(core2 - r["core_norm"]) > 0.0
 
