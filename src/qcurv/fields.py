@@ -175,7 +175,7 @@ def _compiled(expr, index):
         for ax in index:
             expr = sp.diff(expr, COORDS[ax])
         return _compiled(expr, ())
-    f = sp.lambdify(COORDS, expr, modules="numpy")
+    f = sp.lambdify(COORDS, expr, modules=[np])
 
     def call(pts):
         pts = np.atleast_2d(np.asarray(pts, float))

@@ -20,6 +20,7 @@ from .bubble import (
     RescaledBubble,
     bubble_eval,
     mass_integral,
+    mass_integral_exact,
     weighted_sup_norm,
 )
 from .potential import TorusSpectralField, regular_part_field
@@ -68,14 +69,13 @@ def alpha_sweep(eps_list, H):
 
     The deviation is a pure bubble tail, a power law in L much faster than
     the 1/L the generic theory allows.  Each row's ``error_estimate`` is the
-    change |alpha(N_R) - alpha(N_R // 2)| when the radial nodes are halved.
+    gap |alpha - mass_integral_exact(L)| of the quadrature to its closed form.
     """
     rb = RescaledBubble(H=H)
     rows = []
     for eps in eps_list:
         L = big_l(eps)
         a = mass_integral(rb, L, n_r=N_R)
-        a_half = mass_integral(rb, L, n_r=N_R // 2)
         rows.append(
             {
                 "eps": eps,
@@ -83,7 +83,7 @@ def alpha_sweep(eps_list, H):
                 "alpha": a,
                 "gap": a - MASS_LIMIT,
                 "rel_gap": (a - MASS_LIMIT) / MASS_LIMIT,
-                "error_estimate": abs(a - a_half),
+                "error_estimate": abs(a - mass_integral_exact(rb, L)),
             }
         )
     Ls = np.array([r["L"] for r in rows])

@@ -63,9 +63,9 @@ class BallDomain:
         vol = BALL4_VOL * self.R**4
         area = S3_AREA * self.R**3
         if abs(self.int_w.sum() - vol) > 1e-8 * vol:
-            raise ValueError("interior weights do not sum to the ball volume")
+            raise RuntimeError("interior weights do not sum to the ball volume")
         if abs(self.bdy_w.sum() - area) > 1e-8 * area:
-            raise ValueError("boundary weights do not sum to the sphere area")
+            raise RuntimeError("boundary weights do not sum to the sphere area")
 
     @property
     def normals(self):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import fft as sfft
+from numpy import fft
 
 from .quadrature import gauss_legendre
 
@@ -76,12 +76,12 @@ def _multiplier(N, L):
     """Read-only multiplier 1 / (L^4 |2 pi k / L|^4) on the rfft half, k = 0 -> 0."""
     if N < 16 or N % 2:
         raise ValueError("N must be even and >= 16")
-    k2 = sfft.fftfreq(N, d=1.0 / N) ** 2
+    k2 = fft.fftfreq(N, d=1.0 / N) ** 2
     m = (
         k2[:, None, None, None]
         + k2[None, :, None, None]
         + k2[None, None, :, None]
-        + (sfft.rfftfreq(N, d=1.0 / N) ** 2)[None, None, None, :]
+        + (fft.rfftfreq(N, d=1.0 / N) ** 2)[None, None, None, :]
     )
     m *= (2.0 * np.pi / L) ** 2
     np.square(m, out=m)
@@ -102,9 +102,9 @@ def _green_on_product(N, L, axes):
     """
     m = _multiplier(N, L)
     w = 2.0 * np.pi / L
-    k = sfft.fftfreq(N, d=1.0 / N)
+    k = fft.fftfreq(N, d=1.0 / N)
     x0, x1, x2, x3 = (np.atleast_1d(np.asarray(a, float)) for a in axes)
-    phase = w * np.outer(x3, sfft.rfftfreq(N, d=1.0 / N))
+    phase = w * np.outer(x3, fft.rfftfreq(N, d=1.0 / N))
     cos = np.cos(phase)
     cos[:, 1:-1] *= 2.0
     flat = m.reshape(-1, m.shape[-1])
@@ -119,7 +119,7 @@ def _green_on_product(N, L, axes):
 def green_grid_values(N, L):
     """Grid samples of G with source at the grid origin (memory-lean rfft)."""
     # "forward" leaves the inverse transform unscaled: the raw mode sum
-    return sfft.irfftn(_multiplier(N, L), s=(N,) * 4, norm="forward")
+    return fft.irfftn(_multiplier(N, L), s=(N,) * 4, axes=(0, 1, 2, 3), norm="forward")
 
 
 def green_pair_value(N, L, xi, eta):
@@ -193,12 +193,12 @@ def representation_check(f: TorusSpectralField, N):
             c[tuple(np.mod(np.negative(k), N))] += at_minus_k * a
     c[0, 0, 0, 0] = 0.0
     idx = np.nonzero(c)
-    freq = sfft.fftfreq(N, d=1.0 / N)
+    freq = fft.fftfreq(N, d=1.0 / N)
     ksq = sum(freq[i] ** 2 for i in idx) * (2.0 * np.pi / f.L) ** 2
     green = _multiplier(N, f.L)[idx[:3] + (np.minimum(idx[3], N - idx[3]),)]
     amp = c[idx]
     c[idx] = amp * ksq**2 * f.L**4 * green - amp
-    return float(np.max(np.abs(sfft.ifftn(c) * c.size)))
+    return float(np.max(np.abs(fft.ifftn(c) * c.size)))
 
 
 def regular_part_field(b: TorusSpectralField) -> TorusSpectralField:

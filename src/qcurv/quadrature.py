@@ -11,16 +11,47 @@ Gauss rule handles exactly for polynomial integrands; the two angles use
 trapezoid rules (spectrally accurate for periodic integrands).
 """
 
+from functools import lru_cache
+
 import numpy as np
-from scipy import special
 
 S3_AREA = 2.0 * np.pi**2  # area of the unit 3-sphere
 BALL4_VOL = np.pi**2 / 2.0  # volume of the unit 4-ball
 
 
+def _legendre(n, x):
+    """P_n(x) and P_n'(x) by the three-term recurrence (|x| < 1)."""
+    p0, p1 = np.ones_like(x), x
+    for k in range(2, n + 1):
+        p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+    return p1, n * (x * p1 - p0) / (x * x - 1.0)
+
+
+@lru_cache
+def _legendre_rule(n):
+    """Read-only n-point Gauss-Legendre nodes and weights on [-1, 1].
+
+    Golub-Welsch start (the eigenvalues of the Jacobi matrix), two Newton
+    polishes of the nodes on P_n, and weights 2 / ((1 - x^2) P_n'(x)^2).
+    """
+    if n < 1:
+        raise ValueError("a Gauss-Legendre rule needs n >= 1")
+    k = np.arange(1, n)
+    x = np.linalg.eigvalsh(np.diag(k / np.sqrt(4.0 * k * k - 1.0), -1))
+    for _ in range(2):
+        p, dp = _legendre(n, x)
+        x = x - p / dp
+    x = 0.5 * (x - x[::-1])  # exactly symmetric
+    _, dp = _legendre(n, x)
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
 def gauss_legendre(n, a=0.0, b=1.0):
     """Nodes and weights for Gauss-Legendre on [a, b]."""
-    x, w = special.roots_legendre(n)
+    x, w = _legendre_rule(int(n))
     half = 0.5 * (b - a)
     return a + half * (x + 1.0), half * w
 

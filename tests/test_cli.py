@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qcurv import cli, potential
+from qcurv import cli, geodesic, potential, quadrature
 from qcurv.cli import main
 from qcurv.fields import ChartError, DegenerateMetricError
 from qcurv.harness import tuned_source, vrate_balance
@@ -29,7 +29,7 @@ def test_bubble_check_passes(tmp_path):
     assert summary["command"] == "bubble-check"
     for c in summary["checks"]:
         assert set(c) == {"name", "value", "bound", "pass"}
-    assert {"qcurv", "python", "numpy", "scipy", "sympy"} <= set(summary["versions"])
+    assert set(summary["versions"]) == {"qcurv", "python", "numpy", "sympy"}
 
 
 def test_unknown_command_is_usage_error(capsys):
@@ -177,7 +177,8 @@ _CSV_HEADERS = {
     "green-fit": (["window_lo", "window_hi", "c_log", "rms_error_estimate"], {"n": 32, "n_pairs": 1}),
     "represent": (["field", "deviation", "roundoff_scale"], {"n_fields": 2, "n_modes": 2}),
     "distance": (
-        ["eps", "y_norm", "z_norm", "euclid", "geodesic", "ratio_gap", "fitted_c", "error_estimate"],
+        ["eps", "y_norm", "z_norm", "euclid", "geodesic", "ratio_gap", "fitted_c", "error_estimate",
+         "newton_iters", "grad_norm"],
         {"eps_list": "0.1,0.05", "n_pairs": 1, "n_nodes": 12},
     ),
     "longrange": (["name", "value", "target", "error_estimate", "gap_times_L"], {}),
@@ -224,6 +225,24 @@ def test_light_suites_leave_sympy_unimported(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
     for suite in _LIGHT_SUITES:
+        assert (tmp_path / f"{suite}.json").exists()
+
+
+def test_all_suites_leave_scipy_and_numpy_testing_unimported(tmp_path):
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text("".join(
+        f"[{suite}]\n" + "".join(f"{k} = {v}\n" for k, v in sizes.items())
+        for suite, (_, sizes) in _CSV_HEADERS.items()
+    ) + "[cnc]\nn_jets = 1\n")
+    code = (
+        "import sys; from qcurv.cli import main\n"
+        f"main(['all', '--config', {str(cfg)!r}, '--out', {str(tmp_path)!r}, '--quiet'])\n"
+        "print(sorted(m for m in ('scipy', 'numpy.testing') if m in sys.modules))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+    for suite in cli.RUNNERS:
         assert (tmp_path / f"{suite}.json").exists()
 
 
@@ -283,6 +302,29 @@ def test_numerical_failure_is_a_failed_check(tmp_path, monkeypatch, exc):
             "pass": False,
         }
     ]
+
+
+def test_unconverged_geodesic_is_a_failed_check(tmp_path, monkeypatch):
+    monkeypatch.setattr(geodesic, "MAX_ITER", 1)
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text("[distance]\nn_pairs = 1\nn_nodes = 12\n")
+    out = tmp_path / "o"
+    assert run_cli(["distance", "--config", str(cfg), "--out", str(out), "--quiet"]) == 1
+    (check,) = json.loads((out / "distance.json").read_text())["checks"]
+    assert check["name"] == "RuntimeError" and not check["pass"]
+    assert "after 1 Newton steps" in check["value"]
+
+
+def test_quadrature_weight_defect_is_a_failed_check(tmp_path, monkeypatch):
+    rule = quadrature.gauss_legendre
+    monkeypatch.setattr(
+        quadrature, "gauss_legendre", lambda *a: (rule(*a)[0], (1.0 + 1e-6) * rule(*a)[1])
+    )
+    out = tmp_path / "o"
+    assert run_cli(["pohozaev", "--out", str(out), "--quiet"]) == 1
+    (check,) = json.loads((out / "pohozaev.json").read_text())["checks"]
+    assert check["name"] == "RuntimeError" and not check["pass"]
+    assert "weights do not sum" in check["value"]
 
 
 def test_plain_value_error_is_usage_error(tmp_path, monkeypatch, capsys):

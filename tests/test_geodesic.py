@@ -5,7 +5,13 @@ import pytest
 
 from qcurv.cnc import blowup_metric, random_conformal_normal_jet, scale_jet
 from qcurv.fields import Box, MetricField
-from qcurv.geodesic import PathPolyline, distance_ratio_sweep, geodesic_distance
+from qcurv.geodesic import (
+    GRAD_TOL,
+    PathPolyline,
+    _energy_terms,
+    distance_ratio_sweep,
+    geodesic_distance,
+)
 from qcurv.models import sphere_metric
 
 
@@ -111,3 +117,48 @@ def test_ratio_sweep_error_estimate_on_every_row():
     coarse = geodesic_distance(g, y, z, n_nodes=12)
     assert row["geodesic"] == geodesic_distance(g, y, z, n_nodes=24)
     assert row["error_estimate"] == abs(row["geodesic"] - coarse)
+
+
+class _NoSecondDerivative:
+    """The metric with its second derivatives zeroed: drops the C / 4 term
+    of the energy Hessian and nothing else."""
+
+    def __init__(self, g):
+        self.g = g
+
+    def jet(self, pts, order):
+        G, dG, d2G = self.g.jet(pts, order)
+        return [G, dG, np.zeros_like(d2G)]
+
+
+def test_newton_hessian_matches_central_difference_of_gradient():
+    g = blowup_metric(random_conformal_normal_jet(rng=3), 0.5, half_width=8.0)
+    y, z = np.array([1.0, 0.3, -0.2, 0.1]), np.array([-0.5, 0.4, 0.2, -0.3])
+    n_seg = 5
+    t = np.linspace(0.0, 1.0, n_seg + 1)[1:-1, None]
+    bend = 0.05 * np.random.default_rng(0).standard_normal((n_seg - 1, 4))
+    x = ((1.0 - t) * y + t * z + bend).ravel()
+    h = 1e-5
+    fd = np.empty((x.size, x.size))
+    for j in range(x.size):
+        e = np.zeros_like(x)
+        e[j] = h
+        up = _energy_terms(x + e, g, y, z, n_seg, 1)[1]
+        fd[:, j] = (up - _energy_terms(x - e, g, y, z, n_seg, 1)[1]) / (2.0 * h)
+    _, _, hess = _energy_terms(x, g, y, z, n_seg, 2)
+    assert np.max(np.abs(hess - fd)) <= 1e-8 * np.max(np.abs(hess))
+    _, _, no_c = _energy_terms(x, _NoSecondDerivative(g), y, z, n_seg, 2)
+    assert np.max(np.abs(no_c - fd)) > 1e-3 * np.max(np.abs(hess))
+
+
+def test_newton_solve_reports_iterations_and_gradient():
+    g = sphere_metric(Box.cube(4.0))
+    y, z = np.array([0.3, 0.1, -0.2, 0.0]), np.array([-0.4, 0.2, 0.1, 0.3])
+    length, res = geodesic_distance(g, y, z, n_nodes=32, full_output=True)
+    assert length == geodesic_distance(g, y, z, n_nodes=32)
+    assert isinstance(res.nit, int) and isinstance(res.nfev, int)
+    assert 1 <= res.nit < res.nfev
+    assert 0.0 < res.grad_norm <= GRAD_TOL
+    jet = scale_jet(random_conformal_normal_jet(rng=7), Fraction(1, 10))
+    rows = distance_ratio_sweep(jet, [0.1, 0.05], [(y, z)], n_nodes=16)["rows"]
+    assert all(r["newton_iters"] >= 1 and r["grad_norm"] <= GRAD_TOL for r in rows)

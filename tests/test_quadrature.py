@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from qcurv.quadrature import (
     BALL4_VOL,
@@ -39,3 +40,33 @@ def test_ball_rule_volume_and_moment():
     r2 = np.sum(pts**2, axis=1)
     exact = S3_AREA * 2.0**6 / 6.0  # integral of r^2 over the ball
     assert abs(np.sum(w * r2) - exact) < 1e-8
+
+
+def _mp_legendre_rule(n):
+    """Gauss-Legendre on [-1, 1] to 30 digits: Newton on the three-term
+    recurrence from the cos(pi (i - 1/4) / (n + 1/2)) estimates."""
+    import mpmath
+
+    with mpmath.workdps(30):
+        xs, ws = [], []
+        for i in range(n, 0, -1):
+            x = mpmath.cos(mpmath.pi * (i - mpmath.mpf(1) / 4) / (n + mpmath.mpf(1) / 2))
+            for _ in range(100):
+                p0, p1 = mpmath.mpf(1), x
+                for k in range(2, n + 1):
+                    p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+                dp = n * (x * p1 - p0) / (x * x - 1)
+                x -= p1 / dp
+                if abs(p1 / dp) < mpmath.mpf(10) ** -28:
+                    break
+            xs.append(float(x))
+            ws.append(float(2 / ((1 - x * x) * dp * dp)))
+    return np.array(xs), np.array(ws)
+
+
+@pytest.mark.parametrize("n", [8, 12, 16, 24, 32, 48, 50, 64])
+def test_gauss_legendre_matches_30_digit_rule(n):
+    x, w = gauss_legendre(n, -1.0, 1.0)
+    xr, wr = _mp_legendre_rule(n)
+    assert np.max(np.abs(x - xr)) <= 2.3e-16
+    assert np.max(np.abs(w / wr - 1.0)) <= 2e-13
