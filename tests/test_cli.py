@@ -171,7 +171,7 @@ _CSV_HEADERS = {
     "mass": (["R", "mass", "exact", "error_estimate"], {"n_r": 16}),
     "pohozaev": (
         ["parameter", "I0", "I1", "I2", "I3", "I4", "residual", "error_estimate",
-         "unmodeled_remainder"],
+         "unmodeled_remainder", "n_interior", "n_boundary"],
         {"r": 5.0, "n_r": 8, "n_u": 8, "n_phi": 8, "eps_list": "0.1,0.05", "n_third": 1},
     ),
     "green-fit": (["window_lo", "window_hi", "c_log", "rms_error_estimate"], {"n": 32, "n_pairs": 1}),
@@ -348,16 +348,21 @@ def test_radial_third_check_can_fail(monkeypatch):
 
     assert third_check()["pass"]
 
-    def third_without_delta_terms(self, pts):
-        # the closed form with its (f'' - f'/r) term dropped
-        pts = np.atleast_2d(np.asarray(pts, float))
-        r = np.linalg.norm(pts, axis=1)
-        f1, f2, f3 = self.profile.d1(r), self.profile.d2(r), self.profile.d3(r)
-        n = pts / r[:, None]
-        a = f3 - 3.0 * f2 / r + 3.0 * f1 / r**2
-        return a[:, None, None, None] * np.einsum("ni,nm,nl->niml", n, n, n)
+    jet = RadialProfileField.jet
 
-    monkeypatch.setattr(RadialProfileField, "third", third_without_delta_terms)
+    def jet_without_delta_terms(self, pts, order):
+        # the closed form's third order with its (f'' - f'/r) term dropped
+        out = jet(self, pts, order)
+        if order >= 3:
+            pts = np.atleast_2d(np.asarray(pts, float))
+            r = np.linalg.norm(pts, axis=1)
+            f1, f2, f3 = self.profile.d1(r), self.profile.d2(r), self.profile.d3(r)
+            n = pts / r[:, None]
+            a = f3 - 3.0 * f2 / r + 3.0 * f1 / r**2
+            out[3] = a[:, None, None, None] * np.einsum("ni,nm,nl->niml", n, n, n)
+        return out
+
+    monkeypatch.setattr(RadialProfileField, "jet", jet_without_delta_terms)
     check = third_check()
     assert not check["pass"]
     assert check["value"] > 1e-2

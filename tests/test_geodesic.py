@@ -9,6 +9,7 @@ from qcurv.geodesic import (
     GRAD_TOL,
     PathPolyline,
     _energy_terms,
+    _solve_block_tridiagonal,
     distance_ratio_sweep,
     geodesic_distance,
 )
@@ -145,10 +146,36 @@ def test_newton_hessian_matches_central_difference_of_gradient():
         e[j] = h
         up = _energy_terms(x + e, g, y, z, n_seg, 1)[1]
         fd[:, j] = (up - _energy_terms(x - e, g, y, z, n_seg, 1)[1]) / (2.0 * h)
-    _, _, hess = _energy_terms(x, g, y, z, n_seg, 2)
+    hess = _dense(*_energy_terms(x, g, y, z, n_seg, 2)[2])
     assert np.max(np.abs(hess - fd)) <= 1e-8 * np.max(np.abs(hess))
-    _, _, no_c = _energy_terms(x, _NoSecondDerivative(g), y, z, n_seg, 2)
+    no_c = _dense(*_energy_terms(x, _NoSecondDerivative(g), y, z, n_seg, 2)[2])
     assert np.max(np.abs(no_c - fd)) > 1e-3 * np.max(np.abs(hess))
+
+
+def _dense(diag, upper):
+    """The symmetric block-tridiagonal matrix of ``_energy_terms``' blocks."""
+    m = len(diag)
+    i = np.arange(m)
+    H = np.zeros((m, 4, m, 4))
+    H[i, :, i, :] = diag
+    H[i[:-1], :, i[1:], :] = upper
+    H[i[1:], :, i[:-1], :] = upper.transpose(0, 2, 1)
+    return H.reshape(4 * m, 4 * m)
+
+
+def test_block_thomas_matches_dense_solve():
+    rng = np.random.default_rng(11)
+    for m in (1, 2, 7, 64):
+        upper = rng.standard_normal((m - 1, 4, 4))
+        a = rng.standard_normal((m, 4, 4))
+        # A A^T + 9 I outweighs the unit-variance off-diagonal blocks: SPD
+        diag = a @ a.transpose(0, 2, 1) + 9.0 * np.eye(4)
+        H = _dense(diag, upper)
+        assert np.linalg.eigvalsh(H)[0] > 0.0
+        rhs = rng.standard_normal(4 * m)
+        want = np.linalg.solve(H, rhs)
+        got = _solve_block_tridiagonal(diag, upper, rhs)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_newton_solve_reports_iterations_and_gradient():

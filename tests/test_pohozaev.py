@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -36,7 +37,7 @@ def test_flat_identity_exact_bubble():
     rb = RescaledBubble(1.0)
     u = RadialProfileField(rb)
     ball = BallDomain(20.0, n_r=48, n_u=24, n_phi=24)
-    rep = pohozaev_balance(u, const_h(1.0), zero_b, ball)
+    (rep,) = pohozaev_balance(u, const_h(1.0), zero_b, ball)
     assert abs(rep.residual) / abs(rep.I0) < 1e-4
     # flat metric reports the curvature terms as exact zeros
     assert rep.I2 == 0.0 and rep.I3 == 0.0 and rep.I4 == 0.0
@@ -49,16 +50,19 @@ def test_flat_identity_negative_control():
     rb = RescaledBubble(1.0)
     u = RadialProfileField(rb)
     ball = BallDomain(20.0, n_r=48, n_u=24, n_phi=24)
-    rep = pohozaev_balance(u, const_h(1.5), zero_b, ball)
+    (rep,) = pohozaev_balance(u, const_h(1.5), zero_b, ball)
     assert abs(rep.residual) > 10.0 * max(rep.error_estimate, 1e-6)
 
 
 def _third(prof, y, i, m, l):
-    """d_iml of the radial profile at y, from ``RadialProfileField.third``."""
-    return float(RadialProfileField(prof).third(y[None, :])[0, i, m, l])
+    """d_iml of the radial profile at y, from ``RadialProfileField.jet``."""
+    return float(RadialProfileField(prof).jet(y[None, :], 3)[3][0, i, m, l])
 
 
 class _Quadratic:
+    def val_r(self, r):
+        return np.asarray(r, float) ** 2
+
     def d1(self, r):
         return 2.0 * np.asarray(r, float)
 
@@ -70,7 +74,7 @@ class _Quadratic:
 
 
 class _LogProfile:
-    def f(self, r):
+    def val_r(self, r):
         return np.log(1.0 + np.asarray(r, float) ** 2)
 
     def d1(self, r):
@@ -114,7 +118,7 @@ def test_radial_third_derivative_matches_fd():
         i, m, l = rng.integers(0, 4, 3)
 
         def g(p):
-            return prof.f(np.linalg.norm(p))
+            return prof.val_r(np.linalg.norm(p))
 
         def d_l(p):
             ql, qm = p.copy(), p.copy()
@@ -163,7 +167,7 @@ def test_curved_terms_shrink_with_eps():
     def curved(eps):
         sj = scale_jet(jet, Fraction(eps).limit_denominator(10**6))
         mt = metric_taylor_from_jet(sj)
-        rep = pohozaev_balance(u, const_h(1.0), zero_b, ball, metric_taylor=mt, _estimate=False)
+        (rep,) = pohozaev_balance(u, const_h(1.0), zero_b, ball, [mt], _estimate=False)
         assert rep.unmodeled_remainder >= 0.0
         return rep
 
@@ -186,7 +190,8 @@ def _einsum_interior_terms(u, ball, mt, jet):
     xi, w = ball.int_pts, ball.int_w
     xb, wb, nu = ball.bdy_pts, ball.bdy_w, ball.normals
     ginv, dginv, d2ginv = poly_jet(inverse_metric_taylor(mt).comps, xi, 2)
-    gu, hu, gub = u.grad(xi), u.hess(xi), u.grad(xb)
+    _, gu, hu = u.jet(xi, 2)
+    gub = u.jet(xb, 1)[1]
     lap = detone_laplacian((ginv, dginv), gu, hu)
     I2 = np.sum(
         w
@@ -208,17 +213,21 @@ def _einsum_interior_terms(u, ball, mt, jet):
     return I2, I3, I4
 
 
-def test_curved_kernel_matches_direct_contractions():
-    # R_abcd,e = K_e R_abcd of curvature 1: Ric_ij,l = 3 K_l delta_ij does
-    # not vanish, so I3 and I4 are far from rounding level
+def _ricci_jet():
+    """R_abcd,e = K_e R_abcd of curvature 1: Ric_ij,l = 3 K_l delta_ij does
+    not vanish, so I3 and I4 are far from rounding level."""
     R0 = CurvatureJet.constant_curvature(1).R0
     # K = (1, -2, 3, 1/2), as numerators over 2
     R1 = np.stack([k * R0.num for k in (2, -4, 6, 1)], axis=-1)
-    jet = CurvatureJet(R0=R0, R1=ExactArray(R1, 2 * R0.den))
+    return CurvatureJet(R0=R0, R1=ExactArray(R1, 2 * R0.den))
+
+
+def test_curved_kernel_matches_direct_contractions():
+    jet = _ricci_jet()
     mt = metric_taylor_from_jet(jet)
     u = RadialProfileField(RescaledBubble(1.0), tilt=[0.3, -0.2, 0.1, 0.25])
     ball = BallDomain(1.0, 8, 6, 6)
-    rep = pohozaev_balance(u, const_h(1.0), zero_b, ball, metric_taylor=mt, _estimate=False)
+    (rep,) = pohozaev_balance(u, const_h(1.0), zero_b, ball, [mt], _estimate=False)
     for got, want in zip((rep.I2, rep.I3, rep.I4), _einsum_interior_terms(u, ball, mt, jet)):
         assert abs(want) > 1e-3
         assert abs(got - want) <= 1e-12 * abs(want)
@@ -228,7 +237,62 @@ def test_flat_balance_evaluates_no_interior_hessian(monkeypatch):
     u = RadialProfileField(RescaledBubble(1.0))
     ball = BallDomain(5.0, n_r=8, n_u=8, n_phi=8)
     points = []
-    hess = u.hess
-    monkeypatch.setattr(u, "hess", lambda pts: points.append(len(pts)) or hess(pts))
+    jet = u.jet
+    monkeypatch.setattr(
+        u, "jet", lambda pts, order: points.append(len(pts) * (order >= 2)) or jet(pts, order)
+    )
     pohozaev_balance(u, const_h(1.0), zero_b, ball, _estimate=False)
     assert sum(points) <= len(ball.bdy_w) < len(ball.int_w)
+
+
+def _sweep_setup():
+    u = RadialProfileField(RescaledBubble(1.0), tilt=[0.05, -0.03, 0.02, 0.04])
+    mts = [metric_taylor_from_jet(scale_jet(_ricci_jet(), Fraction(1, d))) for d in (5, 10, 20)]
+    return u, mts
+
+
+def _assert_reports_close(got, want, rtol):
+    for g, w in zip(got, want, strict=True):
+        for term in ("I0", "I1", "I2", "I3", "I4", "residual", "unmodeled_remainder"):
+            a, b = getattr(g, term), getattr(w, term)
+            assert abs(a - b) <= rtol * abs(b), (term, a, b)
+        # a difference of two nearly equal residuals: relative to I0
+        assert abs(g.error_estimate - w.error_estimate) <= rtol * abs(w.I0)
+
+
+def test_sweep_equals_one_metric_calls():
+    u, mts = _sweep_setup()
+    ball = BallDomain(1.0, n_r=12, n_u=8, n_phi=8)
+    sweep = pohozaev_balance(u, const_h(1.0), zero_b, ball, mts)
+    singles = [pohozaev_balance(u, const_h(1.0), zero_b, ball, [mt])[0] for mt in mts]
+    _assert_reports_close(sweep, singles, 1e-13)
+    assert len({r.I4 for r in sweep}) == 3
+
+
+def test_block_size_that_leaves_a_tail_block(monkeypatch):
+    import qcurv.pohozaev as pohozaev
+
+    u, mts = _sweep_setup()
+    ball = BallDomain(1.0, n_r=8, n_u=6, n_phi=6)
+    assert len(ball.int_w) % 1000 != 0
+    entries = [None] + mts
+    default = pohozaev_balance(u, const_h(1.0), zero_b, ball, entries)
+    monkeypatch.setattr(pohozaev, "JET_BLOCK", 1000)
+    _assert_reports_close(pohozaev_balance(u, const_h(1.0), zero_b, ball, entries), default, 1e-13)
+
+
+def test_radial_jet_matches_central_differences_of_its_value():
+    from qcurv.fields import fd_partials
+
+    rng = np.random.default_rng(6)
+    pts = rng.uniform(0.4, 1.5, (5, 4)) * rng.choice([-1.0, 1.0], (5, 4))
+    for prof in (RescaledBubble(1.0), _LogProfile()):
+        field = RadialProfileField(prof, tilt=[0.3, -0.2, 0.1, 0.25])
+        jet = field.jet(pts, 3)
+        value = lambda p: field.jet(p, 0)[0]
+        for order, tol in ((1, 1e-9), (2, 1e-8), (3, 1e-6)):
+            indices = list(itertools.product(range(4), repeat=order))
+            fd = fd_partials(value, pts, indices, 1e-2)
+            for index, d in zip(indices, fd):
+                got = jet[order][(slice(None),) + index]
+                assert np.max(np.abs(got - d)) <= tol, (order, index)
