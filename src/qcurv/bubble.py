@@ -53,7 +53,8 @@ def bubble_eval(b: BubbleParams, d):
 
 @dataclass(frozen=True)
 class RescaledBubble:
-    """U(y) = -log(1 + rho |y|^2), the H-normalized entire solution."""
+    """U(y) = -log(1 + rho |y|^2), the H-normalized entire solution; its
+    closed forms take radii r = |y|."""
 
     H: float = 1.0
 
@@ -79,32 +80,20 @@ class RescaledBubble:
         s = self._s(r)
         return 4.0 * self.rho**2 * r * (3.0 - s) / (1.0 + s) ** 3
 
-    def lap(self, y_or_r):
-        r = _radius(y_or_r)
+    def lap(self, r):
         s = self._s(r)
         return -4.0 * self.rho * (2.0 + s) / (1.0 + s) ** 2
 
-    def dlap_dr(self, y_or_r):
-        r = _radius(y_or_r)
+    def dlap_dr(self, r):
         s = self._s(r)
         return 8.0 * self.rho**2 * r * (3.0 + s) / (1.0 + s) ** 3
 
-    def bilap(self, y_or_r):
-        r = _radius(y_or_r)
+    def bilap(self, r):
         s = self._s(r)
         return 96.0 * self.rho**2 / (1.0 + s) ** 4
 
-    def exp4u(self, y_or_r):
-        r = _radius(y_or_r)
+    def exp4u(self, r):
         return 1.0 / (1.0 + self._s(r)) ** 4
-
-
-def _radius(y_or_r):
-    """Radii from points (n, 4); any other array already holds radii."""
-    a = np.asarray(y_or_r, float)
-    if a.ndim == 2 and a.shape[1] == 4:
-        return np.linalg.norm(a, axis=1)
-    return a
 
 
 def rescaling_identity_gap(b: BubbleParams, xi):
@@ -118,8 +107,9 @@ def rescaling_identity_gap(b: BubbleParams, xi):
 
 
 def bubble_pde_residual(rb: RescaledBubble, y):
-    """Delta^2 U - 2 H e^{4U}; analytically zero."""
-    return rb.bilap(y) - 2.0 * rb.H * rb.exp4u(y)
+    """Delta^2 U - 2 H e^{4U} at points y (n, 4); analytically zero."""
+    r = np.linalg.norm(y, axis=1)
+    return rb.bilap(r) - 2.0 * rb.H * rb.exp4u(r)
 
 
 class KernelElement:
@@ -157,9 +147,9 @@ class KernelElement:
 
 
 def linearized_residual(k: KernelElement, y):
-    """Delta^2 psi - 8 e^{4U} psi at H = 1; analytically zero."""
+    """Delta^2 psi - 8 e^{4U} psi at H = 1 at points y (n, 4); analytically zero."""
     rb = RescaledBubble(H=1.0)
-    return k.bilap(y) - 8.0 * rb.exp4u(y) * k.val(y)
+    return k.bilap(y) - 8.0 * rb.exp4u(np.linalg.norm(y, axis=1)) * k.val(y)
 
 
 def mass_integral(rb: RescaledBubble, R, n_r=64):

@@ -100,11 +100,15 @@ def load_config(path, command):
 
 
 def parse_eps_list(raw):
+    """A strictly decreasing list of at least two positive eps: every suite
+    that reads one fits or compares across it, which one value cannot fail."""
     try:
         eps = tuple(float(tok) for tok in str(raw).split(",") if tok.strip())
     except ValueError as exc:
         raise ConfigError(f"bad eps_list: {raw}") from exc
-    if not eps or any(e <= 0 for e in eps):
+    if len(eps) < 2:
+        raise ConfigError(f"eps_list needs at least two values, got {raw!r}")
+    if any(e <= 0 for e in eps):
         raise ConfigError("eps_list must contain positive values")
     if not all(b < a for a, b in zip(eps[:-1], eps[1:])):
         raise ConfigError("eps_list must be strictly decreasing")
@@ -409,13 +413,16 @@ def run_longrange(p, seed):
 def run_alpha_sweep(p, seed):
     from .harness import alpha_sweep
 
-    rep = alpha_sweep(parse_eps_list(p["eps_list"]), BUBBLE_H)
-    small = [r for r in rep["rows"] if r["eps"] <= 1e-3]
-    worst = max((abs(r["rel_gap"]) for r in small), default=0.0)
-    checks = [_at_most("alpha_rel_gap_eps_le_1e-3", worst, 0.005)]
-    if "tail_log_slope" in rep:
-        tail = rep["tail_log_slope"]
-        checks.append(_check("deviation_faster_than_1_over_L", tail, "log-slope < -1", tail < -1.0))
+    eps_list = parse_eps_list(p["eps_list"])
+    if min(eps_list) > 1e-3:
+        raise ConfigError("alpha-sweep eps_list needs a value <= 1e-3")
+    rep = alpha_sweep(eps_list, BUBBLE_H)
+    worst = max(abs(r["rel_gap"]) for r in rep["rows"] if r["eps"] <= 1e-3)
+    tail = rep["tail_log_slope"]
+    checks = [
+        _at_most("alpha_rel_gap_eps_le_1e-3", worst, 0.005),
+        _check("deviation_faster_than_1_over_L", tail, "log-slope < -1", tail < -1.0),
+    ]
     return checks, rep["rows"]
 
 
@@ -468,9 +475,10 @@ def _fd_balance(h, b, q, step=1e-3):
     from .potential import regular_part_field
 
     phi = regular_part_field(b)
-    hq = float(h.eval(q[None, :])[0])
+    hq = float(h.jet(q[None, :], 0)[0][0])
     d = fd_partials(
-        lambda p: np.stack([h.eval(p), phi.eval(p)], axis=-1), q, [(a,) for a in range(4)], step
+        lambda p: np.stack([h.jet(p, 0)[0], phi.jet(p, 0)[0]], axis=-1),
+        q, [(a,) for a in range(4)], step,
     )
     return np.array([da[0, 0] / hq + 4.0 * da[0, 1] for da in d])
 

@@ -644,9 +644,8 @@ class PolynomialMetric:
 
     Values and partials up to order 2 come from ``poly_jet``'s evaluator;
     the coefficients, times their exact powers of eps, stay exact until
-    its single float conversion.  It offers what the geodesic, curvature
-    and bubble code read from a metric: ``domain``, ``is_flat``,
-    ``eval_batch`` and ``jet``.
+    its single float conversion.  It offers the metric interface the
+    geodesic and curvature code read: ``domain``, ``is_flat`` and ``jet``.
     """
 
     def __init__(self, comps, domain, eps=1.0):
@@ -664,9 +663,6 @@ class PolynomialMetric:
         shapes = self._shapes[: order + 1]
         cols = sum(int(np.prod(s)) for s in shapes)
         return _apply_jet_table(self._table[:, :cols], shapes, pts)
-
-    def eval_batch(self, pts):
-        return self.jet(pts, 0)[0]
 
 
 def blowup_metric(jet: CurvatureJet, eps, half_width):

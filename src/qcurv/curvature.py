@@ -15,10 +15,12 @@ Conventions (fixed once, used everywhere):
              + (R/6)(g_ac g_bd - g_ad g_bc),
   the normalization pinned by W = 0 on constant-curvature metrics.
 
-A metric here is anything with ``domain``, ``is_flat``, ``eval_batch(pts)``
-and ``jet(pts, order)`` for order <= 2 in the ``fields.MetricField.jet``
+A metric here is anything with ``domain``, ``is_flat`` and
+``jet(pts, order)`` for order <= 2 in the ``fields.MetricField.jet``
 layout: a conformally flat ``fields.MetricField`` or an exact
-``cnc.PolynomialMetric``.
+``cnc.PolynomialMetric``.  Scalar fields are ``fields.ScalarField``s,
+read through the same ``jet(pts, order)``; the flat Paneitz path sums
+their fourth partials through ``partial``.
 """
 
 from __future__ import annotations
@@ -177,7 +179,8 @@ def laplace_beltrami(g, u, x):
     """Delta_g u(x) = g^{ij}(d_ij u - Gamma^k_ij d_k u) at one point or (n, 4)."""
     pts = np.atleast_2d(np.asarray(x, float))
     g.domain.require_interior(pts)
-    return _like(x, _laplacian(g, pts, u.gradient(pts), u.hessian(pts)))
+    _, grad, hess = u.jet(pts, 2)
+    return _like(x, _laplacian(g, pts, grad, hess))
 
 
 def _default_step(pts):
@@ -238,10 +241,10 @@ def paneitz_apply(g, u, x, step=None):
             "nia,njb,nab->nij", gi, gi, riem.ricci
         )
         sgp = np.sqrt(np.linalg.det(riem.g))
-        return sgp[:, None] * np.einsum("nij,nj->ni", t_up, u.gradient(p))
+        return sgp[:, None] * np.einsum("nij,nj->ni", t_up, u.jet(p, 1)[1])
 
     dv = fd_partials(v_field, pts, _GRAD, step)
-    div = sum(dv[i][:, i] for i in range(DIM)) / np.sqrt(np.linalg.det(g.eval_batch(pts)))
+    div = sum(dv[i][:, i] for i in range(DIM)) / np.sqrt(np.linalg.det(g.jet(pts, 0)[0]))
     return _like(x, bilap - div)
 
 
@@ -257,7 +260,7 @@ def check_conformal_covariance(g, u, f, pts, step=None):
     gt = conformal_transform(g, u)
     pts = np.atleast_2d(np.asarray(pts, float))
     lhs = paneitz_apply(gt, f, pts, step=step)
-    rhs = np.exp(-4.0 * u.eval(pts)) * paneitz_apply(g, f, pts, step=step)
+    rhs = np.exp(-4.0 * u.jet(pts, 0)[0]) * paneitz_apply(g, f, pts, step=step)
     return float(np.max(np.abs(lhs - rhs)))
 
 
@@ -266,7 +269,7 @@ def check_q_transformation(g, u, pts, step=None):
     gt = conformal_transform(g, u)
     pts = np.atleast_2d(np.asarray(pts, float))
     lhs = paneitz_apply(g, u, pts, step=step) + 2.0 * q_curvature(g, pts, step=step)
-    rhs = 2.0 * q_curvature(gt, pts, step=step) * np.exp(4.0 * u.eval(pts))
+    rhs = 2.0 * q_curvature(gt, pts, step=step) * np.exp(4.0 * u.jet(pts, 0)[0])
     return float(np.max(np.abs(lhs - rhs)))
 
 

@@ -3,9 +3,11 @@
 Fields are sympy expressions: each partial derivative (the value is the
 partial for the empty multi-index) is taken symbolically and compiled
 (lambdified) once per distinct expression per process, shared by every
-field that needs it.  A ``MetricField`` is conformally flat, g = f delta,
-and is its factor f: a ``ScalarField`` whose value, gradient and Hessian
-give the metric jet to order 2.  Metrics that are not conformally flat
+field that needs it.  Every field and metric is read through
+``jet(pts, order)``, which returns ``[value, first, second, ...]`` with
+the derivative axes last.  A ``MetricField`` is conformally flat,
+g = f delta, and is its factor f: a ``ScalarField`` whose jet to order 2
+gives the metric's.  Metrics that are not conformally flat
 are exact polynomials, ``cnc.PolynomialMetric``.  ``fd_partials`` is the
 centered finite-difference engine for the outer derivatives the curvature
 module applies to computed quantities.
@@ -197,26 +199,30 @@ class ScalarField:
     def from_expr(cls, expr, domain):
         return cls(domain, expr)
 
-    def eval(self, pts):
-        return self.partial(pts, ())
-
     def partial(self, pts, index):
         """Partial derivative for multi-index ``index`` at each point."""
         if len(index) > 4:
             raise DerivativeOrderError("derivatives available up to order 4")
         return _compiled(self.expr, tuple(sorted(index)))(pts)
 
-    def gradient(self, pts):
+    def jet(self, pts, order):
+        """``[value, gradient, Hessian, ...]`` up to ``order`` (at most 4),
+        derivative axes last: ``jet[k][n, a1, ..., ak]`` is the partial for
+        the multi-index (a1, ..., ak).  Each distinct sorted multi-index is
+        evaluated once through ``partial`` and copied to its permutations.
+        """
+        if order > 4:
+            raise DerivativeOrderError("derivatives available up to order 4")
         pts = np.atleast_2d(np.asarray(pts, float))
-        return np.stack([self.partial(pts, (a,)) for a in range(DIM)], axis=-1)
-
-    def hessian(self, pts):
-        pts = np.atleast_2d(np.asarray(pts, float))
-        h = np.empty((pts.shape[0], DIM, DIM))
-        for a in range(DIM):
-            for b in range(a, DIM):
-                h[:, a, b] = h[:, b, a] = self.partial(pts, (a, b))
-        return h
+        jets = []
+        for k in range(order + 1):
+            arr = np.empty((pts.shape[0],) + (DIM,) * k)
+            for index in itertools.combinations_with_replacement(range(DIM), k):
+                value = self.partial(pts, index)
+                for perm in set(itertools.permutations(index)):
+                    arr[(slice(None),) + perm] = value
+            jets.append(arr)
+        return jets
 
 
 class MetricField:
@@ -232,24 +238,19 @@ class MetricField:
     def flat(cls, domain):
         return cls(domain, 1)
 
-    def eval_batch(self, pts):
-        return self.jet(pts, 0)[0]
-
     def jet(self, pts, order):
         """Metric derivative jet ``[g, dg, d2g]`` up to ``order``.
 
         Derivative axes come last, so ``dg[n, a, b, c] = d_c g_ab`` and
-        ``d2g[n, a, b, c, d] = d_c d_d g_ab``; the factor's value, gradient
-        and Hessian sit on the (a, a) diagonal.
+        ``d2g[n, a, b, c, d] = d_c d_d g_ab``; the factor's jet sits on the
+        (a, a) diagonal.
         """
         if order > 2:
             raise DerivativeOrderError("metric derivatives available up to order 2")
-        pts = np.atleast_2d(np.asarray(pts, float))
-        parts = (self.factor.eval, self.factor.gradient, self.factor.hessian)
         diag = np.arange(DIM)
         jets = []
-        for k, part in enumerate(parts[: order + 1]):
-            arr = np.zeros((pts.shape[0], DIM, DIM) + (DIM,) * k)
-            arr[:, diag, diag] = part(pts)[:, None]
+        for k, part in enumerate(self.factor.jet(pts, order)):
+            arr = np.zeros((part.shape[0], DIM, DIM) + (DIM,) * k)
+            arr[:, diag, diag] = part[:, None]
             jets.append(arr)
         return jets

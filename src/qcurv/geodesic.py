@@ -25,31 +25,6 @@ MAX_ITER = 50
 _ROUNDING = np.finfo(float).eps
 
 
-@dataclass
-class PathPolyline:
-    """Ordered chart-coordinate nodes with fixed endpoints."""
-
-    nodes: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        self.nodes = np.atleast_2d(np.asarray(self.nodes, float))
-        if self.nodes.shape[0] < 2 or self.nodes.shape[1] != 4:
-            raise ValueError("polyline needs >= 2 nodes of dimension 4")
-
-    @property
-    def midpoints(self):
-        return 0.5 * (self.nodes[:-1] + self.nodes[1:])
-
-    @property
-    def deltas(self):
-        return self.nodes[1:] - self.nodes[:-1]
-
-    def length(self, g):
-        G = g.eval_batch(self.midpoints)
-        d = self.deltas
-        return float(np.sum(np.sqrt(np.einsum("na,nab,nb->n", d, G, d))))
-
-
 def _energy_terms(flat_interior, g, y, z, n_seg, order):
     """``[E, grad E, Hess E]`` up to ``order`` for the polyline energy
     E = n_seg sum_n D_n^T G(m_n) D_n, as functions of the interior nodes.
@@ -128,11 +103,11 @@ class NewtonResult:
 def minimize(x0, g, y, z, n_seg):
     """Damped Newton descent of the polyline energy from interior nodes x0.
 
-    Stops when the largest gradient entry is at most ``GRAD_TOL`` or the
-    Newton step is at the rounding floor of the nodes.  A step is halved
-    while the energy rises, unless its first-order energy change
-    |grad . step| is below the energy's rounding, where no comparison of
-    energies can judge it and it is taken whole.  Raises ``RuntimeError``
+    Stops when the largest gradient entry is at most ``GRAD_TOL`` (at once
+    when there are no interior nodes) or the Newton step is at the rounding
+    floor of the nodes.  A step is halved while the energy rises, unless its
+    first-order energy change |grad . step| is below the energy's rounding,
+    where no comparison of energies can judge it and it is taken whole.  Raises ``RuntimeError``
     when the halving reaches the rounding floor (no descent) or
     ``MAX_ITER`` steps do not converge.
     """
@@ -140,7 +115,7 @@ def minimize(x0, g, y, z, n_seg):
     energy, grad, hess = _energy_terms(x, g, y, z, n_seg, 2)
     nfev = 1
     for nit in range(MAX_ITER + 1):
-        gnorm = float(np.max(np.abs(grad)))
+        gnorm = float(np.max(np.abs(grad), initial=0.0))
         if gnorm <= GRAD_TOL:
             break
         step = _solve_block_tridiagonal(*hess, -grad)
@@ -171,10 +146,14 @@ def geodesic_distance(g, y, z, n_nodes=DEFAULT_NODES, full_output=False):
     """Length of the energy-minimizing polyline from y to z.
 
     Equals |y - z| exactly for the flat metric (the straight equispaced
-    polyline is already stationary).  Raises on non-convergence or if the
-    optimal path leaves the metric's domain.  With ``full_output`` returns
-    ``(length, NewtonResult)``.
+    polyline is already stationary); two nodes give the straight segment's
+    length under g.  The length sums sqrt(D^T G D) over the segments, G at
+    each segment's midpoint.  Raises ``ValueError`` for fewer than two
+    nodes, and on non-convergence or if the optimal path leaves the
+    metric's domain.  With ``full_output`` returns ``(length, NewtonResult)``.
     """
+    if n_nodes < 2:
+        raise ValueError(f"a path needs at least 2 nodes, got {n_nodes}")
     y = np.asarray(y, float)
     z = np.asarray(z, float)
     t = np.linspace(0.0, 1.0, n_nodes)[:, None]
@@ -185,10 +164,12 @@ def geodesic_distance(g, y, z, n_nodes=DEFAULT_NODES, full_output=False):
         length = float(np.linalg.norm(y - z))
     else:
         res = minimize(nodes[1:-1].ravel(), g, y, z, n_nodes - 1)
-        path = PathPolyline(np.vstack([y, res.x.reshape(-1, 4), z]))
-        if not g.domain.contains(path.nodes).all():
+        nodes = np.vstack([y, res.x.reshape(-1, 4), z])
+        if not g.domain.contains(nodes).all():
             raise ChartError("optimal path left the metric domain")
-        length = path.length(g)
+        G = g.jet(0.5 * (nodes[:-1] + nodes[1:]), 0)[0]
+        d = nodes[1:] - nodes[:-1]
+        length = float(np.sum(np.sqrt(np.einsum("na,nab,nb->n", d, G, d))))
     return (length, res) if full_output else length
 
 

@@ -68,8 +68,10 @@ def alpha_sweep(eps_list, H):
     L = -log eps, and the log-log slope of |alpha - 16 pi^2| in L.
 
     The deviation is a pure bubble tail, a power law in L much faster than
-    the 1/L the generic theory allows.  Each row's ``error_estimate`` is the
-    gap |alpha - mass_integral_exact(L)| of the quadrature to its closed form.
+    the 1/L the generic theory allows.  The slope is nan for one row or a
+    zero gap, which have no log-log fit.  Each row's ``error_estimate`` is
+    the gap |alpha - mass_integral_exact(L)| of the quadrature to its
+    closed form.
     """
     rb = RescaledBubble(H=H)
     rows = []
@@ -88,10 +90,10 @@ def alpha_sweep(eps_list, H):
         )
     Ls = np.array([r["L"] for r in rows])
     gaps = np.array([abs(r["gap"]) for r in rows])
-    summary = {"rows": rows}
+    slope = np.nan
     if len(rows) >= 2 and np.all(gaps > 0):
-        summary["tail_log_slope"] = float(np.polyfit(np.log(Ls), np.log(gaps), 1)[0])
-    return summary
+        slope = float(np.polyfit(np.log(Ls), np.log(gaps), 1)[0])
+    return {"rows": rows, "tail_log_slope": slope}
 
 
 def long_range_checks(profile, eps):
@@ -151,12 +153,12 @@ def vrate_balance(h: TorusSpectralField, b: TorusSpectralField, q=ORIGIN):
     phi is the regular-part potential of b on the torus; a concentration
     point must annihilate this vector.  Single placement only.
     """
-    q = np.asarray(q, float)
-    hq = float(h.eval(q[None, :])[0])
+    q = np.asarray(q, float)[None, :]
+    hv, hg = h.jet(q, 1)
+    hq = float(hv[0])
     if hq <= 0:
         raise ValueError("h must be positive at the placement point")
-    phi = regular_part_field(b)
-    return h.gradient(q[None, :])[0] / hq + 4.0 * phi.gradient(q[None, :])[0]
+    return hg[0] / hq + 4.0 * regular_part_field(b).jet(q, 1)[1][0]
 
 
 def tuned_source(h: TorusSpectralField, q=ORIGIN):
@@ -167,8 +169,8 @@ def tuned_source(h: TorusSpectralField, q=ORIGIN):
     part is 2 (L / 2 pi)^4 b, so 4 grad phi(q) = -grad h(q) / h(q).
     """
     q = np.asarray(q, float)
-    hq = float(h.eval(q[None, :])[0])
-    target = -h.gradient(q[None, :])[0] / hq  # required 4*grad phi
+    hv, hg = h.jet(q[None, :], 1)
+    target = -hg[0] / float(hv[0])  # required 4*grad phi
     kfac = 2.0 * np.pi / h.L
     mult = 2.0 / kfac**4  # regular-part multiplier at |k|=1
     amp = target / (4.0 * mult * kfac)

@@ -47,7 +47,7 @@ class SphereModel:
         if conformal_expr is not None:
             u = ScalarField.from_expr(conformal_expr, domain)
             self.metric = conformal_transform(self.metric, u)
-            self.quad_weights = self.quad_weights * np.exp(4.0 * u.eval(self.quad_points))
+            self.quad_weights = self.quad_weights * np.exp(4.0 * u.jet(self.quad_points, 0)[0])
             self.volume = float(np.sum(self.quad_weights))
 
 

@@ -158,14 +158,17 @@ class PohozaevReport:
         return self.I0 - (self.I1 + self.I2 + self.I3 + self.I4)
 
 
-def pohozaev_balance(u, h, b, ball: BallDomain, metric_taylors=(None,), _estimate=True):
+def pohozaev_balance(u, h, b, ball: BallDomain, metric_taylors=(None,)):
     """Term-by-term Pohozaev reports, one per entry of ``metric_taylors``.
 
-    ``u`` is an order-3 jet object whose ``jet(pts, order)`` returns
+    ``u`` is read through ``jet(pts, order)``, which returns
     ``[val, grad, hess, third]`` up to ``order``, such as
-    RadialProfileField; ``h`` and ``b`` are callables over points (m, 4)
-    -> values, and ``h.gradient`` is used when it exists (else grad h is
-    taken as zero).  An entry None is the flat metric; I3 and I4 of any
+    RadialProfileField's.  ``h`` and ``b`` are plain callables over points
+    (m, 4) -> values, not jets: the suites pass constants, and a torus
+    field's jet on every block costs tens of times what a constant
+    callable does.  The xi.grad(h) term
+    of I0 reads ``h.gradient(pts)`` (m, 4) when ``h`` has one, and is zero
+    otherwise.  An entry None is the flat metric; I3 and I4 of any
     other entry read the Ricci derivatives of its curvature jet
     ``metric_taylor.jet``.  Each ``error_estimate`` is the change of its
     residual on a ball of half the nodes per axis (at least 8).
@@ -192,12 +195,11 @@ def pohozaev_balance(u, h, b, ball: BallDomain, metric_taylors=(None,), _estimat
         return out
 
     fine = reports(ball)
-    if _estimate:
-        coarse = BallDomain(
-            ball.R, max(ball.n_r // 2, 8), max(ball.n_u // 2, 8), max(ball.n_phi // 2, 8)
-        )
-        for f, c in zip(fine, reports(coarse)):
-            f.error_estimate = abs(f.residual - c.residual)
+    coarse = BallDomain(
+        ball.R, max(ball.n_r // 2, 8), max(ball.n_u // 2, 8), max(ball.n_phi // 2, 8)
+    )
+    for f, c in zip(fine, reports(coarse)):
+        f.error_estimate = abs(f.residual - c.residual)
     return fine
 
 

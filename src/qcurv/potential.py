@@ -46,15 +46,17 @@ class TorusSpectralField:
             out.append((2.0 * np.pi / self.L * pts @ ks.T, ks, np.array(list(modes.values()))))
         return out
 
-    def eval(self, pts):
-        """Mode-sum values at points (m, 4)."""
-        (pc, _, a), (ps, _, b) = self._phases(pts)
-        return np.cos(pc) @ a + np.sin(ps) @ b
-
-    def gradient(self, pts):
+    def jet(self, pts, order):
+        """``[values (m,), gradients (m, 4)]`` up to ``order`` at points (m, 4);
+        orders above 1 raise ``ValueError``."""
+        if order > 1:
+            raise ValueError("torus field jets available up to order 1")
         (pc, kc, a), (ps, ks, b) = self._phases(pts)
-        dcos = -np.sin(pc) @ (a[:, None] * kc)
-        return 2.0 * np.pi / self.L * (np.cos(ps) @ (b[:, None] * ks) + dcos)
+        jets = [np.cos(pc) @ a + np.sin(ps) @ b]
+        if order == 1:
+            dcos = -np.sin(pc) @ (a[:, None] * kc)
+            jets.append(2.0 * np.pi / self.L * (np.cos(ps) @ (b[:, None] * ks) + dcos))
+        return jets
 
     def __add__(self, other):
         if other.L != self.L:

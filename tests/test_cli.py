@@ -134,10 +134,48 @@ def test_mainest_constant_ratio_matches_the_recorded_references():
         assert abs(c["value"] - ref) <= entry["rtol"] * abs(ref), seed
 
 
-@pytest.mark.parametrize("raw", ["", "0.1,-0.05", "0.1,0", "0.01,0.1", "0.1,0.1", "0.1,x"])
+@pytest.mark.parametrize("raw", ["", "0.1", "0.1,-0.05", "0.1,0", "0.01,0.1", "0.1,0.1", "0.1,x"])
 def test_parse_eps_list_rejects_bad_lists(raw):
     with pytest.raises(cli.ConfigError):
         cli.parse_eps_list(raw)
+
+
+@pytest.mark.parametrize(
+    "suite, eps_list, message",
+    [
+        # one value: a ratio of 1, a one-point slope fit, a dropped tail check
+        ("mainest", "0.01", "at least two values"),
+        ("pohozaev", "0.1", "at least two values"),
+        ("distance", "0.1", "at least two values"),
+        ("alpha-sweep", "1e-3", "at least two values"),
+        # no eps <= 1e-3: the gap band would pass on no rows
+        ("alpha-sweep", "0.1,0.05", "needs a value <= 1e-3"),
+    ],
+)
+def test_short_eps_lists_are_usage_errors(tmp_path, capsys, suite, eps_list, message):
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(f"[{suite}]\neps_list = {eps_list}\n")
+    assert run_cli([suite, "--config", str(cfg), "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_alpha_sweep_zero_gap_fails_the_tail_check(monkeypatch):
+    from qcurv import harness
+    from qcurv.bubble import MASS_LIMIT
+
+    # a sweep whose first energy hits 16 pi^2 exactly has no log-log tail fit
+    first = []
+    quad = harness.mass_integral
+
+    def mass(rb, L, n_r):
+        first.append(L)
+        return MASS_LIMIT if len(first) == 1 else quad(rb, L, n_r=n_r)
+
+    monkeypatch.setattr(harness, "mass_integral", mass)
+    checks, _ = cli.run_alpha_sweep(dict(cli.DEFAULTS["alpha-sweep"]), 0)
+    tail = {c["name"]: c for c in checks}["deviation_faster_than_1_over_L"]
+    assert np.isnan(tail["value"]) and tail["pass"] is False
 
 
 def test_mainest_error_column_is_the_sample_doubling_change():
@@ -313,6 +351,20 @@ def test_unconverged_geodesic_is_a_failed_check(tmp_path, monkeypatch):
     (check,) = json.loads((out / "distance.json").read_text())["checks"]
     assert check["name"] == "RuntimeError" and not check["pass"]
     assert "after 1 Newton steps" in check["value"]
+
+
+def test_distance_with_two_nodes_runs_and_with_one_is_a_usage_error(tmp_path, capsys):
+    # two nodes: the straight segment, with no interior node for Newton to move
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text("[distance]\nn_pairs = 1\nn_nodes = 2\n")
+    out = tmp_path / "o"
+    assert run_cli(["distance", "--config", str(cfg), "--out", str(out), "--quiet"]) in (0, 1)
+    rows = list(csv.DictReader((out / "distance.csv").read_text().splitlines()))
+    assert len(rows) == 3 and all(r["newton_iters"] == "0" for r in rows)
+    assert all(float(r["geodesic"]) > 0.0 for r in rows)
+    cfg.write_text("[distance]\nn_pairs = 1\nn_nodes = 1\n")
+    assert run_cli(["distance", "--config", str(cfg), "--out", str(tmp_path / "p"), "--quiet"]) == 2
+    assert "at least 2 nodes" in capsys.readouterr().err
 
 
 def test_quadrature_weight_defect_is_a_failed_check(tmp_path, monkeypatch):

@@ -291,7 +291,8 @@ def _detone(mt, u, x):
     """The det-one Laplacian of the field ``u`` at the point ``x``."""
     pt = np.atleast_2d(x)
     ginv_jet = poly_jet(inverse_metric_taylor(mt).comps, pt, 1)
-    return float(detone_laplacian(ginv_jet, u.gradient(pt), u.hessian(pt))[0])
+    _, grad, hess = u.jet(pt, 2)
+    return float(detone_laplacian(ginv_jet, grad, hess)[0])
 
 
 def test_detone_laplacian_at_origin_and_near_origin():
@@ -702,7 +703,7 @@ def test_polynomial_metric_rejects_degenerate_points():
     comps[0, 0, _BASIS.index((2, 0, 0, 0))] = -1
     g = PolynomialMetric(ExactArray(comps), Box.cube(2.0))
     assert not g.is_flat
-    assert g.eval_batch([0.5, 0.0, 0.0, 0.0])[0, 0, 0] == 0.75
+    assert g.jet([0.5, 0.0, 0.0, 0.0], 0)[0][0, 0, 0] == 0.75
     with pytest.raises(DegenerateMetricError):
         riemann_of_metric(g, [1.0, 0.3, 0.0, 0.0])
 

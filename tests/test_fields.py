@@ -65,6 +65,32 @@ def test_derivative_order_capped():
     f = ScalarField.from_expr(x0**6, dom)
     with pytest.raises(DerivativeOrderError):
         f.partial(np.zeros((1, 4)), (0,) * 5)
+    with pytest.raises(DerivativeOrderError):
+        f.jet(np.zeros((1, 4)), 5)
+
+
+def test_scalar_jet_copies_each_sorted_partial_to_its_permutations(monkeypatch):
+    dom = Box.cube(3.0)
+    f = ScalarField.from_expr(sp.exp(x0 * x1) * sp.sin(x2) + x0 * x3**4 / (2 + x1**2), dom)
+    pts = np.array([[0.5, -1.0, 0.3, 0.2], [1.0, 0.4, -0.5, 0.7], [0.0, 0.1, 0.9, -1.2]])
+    calls = []
+    partial = ScalarField.partial
+    monkeypatch.setattr(
+        ScalarField, "partial", lambda self, p, index: calls.append(index) or partial(self, p, index)
+    )
+    jets = f.jet(pts, 4)
+    # 1 + 4 + 10 + 20 + 35 distinct sorted multi-indices, each evaluated once
+    assert len(calls) == len(set(calls)) == 70
+    assert [j.shape for j in jets] == [(3,) + (4,) * k for k in range(5)]
+    for k, arr in enumerate(jets):
+        for index in np.ndindex((4,) * k):
+            assert np.array_equal(arr[(slice(None),) + index], partial(f, pts, index))
+    # a lower order gives the same leading jets; d_0 f by hand
+    low = f.jet(pts, 2)
+    assert len(low) == 3 and all(np.array_equal(a, b) for a, b in zip(low, jets))
+    x, y, z, w = pts.T
+    d0 = y * np.exp(x * y) * np.sin(z) + w**4 / (2 + y**2)
+    np.testing.assert_allclose(jets[1][:, 0], d0, rtol=1e-14)
 
 
 def test_fd_partial_polynomial_exact_to_stencil_order():
@@ -83,7 +109,7 @@ def test_metric_symmetry_and_degeneracy():
     for j in bad.jet(pts, 2):
         assert np.array_equal(j, np.swapaxes(j, 1, 2))
     with pytest.raises(DegenerateMetricError):
-        require_positive_definite(bad.eval_batch(pts), pts)
+        require_positive_definite(bad.jet(pts, 0)[0], pts)
 
 
 def _polynomial_metric(entries, den):
@@ -126,18 +152,18 @@ _FACTOR_TERMS = {(2, 0, 0, 0): 6, (0, 1, 1, 0): 3, (0, 0, 0, 3): -2}  # (f - 1) 
 def test_both_metric_types_share_the_jet_interface(metric):
     g = metric()
     pts = np.array([[0.5, -0.3, 0.2, 0.7], [-1.0, 0.4, 1.5, -0.2]])
-    f = ScalarField(Box.cube(2.0), _FACTOR)
+    f0, f1, f2 = ScalarField(Box.cube(2.0), _FACTOR).jet(pts, 2)
     eye = np.eye(4)
     want = [
-        np.einsum("n,ab->nab", f.eval(pts), eye),
-        np.einsum("nc,ab->nabc", f.gradient(pts), eye),
-        np.einsum("ncd,ab->nabcd", f.hessian(pts), eye),
+        np.einsum("n,ab->nab", f0, eye),
+        np.einsum("nc,ab->nabc", f1, eye),
+        np.einsum("ncd,ab->nabcd", f2, eye),
     ]
     jets = g.jet(pts, 2)
     assert [j.shape for j in jets] == [(2, 4, 4), (2, 4, 4, 4), (2, 4, 4, 4, 4)]
     for got, exp in zip(jets, want):
         assert np.max(np.abs(got - exp)) < 1e-14
-    assert np.array_equal(g.eval_batch(pts), jets[0]) and not g.is_flat
+    assert np.array_equal(g.jet(pts, 0)[0], jets[0]) and not g.is_flat
     with pytest.raises(DerivativeOrderError):
         g.jet(pts, 3)
 

@@ -7,7 +7,6 @@ from qcurv.cnc import blowup_metric, random_conformal_normal_jet, scale_jet
 from qcurv.fields import Box, MetricField
 from qcurv.geodesic import (
     GRAD_TOL,
-    PathPolyline,
     _energy_terms,
     _solve_block_tridiagonal,
     distance_ratio_sweep,
@@ -34,12 +33,20 @@ def test_flat_distance_is_euclidean():
 
 
 def test_polyline_validation_and_energy():
-    with pytest.raises(ValueError):
-        PathPolyline(np.zeros((1, 4)))
-    g = MetricField.flat(Box.cube(10.0))
-    nodes = np.vstack([np.zeros(4), np.array([1.0, 0, 0, 0])])
-    p = PathPolyline(nodes)
-    assert abs(p.length(g) - 1.0) < 1e-14
+    # fewer than two nodes make no polyline; two make the straight segment
+    g = sphere_metric(Box.cube(4.0))
+    y, z = np.array([0.3, 0.1, -0.2, 0.0]), np.array([-0.4, 0.2, 0.1, 0.3])
+    for n in (1, 0):
+        with pytest.raises(ValueError, match="at least 2 nodes"):
+            geodesic_distance(g, y, z, n_nodes=n)
+    # no interior node to move: the segment's length under g = 4 (1 + |m|^2)^-2 delta
+    # at its midpoint m, with no Newton step
+    length, res = geodesic_distance(g, y, z, n_nodes=2, full_output=True)
+    m = 0.5 * (y + z)
+    assert abs(length - 2.0 / (1.0 + m @ m) * np.linalg.norm(z - y)) < 1e-14
+    assert (res.x.size, res.grad_norm, res.nit, res.nfev) == (0, 0.0, 0, 1)
+    flat = MetricField.flat(Box.cube(10.0))
+    assert geodesic_distance(flat, np.zeros(4), np.array([1.0, 0, 0, 0]), n_nodes=2) == 1.0
 
 
 def test_sphere_distance_matches_oracle():

@@ -16,6 +16,7 @@ from qcurv.cnc import (
     scale_jet,
 )
 from qcurv.pohozaev import BallDomain, RadialProfileField, pohozaev_balance
+from qcurv.quadrature import gauss_legendre
 
 
 def const_h(c):
@@ -52,6 +53,35 @@ def test_flat_identity_negative_control():
     ball = BallDomain(20.0, n_r=48, n_u=24, n_phi=24)
     (rep,) = pohozaev_balance(u, const_h(1.5), zero_b, ball)
     assert abs(rep.residual) > 10.0 * max(rep.error_estimate, 1e-6)
+
+
+class _Paraboloid:
+    """h = 1 + a |y|^2, with its gradient 2 a y."""
+
+    def __init__(self, a):
+        self.a = a
+
+    def __call__(self, pts):
+        return 1.0 + self.a * np.einsum("ni,ni->n", pts, pts)
+
+    def gradient(self, pts):
+        return 2.0 * self.a * pts
+
+
+def test_i0_reads_the_gradient_of_h():
+    # I0 = int 2 h e^{4U} + (1/2) xi.grad(h) e^{4U} = 2 pi^2 int_0^R (2 + 3 a r^2) e^{4U} r^3 dr
+    a, R = 0.1, 2.0
+    rb = RescaledBubble(1.0)
+    u = RadialProfileField(rb)
+    ball = BallDomain(R, n_r=16, n_u=8, n_phi=8)
+    r, w = gauss_legendre(64, 0.0, R)
+    want = 2.0 * np.pi**2 * np.sum(w * (2.0 + 3.0 * a * r**2) * rb.exp4u(r) * r**3)
+    h = _Paraboloid(a)
+    (rep,) = pohozaev_balance(u, h, zero_b, ball)
+    assert abs(rep.I0 - want) <= 1e-12 * want
+    # without ``gradient`` the xi.grad(h) term is left out
+    (blind,) = pohozaev_balance(u, lambda pts: h(pts), zero_b, ball)
+    assert abs(blind.I0 - want) >= 1e-3 * want
 
 
 def _third(prof, y, i, m, l):
@@ -167,7 +197,7 @@ def test_curved_terms_shrink_with_eps():
     def curved(eps):
         sj = scale_jet(jet, Fraction(eps).limit_denominator(10**6))
         mt = metric_taylor_from_jet(sj)
-        (rep,) = pohozaev_balance(u, const_h(1.0), zero_b, ball, [mt], _estimate=False)
+        (rep,) = pohozaev_balance(u, const_h(1.0), zero_b, ball, [mt])
         assert rep.unmodeled_remainder >= 0.0
         return rep
 
@@ -227,7 +257,7 @@ def test_curved_kernel_matches_direct_contractions():
     mt = metric_taylor_from_jet(jet)
     u = RadialProfileField(RescaledBubble(1.0), tilt=[0.3, -0.2, 0.1, 0.25])
     ball = BallDomain(1.0, 8, 6, 6)
-    (rep,) = pohozaev_balance(u, const_h(1.0), zero_b, ball, [mt], _estimate=False)
+    (rep,) = pohozaev_balance(u, const_h(1.0), zero_b, ball, [mt])
     for got, want in zip((rep.I2, rep.I3, rep.I4), _einsum_interior_terms(u, ball, mt, jet)):
         assert abs(want) > 1e-3
         assert abs(got - want) <= 1e-12 * abs(want)
@@ -236,13 +266,20 @@ def test_curved_kernel_matches_direct_contractions():
 def test_flat_balance_evaluates_no_interior_hessian(monkeypatch):
     u = RadialProfileField(RescaledBubble(1.0))
     ball = BallDomain(5.0, n_r=8, n_u=8, n_phi=8)
-    points = []
+    radii = []
     jet = u.jet
-    monkeypatch.setattr(
-        u, "jet", lambda pts, order: points.append(len(pts) * (order >= 2)) or jet(pts, order)
-    )
-    pohozaev_balance(u, const_h(1.0), zero_b, ball, _estimate=False)
-    assert sum(points) <= len(ball.bdy_w) < len(ball.int_w)
+
+    def recording_jet(pts, order):
+        if order >= 2:
+            radii.append(np.linalg.norm(pts, axis=1))
+        return jet(pts, order)
+
+    monkeypatch.setattr(u, "jet", recording_jet)
+    pohozaev_balance(u, const_h(1.0), zero_b, ball)
+    # the order >= 2 jets are the boundary's, once per ball: the balance's
+    # and its node-halving estimate's
+    assert len(radii) == 2
+    assert all(np.allclose(r, ball.R, rtol=1e-14) for r in radii)
 
 
 def _sweep_setup():

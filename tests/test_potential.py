@@ -144,13 +144,14 @@ def test_second_order_green_rejected_by_fit():
 def test_regular_part_field_cases():
     const = TorusSpectralField(L, cos={(0, 0, 0, 0): 5.0})
     grid = np.random.default_rng(4).uniform(0, L, (50, 4))
-    assert np.max(np.abs(regular_part_field(const).eval(grid))) < 1e-14
+    assert np.max(np.abs(regular_part_field(const).jet(grid, 0)[0])) < 1e-14
 
     b = TorusSpectralField(L, cos={(1, 0, 0, 0): 1.0})
     phi = regular_part_field(b)
     # multiplier 2 / |2 pi k / L|^4 = 2 at |k| = 1, L = 2 pi
-    assert abs(phi.eval(np.zeros((1, 4)))[0] - 2.0) < 1e-12
-    assert abs(phi.eval(np.array([[np.pi, 0, 0, 0]]))[0] + 2.0) < 1e-12
+    (val,) = phi.jet(np.array([[0.0, 0, 0, 0], [np.pi, 0, 0, 0]]), 0)
+    assert abs(val[0] - 2.0) < 1e-12
+    assert abs(val[1] + 2.0) < 1e-12
 
 
 def test_regular_part_of_sine_modes():
@@ -160,21 +161,33 @@ def test_regular_part_of_sine_modes():
     assert phi.cos == {} and phi.sin == {(1, 1, 0, 0): 0.3, (0, 0, 2, 0): -0.05}
     x = np.random.default_rng(5).uniform(0, L, (20, 4))
     want = 0.3 * np.sin(x[:, 0] + x[:, 1]) - 0.05 * np.sin(2 * x[:, 2])
-    assert np.max(np.abs(phi.eval(x) - want)) < 1e-14
+    assert np.max(np.abs(phi.jet(x, 0)[0] - want)) < 1e-14
 
 
 def test_constant_field_has_zero_gradient():
     f = TorusSpectralField(L, cos={(0, 0, 0, 0): 2.5})
     x = np.random.default_rng(6).uniform(0, L, (20, 4))
-    assert np.array_equal(f.eval(x), np.full(20, 2.5))
-    assert np.array_equal(f.gradient(x), np.zeros((20, 4)))
+    val, grad = f.jet(x, 1)
+    assert np.array_equal(val, np.full(20, 2.5))
+    assert np.array_equal(grad, np.zeros((20, 4)))
 
 
 def test_sine_mode_gradient_at_origin():
     # d/dx of b sin(2 pi k.x / L) at 0 is b 2 pi k / L; cosines add nothing there
     f = TorusSpectralField(3.0, cos={(1, 2, 0, 0): 0.7}, sin={(1, 0, -1, 2): 0.4})
-    grad = f.gradient(np.zeros(4))
+    grad = f.jet(np.zeros(4), 1)[1]
     assert np.max(np.abs(grad[0] - 0.4 * 2.0 * np.pi / 3.0 * np.array([1, 0, -1, 2]))) < 1e-15
+
+
+def test_torus_jet_orders():
+    f = TorusSpectralField(3.0, cos={(0, 0, 0, 0): 1.5, (1, 2, 0, 0): 0.7}, sin={(1, 0, -1, 2): 0.4})
+    x = np.random.default_rng(8).uniform(0, 3.0, (6, 4))
+    (val,) = f.jet(x, 0)
+    val1, grad = f.jet(x, 1)
+    assert val.shape == (6,) and grad.shape == (6, 4)
+    assert np.array_equal(val, val1)
+    with pytest.raises(ValueError, match="up to order 1"):
+        f.jet(x, 2)
 
 
 def test_sum_and_scalar_multiple_match_mode_sums():
@@ -185,13 +198,14 @@ def test_sum_and_scalar_multiple_match_mode_sums():
     assert s.cos == {(0, 0, 0, 0): 1.0, (1, 0, 0, 0): 1.0}
     assert s.sin == {(0, 1, 1, 0): 0.2, (0, 0, 0, 3): -0.2}
     want = 1.0 + np.cos(x[:, 0]) + 0.2 * np.sin(x[:, 1] + x[:, 2]) - 0.2 * np.sin(3 * x[:, 3])
-    assert np.max(np.abs(s.eval(x) - want)) < 1e-14
+    val, sgrad = s.jet(x, 1)
+    assert np.max(np.abs(val - want)) < 1e-14
     grad = np.stack(
         [-np.sin(x[:, 0]), 0.2 * np.cos(x[:, 1] + x[:, 2]), 0.2 * np.cos(x[:, 1] + x[:, 2]),
          -0.6 * np.cos(3 * x[:, 3])],
         axis=1,
     )
-    assert np.max(np.abs(s.gradient(x) - grad)) < 1e-14
+    assert np.max(np.abs(sgrad - grad)) < 1e-14
     with pytest.raises(ValueError):
         f + TorusSpectralField(3.0, cos={(0, 0, 0, 0): 1.0})
 
