@@ -38,26 +38,27 @@ TILT_AMP = 0.05  # pohozaev's bubble tilt
 LONGRANGE_EPS = 1e-4
 MAINEST_AMP = 0.02
 TAU = 0.5  # mainest's weight exponent and vrate's rate
+MASS_RADII = (10.0, 20.0, 40.0, 80.0, 160.0)  # mass_over_16pi2 reads the first
+POHOZAEV_R = 20.0  # radius of pohozaev's flat ball
+REPRESENT_N = 16  # represent's grid points per axis
+REPRESENT_MODES = 10  # cos modes of each represent field
+DISTANCE_EPS = (0.1, 0.05, 0.025)
+ALPHA_EPS = (1e-2, 1e-3, 1e-4, 1e-5)  # alpha_rel_gap_eps_le_1e-3 reads the last three
+MAINEST_EPS = (1e-2, 1e-3, 1e-4)
 
+# The config keys: suite sizes, each of which perfbench's workloads set.
 DEFAULTS = {
     "bubble-check": {"n_points": 10000},
     "kernel-check": {"n_points": 10000},
-    "mass": {"r": 10.0, "n_r": 64},
-    "pohozaev": {
-        "r": 20.0,
-        "n_r": 48,
-        "n_u": 24,
-        "n_phi": 24,
-        "eps_list": "0.1,0.05,0.025",
-        "n_third": 100,
-    },
+    "mass": {},
+    "pohozaev": {"n_r": 48, "n_u": 24, "n_phi": 24, "eps_list": "0.1,0.05,0.025", "n_third": 100},
     "green-fit": {"n": 64, "n_pairs": 20},
-    "represent": {"n": 16, "n_fields": 10, "n_modes": 10},
+    "represent": {"n_fields": 10},
     "cnc": {"n_jets": 50},
-    "distance": {"eps_list": "0.1,0.05,0.025", "n_pairs": 2, "n_nodes": 32},
+    "distance": {"n_pairs": 2, "n_nodes": 32},
     "longrange": {},
-    "alpha-sweep": {"eps_list": "1e-2,1e-3,1e-4,1e-5"},
-    "mainest": {"eps_list": "1e-2,1e-3,1e-4"},
+    "alpha-sweep": {},
+    "mainest": {},
     "vrate": {},
 }
 
@@ -85,12 +86,7 @@ def load_config(path, command):
         for key, raw in parser[command].items():
             default = DEFAULTS[command][key]
             try:
-                if isinstance(default, str):
-                    params[key] = raw
-                elif isinstance(default, int):
-                    params[key] = int(raw)
-                else:
-                    params[key] = float(raw)
+                params[key] = raw if isinstance(default, str) else int(raw)
             except ValueError as exc:
                 raise ConfigError(f"bad value for {command}.{key}: {raw}") from exc
             # a size below 1 would run no case, and its check could not fail
@@ -100,8 +96,8 @@ def load_config(path, command):
 
 
 def parse_eps_list(raw):
-    """A strictly decreasing list of at least two positive eps: every suite
-    that reads one fits or compares across it, which one value cannot fail."""
+    """A strictly decreasing list of at least two positive eps: pohozaev fits
+    its slope across the list, which one value cannot fail."""
     try:
         eps = tuple(float(tok) for tok in str(raw).split(",") if tok.strip())
     except ValueError as exc:
@@ -175,23 +171,20 @@ def run_mass(p, seed):
     from .bubble import MASS_LIMIT, RescaledBubble, mass_integral, mass_integral_exact
 
     rb = RescaledBubble(H=BUBBLE_H)
-    m = mass_integral(rb, p["r"], n_r=int(p["n_r"]))
-    ratio = m / MASS_LIMIT
-    quad_gap = abs(m - mass_integral_exact(rb, p["r"]))
-    radii = [10.0, 20.0, 40.0, 80.0, 160.0]
     rows = []
     gaps = []
-    for R in radii:
-        mq = mass_integral(rb, R, n_r=int(p["n_r"]))
+    for R in MASS_RADII:
+        mq = mass_integral(rb, R)
         ex = mass_integral_exact(rb, R)
         rows.append({"R": R, "mass": mq, "exact": ex, "error_estimate": abs(mq - ex)})
         gaps.append(abs(ex - MASS_LIMIT))
+    ratio = rows[0]["mass"] / MASS_LIMIT
     # fit on the asymptotic radii (the R^-4 law is a tail statement)
-    slope = float(np.polyfit(np.log(radii[1:]), np.log(gaps[1:]), 1)[0])
+    slope = float(np.polyfit(np.log(MASS_RADII[1:]), np.log(gaps[1:]), 1)[0])
     checks = [
         _check("mass_over_16pi2", ratio, "[0.999, 1.001]", 0.999 <= ratio <= 1.001),
         _band("tail_log_slope", slope, -4.0, 0.2),
-        _at_most("quadrature_vs_exact", quad_gap, 1e-10),
+        _at_most("quadrature_vs_exact", rows[0]["error_estimate"], 1e-10),
     ]
     return checks, rows
 
@@ -205,7 +198,7 @@ def run_pohozaev(p, seed):
 
     rng = np.random.default_rng(seed)
     rb = RescaledBubble(H=1.0)
-    ball = BallDomain(p["r"], n_r=int(p["n_r"]), n_u=int(p["n_u"]), n_phi=int(p["n_phi"]))
+    ball = BallDomain(POHOZAEV_R, n_r=int(p["n_r"]), n_u=int(p["n_u"]), n_phi=int(p["n_phi"]))
     u = RadialProfileField(rb)
     h = lambda pts: np.full(len(np.atleast_2d(pts)), 1.0)
     b = lambda pts: np.zeros(len(np.atleast_2d(pts)))
@@ -324,18 +317,19 @@ def run_represent(p, seed):
     from .potential import TorusSpectralField, representation_check
 
     rng = np.random.default_rng(seed)
-    N = int(p["n"])
     worst = 0.0
     rows = []
     for k in range(int(p["n_fields"])):
         modes = {}
-        for _ in range(int(p["n_modes"])):
+        for _ in range(REPRESENT_MODES):
             kv = tuple(int(v) for v in rng.integers(-3, 4, 4))
             if kv == (0, 0, 0, 0):
                 kv = (1, 0, 0, 0)
             modes[kv] = float(rng.uniform(-1, 1))
-        dev = representation_check(TorusSpectralField(TORUS_L, cos=modes), N)
-        rows.append({"field": k, "deviation": dev, "roundoff_scale": np.finfo(float).eps * N**2})
+        dev = representation_check(TorusSpectralField(TORUS_L, cos=modes), REPRESENT_N)
+        rows.append(
+            {"field": k, "deviation": dev, "roundoff_scale": np.finfo(float).eps * REPRESENT_N**2}
+        )
         worst = max(worst, dev)
     return [_at_most("max_representation_deviation", worst, 1e-9)], rows
 
@@ -384,8 +378,7 @@ def run_distance(p, seed):
         u = rng.standard_normal(4)
         v = rng.standard_normal(4)
         pairs.append((u / np.linalg.norm(u), 1.5 * v / np.linalg.norm(v)))
-    eps_list = parse_eps_list(p["eps_list"])
-    rep = distance_ratio_sweep(jet, eps_list, pairs, n_nodes=int(p["n_nodes"]))
+    rep = distance_ratio_sweep(jet, DISTANCE_EPS, pairs, n_nodes=int(p["n_nodes"]))
     cs = np.array(list(rep["per_eps_c"].values()))
     dev = float(np.max(np.abs(cs - np.mean(cs))) / np.mean(cs))
     checks = [
@@ -413,10 +406,7 @@ def run_longrange(p, seed):
 def run_alpha_sweep(p, seed):
     from .harness import alpha_sweep
 
-    eps_list = parse_eps_list(p["eps_list"])
-    if min(eps_list) > 1e-3:
-        raise ConfigError("alpha-sweep eps_list needs a value <= 1e-3")
-    rep = alpha_sweep(eps_list, BUBBLE_H)
+    rep = alpha_sweep(ALPHA_EPS, BUBBLE_H)
     worst = max(abs(r["rel_gap"]) for r in rep["rows"] if r["eps"] <= 1e-3)
     tail = rep["tail_log_slope"]
     checks = [
@@ -429,7 +419,7 @@ def run_alpha_sweep(p, seed):
 def run_mainest(p, seed):
     from .harness import mainest_fit
 
-    rep = mainest_fit(parse_eps_list(p["eps_list"]), MAINEST_AMP, TAU, seed)
+    rep = mainest_fit(MAINEST_EPS, MAINEST_AMP, TAU, seed)
     return [_at_most("constant_ratio", rep["ratio"], 3.0)], rep["rows"]
 
 

@@ -11,6 +11,10 @@ gives the metric's.  Metrics that are not conformally flat
 are exact polynomials, ``cnc.PolynomialMetric``.  ``fd_partials`` is the
 centered finite-difference engine for the outer derivatives the curvature
 module applies to computed quantities.
+
+sympy is imported on first use: the box, the errors and ``fd_partials``
+need none of it, so a process that uses only those never loads it.
+``COORDS``, the chart's sympy symbols, is built on first access.
 """
 
 from __future__ import annotations
@@ -20,13 +24,24 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-import sympy as sp
 
 DIM = 4
-COORDS = sp.symbols("x0 x1 x2 x3")
 
 # eigenvalue floor below which a metric is treated as degenerate
 EIG_FLOOR = 1e-8
+
+
+@functools.cache
+def _coords():
+    import sympy as sp
+
+    return sp.symbols("x0 x1 x2 x3")
+
+
+def __getattr__(name):
+    if name == "COORDS":
+        return _coords()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class ChartError(RuntimeError):
@@ -173,11 +188,14 @@ def _compiled(expr, index):
     A partial is looked up again by its own expression, so identical
     derivatives of different fields share one compiled function.
     """
+    import sympy as sp
+
+    coords = _coords()
     if index:
         for ax in index:
-            expr = sp.diff(expr, COORDS[ax])
+            expr = sp.diff(expr, coords[ax])
         return _compiled(expr, ())
-    f = sp.lambdify(COORDS, expr, modules=[np])
+    f = sp.lambdify(coords, expr, modules=[np])
 
     def call(pts):
         pts = np.atleast_2d(np.asarray(pts, float))
@@ -192,6 +210,8 @@ class ScalarField:
     derivatives up to order 4."""
 
     def __init__(self, domain, expr):
+        import sympy as sp
+
         self.domain = domain
         self.expr = sp.sympify(expr)
 

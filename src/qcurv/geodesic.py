@@ -19,7 +19,6 @@ import numpy as np
 from .cnc import blowup_metric
 from .fields import ChartError
 
-DEFAULT_NODES = 64
 GRAD_TOL = 1e-10
 MAX_ITER = 50
 _ROUNDING = np.finfo(float).eps
@@ -142,7 +141,7 @@ def minimize(x0, g, y, z, n_seg):
     return NewtonResult(x, gnorm, nit, nfev)
 
 
-def geodesic_distance(g, y, z, n_nodes=DEFAULT_NODES, full_output=False):
+def geodesic_distance(g, y, z, n_nodes, full_output=False):
     """Length of the energy-minimizing polyline from y to z.
 
     Equals |y - z| exactly for the flat metric (the straight equispaced
@@ -173,7 +172,7 @@ def geodesic_distance(g, y, z, n_nodes=DEFAULT_NODES, full_output=False):
     return (length, res) if full_output else length
 
 
-def distance_ratio_sweep(jet, eps_list, pairs, n_nodes=DEFAULT_NODES):
+def distance_ratio_sweep(jet, eps_list, pairs, n_nodes):
     """Fit c in |d_g/|y-z| - 1| <= c eps^2 (|y|^2 + |z|^2) over an eps sweep.
 
     The metric is the blow-up expansion of the jet with its quadratic term

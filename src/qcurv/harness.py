@@ -28,8 +28,6 @@ from .potential import TorusSpectralField, regular_part_field
 ORIGIN = (0.0, 0.0, 0.0, 0.0)
 # outer radius of the weighted sup-norm's shell; the long-range ring's is DELTA1 / eps
 DELTA1 = 0.5
-# radial nodes per shell of the energy integrals
-N_R = 64
 # wave vectors of mainest's correction
 N_MODES = 2
 
@@ -77,7 +75,7 @@ def alpha_sweep(eps_list, H):
     rows = []
     for eps in eps_list:
         L = big_l(eps)
-        a = mass_integral(rb, L, n_r=N_R)
+        a = mass_integral(rb, L)
         rows.append(
             {
                 "eps": eps,

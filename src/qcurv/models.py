@@ -1,4 +1,4 @@
-"""Closed-model substrates: round S^4 in a stereographic chart, flat torus.
+"""The round S^4 in a stereographic chart, as a closed model.
 
 The S^4 chart covers the sphere minus a point with metric
 g = 4 (1 + |x|^2)^{-2} delta.  Global quadrature substitutes r = tan(theta/2)
@@ -50,15 +50,3 @@ class SphereModel:
             self.quad_weights = self.quad_weights * np.exp(4.0 * u.jet(self.quad_points, 0)[0])
             self.volume = float(np.sum(self.quad_weights))
 
-
-class FlatTorusModel:
-    """Flat 4-torus of side L: zero curvature, zero Q, Euler characteristic 0."""
-
-    def __init__(self, L=2.0 * np.pi, n=4):
-        self.L = L
-        self.metric = MetricField.flat(Box(lo=(0.0,) * 4, hi=(L,) * 4))
-        axis = (np.arange(n) + 0.5) * L / n
-        grid = np.stack(np.meshgrid(*([axis] * 4), indexing="ij"), axis=-1)
-        self.quad_points = grid.reshape(-1, 4)
-        self.quad_weights = np.full(self.quad_points.shape[0], (L / n) ** 4)
-        self.volume = L**4

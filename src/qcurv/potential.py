@@ -1,13 +1,9 @@
-"""Fundamental solutions and Green's functions.
+"""The biharmonic Green's function of the flat torus.
 
-Torus side: real fields are trigonometric polynomials stored as their cos
-and sin modes; the biharmonic Green's function is exact in the truncated
-spectral space with multiplier 1 / (L^4 |2 pi k / L|^4), built once per
-(N, L) on the rfft half spectrum; point values come from a separable mode
-sum over its four axes.
-
-R^4 side: the log-potential v(x) = (1/4 pi^2) int log(|y|/|x-y|) rho(y) dy
-of a radial density, with the angular integral in closed form.
+Real fields are trigonometric polynomials stored as their cos and sin
+modes; the Green's function is exact in the truncated spectral space with
+multiplier 1 / (L^4 |2 pi k / L|^4), built once per (N, L) on the rfft half
+spectrum; point values come from a separable mode sum over its four axes.
 """
 
 from __future__ import annotations
@@ -17,8 +13,6 @@ from functools import lru_cache
 
 import numpy as np
 from numpy import fft
-
-from .quadrature import gauss_legendre
 
 
 # ---------------------------------------------------------------------------
@@ -141,16 +135,15 @@ class GreenDecomposition:
 LOG_COEFF = -1.0 / (8.0 * np.pi**2)
 
 
-def fit_log_singularity(N, L, grid=None, window=None) -> GreenDecomposition:
+def fit_log_singularity(N, L, grid=None) -> GreenDecomposition:
     """Least-squares split G = c_log * log r + smooth near the source.
 
-    Fits over grid points with minimum-image radius in ``window``
-    (default [4L/N, L/8]) against the basis {log r, 1, x_a, r^2}.
+    Fits over grid points with minimum-image radius in the window
+    [4L/N, L/8] against the basis {log r, 1, x_a, r^2}.  The window is
+    empty for N < 32: the fit then runs on no points and returns c_log = 0
+    and rms = nan, with numpy's empty-mean warnings.
     """
-    if window is None:
-        window = (4.0 * L / N, L / 8.0)
-    if window[0] < 2.0 * L / N:
-        raise ValueError("fit window unresolved: r_min below 2 grid spacings")
+    window = (4.0 * L / N, L / 8.0)
     # r <= window[1] needs each |signed coordinate| <= window[1]: fit that sub-box
     coord = np.arange(N) * L / N
     signed = np.where(coord <= L / 2, coord, coord - L)
@@ -173,7 +166,7 @@ def fit_log_singularity(N, L, grid=None, window=None) -> GreenDecomposition:
     resid = g - A @ sol
     return GreenDecomposition(
         c_log=float(sol[0]),
-        fit_window=tuple(window),
+        fit_window=window,
         rms=float(np.sqrt(np.mean(resid**2))),
         n_points=int(mask.sum()),
     )
@@ -211,56 +204,3 @@ def regular_part_field(b: TorusSpectralField) -> TorusSpectralField:
         return {k: 2.0 * a / (sum(v * v for v in k) * w2) ** 2 for k, a in modes.items() if any(k)}
 
     return TorusSpectralField(b.L, scaled(b.cos), scaled(b.sin))
-
-
-# ---------------------------------------------------------------------------
-# R^4 log-potential
-
-
-def radial_log_potential(rho_of_r, x_norm, r_cut, n_r=200):
-    """Log-potential of a radial density, angular integral in closed form.
-
-    Averaging the kernel over S^3 (Chebyshev/Gegenbauer expansion with the
-    sin^2 weight) gives, with M = max(s, x), m = min(s, x):
-
-        v(x)    = (1/2) int rho(s) s^3 [log s - log M - m^2/(4 M^2)] ds
-        dv(x)   = (1/2) [int_0^x rho(s) s^3 (-1/x + s^2/(2 x^3)) ds
-                         - int_x^r_cut rho(s) s^3 x/(2 s^2) ds]
-        lap v   = - int rho(s) s^3 / M^2 ds
-        d_r lap = (2/x^3) int_0^x rho(s) s^3 ds
-
-    Returns a dict {v, dv, lap, dlap}; all four are 1-D quadratures, so
-    they are accurate to near machine precision for smooth rho.
-    """
-    x = float(x_norm)
-
-    def seg(a, b, f):
-        if b <= a:
-            return 0.0
-        total = 0.0
-        edges = np.unique(np.concatenate([
-            np.geomspace(max(a, 1e-6), b, 8) if a < 1e-6 else np.linspace(a, b, 8),
-            [a, b],
-        ]))
-        edges = edges[(edges >= a) & (edges <= b)]
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            r, w = gauss_legendre(n_r // 4, lo, hi)
-            total += float(np.sum(w * f(r)))
-        return total
-
-    rho = rho_of_r
-    inner_mass = seg(0.0, min(x, r_cut), lambda s: rho(s) * s**3)
-    v = 0.5 * (
-        seg(0.0, min(x, r_cut), lambda s: rho(s) * s**3 * (np.log(np.maximum(s, 1e-300)) - np.log(x) - s**2 / (4 * x**2)))
-        + seg(min(x, r_cut), r_cut, lambda s: rho(s) * s**3 * (-x**2 / (4 * s**2)))
-    )
-    dv = 0.5 * (
-        seg(0.0, min(x, r_cut), lambda s: rho(s) * s**3 * (-1.0 / x + s**2 / (2 * x**3)))
-        + seg(min(x, r_cut), r_cut, lambda s: rho(s) * s**3 * (-x / (2 * s**2)))
-    )
-    lap = -(
-        seg(0.0, min(x, r_cut), lambda s: rho(s) * s**3) / x**2
-        + seg(min(x, r_cut), r_cut, lambda s: rho(s) * s)
-    )
-    dlap = 2.0 * inner_mass / x**3
-    return {"v": v, "dv": dv, "lap": lap, "dlap": dlap, "inner_mass": inner_mass}

@@ -114,7 +114,7 @@ def test_four_radii_are_radii_not_a_point():
     rb = RescaledBubble(1.0)
     r = np.array([0.5, 1.0, 2.0, 3.0])
     np.testing.assert_array_equal(rb.exp4u(r), 1.0 / (1.0 + rb.rho * r**2) ** 4)
-    # a 4-node radial rule, as in ``[mass] n_r = 4``
+    # a 4-node radial rule
     exact = mass_integral_exact(rb, 10.0)
     assert abs(mass_integral(rb, 10.0, n_r=4) - exact) <= 1e-3 * exact
 

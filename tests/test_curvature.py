@@ -28,7 +28,7 @@ from qcurv.fields import (
     ScalarField,
     fd_partials,
 )
-from qcurv.models import FlatTorusModel, SphereModel, sphere_metric
+from qcurv.models import SphereModel, sphere_metric
 
 x0, x1, x2, x3 = COORDS
 R2 = sum(c**2 for c in COORDS)
@@ -329,12 +329,10 @@ def test_q_transformation_sphere_factor():
     assert check_q_transformation(g, u, pts) < 1e-6
 
 
-def test_gauss_bonnet_sphere_and_torus():
+def test_gauss_bonnet_sphere():
     val = gauss_bonnet_check(SphereModel(n_theta=12, n_u=6, n_phi=6))
     target = 8.0 * np.pi**2
     assert abs(val - target) < 0.01 * target
-
-    assert abs(gauss_bonnet_check(FlatTorusModel(n=2))) < 1e-10
 
 
 def test_gauss_bonnet_conformally_perturbed_sphere():

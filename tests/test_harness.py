@@ -5,7 +5,6 @@ from qcurv.bubble import MASS_LIMIT, RescaledBubble, mass_integral, mass_integra
 from qcurv.harness import (
     DELTA1,
     N_MODES,
-    N_R,
     ORIGIN,
     SynthField,
     alpha_sweep,
@@ -63,7 +62,7 @@ def test_alpha_sweep_rows_are_the_bubble_mass_on_b_l(H):
     rb = RescaledBubble(H=H)
     for eps, r in zip(eps_list, alpha_sweep(eps_list, H)["rows"]):
         L = -np.log(eps)
-        a = mass_integral(rb, L, n_r=N_R)
+        a = mass_integral(rb, L)
         assert (r["eps"], r["L"], r["alpha"]) == (eps, L, a)
         assert r["gap"] == a - MASS_LIMIT
         # the gap to the closed form criterion 3 asserts; never a vacuous 0

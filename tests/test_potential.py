@@ -5,24 +5,17 @@ import pytest
 import scipy.fft as sfft
 
 from qcurv import potential
-from qcurv.bubble import RHO0, RescaledBubble
 from qcurv.potential import (
     LOG_COEFF,
     TorusSpectralField,
     fit_log_singularity,
     green_grid_values,
     green_pair_value,
-    radial_log_potential,
     regular_part_field,
     representation_check,
 )
 
 L = 2.0 * np.pi
-
-
-def sphere_density(r):
-    """e^{4U} for the unit-strength radial profile; v[rho] == U exactly."""
-    return 1.0 / (1.0 + RHO0 * np.asarray(r, float) ** 2) ** 4
 
 
 def test_green_zero_mean_and_size_validation():
@@ -115,11 +108,6 @@ def test_log_fit_improves_with_resolution():
     assert e64 < e48
 
 
-def test_log_fit_window_validation():
-    with pytest.raises(ValueError):
-        fit_log_singularity(64, L, window=(L / 64, L / 8))
-
-
 def test_second_order_green_rejected_by_fit():
     # negative control: the second-order Green's function has an r^-2
     # singularity, so the log-basis fit must land far from the target
@@ -208,24 +196,3 @@ def test_sum_and_scalar_multiple_match_mode_sums():
     assert np.max(np.abs(sgrad - grad)) < 1e-14
     with pytest.raises(ValueError):
         f + TorusSpectralField(3.0, cos={(0, 0, 0, 0): 1.0})
-
-
-def test_radial_log_potential_matches_closed_forms():
-    rb = RescaledBubble(1.0)
-    for xn in (3.0, 8.0, 20.0):
-        out = radial_log_potential(sphere_density, xn, r_cut=2000.0, n_r=400)
-        assert abs(out["v"] - rb.val_r(xn)) < 1e-9
-        assert abs(out["dv"] - rb.d1(xn)) < 1e-9
-        assert abs(out["lap"] - rb.lap(xn)) < 1e-9
-        assert abs(out["dlap"] - rb.dlap_dr(xn)) < 1e-9
-
-
-def test_far_field_log_slope_is_half_mass():
-    # int rho s^3 ds = 4 for this profile, so v ~ -2 log|x| far out
-    xs = np.array([50.0, 100.0, 200.0])
-    vals = [
-        radial_log_potential(sphere_density, xn, r_cut=5000.0, n_r=400)["v"]
-        for xn in xs
-    ]
-    slope = np.polyfit(np.log(xs), vals, 1)[0]
-    assert abs(slope + 2.0) / 2.0 < 0.01
