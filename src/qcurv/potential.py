@@ -2,8 +2,10 @@
 
 Real fields are trigonometric polynomials stored as their cos and sin
 modes; the Green's function is exact in the truncated spectral space with
-multiplier 1 / (L^4 |2 pi k / L|^4), built once per (N, L) on the rfft half
-spectrum; point values come from a separable mode sum over its four axes.
+multiplier 1 / (L^4 |2 pi k / L|^4), which depends only on the k_a^2 and so
+is built once per (N, L) on the octant 0 <= k_a <= N/2; point values come
+from a separable mode sum over its four axes, each weighing the octant's
+|k_a| by the modes +-k_a it stands for.
 """
 
 from __future__ import annotations
@@ -69,16 +71,11 @@ class TorusSpectralField:
 
 @lru_cache
 def _multiplier(N, L):
-    """Read-only multiplier 1 / (L^4 |2 pi k / L|^4) on the rfft half, k = 0 -> 0."""
+    """Read-only multiplier 1 / (L^4 |2 pi k / L|^4) on the octant 0 <= k_a <= N/2, k = 0 -> 0."""
     if N < 16 or N % 2:
         raise ValueError("N must be even and >= 16")
-    k2 = fft.fftfreq(N, d=1.0 / N) ** 2
-    m = (
-        k2[:, None, None, None]
-        + k2[None, :, None, None]
-        + k2[None, None, :, None]
-        + (fft.rfftfreq(N, d=1.0 / N) ** 2)[None, None, None, :]
-    )
+    k2 = fft.rfftfreq(N, d=1.0 / N) ** 2
+    m = k2[:, None, None, None] + k2[None, :, None, None] + k2[None, None, :, None] + k2
     m *= (2.0 * np.pi / L) ** 2
     np.square(m, out=m)
     m *= L**4
@@ -92,30 +89,32 @@ def _multiplier(N, L):
 def _green_on_product(N, L, axes):
     """G on the product of four 1-D coordinate sets, shape (n0, n1, n2, n3).
 
-    The full fftfreq mode sum, one axis at a time: the half axis weighs the
-    pair +-k by 2 cos(k x) and the lone Nyquist mode -N/2 by e^{-i (N/2) x}
-    (the only complex row), the other three axes by e^{i k x}.
+    The full fftfreq mode sum folded onto the octant, one axis at a time:
+    with w = 2 pi / L, each axis weighs |k| = 0 by 1, the pair +-k by
+    2 cos(w k x) and the lone Nyquist mode -N/2 by e^{-i w (N/2) x}, its
+    only complex weight.  The first contraction keeps the octant real: its
+    Nyquist slab adds the imaginary part as one outer product.
     """
     m = _multiplier(N, L)
-    w = 2.0 * np.pi / L
-    k = fft.fftfreq(N, d=1.0 / N)
-    x0, x1, x2, x3 = (np.atleast_1d(np.asarray(a, float)) for a in axes)
-    phase = w * np.outer(x3, fft.rfftfreq(N, d=1.0 / N))
-    cos = np.cos(phase)
-    cos[:, 1:-1] *= 2.0
-    flat = m.reshape(-1, m.shape[-1])
-    t = (cos @ flat.T).astype(complex)
-    t.imag = np.outer(-np.sin(phase[:, -1]), flat[:, -1])
-    t = t.reshape(-1, N) @ np.exp(1j * w * np.outer(k, x2))
-    t = np.exp(1j * w * np.outer(x1, k)) @ t.reshape(-1, N, len(x2))
-    t = np.exp(1j * w * np.outer(x0, k)) @ t.reshape(len(x3), N, -1)
-    return t.real.reshape(len(x3), len(x0), len(x1), len(x2)).transpose(1, 2, 3, 0)
+    n = m.shape[0]
+    p0, p1, p2, p3 = (np.exp(-2j * np.pi / L * np.outer(a, np.arange(n))) for a in axes)
+    for p in (p0, p1, p2, p3):
+        p[:, 1:-1] = 2.0 * p[:, 1:-1].real
+    t = (p3.real @ m.reshape(-1, n).T).astype(complex)
+    np.multiply.outer(p3.imag[:, -1], m[..., -1].ravel(), out=t.imag)
+    t = t.reshape(-1, n) @ p2.T
+    t = p1 @ t.reshape(-1, n, len(p2))
+    t = p0 @ t.reshape(len(p3), n, -1)
+    return t.real.reshape(len(p3), len(p0), len(p1), len(p2)).transpose(1, 2, 3, 0)
 
 
 def green_grid_values(N, L):
-    """Grid samples of G with source at the grid origin (memory-lean rfft)."""
+    """Grid samples of G with source at the grid origin: the octant mirrored
+    onto the rfft half spectrum, then one irfftn."""
+    fold = np.minimum(np.arange(N), N - np.arange(N))
+    half = _multiplier(N, L)[np.ix_(fold, fold, fold, fold[: N // 2 + 1])]
     # "forward" leaves the inverse transform unscaled: the raw mode sum
-    return fft.irfftn(_multiplier(N, L), s=(N,) * 4, axes=(0, 1, 2, 3), norm="forward")
+    return fft.irfftn(half, s=(N,) * 4, axes=(0, 1, 2, 3), norm="forward")
 
 
 def green_pair_value(N, L, xi, eta):
@@ -177,7 +176,7 @@ def representation_check(f: TorusSpectralField, N):
 
     Delta^2 multiplies the coefficient c_k of e^{2 pi i k.x / L} by
     |2 pi k / L|^4 and convolving with G by L^4 times G's multiplier, which
-    is even in each k_a and so read at |k_3| on the rfft half; the gaps from
+    is even in each k_a and so read on the octant at |k_a|; the gaps from
     c_k of the modes k != 0 are summed onto the grid by one inverse FFT.
     """
     c = np.zeros((N,) * 4, complex)
@@ -190,7 +189,7 @@ def representation_check(f: TorusSpectralField, N):
     idx = np.nonzero(c)
     freq = fft.fftfreq(N, d=1.0 / N)
     ksq = sum(freq[i] ** 2 for i in idx) * (2.0 * np.pi / f.L) ** 2
-    green = _multiplier(N, f.L)[idx[:3] + (np.minimum(idx[3], N - idx[3]),)]
+    green = _multiplier(N, f.L)[tuple(np.minimum(i, N - i) for i in idx)]
     amp = c[idx]
     c[idx] = amp * ksq**2 * f.L**4 * green - amp
     return float(np.max(np.abs(fft.ifftn(c) * c.size)))
