@@ -4,8 +4,8 @@ Each subcommand runs one check suite and writes a JSON summary (and a CSV
 for sweep commands) into the output directory.  Exit codes: 0 all checks
 passed, 1 at least one check failed, 2 usage or configuration error.  A
 numerical failure (a point outside its chart, a degenerate metric, a solver
-that does not converge) is a failed check named after the error, with its
-message as the value.
+that does not converge, exact numerators beyond their bound) is a failed
+check named after the error, with its message as the value.
 """
 
 from __future__ import annotations
@@ -104,8 +104,8 @@ def parse_eps_list(raw):
         raise ConfigError(f"bad eps_list: {raw}") from exc
     if len(eps) < 2:
         raise ConfigError(f"eps_list needs at least two values, got {raw!r}")
-    if any(e <= 0 for e in eps):
-        raise ConfigError("eps_list must contain positive values")
+    if not all(0 < e < float("inf") for e in eps):
+        raise ConfigError("eps_list must contain positive finite values")
     if not all(b < a for a, b in zip(eps[:-1], eps[1:])):
         raise ConfigError("eps_list must be strictly decreasing")
     return eps
@@ -137,6 +137,8 @@ def run_bubble_check(p, seed):
     for H in rng.uniform(0.5, 2.0, 16):
         pts = rng.uniform(-50.0, 50.0, (n // 16, 4))
         pts = pts[np.linalg.norm(pts, axis=1) <= 50.0]
+        if not len(pts):
+            raise ConfigError(f"bubble-check.n_points = {n} gives a strength no point in |y| <= 50")
         worst = max(worst, float(np.max(np.abs(bubble_pde_residual(RescaledBubble(H), pts)))))
     gap = 0.0
     for _ in range(20):
@@ -160,6 +162,8 @@ def run_kernel_check(p, seed):
     rng = np.random.default_rng(seed)
     pts = rng.uniform(-50.0, 50.0, (int(p["n_points"]), 4))
     pts = pts[np.linalg.norm(pts, axis=1) <= 50.0]
+    if not len(pts):
+        raise ConfigError(f"kernel-check.n_points = {p['n_points']} leaves no point in |y| <= 50")
     worst = max(
         float(np.max(np.abs(linearized_residual(KernelElement(j), pts))))
         for j in range(5)
@@ -194,14 +198,14 @@ def run_pohozaev(p, seed):
 
     from .bubble import RescaledBubble
     from .cnc import metric_taylor_from_jet, random_conformal_normal_jet, scale_jet
+    from .fields import ConstantField
     from .pohozaev import BallDomain, RadialProfileField, pohozaev_balance
 
     rng = np.random.default_rng(seed)
     rb = RescaledBubble(H=1.0)
     ball = BallDomain(POHOZAEV_R, n_r=int(p["n_r"]), n_u=int(p["n_u"]), n_phi=int(p["n_phi"]))
     u = RadialProfileField(rb)
-    h = lambda pts: np.full(len(np.atleast_2d(pts)), 1.0)
-    b = lambda pts: np.zeros(len(np.atleast_2d(pts)))
+    h, b = ConstantField(1.0), ConstantField(0.0)
     (rep,) = pohozaev_balance(u, h, b, ball)
     rel = abs(rep.residual) / abs(rep.I0)
 
@@ -461,16 +465,15 @@ def run_vrate(p, seed):
 def _fd_balance(h, b, q, step=1e-3):
     """grad h / h + 4 grad phi at ``q``, phi = 2 int G b, from one stencil
     evaluation of the stacked (h, phi) values."""
-    from .fields import fd_partials
+    from .fields import fd_jet
     from .potential import regular_part_field
 
     phi = regular_part_field(b)
     hq = float(h.jet(q[None, :], 0)[0][0])
-    d = fd_partials(
-        lambda p: np.stack([h.jet(p, 0)[0], phi.jet(p, 0)[0]], axis=-1),
-        q, [(a,) for a in range(4)], step,
-    )
-    return np.array([da[0, 0] / hq + 4.0 * da[0, 1] for da in d])
+    dh, dphi = fd_jet(
+        lambda p: np.stack([h.jet(p, 0)[0], phi.jet(p, 0)[0]], axis=-1), q, 1, step
+    )[1][0]
+    return dh / hq + 4.0 * dphi
 
 
 RUNNERS = {
@@ -549,7 +552,7 @@ def main(argv=None):
                 load_config(args.config, name) if args.config else dict(DEFAULTS[name])
             )
             checks, rows = RUNNERS[name](params, args.seed)
-        except RuntimeError as exc:  # ChartError and DegenerateMetricError among them
+        except (RuntimeError, OverflowError) as exc:  # ChartError, exact overflow among them
             checks = [_check(type(exc).__name__, str(exc), "no numerical failure", False)]
             rows = None
         except ValueError as exc:

@@ -144,6 +144,8 @@ class ExactArray:
         return self + (-other)
 
     def __mul__(self, factor):
+        if isinstance(factor, int) and factor.bit_length() > 63:
+            raise OverflowError(f"integer factor of {factor.bit_length()} bits, beyond int64")
         factor = np.asarray(factor)
         if factor.dtype.kind not in "biu":
             return NotImplemented

@@ -20,7 +20,8 @@ A metric here is anything with ``domain``, ``is_flat`` and
 layout: a conformally flat ``fields.MetricField`` or an exact
 ``cnc.PolynomialMetric``.  Scalar fields are ``fields.ScalarField``s,
 read through the same ``jet(pts, order)``; the flat Paneitz path sums
-their fourth partials through ``partial``.
+their fourth partials through ``partial``.  Outer derivatives of computed
+quantities (Delta_g R, Paneitz) come from ``fields.fd_jet``, in that layout.
 """
 
 from __future__ import annotations
@@ -31,11 +32,7 @@ from functools import cached_property
 import numpy as np
 import sympy as sp
 
-from .fields import DIM, MetricField, fd_partials, require_positive_definite
-
-# derivative multi-indices of a gradient and of the upper Hessian triangle
-_GRAD = [(i,) for i in range(DIM)]
-_HESS = [(i, j) for i in range(DIM) for j in range(i, DIM)]
+from .fields import DIM, MetricField, fd_jet, require_positive_definite
 
 
 def _like(x, values):
@@ -52,15 +49,6 @@ def _bracket(dg):
 def _christoffel(ginv, brack):
     """Gamma^a_{bc} = (1/2) g^{ad} brack_dbc."""
     return 0.5 * np.einsum("nad,ndbc->nabc", ginv, brack)
-
-
-def _grad_hess(partials):
-    """(gradient, symmetric Hessian) from the ``_GRAD + _HESS`` partials."""
-    grad = np.stack(partials[:DIM], axis=-1)
-    hess = np.empty(grad.shape + (DIM,))
-    for (i, j), v in zip(_HESS, partials[DIM:]):
-        hess[:, i, j] = hess[:, j, i] = v
-    return grad, hess
 
 
 def _laplacian(g, pts, grad, hess):
@@ -192,7 +180,7 @@ def _default_step(pts):
 def _fd_laplacian(g, func, pts, step):
     """Delta_g of the scalar ``func`` at ``pts``: the metric from exact jets,
     the derivatives of ``func`` by finite differences."""
-    return _laplacian(g, pts, *_grad_hess(fd_partials(func, pts, _GRAD + _HESS, step)))
+    return _laplacian(g, pts, *fd_jet(func, pts, 2, step)[1:])
 
 
 def q_curvature(g, x, step=None):
@@ -243,8 +231,8 @@ def paneitz_apply(g, u, x, step=None):
         sgp = np.sqrt(np.linalg.det(riem.g))
         return sgp[:, None] * np.einsum("nij,nj->ni", t_up, u.jet(p, 1)[1])
 
-    dv = fd_partials(v_field, pts, _GRAD, step)
-    div = sum(dv[i][:, i] for i in range(DIM)) / np.sqrt(np.linalg.det(g.jet(pts, 0)[0]))
+    dv = fd_jet(v_field, pts, 1, step)[1]
+    div = sum(dv[:, i, i] for i in range(DIM)) / np.sqrt(np.linalg.det(g.jet(pts, 0)[0]))
     return _like(x, bilap - div)
 
 

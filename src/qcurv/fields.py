@@ -7,14 +7,13 @@ field that needs it.  Every field and metric is read through
 ``jet(pts, order)``, which returns ``[value, first, second, ...]`` with
 the derivative axes last.  A ``MetricField`` is conformally flat,
 g = f delta, and is its factor f: a ``ScalarField`` whose jet to order 2
-gives the metric's.  Metrics that are not conformally flat
-are exact polynomials, ``cnc.PolynomialMetric``.  ``fd_partials`` is the
-centered finite-difference engine for the outer derivatives the curvature
-module applies to computed quantities.
+gives the metric's.  Metrics that are not conformally flat are exact
+polynomials, ``cnc.PolynomialMetric``.  ``fd_jet`` is the centered
+finite-difference jet of the quantities the curvature module computes.
 
-sympy is imported on first use: the box, the errors and ``fd_partials``
-need none of it, so a process that uses only those never loads it.
-``COORDS``, the chart's sympy symbols, is built on first access.
+sympy is imported on first use: the box, the errors, ``ConstantField``
+and ``fd_jet`` need none of it, so a process that uses only those never
+loads it.  ``COORDS``, the chart's sympy symbols, is built on first access.
 """
 
 from __future__ import annotations
@@ -134,18 +133,33 @@ def _stages(index):
     return stages
 
 
-def fd_partials(func, pts, indices, step):
-    """Centered finite differences of ``func`` for several multi-indices.
+def _symmetric_jet(order, partial):
+    """``[value, first, ...]`` up to ``order``, derivative axes last, from
+    ``partial(index)`` called once per sorted multi-index."""
+    jets = []
+    for k in range(order + 1):
+        part = {i: partial(i) for i in itertools.combinations_with_replacement(range(DIM), k)}
+        arr = np.stack([part[tuple(sorted(i))] for i in np.ndindex((DIM,) * k)], axis=-1)
+        jets.append(arr.reshape(arr.shape[:-1] + (DIM,) * k))
+    return jets
+
+
+def fd_jet(func, pts, order, step):
+    """Centered finite-difference jet of ``func`` up to ``order``.
 
     ``func`` maps points (m, 4) to values (m, ...); ``pts`` is (n, 4) and
     ``step`` a scalar or one step per point.  The function is evaluated
     once on the union of all stencil points, in blocks of ``FD_BLOCK``,
-    and each index is contracted one stage at a time from the innermost
-    out, with left-to-right sums over the five offsets.  Returns one array
-    (n, ...) per index.
+    and each sorted multi-index is contracted one stage at a time from the
+    innermost out, with left-to-right sums over the five offsets.  Returns
+    ``[value, first, ...]``, the k derivative axes of ``jet[k]`` last.
     """
     pts = np.atleast_2d(np.asarray(pts, float))
     step = np.asarray(step, float)
+    indices = [
+        index for k in range(order + 1)
+        for index in itertools.combinations_with_replacement(range(DIM), k)
+    ]
     plans = [_stages(index) for index in indices]
     leaves, where, slots = [], {}, []
     for stages in plans:
@@ -176,7 +190,7 @@ def fd_partials(func, pts, indices, step):
                 acc = acc + c * v[(slice(None),) * depth + (k,)]
             v = acc / h**power
         out.append(v)
-    return out
+    return _symmetric_jet(order, dict(zip(indices, out)).__getitem__)
 
 
 @functools.lru_cache(maxsize=None)
@@ -234,15 +248,18 @@ class ScalarField:
         if order > 4:
             raise DerivativeOrderError("derivatives available up to order 4")
         pts = np.atleast_2d(np.asarray(pts, float))
-        jets = []
-        for k in range(order + 1):
-            arr = np.empty((pts.shape[0],) + (DIM,) * k)
-            for index in itertools.combinations_with_replacement(range(DIM), k):
-                value = self.partial(pts, index)
-                for perm in set(itertools.permutations(index)):
-                    arr[(slice(None),) + perm] = value
-            jets.append(arr)
-        return jets
+        return _symmetric_jet(order, lambda index: self.partial(pts, index))
+
+
+class ConstantField:
+    """The constant c, with every derivative zero; it needs no sympy."""
+
+    def __init__(self, c):
+        self.c = float(c)
+
+    def jet(self, pts, order):
+        n = len(np.atleast_2d(pts))
+        return [np.full(n, self.c)] + [np.zeros((n,) + (DIM,) * k) for k in range(1, order + 1)]
 
 
 class MetricField:

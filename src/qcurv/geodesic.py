@@ -178,8 +178,8 @@ def distance_ratio_sweep(jet, eps_list, pairs, n_nodes):
     The metric is the blow-up expansion of the jet with its quadratic term
     scaled by eps^2 (cubic by eps^3).  Returns per-pair rows, the per-eps
     worst constant, and the log-log exponent of the mean ratio gap in eps
-    (2 for a genuine second-order departure).  Each row's ``error_estimate`` is the
-    node-halving change |d(n) - d(max(n // 2, 8))| of its distance, and
+    (2 for a genuine second-order departure).  Each row's ``error_estimate`` is
+    |d(n) - d(m)| on m = max(n // 2, 8) nodes (half from 16 up, 8 below), and
     ``newton_iters`` and ``grad_norm`` report the solve at n nodes.
     """
     eps_list = [float(e) for e in eps_list]

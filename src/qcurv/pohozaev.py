@@ -31,11 +31,12 @@ M_ij = R_ij,l(0) xi^l with grad u once per node.
 One call balances a sweep of metrics on one ball in one pass over it.
 What does not depend on the metric is computed once per ball and shared
 by the whole sweep: u's jet (order 3 on the boundary; order 2 in the
-interior, or 1 when every metric is flat), h, b, e^{4u}, I0 and the b
-part of I2.  The interior is integrated in blocks of ``cnc.JET_BLOCK``
-nodes.  Each block evaluates the interior polynomials of every curved
-metric from one stacked table and contracts them with u's jet into each
-metric's partial sums of I2's metric part and I4.  What stays per metric
+interior, or 1 when every metric is flat), h's (order 1 in the
+interior), b, e^{4u}, I0 and the b part of I2.  The interior is
+integrated in blocks of ``cnc.JET_BLOCK`` nodes.  Each block evaluates
+the interior polynomials of every curved metric from one stacked table
+and contracts them with u's jet into each metric's partial sums of I2's
+metric part and I4.  What stays per metric
 is the boundary's order-2 jet of g^{ij}, its flux I1 and I3.  Block sums
 are added in block order, so the output depends on the inputs alone.
 
@@ -161,14 +162,10 @@ class PohozaevReport:
 def pohozaev_balance(u, h, b, ball: BallDomain, metric_taylors=(None,)):
     """Term-by-term Pohozaev reports, one per entry of ``metric_taylors``.
 
-    ``u`` is read through ``jet(pts, order)``, which returns
-    ``[val, grad, hess, third]`` up to ``order``, such as
-    RadialProfileField's.  ``h`` and ``b`` are plain callables over points
-    (m, 4) -> values, not jets: the suites pass constants, and a torus
-    field's jet on every block costs tens of times what a constant
-    callable does.  The xi.grad(h) term
-    of I0 reads ``h.gradient(pts)`` (m, 4) when ``h`` has one, and is zero
-    otherwise.  An entry None is the flat metric; I3 and I4 of any
+    ``u``, ``h`` and ``b`` are read through ``jet(pts, order)``, which
+    returns ``[val, grad, hess, third]`` up to ``order``, such as
+    RadialProfileField's; h's gradient gives I0's xi.grad(h) term.  An
+    entry None is the flat metric; I3 and I4 of any
     other entry read the Ricci derivatives of its curvature jet
     ``metric_taylor.jet``.  Each ``error_estimate`` is the change of its
     residual on a ball of half the nodes per axis (at least 8).
@@ -210,7 +207,7 @@ def _boundary_terms(u, h, ball, metric_taylors, invs, ric):
     uv, gu, hu, tu = u.jet(xi, 3)
     xdotnu = np.einsum("ni,ni->n", xi, nu)
     xdotgu = np.einsum("ni,ni->n", xi, gu)
-    shared = 0.5 * np.asarray(h(xi), float) * np.exp(4.0 * uv) * xdotnu
+    shared = 0.5 * h.jet(xi, 0)[0] * np.exp(4.0 * uv) * xdotnu
     gu_hxi = gu + np.einsum("nim,nm->ni", hu, xi)
     invs = iter(invs)
     I1 = []
@@ -244,11 +241,10 @@ def _interior_sums(u, h, b, ball, table, ric):
         xi, w = ball.int_pts[s : s + JET_BLOCK], ball.int_w[s : s + JET_BLOCK]
         jet = u.jet(xi, 2 if k else 1)
         gu = jet[1]
-        f0 = 2.0 * np.asarray(h(xi), float)
-        if hasattr(h, "gradient"):
-            f0 = f0 + 0.5 * np.einsum("ni,ni->n", xi, h.gradient(xi))
+        hv, gh = h.jet(xi, 1)
+        f0 = 2.0 * hv + 0.5 * np.einsum("ni,ni->n", xi, gh)
         xgu = np.einsum("ni,ni->n", xi, gu)
-        row = [w @ (f0 * np.exp(4.0 * jet[0])), w @ (np.asarray(b(xi), float) * xgu)]
+        row = [w @ (f0 * np.exp(4.0 * jet[0])), w @ (b.jet(xi, 0)[0] * xgu)]
         if k:
             hu = jet[2]
             hu_flat = hu.reshape(-1, 16)

@@ -130,7 +130,9 @@ def test_mainest_constant_ratio_matches_the_recorded_references():
         assert abs(c["value"] - ref) <= entry["rtol"] * abs(ref), seed
 
 
-@pytest.mark.parametrize("raw", ["", "0.1", "0.1,-0.05", "0.1,0", "0.01,0.1", "0.1,0.1", "0.1,x"])
+@pytest.mark.parametrize(
+    "raw", ["", "0.1", "0.1,-0.05", "0.1,0", "0.01,0.1", "0.1,0.1", "0.1,x", "inf,0.1", "nan,0.1"]
+)
 def test_parse_eps_list_rejects_bad_lists(raw):
     with pytest.raises(cli.ConfigError):
         cli.parse_eps_list(raw)
@@ -149,6 +151,34 @@ def test_short_eps_lists_are_usage_errors(tmp_path, capsys, suite, eps_list, mes
     assert run_cli([suite, "--config", str(cfg), "--out", str(tmp_path / "o"), "--quiet"]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_eps_beyond_the_exact_bound_is_a_failed_check(tmp_path, capsys):
+    # 1e300 scales the jet by an integer beyond int64
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text("[pohozaev]\nn_r = 8\nn_u = 8\nn_phi = 8\nn_third = 1\neps_list = 1e300,0.1\n")
+    out = tmp_path / "o"
+    assert run_cli(["pohozaev", "--config", str(cfg), "--out", str(out), "--quiet"]) == 1
+    (check,) = json.loads((out / "pohozaev.json").read_text())["checks"]
+    assert check["name"] == "OverflowError" and not check["pass"]
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("suite", ["bubble-check", "kernel-check"])
+def test_too_few_points_in_the_ball_is_a_config_error(tmp_path, capsys, suite):
+    # bubble-check draws n // 16 points per strength; both keep only the
+    # draws inside |y| <= 50, about 31 % of them, and a max over none fails
+    cfg = tmp_path / "cfg.ini"
+    for n in (1, 3, 15):
+        cfg.write_text(f"[{suite}]\nn_points = {n}\n")
+        for seed in range(3):
+            argv = [suite, "--config", str(cfg), "--out", str(tmp_path / "o"), "--seed", str(seed)]
+            code = run_cli(argv + ["--quiet"])
+            err = capsys.readouterr().err
+            assert code in (0, 1) or (code == 2 and f"{suite}.n_points = {n}" in err), err
+            assert "zero-size" not in err
+            if suite == "bubble-check":
+                assert code == 2
 
 
 def test_alpha_sweep_zero_gap_fails_the_tail_check(monkeypatch):

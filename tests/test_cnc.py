@@ -37,6 +37,7 @@ from qcurv.cnc import (
 from qcurv.fields import (
     Box,
     COORDS,
+    ConstantField,
     DegenerateMetricError,
     DerivativeOrderError,
     ScalarField,
@@ -445,6 +446,10 @@ def test_products_and_rescalings_beyond_int64_raise():
         scale_jet(jet, Fraction(2**56, 3))
     with pytest.raises(OverflowError):
         ExactArray([2**64])
+    # an integer factor beyond int64 raises even on the zero array
+    for factor in (2**63, 10**300):
+        with pytest.raises(OverflowError):
+            ExactArray(np.zeros(35, dtype=np.int64)) * factor
     # within the bound the product is exact
     fits = ExactArray(np.full(35, 2**20))
     want = _ref_truncate(_ref_mul(_to_dict(fits), _to_dict(fits)), 3)
@@ -726,7 +731,6 @@ def test_blowup_geodesic_and_curved_pohozaev_do_not_call_sympy(monkeypatch):
     assert d != np.linalg.norm(y - z)
     ball = BallDomain(1.0, n_r=8, n_u=8, n_phi=8)
     u = RadialProfileField(RescaledBubble(1.0), tilt=[0.3, -0.2, 0.1, 0.25])
-    h = lambda pts: np.ones(len(pts))
-    b = lambda pts: np.zeros(len(pts))
+    h, b = ConstantField(1.0), ConstantField(0.0)
     (rep,) = pohozaev_balance(u, h, b, ball, [metric_taylor_from_jet(jet)])
     assert rep.I2 != 0.0

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 import sympy as sp
@@ -11,7 +13,7 @@ from qcurv.fields import (
     DerivativeOrderError,
     MetricField,
     ScalarField,
-    fd_partials,
+    fd_jet,
     require_positive_definite,
 )
 
@@ -46,18 +48,23 @@ def test_fd_matches_analytic_derivatives():
         return np.exp(p[:, 0]) * np.cos(p[:, 1]) + p[:, 3] ** 3
 
     pts = np.array([[0.2, 0.4, -0.1, 0.3]])
-    indices = [(0,), (1, 1), (0, 1), (3, 3, 3)]
-    for index, fd in zip(indices, fd_partials(func, pts, indices, 0.05)):
-        assert abs(fa.partial(pts, index)[0] - fd[0]) < 1e-5
+    jet = fd_jet(func, pts, 3, 0.05)
+    for index in [(0,), (1, 1), (0, 1), (3, 3, 3)]:
+        assert abs(fa.partial(pts, index)[0] - jet[len(index)][(0,) + index]) < 1e-5
 
 
-def test_mixed_partials_symmetric():
+def test_fd_jet_is_symmetric_in_its_derivative_axes():
     def func(p):
-        return np.sin(p[:, 0] * p[:, 1]) + p[:, 2] * p[:, 3] ** 2
+        x, y, z, w = p.T
+        return np.stack([np.sin(x * y) + z * w**2, np.exp(0.3 * x - w) * np.cos(y + z)], axis=-1)
 
-    pts = np.array([[0.3, 0.5, -0.2, 0.4]])
-    d01, d10 = fd_partials(func, pts, [(0, 1), (1, 0)], 0.02)
-    assert abs(d01[0] - d10[0]) < 1e-10
+    pts = np.array([[0.3, 0.5, -0.2, 0.4], [-0.7, 0.1, 0.6, -0.3]])
+    jet = fd_jet(func, pts, 3, 0.02)
+    assert [j.shape for j in jet] == [(2, 2) + (4,) * k for k in range(4)]
+    np.testing.assert_array_equal(jet[0], func(pts))
+    for k, arr in enumerate(jet):
+        for perm in itertools.permutations(range(2, 2 + k)):
+            assert np.array_equal(arr, arr.transpose((0, 1) + perm))
 
 
 def test_derivative_order_capped():
@@ -98,7 +105,7 @@ def test_fd_partial_polynomial_exact_to_stencil_order():
         return p[:, 0] ** 4 + p[:, 1] ** 2 * p[:, 2]
 
     # the 5-point order-4 stencil differentiates quartics exactly
-    val = fd_partials(func, np.array([[1.0, 2.0, 3.0, 0.0]]), [(0, 0)], 0.1)[0][0]
+    val = fd_jet(func, np.array([[1.0, 2.0, 3.0, 0.0]]), 2, 0.1)[2][0, 0, 0]
     assert abs(val - 12.0) < 1e-9
 
 
@@ -186,13 +193,18 @@ def test_stencil_engine_exact_on_polynomial_with_one_evaluation():
         return poly(p)
 
     pts = np.array([[0.5, -1.0, 0.3, 2.0], [1.2, 0.7, -0.4, 0.0]])
-    d01, d001 = fd_partials(func, pts, [(0, 1), (0, 0, 1)], 0.1)
+    jet = fd_jet(func, pts, 3, 0.1)
+    d01, d001 = jet[2][:, 0, 1], jet[3][:, 0, 0, 1]
     x, y, z, w = pts.T
     # the 5-point stencils are exact up to degree 4 (first) and 5 (second)
     np.testing.assert_allclose(d01, 12 * x**3 * y**2 + 4 * x * w, rtol=0, atol=1e-10)
     np.testing.assert_allclose(d001, 36 * x**2 * y**2 + 4 * w, rtol=0, atol=1e-9)
-    # both indices share one 5 x 5 stencil, evaluated once for both points
-    assert seen == [25 * len(pts)]
+    # every index shares one evaluation on the union of its stencil points:
+    # to order 2 the center, 4 per axis off it and 16 off the axes in each
+    # of the 6 coordinate planes
+    assert len(seen) == 1
+    fd_jet(func, pts, 2, 0.1)
+    assert seen[1:] == [(1 + 16 + 96) * len(pts)]
     # a point alone gets the same value as in the batch
     for p, want in zip(pts, d001):
-        assert fd_partials(poly, p[None, :], [(0, 0, 1)], 0.1)[0][0] == want
+        assert fd_jet(poly, p[None, :], 3, 0.1)[3][0, 0, 0, 1] == want
