@@ -51,11 +51,16 @@ def _christoffel(ginv, brack):
     return 0.5 * np.einsum("nad,ndbc->nabc", ginv, brack)
 
 
-def _laplacian(g, pts, grad, hess):
-    """g^{ij}(d_ij f - Gamma^k_ij d_k f) from the derivatives of f at ``pts``."""
+def _laplacian(g, pts, jet):
+    """g^{ij}(d_ij f - Gamma^k_ij d_k f) at ``pts`` from ``jet(indices)``, f's
+    order-2 jet there, exact in the partials listed: those of order <= 1 and
+    each pair (i, j) with g^{ij} or g^{ji} nonzero at some point."""
     g0, dg = g.jet(pts, 1)
     ginv = np.linalg.inv(g0)
     gam = _christoffel(ginv, _bracket(dg))
+    seen = (ginv != 0).any(axis=0)
+    pairs = np.argwhere(np.triu(seen | seen.T)).tolist()
+    _, grad, hess = jet([(), *((i,) for i in range(DIM)), *map(tuple, pairs)])
     return np.einsum("nij,nij->n", ginv, hess) - np.einsum(
         "nij,nkij,nk->n", ginv, gam, grad
     )
@@ -167,8 +172,7 @@ def laplace_beltrami(g, u, x):
     """Delta_g u(x) = g^{ij}(d_ij u - Gamma^k_ij d_k u) at one point or (n, 4)."""
     pts = np.atleast_2d(np.asarray(x, float))
     g.domain.require_interior(pts)
-    _, grad, hess = u.jet(pts, 2)
-    return _like(x, _laplacian(g, pts, grad, hess))
+    return _like(x, _laplacian(g, pts, lambda reach: u.jet(pts, 2)))
 
 
 def _default_step(pts):
@@ -179,8 +183,10 @@ def _default_step(pts):
 
 def _fd_laplacian(g, func, pts, step):
     """Delta_g of the scalar ``func`` at ``pts``: the metric from exact jets,
-    the derivatives of ``func`` by finite differences."""
-    return _laplacian(g, pts, *fd_jet(func, pts, 2, step)[1:])
+    the derivatives of ``func`` by finite differences of only the partials
+    g^{ij} reaches: 17 stencil points per point (the centre and four on each
+    axis) on a ``MetricField``, 16 more per coupled pair (i, j), 113 at most."""
+    return _laplacian(g, pts, lambda reach: fd_jet(func, pts, 2, step, reach))
 
 
 def q_curvature(g, x, step=None):
@@ -188,7 +194,8 @@ def q_curvature(g, x, step=None):
 
     R and Ric come from exact metric jets; Delta_g R uses order-4 centered
     differences over exact scalar-curvature evaluations, with the default
-    step max(1e-2, 1e-2 |x|) at each point.
+    step max(1e-2, 1e-2 |x|) at each point, on the partials g^{ij} reaches
+    (``_fd_laplacian``): 17 kernel calls per point on a ``MetricField``, not 113.
     """
     pts = np.atleast_2d(np.asarray(x, float))
     g.domain.require_interior(pts)
@@ -210,7 +217,8 @@ def paneitz_apply(g, u, x, step=None):
     P = Delta^2 - 2 Delta).  Flat metrics take an exact path.  Curved metrics
     evaluate inner quantities from exact jets and apply the outer
     derivatives with order-4 centered differences, with the default step
-    max(1e-2, 1e-2 |x|) at each point.
+    max(1e-2, 1e-2 |x|) at each point; Delta_g (Delta_g u) differentiates the
+    partials g^{ij} reaches, 17 points per point on a ``MetricField``, not 113.
     """
     pts = np.atleast_2d(np.asarray(x, float))
     g.domain.require_interior(pts)

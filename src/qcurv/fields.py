@@ -144,33 +144,39 @@ def _symmetric_jet(order, partial):
     return jets
 
 
-def fd_jet(func, pts, order, step):
+def fd_jet(func, pts, order, step, indices=None):
     """Centered finite-difference jet of ``func`` up to ``order``.
 
     ``func`` maps points (m, 4) to values (m, ...); ``pts`` is (n, 4) and
-    ``step`` a scalar or one step per point.  The function is evaluated
-    once on the union of all stencil points, in blocks of ``FD_BLOCK``,
-    and each sorted multi-index is contracted one stage at a time from the
-    innermost out, with left-to-right sums over the five offsets.  Returns
-    ``[value, first, ...]``, the k derivative axes of ``jet[k]`` last.
+    ``step`` a scalar or one step per point.  Only the sorted multi-indices
+    in ``indices`` (by default all up to ``order``) are differentiated; any
+    other partial comes back as an exact 0.0.  The function is evaluated
+    once on the union of their stencil points, one per integer offset, in
+    blocks of ``FD_BLOCK``, and each is contracted one stage at a time from
+    the innermost out, with left-to-right sums over the five offsets.
+    Returns ``[value, first, ...]``, the k derivative axes of ``jet[k]`` last.
     """
     pts = np.atleast_2d(np.asarray(pts, float))
     step = np.asarray(step, float)
-    indices = [
+    todo = [
         index for k in range(order + 1)
         for index in itertools.combinations_with_replacement(range(DIM), k)
+        if indices is None or index in indices
     ]
-    plans = [_stages(index) for index in indices]
+    plans = [_stages(index) for index in todo]
     leaves, where, slots = [], {}, []
     for stages in plans:
         ids = []
         for ks in itertools.product(_OFFSETS, repeat=len(stages)):
-            y = pts.copy()
+            shift = [0] * DIM
             for (ax, _, _), k in zip(stages, ks):
-                y[:, ax] += k * step
-            key = y.tobytes()
+                shift[ax] += k
+            key = tuple(shift)
             if key not in where:
                 where[key] = len(leaves)
+                y = pts.copy()
+                for ax in np.flatnonzero(shift):
+                    y[:, ax] += shift[ax] * step
                 leaves.append(y)
             ids.append(where[key])
         slots.append(ids)
@@ -180,8 +186,8 @@ def fd_jet(func, pts, order, step):
     )
     vals = vals.reshape((len(leaves), len(pts)) + vals.shape[1:])
     h = step.reshape(step.shape + (1,) * (vals.ndim - 2))
-    out = []
-    for stages, ids in zip(plans, slots):
+    out = {}
+    for index, stages, ids in zip(todo, plans, slots):
         v = vals[ids].reshape((len(_OFFSETS),) * len(stages) + vals.shape[1:])
         for depth in reversed(range(len(stages))):
             _, coef, power = stages[depth]
@@ -189,8 +195,9 @@ def fd_jet(func, pts, order, step):
             for k, c in enumerate(coef):
                 acc = acc + c * v[(slice(None),) * depth + (k,)]
             v = acc / h**power
-        out.append(v)
-    return _symmetric_jet(order, dict(zip(indices, out)).__getitem__)
+        out[index] = v
+    zero = np.zeros(vals.shape[1:])
+    return _symmetric_jet(order, lambda index: out.get(index, zero))
 
 
 @functools.lru_cache(maxsize=None)

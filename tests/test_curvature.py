@@ -350,6 +350,16 @@ def _sampled_metric():
     return _exact_metric(m, 10.0)
 
 
+def _coupled_metric():
+    """A quadratic metric coupling every pair of axes: g^{-1} has every
+    off-diagonal entry nonzero away from the origin."""
+    m = sp.eye(4) * (1 + R2 / 10)
+    for a in range(4):
+        for b in range(a + 1, 4):
+            m[a, b] = m[b, a] = COORDS[a] * COORDS[b] / 20
+    return _exact_metric(m, 10.0)
+
+
 # |x| > 1 at the last two points, so each has its own default Q step
 _BATCH = np.array(
     [[0.3, -0.2, 0.1, 0.0], [1.5, -0.7, 0.2, 1.1], [3.0, 1.0, -2.0, 0.5]]
@@ -359,7 +369,7 @@ _BATCH = np.array(
 def _closed_form_q(g):
     """Q_g = (1/2) e^{-4w} Delta^2 w for g = e^{2w} delta, w = (1/2) log f,
     from P_g u + 2 Q_g = 2 Q_gt e^{4u} with the flat g = delta."""
-    w = sp.log(g.factor.expr) / 2
+    w = sp.expand_log(sp.log(g.factor.expr), force=True) / 2
     bilap = sum(sp.diff(w, a, a, b, b) for a in COORDS for b in COORDS)
     q = sp.lambdify(COORDS, sp.exp(-4 * w) * bilap / 2, modules="numpy")
     return lambda pts: np.broadcast_to(q(*pts.T), len(pts))
@@ -382,6 +392,52 @@ def test_q_closed_form_sees_the_laplacian_of_scalar_curvature(monkeypatch):
     for g, can_see in [(sphere_metric(), False), (_perturbed_sphere(), True)]:
         gap = np.max(np.abs(q_curvature(g, _Q_POINTS) - _closed_form_q(g)(_Q_POINTS)))
         assert (gap > 1e-8) == can_see
+
+
+@pytest.mark.parametrize(
+    "metric, per_point", [(sphere_metric, 17), (_sampled_metric, 33), (_coupled_metric, 113)]
+)
+def test_fd_laplacian_evaluates_only_the_partials_g_inverse_reaches(
+    monkeypatch, metric, per_point
+):
+    # the centre and four points on each axis, and 16 mixed points for each
+    # pair (i, j) with g^{ij} nonzero: none on the sphere, (0, 1) alone on
+    # the sampled metric, all six on the coupled one
+    g = metric()
+    f = ScalarField.from_expr(x0**2 * x1**2 + x2 * x3, g.domain)
+    n = len(_Q_POINTS)
+    sizes = []
+    for name in ("riemann_of_metric", "laplace_beltrami"):
+        real = getattr(curvature, name)
+        monkeypatch.setattr(
+            curvature, name, lambda g, *a, real=real: sizes.append(len(a[-1])) or real(g, *a)
+        )
+    q = q_curvature(g, _Q_POINTS)
+    assert sizes == [n, per_point * n]
+    sizes.clear()
+    pan = paneitz_apply(g, f, _Q_POINTS)
+    assert sizes[0] == per_point * n  # Delta_g of Delta_g f
+    # a Laplacian from the full order-2 jet meets the same exact zeros of
+    # g^{-1}, so it gives the same bits
+    def full_laplacian(g, func, pts, step):
+        return curvature._laplacian(g, pts, lambda reach: fd_jet(func, pts, 2, step))
+
+    monkeypatch.setattr(curvature, "_fd_laplacian", full_laplacian)
+    assert np.array_equal(q_curvature(g, _Q_POINTS), q)
+    assert np.array_equal(paneitz_apply(g, f, _Q_POINTS), pan)
+
+
+def test_fd_laplacian_needs_every_reached_pair(monkeypatch):
+    g = _sampled_metric()
+    q = q_curvature(g, _Q_POINTS)
+    monkeypatch.setattr(
+        curvature,
+        "fd_jet",
+        lambda func, pts, order, step, indices: fd_jet(
+            func, pts, order, step, [i for i in indices if i != (0, 1)]
+        ),
+    )
+    assert np.max(np.abs(q_curvature(g, _Q_POINTS) - q)) > 1e-8
 
 
 @pytest.mark.parametrize("metric", [_perturbed_sphere, _sampled_metric])

@@ -199,12 +199,20 @@ def test_stencil_engine_exact_on_polynomial_with_one_evaluation():
     # the 5-point stencils are exact up to degree 4 (first) and 5 (second)
     np.testing.assert_allclose(d01, 12 * x**3 * y**2 + 4 * x * w, rtol=0, atol=1e-10)
     np.testing.assert_allclose(d001, 36 * x**2 * y**2 + 4 * w, rtol=0, atol=1e-9)
-    # every index shares one evaluation on the union of its stencil points:
-    # to order 2 the center, 4 per axis off it and 16 off the axes in each
-    # of the 6 coordinate planes
-    assert len(seen) == 1
-    fd_jet(func, pts, 2, 0.1)
+    # every index shares one evaluation on the union of its stencil points,
+    # one point per integer offset: to order 2 the center, 4 per axis off
+    # it and 16 off the axes in each of the 6 coordinate planes
+    assert seen == [385 * len(pts)]
+    low = fd_jet(func, pts, 2, 0.1)
     assert seen[1:] == [(1 + 16 + 96) * len(pts)]
+    # a partial left out of ``indices`` is an exact zero and costs no point;
+    # the ones kept carry the same bits
+    star = fd_jet(func, pts, 2, 0.1, [(), (0,), (1,), (2,), (3,), (0, 0), (1, 1), (2, 2), (3, 3)])
+    assert seen[2:] == [17 * len(pts)]
+    assert np.array_equal(star[1], low[1])
+    diag = np.eye(4, dtype=bool)
+    assert np.array_equal(star[2][:, diag], low[2][:, diag])
+    assert np.all(star[2][:, ~diag] == 0.0) and np.all(low[2][:, ~diag] != 0.0)
     # a point alone gets the same value as in the batch
     for p, want in zip(pts, d001):
         assert fd_jet(poly, p[None, :], 3, 0.1)[3][0, 0, 0, 1] == want
