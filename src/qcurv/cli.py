@@ -131,14 +131,13 @@ def _band(name, value, center, width):
 def run_bubble_check(p, seed):
     from .bubble import BubbleParams, RescaledBubble, bubble_pde_residual, rescaling_identity_gap
 
+    n = int(p["n_points"])
+    if n < 16:
+        raise ConfigError(f"bubble-check.n_points = {n} is below 16: a strength gets no point")
     rng = np.random.default_rng(seed)
     worst = 0.0
-    n = int(p["n_points"])
     for H in rng.uniform(0.5, 2.0, 16):
-        pts = rng.uniform(-50.0, 50.0, (n // 16, 4))
-        pts = pts[np.linalg.norm(pts, axis=1) <= 50.0]
-        if not len(pts):
-            raise ConfigError(f"bubble-check.n_points = {n} gives a strength no point in |y| <= 50")
+        pts = _ball_points(rng, n // 16)
         worst = max(worst, float(np.max(np.abs(bubble_pde_residual(RescaledBubble(H), pts)))))
     gap = 0.0
     for _ in range(20):
@@ -159,16 +158,20 @@ def run_bubble_check(p, seed):
 def run_kernel_check(p, seed):
     from .bubble import KernelElement, linearized_residual
 
-    rng = np.random.default_rng(seed)
-    pts = rng.uniform(-50.0, 50.0, (int(p["n_points"]), 4))
-    pts = pts[np.linalg.norm(pts, axis=1) <= 50.0]
-    if not len(pts):
-        raise ConfigError(f"kernel-check.n_points = {p['n_points']} leaves no point in |y| <= 50")
+    pts = _ball_points(np.random.default_rng(seed), int(p["n_points"]))
     worst = max(
         float(np.max(np.abs(linearized_residual(KernelElement(j), pts))))
         for j in range(5)
     )
     return [_at_most("max_linearized_residual", worst, 1e-8)], None
+
+
+def _ball_points(rng, n):
+    """``n`` points uniform in the ball |y| <= 50 of R^4: a normalized
+    Gaussian direction times 50 U^{1/4}, U uniform on [0, 1)."""
+    d = rng.standard_normal((n, 4))
+    d /= np.linalg.norm(d, axis=1, keepdims=True)
+    return d * (50.0 * rng.uniform(0.0, 1.0, (n, 1)) ** 0.25)
 
 
 def run_mass(p, seed):

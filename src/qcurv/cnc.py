@@ -614,28 +614,6 @@ def cnc_identity_suite(jet: CurvatureJet):
     }
 
 
-def detone_laplacian(ginv_jet, gu, hu, tu=None):
-    """Laplacian in the det-one gauge: d_a g^{ab} d_b u + g^{ab} d_ab u.
-
-    ``ginv_jet`` is the jet of g^{ab} at n points as ``poly_jet`` returns
-    it, of order 1, or 2 when the third derivatives ``tu`` (n, 4, 4, 4) are
-    given; ``gu`` (n, 4) and ``hu`` (n, 4, 4) are the gradient and Hessian
-    of u.  Returns the Laplacian (n,), and with ``tu`` also its gradient
-    (n, 4).
-    """
-    ginv, dginv = ginv_jet[:2]
-    lap = np.einsum("njij,ni->n", dginv, gu) + np.einsum("nij,nij->n", ginv, hu)
-    if tu is None:
-        return lap
-    glap = (
-        np.einsum("njijm,ni->nm", ginv_jet[2], gu)
-        + np.einsum("njij,nim->nm", dginv, hu)
-        + np.einsum("nijm,nij->nm", dginv, hu)
-        + np.einsum("nij,nijm->nm", ginv, tu)
-    )
-    return lap, glap
-
-
 # ---------------------------------------------------------------------------
 # blow-up metric
 

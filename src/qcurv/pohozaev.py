@@ -24,21 +24,21 @@ xi^m d_m g^{ij} = (E g^{-1})^{ij}, and
   I2 metric part = int_O lap u ((A + E A).grad u + (E g^{-1}) : hess u).
 
 The interior nodes evaluate the values of the 40 exact polynomials A,
-g^{ij}, A + E A and E g^{-1}; only the boundary nodes, whose flux needs
-d_i(lap u), evaluate the order-2 jet of g^{ij}.  I3 and I4 contract
-M_ij = R_ij,l(0) xi^l with grad u once per node.
+g^{ij}, A + E A and E g^{-1}; the boundary nodes, whose flux needs
+d_m(lap u), evaluate the first 20, [A | g^{ij}], to order 1.  I3 and I4
+contract M_ij = R_ij,l(0) xi^l with grad u once per node.
 
 One call balances a sweep of metrics on one ball in one pass over it.
 What does not depend on the metric is computed once per ball and shared
 by the whole sweep: u's jet (order 3 on the boundary; order 2 in the
 interior, or 1 when every metric is flat), h's (order 1 in the
-interior), b, e^{4u}, I0 and the b part of I2.  The interior is
-integrated in blocks of ``cnc.JET_BLOCK`` nodes.  Each block evaluates
-the interior polynomials of every curved metric from one stacked table
-and contracts them with u's jet into each metric's partial sums of I2's
-metric part and I4.  What stays per metric
-is the boundary's order-2 jet of g^{ij}, its flux I1 and I3.  Block sums
-are added in block order, so the output depends on the inputs alone.
+interior), b, e^{4u}, I0 and the b part of I2.  Each table is stacked
+over the curved metrics and built once per call (none without one).
+The boundary evaluates its table once per ball, and the interior once
+per block of ``cnc.JET_BLOCK`` nodes, contracted with u's jet into each
+metric's partial sums of I2's metric part and I4.  What stays per metric
+is its flux I1 and I3.  Block sums are added in block order, so the
+output depends on the inputs alone.
 
 The curved identity leaves out the degree >= 4 tail of the metric
 expansion.  ``unmodeled_remainder`` bounds that tail's share, sized from
@@ -54,8 +54,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cnc import (
-    DEGREE, JET_BLOCK, _apply_jet_table, _jet_table, concatenate, detone_laplacian,
-    inverse_metric_taylor, poly_diff, poly_jet, ricci_of,
+    DEGREE, JET_BLOCK, _apply_jet_table, _jet_table, concatenate, inverse_metric_taylor,
+    poly_diff, ricci_of,
 )
 from .quadrature import ball_rule, sphere_rule, BALL4_VOL, S3_AREA
 
@@ -171,18 +171,11 @@ def pohozaev_balance(u, h, b, ball: BallDomain, metric_taylors=(None,)):
     residual on a ball of half the nodes per axis (at least 8).
     """
     curved = [mt for mt in metric_taylors if mt is not None]
-    invs = [inverse_metric_taylor(mt).comps for mt in curved]
-    # the interior polynomials and the Ricci derivatives of every curved metric
-    table = np.hstack([np.empty((len(DEGREE), 0))] + [
-        _jet_table(_interior_polys(inv), 0)[0] for inv in invs
-    ])
-    ric = np.hstack([np.empty((4, 0))] + [
-        ricci_of(mt.jet.R1).to_float().transpose(2, 0, 1).reshape(4, 16) for mt in curved
-    ])
+    table, bdy_table, ric = _tables(curved)
     eps3 = [mt.comps[..., DEGREE == 3].abs_max() for mt in curved]
 
     def reports(dom):
-        I1, I3 = _boundary_terms(u, h, dom, metric_taylors, invs, ric)
+        I1, I3 = _boundary_terms(u, h, dom, metric_taylors, bdy_table, ric)
         I0, bxgu, tail, I2m, I4 = _interior_sums(u, h, b, dom, table, ric)
         curved_terms = iter(zip(I2m, I3, I4, eps3))
         out = []
@@ -200,24 +193,23 @@ def pohozaev_balance(u, h, b, ball: BallDomain, metric_taylors=(None,)):
     return fine
 
 
-def _boundary_terms(u, h, ball, metric_taylors, invs, ric):
+def _boundary_terms(u, h, ball, metric_taylors, table, ric):
     """I1 of each entry of ``metric_taylors`` and I3 of each curved one:
-    u's order-3 jet once, then per curved metric the order-2 jet of g^{ij}."""
+    u's order-3 jet and the boundary ``table`` of every curved metric once."""
     xi, w, nu = ball.bdy_pts, ball.bdy_w, ball.normals
-    uv, gu, hu, tu = u.jet(xi, 3)
+    uv, gu, hu, tu = jet = u.jet(xi, 3)
     xdotnu = np.einsum("ni,ni->n", xi, nu)
     xdotgu = np.einsum("ni,ni->n", xi, gu)
     shared = 0.5 * h.jet(xi, 0)[0] * np.exp(4.0 * uv) * xdotnu
     gu_hxi = gu + np.einsum("nim,nm->ni", hu, xi)
-    invs = iter(invs)
+    curved = zip(*_detone_terms(table, xi, jet)) if table.shape[1] else iter(())
     I1 = []
     for mt in metric_taylors:
         if mt is None:
             lap, glap, gnu = np.trace(hu, axis1=1, axis2=2), np.einsum("naai->ni", tu), nu
         else:
-            jet = poly_jet(next(invs), xi, 2)
-            lap, glap = detone_laplacian(jet, gu, hu, tu)
-            gnu = np.einsum("nij,nj->ni", jet[0], nu)
+            lap, glap, ginv = next(curved)
+            gnu = np.einsum("nij,nj->ni", ginv, nu)
         flux = (
             shared
             - np.einsum("ni,ni->n", glap, gnu) * xdotgu
@@ -227,6 +219,21 @@ def _boundary_terms(u, h, ball, metric_taylors, invs, ric):
         I1.append(float(w @ flux))
     I3 = 2.0 * np.einsum("nki,ni->kn", _contract_ricci(ric, xi, gu), nu) @ (w * xdotgu)
     return I1, [float(v) for v in I3]
+
+
+def _detone_terms(table, xi, jet):
+    """lap u = A.grad u + g^{ij} d_ij u of each metric in the boundary
+    ``table`` at ``xi``, its gradient d_m A.grad u + A.grad d_m u
+    + d_m g^{ij} d_ij u + g^{ij} d_ijm u, and g^{ij}, as (k, n), (k, n, 4)
+    and (k, n, 4, 4) arrays, from u's order-3 ``jet``."""
+    n, (_, gu, hu, tu) = len(xi), jet
+    vals = _apply_jet_table(table, [(table.shape[1] // 100, 100)], xi)[0]
+    vals, parts = vals[..., :20], vals[..., 20:].reshape(n, -1, 20, 4)
+    d1 = np.hstack([gu, hu.reshape(n, 16)])
+    d2 = np.concatenate([hu, tu.reshape(n, 16, 4)], axis=1)
+    lap = np.einsum("nks,ns->kn", vals, d1)
+    glap = np.einsum("nksm,ns->knm", parts, d1) + np.einsum("nks,nsm->knm", vals, d2)
+    return lap, glap, vals[..., 4:].reshape(n, -1, 4, 4).transpose(1, 0, 2, 3)
 
 
 def _interior_sums(u, h, b, ball, table, ric):
@@ -262,13 +269,22 @@ def _interior_sums(u, h, b, ball, table, ric):
     return sums[0], sums[1], sums[2] if k else 0.0, sums[3 : 3 + k], sums[3 + k :]
 
 
-def _interior_polys(inv):
-    """A, g^{ij}, A + EA and E g^{-1} as one (40, 35) exact array, where
-    A_j = d_i g^{ij} and E = xi^m d_m multiplies each degree-k part by k;
-    each half pairs with (grad u, hess u)."""
-    A = poly_diff(inv).einsum("abak->bk")
-    flat_inv = inv.reshape(16, -1)
-    return concatenate([A, flat_inv, A * (1 + DEGREE), flat_inv * DEGREE])
+def _tables(curved):
+    """The interior, boundary and Ricci tables of the metrics ``curved``,
+    each stacked over them.  Per metric the interior one holds the values
+    of A, g^{ij}, A + EA and E g^{-1}, 40 exact polynomials where
+    A_j = d_i g^{ij} and E = xi^m d_m multiplies each degree-k part by k,
+    each half pairing with (grad u, hess u); the boundary one holds the
+    first 20, [A | g^{ij}], to order 1 (100 columns); the Ricci one
+    Ric_ij,l(0) as (4, 16)."""
+    parts = [(np.empty((len(DEGREE), 0)), np.empty((len(DEGREE), 0)), np.empty((4, 0)))]
+    for mt in curved:
+        inv = inverse_metric_taylor(mt).comps
+        A, flat_inv = poly_diff(inv).einsum("abak->bk"), inv.reshape(16, -1)
+        polys = concatenate([A, flat_inv, A * (1 + DEGREE), flat_inv * DEGREE])
+        ric = ricci_of(mt.jet.R1).to_float().transpose(2, 0, 1).reshape(4, 16)
+        parts.append((_jet_table(polys, 0)[0], _jet_table(polys[:20], 1)[0], ric))
+    return [np.hstack(col) for col in zip(*parts)]
 
 
 def _contract_ricci(ric, xi, gu):

@@ -166,19 +166,41 @@ def test_eps_beyond_the_exact_bound_is_a_failed_check(tmp_path, capsys):
 
 @pytest.mark.parametrize("suite", ["bubble-check", "kernel-check"])
 def test_too_few_points_in_the_ball_is_a_config_error(tmp_path, capsys, suite):
-    # bubble-check draws n // 16 points per strength; both keep only the
-    # draws inside |y| <= 50, about 31 % of them, and a max over none fails
+    # bubble-check draws n // 16 points per strength, so n < 16 leaves a
+    # strength none; kernel-check draws exactly n points, so any n >= 1 runs
     cfg = tmp_path / "cfg.ini"
-    for n in (1, 3, 15):
+    for n in (1, 3, 15, 16):
         cfg.write_text(f"[{suite}]\nn_points = {n}\n")
         for seed in range(3):
             argv = [suite, "--config", str(cfg), "--out", str(tmp_path / "o"), "--seed", str(seed)]
             code = run_cli(argv + ["--quiet"])
             err = capsys.readouterr().err
-            assert code in (0, 1) or (code == 2 and f"{suite}.n_points = {n}" in err), err
-            assert "zero-size" not in err
-            if suite == "bubble-check":
-                assert code == 2
+            if suite == "bubble-check" and n < 16:
+                assert code == 2 and f"{suite}.n_points = {n}" in err, err
+            else:
+                assert code == 0, err
+
+
+@pytest.mark.parametrize("suite", ["bubble-check", "kernel-check"])
+def test_small_size_draws_every_point_in_the_ball_at_every_seed(monkeypatch, suite):
+    # n_points = 160, the _SMALL size: each of bubble-check's 16 strengths
+    # gets exactly 10 points and kernel-check all 160, each in |y| <= 50
+    from qcurv import bubble
+
+    name = "bubble_pde_residual" if suite == "bubble-check" else "linearized_residual"
+    real, drawn = getattr(bubble, name), []
+
+    def recording(field, pts):
+        drawn.append(pts)
+        return real(field, pts)
+
+    monkeypatch.setattr(bubble, name, recording)
+    for seed in range(100):
+        drawn.clear()
+        checks, _ = cli.RUNNERS[suite]({"n_points": 160}, seed)
+        assert all(c["pass"] for c in checks), (seed, checks)
+        assert [len(pts) for pts in drawn] == ([10] * 16 if suite == "bubble-check" else [160] * 5)
+        assert max(np.linalg.norm(pts, axis=1).max() for pts in drawn) <= 50.0
 
 
 def test_alpha_sweep_zero_gap_fails_the_tail_check(monkeypatch):

@@ -21,7 +21,6 @@ from qcurv.cnc import (
     d_inverse_metric,
     d_inverse_metric_display,
     DEGREE,
-    detone_laplacian,
     inverse_metric_taylor,
     log_det_poly,
     metric_taylor_from_jet,
@@ -40,7 +39,6 @@ from qcurv.fields import (
     ConstantField,
     DegenerateMetricError,
     DerivativeOrderError,
-    ScalarField,
     _compiled,
 )
 
@@ -286,46 +284,6 @@ def test_conformal_normal_flag_validation():
             R0=CurvatureJet.constant_curvature(Fraction(1)).R0,
             conformal_normal=True,
         )
-
-
-def _detone(mt, u, x):
-    """The det-one Laplacian of the field ``u`` at the point ``x``."""
-    pt = np.atleast_2d(x)
-    ginv_jet = poly_jet(inverse_metric_taylor(mt).comps, pt, 1)
-    _, grad, hess = u.jet(pt, 2)
-    return float(detone_laplacian(ginv_jet, grad, hess)[0])
-
-
-def test_detone_laplacian_at_origin_and_near_origin():
-    jet = random_conformal_normal_jet(rng=4)
-    mt = metric_taylor_from_jet(jet)
-    dom = Box.cube(2.0)
-    x0, x1, x2, x3 = COORDS
-    u = ScalarField.from_expr(x0**2 + 3 * x1 * x2 - x3**2, dom)
-    # expansions vanish at the origin: plain Euclidean Laplacian
-    assert abs(_detone(mt, u, np.zeros(4)) - 0.0) < 1e-12
-
-    u2 = ScalarField.from_expr(x0**2 + x1**2, dom)
-    assert abs(_detone(mt, u2, np.zeros(4)) - 4.0) < 1e-12
-
-
-def test_detone_laplacian_agrees_with_metric_operator_near_origin():
-    from qcurv.curvature import laplace_beltrami
-
-    jet = random_conformal_normal_jet(rng=8)
-    sj = scale_jet(jet, Fraction(1, 50))
-    mt = metric_taylor_from_jet(sj)
-    g = blowup_metric(sj, 1.0, half_width=1.0)
-    dom = g.domain
-    x0, x1, x2, x3 = COORDS
-    u = ScalarField.from_expr(sp.sin(x0) * sp.cos(x1) + x2 * x3, dom)
-    gaps = []
-    for r in (0.2, 0.1, 0.05):
-        x = np.array([r, 0.4 * r, -0.3 * r, 0.2 * r])
-        gaps.append(abs(_detone(mt, u, x) - laplace_beltrami(g, u, x)))
-    # the det-one form drops the sqrt(det) drift term, an O(r^3) effect
-    slope = np.polyfit(np.log([0.2, 0.1, 0.05]), np.log(gaps), 1)[0]
-    assert slope > 2.0
 
 
 def test_scale_jet_scales_metric_coefficients():

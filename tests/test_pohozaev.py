@@ -1,12 +1,14 @@
 from fractions import Fraction
 
 import numpy as np
+import sympy as sp
 
+import qcurv.pohozaev as pohozaev
 from qcurv.bubble import RescaledBubble
 from qcurv.cnc import (
     CurvatureJet,
     ExactArray,
-    detone_laplacian,
+    blowup_metric,
     inverse_metric_taylor,
     metric_taylor_from_jet,
     poly_jet,
@@ -14,8 +16,8 @@ from qcurv.cnc import (
     ricci_of,
     scale_jet,
 )
-from qcurv.fields import ConstantField, fd_jet
-from qcurv.pohozaev import BallDomain, RadialProfileField, pohozaev_balance
+from qcurv.fields import COORDS, Box, ConstantField, ScalarField, fd_jet
+from qcurv.pohozaev import BallDomain, RadialProfileField, _detone_terms, _tables, pohozaev_balance
 from qcurv.quadrature import gauss_legendre
 
 
@@ -213,7 +215,7 @@ def _einsum_interior_terms(u, ball, mt, jet):
     ginv, dginv, d2ginv = poly_jet(inverse_metric_taylor(mt).comps, xi, 2)
     _, gu, hu = u.jet(xi, 2)
     gub = u.jet(xb, 1)[1]
-    lap = detone_laplacian((ginv, dginv), gu, hu)
+    lap = np.einsum("njij,ni->n", dginv, gu) + np.einsum("nij,nij->n", ginv, hu)
     I2 = np.sum(
         w
         * (
@@ -234,6 +236,32 @@ def _einsum_interior_terms(u, ball, mt, jet):
     return I2, I3, I4
 
 
+def _einsum_flux(u, ball, mt):
+    """I1 (with h = 1) from the order-2 jet of g^{ij} at every boundary
+    node and the direct index contractions of the module docstring, with
+    d_m(lap u) = d_jm g^{ji} d_i u + d_j g^{ji} d_im u + d_m g^{ij} d_ij u
+    + g^{ij} d_ijm u: the reference for the boundary table."""
+    xb, wb, nu = ball.bdy_pts, ball.bdy_w, ball.normals
+    ginv, dginv, d2ginv = poly_jet(inverse_metric_taylor(mt).comps, xb, 2)
+    uv, gu, hu, tu = u.jet(xb, 3)
+    lap = np.einsum("njij,ni->n", dginv, gu) + np.einsum("nij,nij->n", ginv, hu)
+    glap = (
+        np.einsum("njijm,ni->nm", d2ginv, gu)
+        + np.einsum("njij,nim->nm", dginv, hu)
+        + np.einsum("nijm,nij->nm", dginv, hu)
+        + np.einsum("nij,nijm->nm", ginv, tu)
+    )
+    xnu = np.einsum("ni,ni->n", xb, nu)
+    flux = (
+        0.5 * np.exp(4.0 * uv) * xnu
+        - np.einsum("nij,ni,nm,nm,nj->n", ginv, glap, xb, gu, nu)
+        + np.einsum("nij,n,ni,nj->n", ginv, lap, gu, nu)
+        + np.einsum("nij,n,nm,nim,nj->n", ginv, lap, xb, hu, nu)
+        - 0.5 * lap**2 * xnu
+    )
+    return float(wb @ flux)
+
+
 def _ricci_jet():
     """R_abcd,e = K_e R_abcd of curvature 1: Ric_ij,l = 3 K_l delta_ij does
     not vanish, so I3 and I4 are far from rounding level."""
@@ -244,14 +272,57 @@ def _ricci_jet():
 
 
 def test_curved_kernel_matches_direct_contractions():
-    jet = _ricci_jet()
-    mt = metric_taylor_from_jet(jet)
     u = RadialProfileField(RescaledBubble(1.0), tilt=[0.3, -0.2, 0.1, 0.25])
     ball = BallDomain(1.0, 8, 6, 6)
-    (rep,) = pohozaev_balance(u, ONE, ZERO, ball, [mt])
-    for got, want in zip((rep.I2, rep.I3, rep.I4), _einsum_interior_terms(u, ball, mt, jet)):
-        assert abs(want) > 1e-3
-        assert abs(got - want) <= 1e-12 * abs(want)
+    # a conformal-normal jet's I3 and I4 are at rounding level: it checks I1 and I2
+    for jet, n_terms in ((_ricci_jet(), 4), (random_conformal_normal_jet(rng=3), 2)):
+        mt = metric_taylor_from_jet(jet)
+        (rep,) = pohozaev_balance(u, ONE, ZERO, ball, [mt])
+        want = (_einsum_flux(u, ball, mt),) + _einsum_interior_terms(u, ball, mt, jet)
+        got = (rep.I1, rep.I2, rep.I3, rep.I4)
+        for g, w in list(zip(got, want))[:n_terms]:
+            assert abs(w) > 1e-3
+            assert abs(g - w) <= 1e-12 * abs(w)
+
+
+def _detone(mt, u, x):
+    """The det-one Laplacian of the field ``u`` at the point ``x``, from the
+    boundary table."""
+    pt = np.atleast_2d(x)
+    lap, _, _ = _detone_terms(_tables([mt])[1], pt, u.jet(pt, 3))
+    return float(lap[0, 0])
+
+
+def test_detone_laplacian_at_origin_and_near_origin():
+    jet = random_conformal_normal_jet(rng=4)
+    mt = metric_taylor_from_jet(jet)
+    dom = Box.cube(2.0)
+    x0, x1, x2, x3 = COORDS
+    u = ScalarField.from_expr(x0**2 + 3 * x1 * x2 - x3**2, dom)
+    # expansions vanish at the origin: plain Euclidean Laplacian
+    assert abs(_detone(mt, u, np.zeros(4)) - 0.0) < 1e-12
+
+    u2 = ScalarField.from_expr(x0**2 + x1**2, dom)
+    assert abs(_detone(mt, u2, np.zeros(4)) - 4.0) < 1e-12
+
+
+def test_detone_laplacian_agrees_with_metric_operator_near_origin():
+    from qcurv.curvature import laplace_beltrami
+
+    jet = random_conformal_normal_jet(rng=8)
+    sj = scale_jet(jet, Fraction(1, 50))
+    mt = metric_taylor_from_jet(sj)
+    g = blowup_metric(sj, 1.0, half_width=1.0)
+    dom = g.domain
+    x0, x1, x2, x3 = COORDS
+    u = ScalarField.from_expr(sp.sin(x0) * sp.cos(x1) + x2 * x3, dom)
+    gaps = []
+    for r in (0.2, 0.1, 0.05):
+        x = np.array([r, 0.4 * r, -0.3 * r, 0.2 * r])
+        gaps.append(abs(_detone(mt, u, x) - laplace_beltrami(g, u, x)))
+    # the det-one form drops the sqrt(det) drift term, an O(r^3) effect
+    slope = np.polyfit(np.log([0.2, 0.1, 0.05]), np.log(gaps), 1)[0]
+    assert slope > 2.0
 
 
 def test_flat_balance_evaluates_no_interior_hessian(monkeypatch):
@@ -271,6 +342,28 @@ def test_flat_balance_evaluates_no_interior_hessian(monkeypatch):
     # and its node-halving estimate's
     assert len(radii) == 2
     assert all(np.allclose(r, ball.R, rtol=1e-14) for r in radii)
+
+
+def test_tables_are_built_once_per_call_and_never_for_a_flat_one(monkeypatch):
+    u, mts = _sweep_setup()
+    ball = BallDomain(1.0, n_r=8, n_u=8, n_phi=8)
+    calls = []
+    for name in ("_jet_table", "_apply_jet_table"):
+        real = getattr(pohozaev, name)
+
+        def recording(*args, real=real, name=name):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(pohozaev, name, recording)
+    pohozaev_balance(u, ONE, ZERO, ball)
+    assert calls == []
+    # a sweep: two tables per metric, built once; each ball evaluates the
+    # boundary table once and the interior table once per block (one block
+    # of 4,096 nodes on both balls here)
+    pohozaev_balance(u, ONE, ZERO, ball, [None] + mts)
+    assert calls.count("_jet_table") == 2 * len(mts)
+    assert calls.count("_apply_jet_table") == 4
 
 
 def _sweep_setup():
