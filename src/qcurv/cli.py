@@ -348,6 +348,8 @@ def run_cnc(p, seed):
         contracted_first_derivative_display,
         contracted_second_derivative,
         contracted_second_derivative_display,
+        d_inverse_metric,
+        d_inverse_metric_display,
         inverse_metric_taylor,
         log_det_poly,
         metric_taylor_from_jet,
@@ -365,6 +367,7 @@ def run_cnc(p, seed):
         failed = (
             product_defect(mt, inverse_metric_taylor(mt)).any()
             or poly_truncate(log_det_poly(mt), 2).any()
+            or (d_inverse_metric(mt) != d_inverse_metric_display(jet)).any()
             or (contracted_first_derivative(mt) != contracted_first_derivative_display(jet)).any()
             or (contracted_second_derivative(mt) != contracted_second_derivative_display(jet)).any()
             or not all(r["pass"] for r in cnc_identity_suite(jet).values())
@@ -474,7 +477,8 @@ def _fd_balance(h, b, q, step=1e-3):
     phi = regular_part_field(b)
     hq = float(h.jet(q[None, :], 0)[0][0])
     dh, dphi = fd_jet(
-        lambda p: np.stack([h.jet(p, 0)[0], phi.jet(p, 0)[0]], axis=-1), q, 1, step
+        lambda p: np.stack([h.jet(p, 0)[0], phi.jet(p, 0)[0]], axis=-1),
+        q, 1, step, [(i,) for i in range(4)],
     )[1][0]
     return dh / hq + 4.0 * dphi
 

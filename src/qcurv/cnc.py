@@ -287,7 +287,13 @@ def _jet_table(polys, order, eps=1.0):
 
 def _apply_jet_table(table, shapes, pts):
     """The jets a ``_jet_table`` describes at ``pts`` (n, 4): the monomial
-    values by graded products times the table, one block of points at a time."""
+    values by graded products times the table, one block of points at a time.
+
+    Returns ``[values, first, second, ...]``; derivative axes come last, so
+    ``first[n, ..., c]`` is the c-th partial of each entry.  Rows agree
+    across batch sizes to rounding, not bit for bit: within 35 ulp of the
+    sum of the magnitudes of a row's 35 terms.
+    """
     pts = np.atleast_2d(np.asarray(pts, float))
     flat = np.empty((len(pts), table.shape[1]))
     for s in range(0, len(pts), JET_BLOCK):
@@ -302,19 +308,6 @@ def _apply_jet_table(table, shapes, pts):
         out.append(flat[:, start : start + size].reshape((len(pts),) + shape))
         start += size
     return out
-
-
-def poly_jet(polys, pts, order):
-    """Values and partials up to ``order`` of exact polynomials of degree <= 3.
-
-    ``polys`` is one polynomial or an array of them; ``pts`` is (n, 4).
-    Returns ``[values, first, second, ...]``; derivative axes come last, so
-    ``first[n, ..., c]`` is the c-th partial of each entry.
-
-    Rows agree across batch sizes to rounding, not bit for bit: within 35
-    ulp of the sum of the magnitudes of a row's 35 terms.
-    """
-    return _apply_jet_table(*_jet_table(polys, order), pts)
 
 
 # ---------------------------------------------------------------------------
@@ -622,9 +615,10 @@ class PolynomialMetric:
     """Metric y -> g(eps * y) whose components g are exact polynomials of
     degree <= 3.
 
-    Values and partials up to order 2 come from ``poly_jet``'s evaluator;
-    the coefficients, times their exact powers of eps, stay exact until
-    its single float conversion.  It offers the metric interface the
+    Values and partials up to order 2 come from one ``_jet_table`` of the
+    components, applied by ``_apply_jet_table``; the coefficients, times
+    their exact powers of eps, stay exact until the table's single float
+    conversion.  It offers the metric interface the
     geodesic and curvature code read: ``domain``, ``is_flat`` and ``jet``.
     """
 

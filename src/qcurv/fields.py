@@ -9,7 +9,9 @@ the derivative axes last.  A ``MetricField`` is conformally flat,
 g = f delta, and is its factor f: a ``ScalarField`` whose jet to order 2
 gives the metric's.  Metrics that are not conformally flat are exact
 polynomials, ``cnc.PolynomialMetric``.  ``fd_jet`` is the centered
-finite-difference jet of the quantities the curvature module computes.
+finite-difference jet of the quantities the curvature module computes,
+from order-4 stencils: four taps for a first derivative (the centre has
+weight 0), five for a second.
 
 sympy is imported on first use: the box, the errors, ``ConstantField``
 and ``fd_jet`` need none of it, so a process that uses only those never
@@ -97,10 +99,10 @@ def require_positive_definite(g, pts):
         )
 
 
-# 5-point centered stencils, order-4 accurate
-_D1_COEF = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
-_D2_COEF = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
-_OFFSETS = np.array([-2, -1, 0, 1, 2])
+# 5-point centered stencils, order-4 accurate, as (offsets, coefficients);
+# the first derivative lists only its four nonzero taps
+_D1 = (np.array([-2, -1, 1, 2]), np.array([1.0, -8.0, 8.0, -1.0]) / 12.0)
+_D2 = (np.array([-2, -1, 0, 1, 2]), np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0)
 
 
 # stencil points pass through the evaluated function in blocks of this size,
@@ -116,7 +118,7 @@ def _stages(index):
     second-derivative stencil directly, so (0, 0) is one stage and not two
     nested first-derivative stencils; a higher multiplicity peels one
     first-derivative stencil off and keeps the axis in front.  Each stage
-    is ``(axis, coefficients, power of the step)``.
+    is ``(axis, offsets, coefficients, power of the step)``.
     """
     stages = []
     index = tuple(index)
@@ -125,10 +127,10 @@ def _stages(index):
         mult = index.count(ax)
         rest = tuple(a for a in index if a != ax)
         if mult == 2:
-            stages.append((ax, _D2_COEF, 2))
+            stages.append((ax, *_D2, 2))
             index = rest
         else:
-            stages.append((ax, _D1_COEF, 1))
+            stages.append((ax, *_D1, 1))
             index = (ax,) * (mult - 1) + rest
     return stages
 
@@ -151,9 +153,10 @@ def fd_jet(func, pts, order, step, indices=None):
     ``step`` a scalar or one step per point.  Only the sorted multi-indices
     in ``indices`` (by default all up to ``order``) are differentiated; any
     other partial comes back as an exact 0.0.  The function is evaluated
-    once on the union of their stencil points, one per integer offset, in
-    blocks of ``FD_BLOCK``, and each is contracted one stage at a time from
-    the innermost out, with left-to-right sums over the five offsets.
+    once on the union of their stencil points, one per integer offset with
+    a nonzero weight, in blocks of ``FD_BLOCK``, and each is contracted one
+    stage at a time from the innermost out, with left-to-right sums over
+    the stage's taps: four for a first derivative, five for a second.
     Returns ``[value, first, ...]``, the k derivative axes of ``jet[k]`` last.
     """
     pts = np.atleast_2d(np.asarray(pts, float))
@@ -167,9 +170,9 @@ def fd_jet(func, pts, order, step, indices=None):
     leaves, where, slots = [], {}, []
     for stages in plans:
         ids = []
-        for ks in itertools.product(_OFFSETS, repeat=len(stages)):
+        for ks in itertools.product(*(offsets for _, offsets, _, _ in stages)):
             shift = [0] * DIM
-            for (ax, _, _), k in zip(stages, ks):
+            for (ax, _, _, _), k in zip(stages, ks):
                 shift[ax] += k
             key = tuple(shift)
             if key not in where:
@@ -188,9 +191,10 @@ def fd_jet(func, pts, order, step, indices=None):
     h = step.reshape(step.shape + (1,) * (vals.ndim - 2))
     out = {}
     for index, stages, ids in zip(todo, plans, slots):
-        v = vals[ids].reshape((len(_OFFSETS),) * len(stages) + vals.shape[1:])
+        taps = tuple(len(offsets) for _, offsets, _, _ in stages)
+        v = vals[ids].reshape(taps + vals.shape[1:])
         for depth in reversed(range(len(stages))):
-            _, coef, power = stages[depth]
+            _, _, coef, power = stages[depth]
             acc = 0
             for k, c in enumerate(coef):
                 acc = acc + c * v[(slice(None),) * depth + (k,)]

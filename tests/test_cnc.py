@@ -9,6 +9,8 @@ import sympy as sp
 
 import qcurv.cnc as cnc
 from qcurv.cnc import (
+    _apply_jet_table,
+    _jet_table,
     CurvatureJet,
     ExactArray,
     PolynomialMetric,
@@ -25,7 +27,6 @@ from qcurv.cnc import (
     log_det_poly,
     metric_taylor_from_jet,
     poly_diff,
-    poly_jet,
     poly_mul,
     poly_truncate,
     product_defect,
@@ -61,7 +62,7 @@ def test_constant_curvature_quadratic_coefficient():
     r2 = float(x @ x)
     for a in range(4):
         for b in range(4):
-            quad = poly_jet(mt.comps[a, b] * (DEGREE == 2), x, 0)[0][0]
+            quad = _apply_jet_table(*_jet_table(mt.comps[a, b] * (DEGREE == 2), 0), x)[0][0]
             expected = float(K) / 3.0 * (x[a] * x[b] - (r2 if a == b else 0.0))
             assert abs(float(quad) - expected) < 1e-12
 
@@ -75,7 +76,8 @@ def test_inverse_flips_sign_and_product_is_exact():
         for b in range(4):
             q_fwd = mt.comps[a, b] * (DEGREE == 2)
             q_inv = inv.comps[a, b] * (DEGREE == 2)
-            assert poly_jet(q_fwd, x, 0)[0][0] == -poly_jet(q_inv, x, 0)[0][0]
+            fwd = _apply_jet_table(*_jet_table(q_fwd, 0), x)[0][0]
+            assert fwd == -_apply_jet_table(*_jet_table(q_inv, 0), x)[0][0]
     assert np.all(inv.comps[..., DEGREE == 0] == mt.comps[..., DEGREE == 0])
     assert np.all(inv.comps[..., DEGREE > 0] == -mt.comps[..., DEGREE > 0])
     assert _is_zero(product_defect(mt, inv))
@@ -110,8 +112,10 @@ def test_d_inverse_matches_display_and_fd_of_polynomial():
         xp, xm = x.copy(), x.copy()
         xp[c] += h
         xm[c] -= h
-        fd = (float(poly_jet(inv.comps[a, b], xp, 0)[0][0]) - float(poly_jet(inv.comps[a, b], xm, 0)[0][0])) / (2 * h)
-        assert abs(fd - float(poly_jet(d[a, b, c], x, 0)[0][0])) < 1e-9
+        table = _jet_table(inv.comps[a, b], 0)
+        plus, minus = (float(_apply_jet_table(*table, y)[0][0]) for y in (xp, xm))
+        fd = (plus - minus) / (2 * h)
+        assert abs(fd - float(_apply_jet_table(*_jet_table(d[a, b, c], 0), x)[0][0])) < 1e-9
 
 
 def test_contractions_match_displays():
@@ -430,13 +434,34 @@ def test_euler_operator_is_the_degree_multiplier():
             assert (euler == p * DEGREE).all()
 
 
-def test_exact_identity_failures_can_fail(monkeypatch):
-    from qcurv.cli import run_cnc
-
+def _forward_inverse(monkeypatch):
     # the forward expansion in place of the inverse: no sign flip
     monkeypatch.setattr(cnc, "inverse_metric_taylor", lambda mt: mt)
     mt = metric_taylor_from_jet(random_conformal_normal_jet(rng=7))
     assert not _is_zero(product_defect(mt, cnc.inverse_metric_taylor(mt)))
+
+
+def _flipped_display(monkeypatch):
+    # d_c g^{ab}'s display with the sign of its linear term flipped; no
+    # other identity of the suite reads it
+    display = cnc.d_inverse_metric_display
+
+    def flipped(jet):
+        disp = display(jet)
+        return disp - poly_truncate(disp, 1) * 2
+
+    monkeypatch.setattr(cnc, "d_inverse_metric_display", flipped)
+    jet = random_conformal_normal_jet(rng=7)
+    assert (d_inverse_metric(metric_taylor_from_jet(jet)) != flipped(jet)).any()
+
+
+@pytest.mark.parametrize(
+    "fault", [_forward_inverse, _flipped_display], ids=["forward_inverse", "flipped_display"]
+)
+def test_exact_identity_failures_can_fail(monkeypatch, fault):
+    from qcurv.cli import run_cnc
+
+    fault(monkeypatch)
     checks, _ = run_cnc({"n_jets": 2}, 0)
     assert [(c["name"], c["value"], c["pass"]) for c in checks] == [
         ("exact_identity_failures", 2, False)
@@ -541,7 +566,7 @@ def test_poly_jet_matches_exact_rational_evaluation():
     for _ in range(10):
         polys = _random_dense(rng, (2, 3))
         pts = rng.uniform(-2.0, 2.0, (4, 4))
-        jets = poly_jet(polys, pts, 2)
+        jets = _apply_jet_table(*_jet_table(polys, 2), pts)
         for n, x in enumerate(pts):
             xq = [Fraction(v) for v in x.tolist()]  # the float point, exactly
             for k, jet in enumerate(jets):
@@ -560,7 +585,8 @@ def test_poly_jet_matches_exact_evaluation_across_blocks():
     # at small integer points every monomial value is exact
     ints = np.array(list(itertools.product(range(-2, 3), repeat=4)), float)
     unit = ExactArray(np.eye(len(_BASIS), dtype=np.int64))
-    assert np.array_equal(poly_jet(unit, ints, 0)[0], np.prod(ints[:, None, :] ** _BASIS, axis=-1))
+    want = np.prod(ints[:, None, :] ** _BASIS, axis=-1)
+    assert np.array_equal(_apply_jet_table(*_jet_table(unit, 0), ints)[0], want)
 
     # two full blocks and three more points, with |xi^i| up to 2 in every column
     rng = np.random.default_rng(7)
@@ -569,7 +595,7 @@ def test_poly_jet_matches_exact_evaluation_across_blocks():
     polys = ExactArray(num, int(rng.integers(1, 50)))
     pts = rng.uniform(-2.0, 2.0, (2 * cnc.JET_BLOCK + 3, 4))
     pts[:8] = np.concatenate([2.0 * np.eye(4), -2.0 * np.eye(4)])
-    jets = poly_jet(polys, pts, 2)
+    jets = _apply_jet_table(*_jet_table(polys, 2), pts)
     # exactly: the points as integers over one power of two D, each degree-k
     # monomial over D^3, the partials' coefficients over polys.den
     D = max(v.as_integer_ratio()[1] for v in pts.ravel().tolist())

@@ -213,6 +213,11 @@ def test_stencil_engine_exact_on_polynomial_with_one_evaluation():
     diag = np.eye(4, dtype=bool)
     assert np.array_equal(star[2][:, diag], low[2][:, diag])
     assert np.all(star[2][:, ~diag] == 0.0) and np.all(low[2][:, ~diag] != 0.0)
+    # a first derivative has four taps: the centre, of weight 0, is no point
+    first = fd_jet(func, pts, 1, 0.1, [(0,), (1,), (2,), (3,)])
+    assert seen[3:] == [16 * len(pts)]
+    assert np.array_equal(first[1], fd_jet(func, pts, 1, 0.1)[1])
+    assert seen[4:] == [17 * len(pts)]
     # a point alone gets the same value as in the batch
     for p, want in zip(pts, d001):
         assert fd_jet(poly, p[None, :], 3, 0.1)[3][0, 0, 0, 1] == want

@@ -7,11 +7,12 @@ import qcurv.pohozaev as pohozaev
 from qcurv.bubble import RescaledBubble
 from qcurv.cnc import (
     CurvatureJet,
+    _apply_jet_table,
+    _jet_table,
     ExactArray,
     blowup_metric,
     inverse_metric_taylor,
     metric_taylor_from_jet,
-    poly_jet,
     random_conformal_normal_jet,
     ricci_of,
     scale_jet,
@@ -212,7 +213,7 @@ def _einsum_interior_terms(u, ball, mt, jet):
     docstring, the reference for the Euler-operator kernel."""
     xi, w = ball.int_pts, ball.int_w
     xb, wb, nu = ball.bdy_pts, ball.bdy_w, ball.normals
-    ginv, dginv, d2ginv = poly_jet(inverse_metric_taylor(mt).comps, xi, 2)
+    ginv, dginv, d2ginv = _apply_jet_table(*_jet_table(inverse_metric_taylor(mt).comps, 2), xi)
     _, gu, hu = u.jet(xi, 2)
     gub = u.jet(xb, 1)[1]
     lap = np.einsum("njij,ni->n", dginv, gu) + np.einsum("nij,nij->n", ginv, hu)
@@ -242,7 +243,7 @@ def _einsum_flux(u, ball, mt):
     d_m(lap u) = d_jm g^{ji} d_i u + d_j g^{ji} d_im u + d_m g^{ij} d_ij u
     + g^{ij} d_ijm u: the reference for the boundary table."""
     xb, wb, nu = ball.bdy_pts, ball.bdy_w, ball.normals
-    ginv, dginv, d2ginv = poly_jet(inverse_metric_taylor(mt).comps, xb, 2)
+    ginv, dginv, d2ginv = _apply_jet_table(*_jet_table(inverse_metric_taylor(mt).comps, 2), xb)
     uv, gu, hu, tu = u.jet(xb, 3)
     lap = np.einsum("njij,ni->n", dginv, gu) + np.einsum("nij,nij->n", ginv, hu)
     glap = (
