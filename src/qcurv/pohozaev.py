@@ -34,11 +34,15 @@ by the whole sweep: u's jet (order 3 on the boundary; order 2 in the
 interior, or 1 when every metric is flat), h's (order 1 in the
 interior), b, e^{4u}, I0 and the b part of I2.  Each table is stacked
 over the curved metrics and built once per call (none without one).
-The boundary evaluates its table once per ball, and the interior once
-per block of ``cnc.JET_BLOCK`` nodes, contracted with u's jet into each
-metric's partial sums of I2's metric part and I4.  What stays per metric
-is its flux I1 and I3.  Block sums are added in block order, so the
-output depends on the inputs alone.
+Boundary and interior are both walked in blocks of ``cnc.JET_BLOCK``
+nodes, and each evaluates its table once per block.  An interior block's
+nodes are formed from the rule's factors, radius times unit S^3 node, so
+no array of all the nodes is held; its table is contracted with u's jet
+into each metric's partial sums of I2's metric part and I4, and the block
+sums are added in block order, so the output depends on the inputs
+alone.  A boundary block writes each node's flux (one per metric), I3
+integrand and xi.grad u, and I1 and I3 are then each one product with
+the weights over the whole sphere.
 
 The curved identity leaves out the degree >= 4 tail of the metric
 expansion.  ``unmodeled_remainder`` bounds that tail's share, sized from
@@ -57,12 +61,16 @@ from .cnc import (
     DEGREE, JET_BLOCK, _apply_jet_table, _jet_table, concatenate, inverse_metric_taylor,
     poly_diff, ricci_of,
 )
-from .quadrature import ball_rule, sphere_rule, BALL4_VOL, S3_AREA
+from .quadrature import gauss_legendre, s3_nodes, sphere_rule, BALL4_VOL, S3_AREA
 
 
 @dataclass
 class BallDomain:
-    """Origin-centered ball with polar interior and boundary rules."""
+    """Origin-centered ball with polar interior and boundary rules.
+
+    The interior rule is the product of the Gauss-Legendre ``radii`` on
+    [0, R] and the unit S^3 nodes ``s3_pts``; its nodes are formed block by
+    block in ``interior_blocks``, its weights ``int_w`` are held whole."""
 
     R: float
     n_r: int = 48
@@ -70,7 +78,9 @@ class BallDomain:
     n_phi: int = 24
 
     def __post_init__(self):
-        self.int_pts, self.int_w = ball_rule(self.R, self.n_r, self.n_u, self.n_phi)
+        self.radii, wr = gauss_legendre(self.n_r, 0.0, self.R)
+        self.s3_pts, s3_w = s3_nodes(self.n_u, self.n_phi)
+        self.int_w = ((wr * self.radii**3)[:, None] * s3_w[None, :]).reshape(-1)
         self.bdy_pts, self.bdy_w = sphere_rule(self.R, self.n_u, self.n_phi)
         vol = BALL4_VOL * self.R**4
         area = S3_AREA * self.R**3
@@ -82,6 +92,17 @@ class BallDomain:
     @property
     def normals(self):
         return self.bdy_pts / self.R
+
+    def interior_blocks(self, size):
+        """The interior nodes and weights, ``size`` nodes at a time in
+        shell-major order: node k m + j is radii[k] * s3_pts[j], with m
+        nodes per shell, formed by one slice per shell a block touches."""
+        m, n = len(self.s3_pts), len(self.int_w)
+        for s in range(0, n, size):
+            e = min(s + size, n)
+            shells = range(s // m, (e - 1) // m + 1)
+            xi = [self.radii[k] * self.s3_pts[max(s - k * m, 0) : e - k * m] for k in shells]
+            yield np.concatenate(xi), self.int_w[s:e]
 
 
 class RadialProfileField:
@@ -194,31 +215,40 @@ def pohozaev_balance(u, h, b, ball: BallDomain, metric_taylors=(None,)):
 
 
 def _boundary_terms(u, h, ball, metric_taylors, table, ric):
-    """I1 of each entry of ``metric_taylors`` and I3 of each curved one:
-    u's order-3 jet and the boundary ``table`` of every curved metric once."""
-    xi, w, nu = ball.bdy_pts, ball.bdy_w, ball.normals
-    uv, gu, hu, tu = jet = u.jet(xi, 3)
-    xdotnu = np.einsum("ni,ni->n", xi, nu)
-    xdotgu = np.einsum("ni,ni->n", xi, gu)
-    shared = 0.5 * h.jet(xi, 0)[0] * np.exp(4.0 * uv) * xdotnu
-    gu_hxi = gu + np.einsum("nim,nm->ni", hu, xi)
-    curved = zip(*_detone_terms(table, xi, jet)) if table.shape[1] else iter(())
-    I1 = []
-    for mt in metric_taylors:
-        if mt is None:
-            lap, glap, gnu = np.trace(hu, axis1=1, axis2=2), np.einsum("naai->ni", tu), nu
-        else:
-            lap, glap, ginv = next(curved)
-            gnu = np.einsum("nij,nj->ni", ginv, nu)
-        flux = (
-            shared
-            - np.einsum("ni,ni->n", glap, gnu) * xdotgu
-            + lap * np.einsum("ni,ni->n", gu_hxi, gnu)
-            - 0.5 * lap**2 * xdotnu
-        )
-        I1.append(float(w @ flux))
-    I3 = 2.0 * np.einsum("nki,ni->kn", _contract_ricci(ric, xi, gu), nu) @ (w * xdotgu)
-    return I1, [float(v) for v in I3]
+    """I1 of each entry of ``metric_taylors`` and I3 of each curved one.
+    Per block of ``JET_BLOCK`` nodes, u's order-3 jet and the boundary
+    ``table`` of every curved metric give each node's flux, I3 integrand and
+    xi.grad u; each term is then one product with the weights over the
+    whole sphere."""
+    w, nus, n = ball.bdy_w, ball.normals, len(ball.bdy_w)
+    flux, xdotgu = np.empty((len(metric_taylors), n)), np.empty(n)
+    ric_nu = np.empty((n, ric.shape[1] // 16))
+    for s in range(0, n, JET_BLOCK):
+        blk = slice(s, s + JET_BLOCK)
+        xi, nu = ball.bdy_pts[blk], nus[blk]
+        uv, gu, hu, tu = jet = u.jet(xi, 3)
+        xdotnu = np.einsum("ni,ni->n", xi, nu)
+        xdotgu[blk] = np.einsum("ni,ni->n", xi, gu)
+        shared = 0.5 * h.jet(xi, 0)[0] * np.exp(4.0 * uv) * xdotnu
+        gu_hxi = gu + np.einsum("nim,nm->ni", hu, xi)
+        curved = zip(*_detone_terms(table, xi, jet)) if table.shape[1] else iter(())
+        for row, mt in zip(flux, metric_taylors):
+            if mt is None:
+                lap, glap, gnu = np.trace(hu, axis1=1, axis2=2), np.einsum("naai->ni", tu), nu
+            else:
+                lap, glap, ginv = next(curved)
+                gnu = np.einsum("nij,nj->ni", ginv, nu)
+            row[blk] = (
+                shared
+                - np.einsum("ni,ni->n", glap, gnu) * xdotgu[blk]
+                + lap * np.einsum("ni,ni->n", gu_hxi, gnu)
+                - 0.5 * lap**2 * xdotnu
+            )
+        ric_nu[blk] = np.einsum("nki,ni->nk", _contract_ricci(ric, xi, gu), nu)
+    # (k, n) laid out (n, k), as a whole-sphere einsum gives it: a C-ordered
+    # (k, n) operand moves the sum in its last bit
+    I3 = 2.0 * ric_nu.T @ (w * xdotgu)
+    return [float(w @ f) for f in flux], [float(v) for v in I3]
 
 
 def _detone_terms(table, xi, jet):
@@ -244,8 +274,7 @@ def _interior_sums(u, h, b, ball, table, ric):
     The block sums are added in block order."""
     k = table.shape[1] // 40
     parts = []
-    for s in range(0, len(ball.int_w), JET_BLOCK):
-        xi, w = ball.int_pts[s : s + JET_BLOCK], ball.int_w[s : s + JET_BLOCK]
+    for xi, w in ball.interior_blocks(JET_BLOCK):
         jet = u.jet(xi, 2 if k else 1)
         gu = jet[1]
         hv, gh = h.jet(xi, 1)

@@ -1,4 +1,4 @@
-"""Quadrature rules: Gauss-Legendre intervals, S^3 product rules, 4-balls.
+"""Quadrature rules: Gauss-Legendre intervals and S^3 product rules.
 
 S^3 is parametrized by Hopf coordinates (eta, phi1, phi2):
 
@@ -84,14 +84,3 @@ def sphere_rule(radius, n_u=24, n_phi=24):
     pts, w = s3_nodes(n_u, n_phi)
     return radius * pts, radius**3 * w
 
-
-def ball_rule(radius, n_r=48, n_u=24, n_phi=24):
-    """Polar product rule on the ball |x| <= radius.
-
-    Returns nodes (m, 4) and weights summing to the 4-volume.
-    """
-    r, wr = gauss_legendre(n_r, 0.0, radius)
-    s_pts, s_w = s3_nodes(n_u, n_phi)
-    pts = r[:, None, None] * s_pts[None, :, :]
-    w = (wr * r**3)[:, None] * s_w[None, :]
-    return pts.reshape(-1, 4), w.reshape(-1)

@@ -1,11 +1,17 @@
+import itertools
+import tracemalloc
 from fractions import Fraction
+from math import factorial, prod
 
 import numpy as np
+import pytest
 import sympy as sp
 
 import qcurv.pohozaev as pohozaev
 from qcurv.bubble import RescaledBubble
 from qcurv.cnc import (
+    _MONOMIALS,
+    JET_BLOCK,
     CurvatureJet,
     _apply_jet_table,
     _jet_table,
@@ -17,12 +23,17 @@ from qcurv.cnc import (
     ricci_of,
     scale_jet,
 )
-from qcurv.fields import COORDS, Box, ConstantField, ScalarField, fd_jet
+from qcurv.fields import COORDS, Box, ConstantField, ScalarField, _symmetric_jet, fd_jet
 from qcurv.pohozaev import BallDomain, RadialProfileField, _detone_terms, _tables, pohozaev_balance
-from qcurv.quadrature import gauss_legendre
+from qcurv.quadrature import gauss_legendre, s3_nodes
 
 
 ONE, ZERO = ConstantField(1.0), ConstantField(0.0)
+
+
+def _interior_nodes(ball):
+    """Every interior node of ``ball``, its blocks joined."""
+    return np.concatenate([xi for xi, _ in ball.interior_blocks(JET_BLOCK)])
 
 
 def test_ball_domain_invariants():
@@ -30,6 +41,36 @@ def test_ball_domain_invariants():
     # weight sums are validated on construction; normals are unit radial
     assert np.allclose(np.linalg.norm(ball.normals, axis=1), 1.0)
     assert np.allclose(ball.bdy_pts, 3.0 * ball.normals)
+
+
+@pytest.mark.parametrize("dims", [(1.0, 8, 6, 6), (20.0, 4, 24, 24)])
+def test_interior_blocks_join_to_the_product_rule(dims):
+    # 216 sphere nodes: a block spans many shells; 13,824: a block ends
+    # inside a shell, and the last block is a tail
+    R, n_r, n_u, n_phi = dims
+    ball = BallDomain(*dims)
+    r, _ = gauss_legendre(n_r, 0.0, R)
+    s_pts, _ = s3_nodes(n_u, n_phi)
+    want = (r[:, None, None] * s_pts[None]).reshape(-1, 4)
+    for size in (JET_BLOCK, 1000):
+        blocks = list(ball.interior_blocks(size))
+        assert [len(xi) for xi, _ in blocks[:-1]] == [size] * (len(blocks) - 1)
+        assert np.array_equal(np.concatenate([xi for xi, _ in blocks]), want)
+        assert np.array_equal(np.concatenate([w for _, w in blocks]), ball.int_w)
+
+
+def test_flat_balance_peak_memory():
+    # blocks of nodes and of boundary jets: the whole node array and the
+    # sphere's order-3 jet at once took this balance to 61 MB
+    u = RadialProfileField(RescaledBubble(1.0))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        pohozaev_balance(u, ONE, ZERO, BallDomain(20.0, 48, 24, 24))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6, peak
 
 
 def test_flat_identity_exact_bubble():
@@ -118,7 +159,7 @@ def test_profile_radii_are_linalg_norm_to_the_bit():
     rng = np.random.default_rng(4)
     wide = rng.standard_normal((10_000, 4)) * 10.0 ** rng.integers(-8, 8, (10_000, 4))
     field = RadialProfileField(RescaledBubble(1.0))
-    for pts in (BallDomain(1.0, n_r=8, n_u=8, n_phi=8).int_pts, wide):
+    for pts in (_interior_nodes(BallDomain(1.0, n_r=8, n_u=8, n_phi=8)), wide):
         assert np.array_equal(field._r(pts), np.linalg.norm(pts, axis=1))
 
 
@@ -211,7 +252,7 @@ def _einsum_interior_terms(u, ball, mt, jet):
     """I2 (with b = 0), I3 and I4 from the order-2 jet of g^{ij} at every
     interior node and the direct index contractions of the module
     docstring, the reference for the Euler-operator kernel."""
-    xi, w = ball.int_pts, ball.int_w
+    xi, w = _interior_nodes(ball), ball.int_w
     xb, wb, nu = ball.bdy_pts, ball.bdy_w, ball.normals
     ginv, dginv, d2ginv = _apply_jet_table(*_jet_table(inverse_metric_taylor(mt).comps, 2), xi)
     _, gu, hu = u.jet(xi, 2)
@@ -284,6 +325,130 @@ def test_curved_kernel_matches_direct_contractions():
         for g, w in list(zip(got, want))[:n_terms]:
             assert abs(w) > 1e-3
             assert abs(g - w) <= 1e-12 * abs(w)
+
+
+# the exact reference's polynomials: rationals in the chart variables
+_RING, *_X = sp.ring("x0:4", sp.QQ)
+# the exponents of the monomials of degree <= 4
+_EXPONENTS = np.array([m for m in itertools.product(range(5), repeat=4) if sum(m) <= 4])
+
+
+class _PolyField:
+    """A polynomial of degree <= 4 in ``_RING``, with its exact partials
+    evaluated in floats, to order 3."""
+
+    def __init__(self, poly):
+        self.coef = {}
+        for k in range(4):
+            for index in itertools.combinations_with_replacement(range(4), k):
+                p = poly
+                for ax in index:
+                    p = p.diff(_X[ax])
+                terms = dict(p.terms())
+                self.coef[index] = np.array([float(terms.get(tuple(e), 0)) for e in _EXPONENTS])
+
+    def jet(self, pts, order):
+        powers = np.cumprod(np.stack([np.ones_like(pts)] + [pts] * 4, axis=-1), axis=-1)
+        mono = np.prod(powers[:, np.arange(4), _EXPONENTS], axis=-1)
+        return _symmetric_jet(order, lambda index: mono @ self.coef[index])
+
+
+def _random_poly(degree, rng):
+    """Coefficients k/7, k uniform in -5..5, on each monomial of degree 1
+    to ``degree``."""
+    monomials = [tuple(m) for m in _EXPONENTS.tolist() if 1 <= sum(m) <= degree]
+    return _RING({m: sp.QQ(int(k), 7) for m, k in zip(monomials, rng.integers(-5, 6, len(monomials))) if k})
+
+
+def _s3_moment(alpha):
+    """int_{S^3} x^alpha / pi^2 as a Fraction (Folland, Amer. Math. Monthly
+    108 (2001)): 2 prod Gamma(b_i) / Gamma(sum b_i), b_i = (alpha_i + 1)/2,
+    and 0 if some alpha_i is odd.  For alpha = 2a, Gamma(a_i + 1/2) is
+    sqrt(pi) (2a_i)! / (4^a_i a_i!) and Gamma(sum b_i) is (sum a_i + 1)!."""
+    if any(a % 2 for a in alpha):
+        return Fraction(0)
+    half = [a // 2 for a in alpha]
+    gammas = prod(Fraction(factorial(2 * a), 4**a * factorial(a)) for a in half)
+    return 2 * gammas / factorial(sum(half) + 1)
+
+
+def _integral(poly, R, over_ball):
+    """The integral of ``poly`` over the ball |x| <= R, or over its sphere,
+    summed exactly term by term and rounded once."""
+    total = Fraction(0)
+    for alpha, c in poly.terms():
+        d = sum(alpha)
+        radial = R ** (d + 4) / (d + 4) if over_ball else R ** (d + 3)
+        total += Fraction(int(c.numerator), int(c.denominator)) * radial * _s3_moment(alpha)
+    return float(total * Fraction(np.pi**2))
+
+
+def _exact_terms(u, ginv, ric1, R):
+    """I1-I4 with h = b = 0 over the ball of radius ``R``, from the
+    displays of the module docstring: ``u`` and ``ginv[i][j]`` are
+    polynomials in ``_RING``, ``ric1[i][j][l]`` = Ric_ij,l(0), and
+    lap u = d_i (g^{ij} d_j u).  The sphere integrands are written with
+    R nu = xi."""
+    xi = _X
+    gu = [u.diff(x) for x in xi]
+    hu = [[g.diff(x) for x in xi] for g in gu]
+    xgu = sum(x * g for x, g in zip(xi, gu))
+    xhu = [sum(x * h for x, h in zip(xi, row)) for row in hu]  # xi^m d_im u
+
+    def euler(p):  # xi^m d_m p
+        return sum(x * p.diff(x) for x in xi)
+
+    lap = sum(sum(ginv[i][j] * gu[j] for j in range(4)).diff(xi[i]) for i in range(4))
+    flux = -lap**2 * sum(x * x for x in xi) / 2
+    for i in range(4):
+        gxi = sum(ginv[i][j] * xi[j] for j in range(4))
+        flux += gxi * (lap * (gu[i] + xhu[i]) - lap.diff(xi[i]) * xgu)
+    div = [sum(ginv[i][j].diff(xi[i]) for i in range(4)) for j in range(4)]  # d_i g^{ij}
+    i2 = sum((div[j] + euler(div[j])) * gu[j] for j in range(4))
+    i2 += sum(euler(ginv[i][j]) * hu[i][j] for i in range(4) for j in range(4))
+    # Ric_ij,l xi^l d_j u
+    ric_du = [sum(ric1[i][j][l] * xi[l] * gu[j] for j in range(4) for l in range(4)) for i in range(4)]
+    i3 = sum(v * x for v, x in zip(ric_du, xi)) * xgu
+    i4 = sum(v * (g + h) for v, g, h in zip(ric_du, gu, xhu))
+    return (
+        _integral(flux, R, False) / R,
+        _integral(lap * i2, R, True),
+        2.0 * _integral(i3, R, False) / R,
+        -2.0 * _integral(i4, R, True),
+    )
+
+
+def test_each_term_matches_exact_integrals_of_polynomial_data():
+    # With h = b = 0 and polynomial u every integrand is a polynomial, of
+    # degree <= 8 in the interior and <= 10 on the sphere, which this rule
+    # integrates exactly.  Its blocks of 4,096 nodes end inside shells of
+    # 1,728.  A cubic u is biharmonic, so its flat I1 = -int Delta^2 u
+    # xi.grad u vanishes: the flat case takes a quartic.
+    rng = np.random.default_rng(1)
+    R = Fraction(3, 2)
+    ball = BallDomain(float(R), 8, 12, 12)
+    jet = _ricci_jet()
+    mt = metric_taylor_from_jet(jet)
+    inv, ric = inverse_metric_taylor(mt).comps, ricci_of(jet.R1)
+    curved = [
+        [
+            _RING({tuple(m): sp.QQ(int(c), inv.den) for m, c in zip(_MONOMIALS.tolist(), inv.num[i, j]) if c})
+            for j in range(4)
+        ]
+        for i in range(4)
+    ]
+    ric1 = [[[sp.QQ(int(c), ric.den) for c in row] for row in plane] for plane in ric.num]
+    flat = [[_RING(int(i == j)) for j in range(4)] for i in range(4)]
+    zeros = np.zeros((4, 4, 4), dtype=int).tolist()
+    cases = ((_random_poly(3, rng), mt, curved, ric1), (_random_poly(4, rng), None, flat, zeros))
+    for u, entry, ginv, ric_l in cases:
+        (rep,) = pohozaev_balance(_PolyField(u), ZERO, ZERO, ball, [entry])
+        want = _exact_terms(u, ginv, ric_l, R)
+        assert rep.I0 == 0.0
+        for name, got, w in zip(("I1", "I2", "I3", "I4"), (rep.I1, rep.I2, rep.I3, rep.I4), want):
+            assert abs(got - w) <= 1e-12 * abs(w), (name, got, w)
+            # every curved term is far from 0; the flat I2, I3 and I4 are exact zeros
+            assert (abs(w) > 10.0) if entry is not None or name == "I1" else (w == got == 0.0)
 
 
 def _detone(mt, u, x):
@@ -360,8 +525,8 @@ def test_tables_are_built_once_per_call_and_never_for_a_flat_one(monkeypatch):
     pohozaev_balance(u, ONE, ZERO, ball)
     assert calls == []
     # a sweep: two tables per metric, built once; each ball evaluates the
-    # boundary table once and the interior table once per block (one block
-    # of 4,096 nodes on both balls here)
+    # boundary and interior tables once per block (one block of 4,096 nodes
+    # each on both balls here)
     pohozaev_balance(u, ONE, ZERO, ball, [None] + mts)
     assert calls.count("_jet_table") == 2 * len(mts)
     assert calls.count("_apply_jet_table") == 4
@@ -395,8 +560,10 @@ def test_block_size_that_leaves_a_tail_block(monkeypatch):
     import qcurv.pohozaev as pohozaev
 
     u, mts = _sweep_setup()
-    ball = BallDomain(1.0, n_r=8, n_u=6, n_phi=6)
+    ball = BallDomain(1.0, n_r=4, n_u=12, n_phi=10)
+    # the interior and the boundary both end in a tail block
     assert len(ball.int_w) % 1000 != 0
+    assert len(ball.bdy_w) > 1000 and len(ball.bdy_w) % 1000 != 0
     entries = [None] + mts
     default = pohozaev_balance(u, ONE, ZERO, ball, entries)
     monkeypatch.setattr(pohozaev, "JET_BLOCK", 1000)

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from qcurv.cnc import JET_BLOCK
+from qcurv.pohozaev import BallDomain
 from qcurv.quadrature import (
     BALL4_VOL,
     S3_AREA,
-    ball_rule,
     gauss_legendre,
     s3_nodes,
     sphere_rule,
@@ -35,7 +36,9 @@ def test_sphere_rule_scales_with_radius():
 
 
 def test_ball_rule_volume_and_moment():
-    pts, w = ball_rule(2.0, n_r=32, n_u=16, n_phi=16)
+    ball = BallDomain(2.0, n_r=32, n_u=16, n_phi=16)
+    pts, w = (np.concatenate(c) for c in zip(*ball.interior_blocks(JET_BLOCK)))
+    assert np.array_equal(w, ball.int_w)
     assert abs(np.sum(w) - BALL4_VOL * 16.0) < 1e-8
     r2 = np.sum(pts**2, axis=1)
     exact = S3_AREA * 2.0**6 / 6.0  # integral of r^2 over the ball
