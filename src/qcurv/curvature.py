@@ -24,8 +24,8 @@ A metric here is anything with ``domain``, ``is_flat`` and
 ``jet(pts, order)`` for order <= 2 in the ``fields.MetricField.jet``
 layout: a conformally flat ``fields.MetricField`` or an exact
 ``cnc.PolynomialMetric``.  Scalar fields are ``fields.ScalarField``s,
-read through the same ``jet(pts, order)``; the flat Paneitz path sums
-their fourth partials through ``partial``.  Outer derivatives of computed
+read through the same ``jet(pts, order)``; the flat Paneitz path reads
+Delta^2 u from one order-4 jet.  Outer derivatives of computed
 quantities (Delta_g R, Paneitz) come from ``fields.fd_jet``, in that layout.
 """
 
@@ -35,7 +35,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import sympy as sp
 
 from .fields import DIM, MetricField, fd_jet, require_positive_definite
 
@@ -210,7 +209,7 @@ def paneitz_apply(g, u, x, step=None):
     pts = np.atleast_2d(np.asarray(x, float))
     g.domain.require_interior(pts)
     if g.is_flat:
-        return _like(x, sum(u.partial(pts, (i, i, j, j)) for i in range(DIM) for j in range(DIM)))
+        return _like(x, np.einsum("niijj->n", u.jet(pts, 4)[4]))
     if step is None:
         step = _default_step(pts)
     bilap = _fd_laplacian(g, lambda p: laplace_beltrami(g, u, p), pts, step)
@@ -233,6 +232,8 @@ def paneitz_apply(g, u, x, step=None):
 
 def conformal_transform(g: MetricField, u) -> MetricField:
     """The conformal metric e^{2u} g of a conformally flat ``g``."""
+    import sympy as sp
+
     if g.domain != u.domain:
         raise ValueError("domains must match")
     return MetricField(g.domain, sp.exp(2 * u.expr) * g.factor.expr)

@@ -1,17 +1,26 @@
 """Coordinate-chart fields on 4-dimensional patches.
 
-Fields are sympy expressions: each partial derivative (the value is the
-partial for the empty multi-index) is taken symbolically and compiled
-(lambdified) once per distinct expression per process, shared by every
-field that needs it.  Every field and metric is read through
-``jet(pts, order)``, which returns ``[value, first, second, ...]`` with
-the derivative axes last.  A ``MetricField`` is conformally flat,
-g = f delta, and is its factor f: a ``ScalarField`` whose jet to order 2
-gives the metric's.  Metrics that are not conformally flat are exact
-polynomials, ``cnc.PolynomialMetric``.  ``fd_jet`` is the centered
-finite-difference jet of the quantities the curvature module computes,
-from order-4 stencils: four taps for a first derivative (the centre has
-weight 0), five for a second.
+Fields are sympy expressions, evaluated by truncated Taylor arithmetic
+(Taylor-mode differentiation, Griewank & Walther, *Evaluating
+Derivatives*, ch. 13).  Each expression is read once into a straight-line
+program of sums, products and the univariate functions exp, log, sin, cos
+and constant powers; one run of it carries, at every point, each node's
+Taylor coefficients c_alpha over the monomials of degree <= order in the
+four coordinates (15 at order 2, 70 at order 4).  A product gathers the
+monomial pairs of degree <= order; a function phi of a node g with value
+g0 and nilpotent part h is the series sum_k phi^(k)(g0) h^k / k!, and the
+partial for the multi-index alpha is alpha! c_alpha.  An expression with
+anything else, or a symbol other than the chart's, is refused when its
+field is built.
+
+Every field and metric is read through ``jet(pts, order)``, which returns
+``[value, first, second, ...]`` with the derivative axes last.  A
+``MetricField`` is conformally flat, g = f delta, and is its factor f: a
+``ScalarField`` whose jet to order 2 gives the metric's.  Metrics that are
+not conformally flat are exact polynomials, ``cnc.PolynomialMetric``.
+``fd_jet`` is the centered finite-difference jet of the quantities the
+curvature module computes, from order-4 stencils: four taps for a first
+derivative (the centre has weight 0), five for a second.
 
 sympy is imported on first use: the box, the errors, ``ConstantField``
 and ``fd_jet`` need none of it, so a process that uses only those never
@@ -22,6 +31,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -204,62 +214,185 @@ def fd_jet(func, pts, order, step, indices=None):
     return _symmetric_jet(order, lambda index: out.get(index, zero))
 
 
-@functools.lru_cache(maxsize=None)
-def _compiled(expr, index):
-    """The partial of the sympy scalar ``expr`` for the sorted multi-index
-    ``index`` (``()`` for the value), compiled to a vectorized function of
-    points (n, 4).
+@functools.cache
+def _taylor_tables(order):
+    """The monomials of degree <= ``order`` and the gathers of their product.
 
-    A partial is looked up again by its own expression, so identical
-    derivatives of different fields share one compiled function.
+    Monomials are the sorted multi-indices, by degree, each degree in
+    ``combinations_with_replacement`` order, so the tables of a lower
+    order are a prefix of a higher one's.  The pairs of monomials whose
+    degrees sum to <= ``order`` are sorted by their product's slot and then
+    by their own slots, so each product slot's run opens with (1, itself).
+    Returns each multi-index's slot, each slot's alpha!, and one pass per
+    later rank r in a run: the product slots with an r-th pair, and the
+    left and right slots of those pairs.
+    """
+    index = [
+        i for d in range(order + 1) for i in itertools.combinations_with_replacement(range(DIM), d)
+    ]
+    slot = {i: k for k, i in enumerate(index)}
+    fact = np.array([math.prod(math.factorial(i.count(a)) for a in set(i)) for i in index], float)
+    pairs = np.array(sorted(
+        (slot[tuple(sorted(a + b))], j, k)
+        for j, a in enumerate(index)
+        for k, b in enumerate(index)
+        if len(a) + len(b) <= order
+    ))
+    rank = np.arange(len(pairs)) - np.searchsorted(pairs[:, 0], pairs[:, 0])
+    passes = [tuple(pairs[rank == r].T) for r in range(1, rank.max() + 1)]
+    return slot, fact, passes
+
+
+@functools.lru_cache(maxsize=None)
+def _program(expr):
+    """The sympy scalar ``expr`` as straight-line Taylor operations.
+
+    Returns ``(ops, top)``: each op is ``(kind, param, args)`` and reads
+    the values of earlier ops by position; ``top`` is the position of the
+    result, or the expression's float when it has no free symbol.  Constant
+    subexpressions are folded to floats, into the parameter of the sum or
+    product that holds them.  Raises ValueError for a symbol outside the
+    chart, a non-constant exponent, or a function without a series here.
     """
     import sympy as sp
 
     coords = _coords()
-    if index:
-        for ax in index:
-            expr = sp.diff(expr, coords[ax])
-        return _compiled(expr, ())
-    f = sp.lambdify(coords, expr, modules=[np])
+    funcs = {sp.exp: "exp", sp.log: "log", sp.sin: "sin", sp.cos: "cos"}
+    ops = []
 
-    def call(pts):
-        pts = np.atleast_2d(np.asarray(pts, float))
-        out = f(pts[:, 0], pts[:, 1], pts[:, 2], pts[:, 3])
-        return np.broadcast_to(np.asarray(out, float), (pts.shape[0],)).copy()
+    def emit(*op):
+        ops.append(op)
+        return len(ops) - 1
 
-    return call
+    @functools.cache
+    def visit(node):
+        if not node.free_symbols:
+            return float(node)
+        if node.is_Symbol:
+            if node not in coords:
+                raise ValueError(f"symbol {node} is not a chart coordinate {coords}")
+            return emit("coord", coords.index(node), None)
+        if node.is_Add or node.is_Mul:
+            parts = [visit(a) for a in node.args]
+            consts = [p for p in parts if isinstance(p, float)]
+            c = math.fsum(consts) if node.is_Add else math.prod(consts)
+            kind = "add" if node.is_Add else "mul"
+            return emit(kind, c, tuple(p for p in parts if not isinstance(p, float)))
+        if node.is_Pow and not node.exp.free_symbols:
+            return emit("pow", float(node.exp), visit(node.base))
+        if node.func in funcs:
+            return emit(funcs[node.func], None, visit(node.args[0]))
+        raise ValueError(f"no Taylor series for {node} in {expr}")
+
+    top = visit(expr)
+    return tuple(ops), top
+
+
+def _derivatives(kind, p, g0, order):
+    """phi^(k)(g0) for k = 0..``order``, phi the function ``kind`` names
+    (x**p for "pow")."""
+    if kind == "exp":
+        return [np.exp(g0)] * (order + 1)
+    if kind == "log":
+        return [np.log(g0)] + [
+            (-1) ** (k - 1) * math.factorial(k - 1) / g0**k for k in range(1, order + 1)
+        ]
+    if kind in ("sin", "cos"):
+        s, c = np.sin(g0), np.cos(g0)
+        cycle = (s, c, -s, -c) if kind == "sin" else (c, -s, -c, s)
+        return [cycle[k % 4] for k in range(order + 1)]
+    # p (p - 1) ... (p - k + 1) g0^(p - k), an exact 0 once a factor is 0
+    out, fall = [], 1.0
+    for k in range(order + 1):
+        out.append(fall * g0 ** (p - k) if fall else 0.0)
+        fall *= p - k
+    return out
+
+
+def _taylor(expr, pts, order):
+    """Taylor coefficients of the sympy ``expr`` about each of ``pts``
+    (n, 4): (slots, n), in ``_taylor_tables(order)``'s slots."""
+    slot, _, passes = _taylor_tables(order)
+    ops, top = _program(expr)
+
+    def mul(p, q):
+        # each slot's sum in the order of its pairs, one rank at a time
+        out = p[0] * q
+        for prod, left, right in passes:
+            out[prod] += p[left] * q[right]
+        return out
+
+    vals = []
+    for kind, param, args in ops:
+        if kind == "coord":
+            v = np.zeros((len(slot), len(pts)))
+            v[0] = pts[:, param]
+            if order:
+                v[slot[(param,)]] = 1.0
+        elif kind == "add":
+            v = sum(vals[a] for a in args)
+            v[0] += param
+        elif kind == "mul":
+            v = param * functools.reduce(mul, (vals[a] for a in args))
+        else:
+            # Horner in the nilpotent part h: c_0 + h (c_1 + h (c_2 + ...));
+            # the innermost step, c_(order-1) + h c_order, is a scaling, and
+            # at order 0 (h = 0) the value is c_0
+            h = vals[args].copy()
+            c = [
+                d / math.factorial(k)
+                for k, d in enumerate(_derivatives(kind, param, h[0], order))
+            ]
+            h[0] = 0.0
+            v = h * c[order]
+            v[0] = c[order - 1] if order else c[0]
+            for k in reversed(range(order - 1)):
+                v = mul(h, v)
+                v[0] += c[k]
+        vals.append(v)
+    if isinstance(top, float):
+        out = np.zeros((len(slot), len(pts)))
+        out[0] = top
+        return out
+    return vals[top]
 
 
 class ScalarField:
     """Real field given by a sympy expression on a chart box, with partial
-    derivatives up to order 4."""
+    derivatives up to order 4 from its Taylor coefficients."""
 
     def __init__(self, domain, expr):
         import sympy as sp
 
         self.domain = domain
         self.expr = sp.sympify(expr)
+        _program(self.expr)  # refuses here what it cannot expand
 
     @classmethod
     def from_expr(cls, expr, domain):
         return cls(domain, expr)
 
+    def _coefficients(self, pts, order):
+        if order > 4:
+            raise DerivativeOrderError("derivatives available up to order 4")
+        return _taylor(self.expr, np.atleast_2d(np.asarray(pts, float)), order)
+
     def partial(self, pts, index):
         """Partial derivative for multi-index ``index`` at each point."""
-        if len(index) > 4:
-            raise DerivativeOrderError("derivatives available up to order 4")
-        return _compiled(self.expr, tuple(sorted(index)))(pts)
+        index = tuple(sorted(index))
+        coef = self._coefficients(pts, len(index))
+        slot, fact, _ = _taylor_tables(len(index))
+        return fact[slot[index]] * coef[slot[index]]
 
     def jet(self, pts, order):
         """``[value, gradient, Hessian, ...]`` up to ``order`` (at most 4),
         derivative axes last: ``jet[k][n, a1, ..., ak]`` is the partial for
-        the multi-index (a1, ..., ak).  Each distinct sorted multi-index is
-        evaluated once through ``partial`` and copied to its permutations.
+        the multi-index (a1, ..., ak), read from one set of Taylor
+        coefficients and copied to its permutations.
         """
-        if order > 4:
-            raise DerivativeOrderError("derivatives available up to order 4")
-        pts = np.atleast_2d(np.asarray(pts, float))
-        return _symmetric_jet(order, lambda index: self.partial(pts, index))
+        coef = self._coefficients(pts, order)
+        slot, fact, _ = _taylor_tables(order)
+        return _symmetric_jet(order, lambda index: fact[slot[index]] * coef[slot[index]])
 
 
 class ConstantField:

@@ -9,7 +9,8 @@ element is sin^3(theta) d(theta) dS^3.
 import numpy as np
 
 from .curvature import conformal_transform
-from .fields import Box, COORDS, MetricField, ScalarField
+from . import fields
+from .fields import Box, MetricField, ScalarField
 from .quadrature import gauss_legendre, s3_nodes
 
 S4_VOLUME = 8.0 * np.pi**2 / 3.0
@@ -19,7 +20,7 @@ def sphere_metric(domain=None) -> MetricField:
     """Round unit-S^4 metric in the stereographic chart."""
     if domain is None:
         domain = Box.cube(100.0)
-    r2 = sum(c**2 for c in COORDS)
+    r2 = sum(c**2 for c in fields.COORDS)
     return MetricField(domain, 4 / (1 + r2) ** 2)
 
 

@@ -61,7 +61,7 @@ from .cnc import (
     DEGREE, JET_BLOCK, _apply_jet_table, _jet_table, concatenate, inverse_metric_taylor,
     poly_diff, ricci_of,
 )
-from .quadrature import gauss_legendre, s3_nodes, sphere_rule, BALL4_VOL, S3_AREA
+from .quadrature import gauss_legendre, s3_nodes, BALL4_VOL, S3_AREA
 
 
 @dataclass
@@ -70,7 +70,8 @@ class BallDomain:
 
     The interior rule is the product of the Gauss-Legendre ``radii`` on
     [0, R] and the unit S^3 nodes ``s3_pts``; its nodes are formed block by
-    block in ``interior_blocks``, its weights ``int_w`` are held whole."""
+    block in ``interior_blocks``, its weights ``int_w`` are held whole.
+    The boundary rule is the same S^3 rule scaled to the sphere |x| = R."""
 
     R: float
     n_r: int = 48
@@ -81,7 +82,7 @@ class BallDomain:
         self.radii, wr = gauss_legendre(self.n_r, 0.0, self.R)
         self.s3_pts, s3_w = s3_nodes(self.n_u, self.n_phi)
         self.int_w = ((wr * self.radii**3)[:, None] * s3_w[None, :]).reshape(-1)
-        self.bdy_pts, self.bdy_w = sphere_rule(self.R, self.n_u, self.n_phi)
+        self.bdy_pts, self.bdy_w = self.R * self.s3_pts, self.R**3 * s3_w
         vol = BALL4_VOL * self.R**4
         area = S3_AREA * self.R**3
         if abs(self.int_w.sum() - vol) > 1e-8 * vol:
@@ -159,9 +160,17 @@ class RadialProfileField:
         f3 = self.profile.d3(r)
         a = (f3 - 3.0 * f2 / r + 3.0 * f1 / r**2)[:, None, None, None]
         b = ((f2 - q) / r)[:, None, None, None]
-        dn = np.eye(4)[None, :, :, None] * n[:, None, None, :]  # delta_im n_l
-        sym = dn + dn.transpose(0, 1, 3, 2) + dn.transpose(0, 3, 1, 2)
-        out.append(a * nn[:, :, :, None] * n[:, None, None, :] + b * sym)
+        # the delta terms fill one array in the order of their sum, in place
+        third = np.zeros((len(pts), 4, 4, 4))
+        for i in range(4):
+            third[:, i, i, :] += n  # delta_im n_l
+        for i in range(4):
+            third[:, i, :, i] += n  # delta_il n_m
+        for i in range(4):
+            third[:, :, i, i] += n  # delta_ml n_i
+        third *= b
+        third += a * nn[:, :, :, None] * n[:, None, None, :]
+        out.append(third)
         return out
 
 

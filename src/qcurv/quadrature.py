@@ -78,9 +78,3 @@ def s3_nodes(n_u=24, n_phi=24):
     w = 0.5 * wu[:, None, None] * wphi * wphi * np.ones((n_u, n_phi, n_phi))
     return pts.reshape(-1, 4), w.reshape(-1)
 
-
-def sphere_rule(radius, n_u=24, n_phi=24):
-    """Nodes/weights on the sphere |x| = radius in R^4 (weights sum to 2 pi^2 r^3)."""
-    pts, w = s3_nodes(n_u, n_phi)
-    return radius * pts, radius**3 * w
-

@@ -315,6 +315,21 @@ def test_light_suites_leave_sympy_unimported(tmp_path):
         assert (tmp_path / f"{suite}.json").exists()
 
 
+def test_curvature_and_models_import_without_sympy():
+    # the curvature kernel on an exact polynomial metric needs no sympy,
+    # and neither does importing the module that builds the sphere models
+    code = (
+        "import sys; import numpy as np\n"
+        "from qcurv import cnc, curvature, models\n"
+        "g = cnc.blowup_metric(cnc.random_conformal_normal_jet(rng=1), 0.1, 10.0)\n"
+        "r = curvature.riemann_of_metric(g, np.array([[0.3, -0.2, 0.1, 0.5]]))\n"
+        "print(bool(np.abs(r.components).max() > 0), 'sympy' in sys.modules)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "False"]
+
+
 class _ReadKeys(dict):
     """A config dict that records the keys read from it."""
 

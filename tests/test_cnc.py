@@ -40,7 +40,6 @@ from qcurv.fields import (
     ConstantField,
     DegenerateMetricError,
     DerivativeOrderError,
-    _compiled,
 )
 
 
@@ -612,15 +611,16 @@ def test_poly_jet_matches_exact_evaluation_across_blocks():
 
 class _SympyBlowup:
     """The blow-up expansion in sympy, the reference for the float
-    evaluator: each term c * eps^deg * x^m built symbolically, and each
-    entry's partials taken and compiled by ``fields._compiled``."""
+    evaluator: each term c * eps^deg * x^m built symbolically, each entry's
+    partials to order 2 taken by ``sympy.diff``, one sorted multi-index at
+    a time, and all of them compiled by one ``lambdify``."""
 
     is_flat = False
 
     def __init__(self, jet, eps, half_width):
         self.domain = Box.cube(half_width)
         comps = _fr(metric_taylor_from_jet(jet).comps)
-        self.entries = np.empty((4, 4), dtype=object)
+        entries = []
         for a in range(4):
             for b in range(4):
                 expr = sp.Integer(0)
@@ -629,20 +629,23 @@ class _SympyBlowup:
                     for i, e in enumerate(m):
                         term *= COORDS[i] ** e
                     expr += term
-                self.entries[a, b] = expr
+                entries.append(expr)
+        parts = {(): entries}
+        for k in (1, 2):
+            for idx in itertools.combinations_with_replacement(range(4), k):
+                parts[idx] = [sp.diff(e, COORDS[idx[-1]]) for e in parts[idx[:-1]]]
+        self.indices = list(parts)
+        self.func = sp.lambdify(COORDS, [e for idx in self.indices for e in parts[idx]])
 
     def jet(self, pts, order):
         pts = np.atleast_2d(pts)
-        jets = []
-        for k in range(order + 1):
-            arr = np.empty((len(pts), 4, 4) + (4,) * k)
-            for idx in itertools.product(range(4), repeat=k):
-                for a in range(4):
-                    for b in range(4):
-                        arr[(slice(None), a, b) + idx] = _compiled(
-                            self.entries[a, b], tuple(sorted(idx))
-                        )(pts)
-            jets.append(arr)
+        vals = [np.broadcast_to(v, len(pts)) for v in self.func(*pts.T)]
+        jets = [np.empty((len(pts), 4, 4) + (4,) * k) for k in range(order + 1)]
+        for n, idx in enumerate(self.indices):
+            if len(idx) <= order:
+                part = np.stack(vals[16 * n : 16 * n + 16], axis=-1).reshape(-1, 4, 4)
+                for perm in set(itertools.permutations(idx)):
+                    jets[len(idx)][(slice(None),) * 3 + perm] = part
         return jets
 
 

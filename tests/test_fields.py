@@ -76,28 +76,67 @@ def test_derivative_order_capped():
         f.jet(np.zeros((1, 4)), 5)
 
 
-def test_scalar_jet_copies_each_sorted_partial_to_its_permutations(monkeypatch):
+def test_scalar_jet_copies_each_sorted_partial_to_its_permutations():
     dom = Box.cube(3.0)
     f = ScalarField.from_expr(sp.exp(x0 * x1) * sp.sin(x2) + x0 * x3**4 / (2 + x1**2), dom)
     pts = np.array([[0.5, -1.0, 0.3, 0.2], [1.0, 0.4, -0.5, 0.7], [0.0, 0.1, 0.9, -1.2]])
-    calls = []
-    partial = ScalarField.partial
-    monkeypatch.setattr(
-        ScalarField, "partial", lambda self, p, index: calls.append(index) or partial(self, p, index)
-    )
     jets = f.jet(pts, 4)
-    # 1 + 4 + 10 + 20 + 35 distinct sorted multi-indices, each evaluated once
-    assert len(calls) == len(set(calls)) == 70
     assert [j.shape for j in jets] == [(3,) + (4,) * k for k in range(5)]
     for k, arr in enumerate(jets):
         for index in np.ndindex((4,) * k):
-            assert np.array_equal(arr[(slice(None),) + index], partial(f, pts, index))
+            assert np.array_equal(arr[(slice(None),) + index], f.partial(pts, index))
     # a lower order gives the same leading jets; d_0 f by hand
     low = f.jet(pts, 2)
     assert len(low) == 3 and all(np.array_equal(a, b) for a, b in zip(low, jets))
     x, y, z, w = pts.T
     d0 = y * np.exp(x * y) * np.sin(z) + w**4 / (2 + y**2)
     np.testing.assert_allclose(jets[1][:, 0], d0, rtol=1e-14)
+
+
+R2 = sum(c**2 for c in COORDS)
+
+# one expression per node kind the Taylor evaluator expands, and the
+# composite f of test_conformal_covariance_refines_at_stencil_order
+_NODE_KINDS = {
+    "add": x0 + 2 * x1 - x2 + x3 / 3,
+    "mul": x0 * x1 * x2 * x3,
+    "pow_int": (1 + x0 - x2) ** 5,
+    "pow_negative": (2 + x1 * x3) ** -3,
+    "pow_rational": (1 + x0**2 + x3) ** sp.Rational(3, 2),
+    "exp": sp.exp(x0 * x2 - x1),
+    "log": sp.log(3 + x0 * x1 + x3**2),
+    "sin": sp.sin(2 * x0 + x1 * x3),
+    "cos": sp.cos(x2 - x0 * x1),
+    "constants": sp.Rational(3, 7) * x0 + sp.Float(0.25) * x1**2 + sp.pi,
+    "composite": sp.exp(sp.Rational(1, 2) * sp.log(2 / (1 + R2))) * sp.sin(x0) / (1 + x1**2)
+    + sp.cos(x2 * x3) ** 3,
+    "criterion_6_f": x0**2 * x1 + x2,
+}
+
+
+@pytest.mark.parametrize("expr", _NODE_KINDS.values(), ids=_NODE_KINDS.keys())
+def test_taylor_partials_match_sympy_to_order_four(expr):
+    pts = np.random.default_rng(7).uniform(-0.6, 0.6, (6, 4))
+    field = ScalarField(Box.cube(1.0), expr)
+    jets = field.jet(pts, 4)
+    # each sorted multi-index is the partial of its prefix by its last axis
+    parts = {(): expr}
+    for k in range(1, 5):
+        for index in itertools.combinations_with_replacement(range(4), k):
+            parts[index] = sp.diff(parts[index[:-1]], COORDS[index[-1]])
+    values = sp.lambdify(COORDS, list(parts.values()))(*pts.T)
+    for index, value in zip(parts, values):
+        want = np.broadcast_to(value, len(pts))
+        for got in (jets[len(index)][(slice(None),) + index], field.partial(pts, index)):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), index
+
+
+@pytest.mark.parametrize(
+    "expr", [sp.atan(x0), x0 ** x1, sp.Symbol("y") * x0], ids=["atan", "power", "symbol"]
+)
+def test_scalar_field_refuses_what_it_cannot_expand(expr):
+    with pytest.raises(ValueError):
+        ScalarField(Box.cube(1.0), expr)
 
 
 def test_fd_partial_polynomial_exact_to_stencil_order():

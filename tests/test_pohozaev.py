@@ -217,6 +217,25 @@ def test_radial_third_derivative_traces_to_gradient_of_laplacian():
             assert abs(tr - dlap * y[i] / r) < 1e-10
 
 
+@pytest.mark.parametrize("tilt", [None, [0.3, -0.2, 0.1, 0.25]], ids=["untilted", "tilted"])
+def test_radial_third_derivative_keeps_the_bits_of_the_whole_array_sum(tilt):
+    # a n(x)n(x)n + b (delta_im n_l + delta_il n_m + delta_ml n_i), written
+    # out with whole-array temporaries and summed left to right
+    prof = RescaledBubble(1.0)
+    pts = np.random.default_rng(9).uniform(-2.0, 2.0, (50, 4))
+    r = np.linalg.norm(pts, axis=1)
+    n = pts / r[:, None]
+    f1, f2, f3 = prof.d1(r), prof.d2(r), prof.d3(r)
+    q = f1 / r
+    a = (f3 - 3.0 * f2 / r + 3.0 * f1 / r**2)[:, None, None, None]
+    b = ((f2 - q) / r)[:, None, None, None]
+    nn = n[:, :, None] * n[:, None, :]
+    dn = np.eye(4)[None, :, :, None] * n[:, None, None, :]
+    sym = dn + dn.transpose(0, 1, 3, 2) + dn.transpose(0, 3, 1, 2)
+    want = a * nn[:, :, :, None] * n[:, None, None, :] + b * sym
+    assert np.array_equal(RadialProfileField(prof, tilt=tilt).jet(pts, 3)[3], want)
+
+
 def test_curved_terms_shrink_with_eps():
     # scale_jet makes the metric perturbation linear in eps, but its
     # first-order share of I2 cancels: in the det-one conformal-normal

@@ -8,7 +8,6 @@ from qcurv.quadrature import (
     S3_AREA,
     gauss_legendre,
     s3_nodes,
-    sphere_rule,
 )
 
 
@@ -30,9 +29,11 @@ def test_s3_nodes_area_and_moments():
 
 
 def test_sphere_rule_scales_with_radius():
-    pts, w = sphere_rule(3.0, 16, 16)
-    assert abs(np.sum(w) - S3_AREA * 27.0) < 1e-8
-    assert np.allclose(np.linalg.norm(pts, axis=1), 3.0)
+    # the ball's boundary rule is its unit S^3 rule scaled to |x| = R
+    ball = BallDomain(3.0, n_r=4, n_u=16, n_phi=16)
+    assert abs(np.sum(ball.bdy_w) - S3_AREA * 27.0) < 1e-8
+    assert np.allclose(np.linalg.norm(ball.bdy_pts, axis=1), 3.0)
+    assert np.array_equal(ball.bdy_pts, 3.0 * s3_nodes(16, 16)[0])
 
 
 def test_ball_rule_volume_and_moment():
