@@ -14,8 +14,11 @@ rounds.
 A polynomial in the chart variable xi in R^4 of degree <= 3 is its dense
 coefficient vector over the 35 monomials of degree <= 3 (``_MONOMIALS``);
 an array of polynomials is one ``ExactArray`` whose last axis holds the
-coefficients.  Products go through a fixed table of the monomial pairs of
-total degree <= 3, and derivatives through a fixed gather.
+coefficients.  The basis is the order-3 instance of the package's one
+monomial table, ``fields._taylor_tables``, so a coefficient vector sits in
+the slots of a Taylor jet about the origin.  Products go through that
+table's monomial pairs of total degree <= 3, and derivatives, the
+variable sums and float evaluation through gathers read off its slots.
 
 Curvature jets use the lowered-index convention of the curvature module
 (round sphere positive): Ric_ij = sum_a R[a,i,a,j], and the normal
@@ -35,7 +38,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fields import Box, DerivativeOrderError
+from .fields import Box, DerivativeOrderError, _taylor_tables
 
 DIM = 4
 
@@ -177,48 +180,29 @@ def concatenate(parts, axis=0):
 # ---------------------------------------------------------------------------
 # exact dense polynomials
 
-# the monomials of degree <= 3 in four variables, the coefficient basis
-_MONOMIALS = np.array(
-    [m for m in itertools.product(range(DIM), repeat=DIM) if sum(m) <= 3]
-)
-_MONOMIAL_INDEX = {tuple(m): k for k, m in enumerate(_MONOMIALS.tolist())}
+# the coefficient basis, the monomials of degree <= 3 in four variables;
+# each sorted multi-index's slot; the 165 monomial pairs whose product has
+# degree <= 3, sorted by product slot, and where each product slot's run
+# starts (for ``np.add.reduceat``)
+_MONOMIALS, _SLOT, _, _MUL, _MUL_START, _ = _taylor_tables(3)
 # the degree of each basis monomial
 DEGREE = _MONOMIALS.sum(axis=1)
 
-
-def _grouped(slots, *columns):
-    """Sort rows by target slot; return the distinct slots, the sorted
-    columns and where each slot's run starts (for ``np.add.reduceat``)."""
-    rows = np.array(sorted(zip(slots, *columns)))
-    starts = np.flatnonzero(np.diff(rows[:, 0], prepend=-1))
-    return (rows[starts, 0],) + tuple(rows[:, 1:].T) + (starts,)
-
-
 # d/dxi^i moves the coefficient of m + e_i to m, times m_i + 1; a source of
 # degree 4 reads the zero pad at index 35
-_DIFF_SOURCE = np.array([
-    [_MONOMIAL_INDEX.get(tuple(m + e), len(_MONOMIALS)) for m in _MONOMIALS]
-    for e in np.eye(DIM, dtype=int)
-])
+_DIFF_SOURCE = np.array(
+    [[_SLOT.get(tuple(sorted(i + (v,))), len(_SLOT)) for i in _SLOT] for v in range(DIM)]
+)
 _DIFF_FACTOR = _MONOMIALS.T + 1
 
-# the 165 monomial pairs whose product has degree <= 3, grouped by product
-_, _MUL_LEFT, _MUL_RIGHT, _MUL_START = _grouped(*zip(*[
-    (_MONOMIAL_INDEX[tuple(a + b)], i, j)
-    for i, a in enumerate(_MONOMIALS)
-    for j, b in enumerate(_MONOMIALS)
-    if sum(a + b) <= 3
-]))
+_, _MUL_LEFT, _MUL_RIGHT = _MUL.T
 # the most pairs that land in one product coefficient
-_MUL_TERMS = int(np.diff(_MUL_START, append=len(_MUL_LEFT)).max())
+_MUL_TERMS = int(np.diff(_MUL_START, append=len(_MUL)).max())
 
-# for degree d, the variable tuples (i1, ..., id) grouped by the monomial
-# x_i1 ... x_id they multiply to
+# for degree d, the slot of the monomial x_i1 ... x_id each variable tuple
+# (i1, ..., id) multiplies to
 _TERMS = {
-    d: _grouped(*zip(*[
-        (_MONOMIAL_INDEX[tuple(np.bincount(t, minlength=DIM))], n)
-        for n, t in enumerate(itertools.product(range(DIM), repeat=d))
-    ]))
+    d: np.array([_SLOT[tuple(sorted(t))] for t in itertools.product(range(DIM), repeat=d)])
     for d in (1, 2, 3)
 }
 
@@ -226,10 +210,9 @@ _TERMS = {
 def _from_terms(coef, d):
     """Polynomials sum coef[..., i1, ..., id] xi^i1 ... xi^id; the last d
     axes of ``coef`` index the variables."""
-    slots, order, starts = _TERMS[d]
     flat = coef.num.reshape(coef.shape[: coef.ndim - d] + (-1,))
     out = np.zeros(flat.shape[:-1] + (len(_MONOMIALS),), dtype=np.int64)
-    out[..., slots] = np.add.reduceat(flat[..., order], starts, axis=-1)
+    np.add.at(out, (..., _TERMS[d]), flat)
     return ExactArray(out, coef.den)
 
 
@@ -252,11 +235,12 @@ def poly_truncate(p, max_deg):
     return p * (DEGREE <= max_deg)
 
 
-# (rows, parents, v) for degrees 1, 2, 3: each monomial is its parent times xi^v
-_GRADED = [tuple(np.array([
-    (k, _MONOMIAL_INDEX[tuple(m - (np.arange(DIM) == v))], v)
-    for k, m in enumerate(_MONOMIALS) if DEGREE[k] == d for v in np.flatnonzero(m)[-1:]
-]).T) for d in (1, 2, 3)]
+# (rows, parents, v) for degrees 1, 2, 3: each monomial is its parent times
+# xi^v, v the last axis of its sorted multi-index
+_GRADED = [
+    tuple(np.array([(k, _SLOT[i[:-1]], i[-1]) for i, k in _SLOT.items() if len(i) == d]).T)
+    for d in (1, 2, 3)
+]
 
 # points per (35, block) monomial table; the 98k curved Pohozaev nodes in one add ~60 MB
 JET_BLOCK = 4096

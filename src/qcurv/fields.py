@@ -6,12 +6,13 @@ Derivatives*, ch. 13).  Each expression is read once into a straight-line
 program of sums, products and the univariate functions exp, log, sin, cos
 and constant powers; one run of it carries, at every point, each node's
 Taylor coefficients c_alpha over the monomials of degree <= order in the
-four coordinates (15 at order 2, 70 at order 4).  A product gathers the
-monomial pairs of degree <= order; a function phi of a node g with value
-g0 and nilpotent part h is the series sum_k phi^(k)(g0) h^k / k!, and the
-partial for the multi-index alpha is alpha! c_alpha.  An expression with
-anything else, or a symbol other than the chart's, is refused when its
-field is built.
+four coordinates (15 at order 2, 70 at order 4), in the slots of
+``_taylor_tables``, the monomial table ``cnc``'s exact polynomials also
+use.  A product gathers the monomial pairs of degree <= order; a function
+phi of a node g with value g0 and nilpotent part h is the series
+sum_k phi^(k)(g0) h^k / k!, and the partial for the multi-index alpha is
+alpha! c_alpha.  An expression with anything else, or a symbol other than
+the chart's, is refused when its field is built.
 
 Every field and metric is read through ``jet(pts, order)``, which returns
 ``[value, first, second, ...]`` with the derivative axes last.  A
@@ -145,12 +146,12 @@ def _stages(index):
     return stages
 
 
-def _symmetric_jet(order, partial):
+def _symmetric_jet(order, derivative):
     """``[value, first, ...]`` up to ``order``, derivative axes last, from
-    ``partial(index)`` called once per sorted multi-index."""
+    ``derivative(index)`` called once per sorted multi-index."""
     jets = []
     for k in range(order + 1):
-        part = {i: partial(i) for i in itertools.combinations_with_replacement(range(DIM), k)}
+        part = {i: derivative(i) for i in itertools.combinations_with_replacement(range(DIM), k)}
         arr = np.stack([part[tuple(sorted(i))] for i in np.ndindex((DIM,) * k)], axis=-1)
         jets.append(arr.reshape(arr.shape[:-1] + (DIM,) * k))
     return jets
@@ -218,29 +219,32 @@ def fd_jet(func, pts, order, step, indices=None):
 def _taylor_tables(order):
     """The monomials of degree <= ``order`` and the gathers of their product.
 
-    Monomials are the sorted multi-indices, by degree, each degree in
-    ``combinations_with_replacement`` order, so the tables of a lower
-    order are a prefix of a higher one's.  The pairs of monomials whose
-    degrees sum to <= ``order`` are sorted by their product's slot and then
-    by their own slots, so each product slot's run opens with (1, itself).
-    Returns each multi-index's slot, each slot's alpha!, and one pass per
-    later rank r in a run: the product slots with an r-th pair, and the
-    left and right slots of those pairs.
+    The package's one monomial basis; ``cnc``'s is the order-3 instance.
+    Monomials are exponent vectors in ``itertools.product`` order, the
+    constant first, so a lower order's are not a prefix of a higher one's
+    but keep their relative order.  The pairs of monomials whose degrees
+    sum to <= ``order`` are sorted by their product's slot and then by
+    their own slots, so each product slot's run opens with (1, itself) and
+    is the same at every order that has it: a lower order's jets have the
+    bits of a higher order's leading jets.  Returns the (slots, 4)
+    exponents, each sorted multi-index's slot, each slot's alpha!, the
+    sorted (product, left, right) pairs, where each product slot's run
+    starts, and one pass per later rank r in a run: the product slots with
+    an r-th pair, and the left and right slots of those pairs.
     """
-    index = [
-        i for d in range(order + 1) for i in itertools.combinations_with_replacement(range(DIM), d)
-    ]
-    slot = {i: k for k, i in enumerate(index)}
-    fact = np.array([math.prod(math.factorial(i.count(a)) for a in set(i)) for i in index], float)
+    exps = [e for e in itertools.product(range(order + 1), repeat=DIM) if sum(e) <= order]
+    slot = {tuple(a for a, n in enumerate(e) for _ in range(n)): k for k, e in enumerate(exps)}
+    fact = np.array([math.prod(map(math.factorial, e)) for e in exps], float)
     pairs = np.array(sorted(
         (slot[tuple(sorted(a + b))], j, k)
-        for j, a in enumerate(index)
-        for k, b in enumerate(index)
+        for a, j in slot.items()
+        for b, k in slot.items()
         if len(a) + len(b) <= order
     ))
-    rank = np.arange(len(pairs)) - np.searchsorted(pairs[:, 0], pairs[:, 0])
+    starts = np.flatnonzero(np.diff(pairs[:, 0], prepend=-1))
+    rank = np.arange(len(pairs)) - np.repeat(starts, np.diff(starts, append=len(pairs)))
     passes = [tuple(pairs[rank == r].T) for r in range(1, rank.max() + 1)]
-    return slot, fact, passes
+    return np.array(exps), slot, fact, pairs, starts, passes
 
 
 @functools.lru_cache(maxsize=None)
@@ -312,7 +316,7 @@ def _derivatives(kind, p, g0, order):
 def _taylor(expr, pts, order):
     """Taylor coefficients of the sympy ``expr`` about each of ``pts``
     (n, 4): (slots, n), in ``_taylor_tables(order)``'s slots."""
-    slot, _, passes = _taylor_tables(order)
+    _, slot, _, _, _, passes = _taylor_tables(order)
     ops, top = _program(expr)
 
     def mul(p, q):
@@ -372,26 +376,16 @@ class ScalarField:
     def from_expr(cls, expr, domain):
         return cls(domain, expr)
 
-    def _coefficients(self, pts, order):
-        if order > 4:
-            raise DerivativeOrderError("derivatives available up to order 4")
-        return _taylor(self.expr, np.atleast_2d(np.asarray(pts, float)), order)
-
-    def partial(self, pts, index):
-        """Partial derivative for multi-index ``index`` at each point."""
-        index = tuple(sorted(index))
-        coef = self._coefficients(pts, len(index))
-        slot, fact, _ = _taylor_tables(len(index))
-        return fact[slot[index]] * coef[slot[index]]
-
     def jet(self, pts, order):
         """``[value, gradient, Hessian, ...]`` up to ``order`` (at most 4),
         derivative axes last: ``jet[k][n, a1, ..., ak]`` is the partial for
         the multi-index (a1, ..., ak), read from one set of Taylor
         coefficients and copied to its permutations.
         """
-        coef = self._coefficients(pts, order)
-        slot, fact, _ = _taylor_tables(order)
+        if order > 4:
+            raise DerivativeOrderError("derivatives available up to order 4")
+        coef = _taylor(self.expr, np.atleast_2d(np.asarray(pts, float)), order)
+        _, slot, fact, _, _, _ = _taylor_tables(order)
         return _symmetric_jet(order, lambda index: fact[slot[index]] * coef[slot[index]])
 
 

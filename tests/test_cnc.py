@@ -40,6 +40,7 @@ from qcurv.fields import (
     ConstantField,
     DegenerateMetricError,
     DerivativeOrderError,
+    _taylor,
 )
 
 
@@ -607,6 +608,36 @@ def test_poly_jet_matches_exact_evaluation_across_blocks():
         num, den = got.T.reshape((2, len(pts), -1))
         gap = abs(num * (polys.den * D**3) - (mono @ coef) * den) * 10**15
         assert np.all(gap <= (abs(mono) @ abs(coef)) * den)
+
+
+def _sympy_poly(p):
+    """One dense exact polynomial as a sympy expression over the chart's
+    coordinates, each coefficient times the monomial cnc lists in its slot."""
+    return sp.Add(*[
+        sp.Rational(c.numerator, c.denominator) * sp.Mul(*[x**e for x, e in zip(COORDS, m)])
+        for m, c in zip(cnc._MONOMIALS.tolist(), _fr(p))
+    ])
+
+
+def test_cnc_coefficients_and_taylor_jets_share_one_monomial_table():
+    # fields' Taylor coefficients about the origin, to order 3, sit in the
+    # slots of cnc's coefficient vectors
+    rng = np.random.default_rng(29)
+    # every coefficient nonzero, so every slot of a product has terms
+    p, q = (
+        ExactArray(rng.integers(1, 100, (6, 35)) * rng.choice([-1, 1], (6, 35)), den)
+        for den in rng.integers(1, 50, 2).tolist()
+    )
+    origin = np.zeros((1, 4))
+    for i in range(6):
+        fp, fq = _sympy_poly(p[i]), _sympy_poly(q[i])
+        assert np.array_equal(_taylor(fp, origin, 3)[:, 0], p[i].to_float())
+        # a truncated product, summed in floats, against the exact one
+        got = _taylor(fp * fq, origin, 3)[:, 0]
+        want = poly_mul(p[i], q[i]).to_float()
+        size = poly_mul(ExactArray(np.abs(p.num[i]), p.den), ExactArray(np.abs(q.num[i]), q.den))
+        assert np.count_nonzero(want) >= 30
+        assert np.all(np.abs(got - want) <= 16 * np.finfo(float).eps * size.to_float())
 
 
 class _SympyBlowup:

@@ -16,7 +16,7 @@ from qcurv.curvature import (
     weyl_norm_sq,
     weyl_tensor,
 )
-from qcurv.cnc import _MONOMIAL_INDEX, ExactArray, PolynomialMetric
+from qcurv.cnc import _MONOMIALS, ExactArray, PolynomialMetric
 from qcurv.fields import (
     COORDS,
     Box,
@@ -30,6 +30,9 @@ from qcurv.models import SphereModel, sphere_metric
 
 x0, x1, x2, x3 = COORDS
 R2 = sum(c**2 for c in COORDS)
+
+# each exponent tuple's slot in cnc's coefficient vectors
+_SLOT = {tuple(m): k for k, m in enumerate(_MONOMIALS.tolist())}
 
 
 def _symmetry_residual(riem):
@@ -157,7 +160,7 @@ def _exact_metric(matrix, half_width):
     for a, row in enumerate(terms):
         for b, entry in enumerate(row):
             for m, c in entry:
-                comps[a, b, _MONOMIAL_INDEX[m]] = int(c * den)
+                comps[a, b, _SLOT[m]] = int(c * den)
     return PolynomialMetric(ExactArray(comps, den), Box.cube(half_width))
 
 
@@ -186,7 +189,7 @@ def _random_quadratic_metric(rng, den=1000):
     for i in range(4):
         for j in range(4):
             monomial = tuple(np.bincount([i, j], minlength=4).tolist())
-            comps[..., _MONOMIAL_INDEX[monomial]] += coef[:, :, i, j]
+            comps[..., _SLOT[monomial]] += coef[:, :, i, j]
     return PolynomialMetric(ExactArray(comps, den), Box.cube(2.0))
 
 
