@@ -269,17 +269,19 @@ def _jet_table(polys, order, eps=1.0):
     return np.ascontiguousarray(np.concatenate(cols).T), shapes
 
 
-def _apply_jet_table(table, shapes, pts):
+def _apply_jet_table(table, shapes, pts, out=None):
     """The jets a ``_jet_table`` describes at ``pts`` (n, 4): the monomial
     values by graded products times the table, one block of points at a time.
 
     Returns ``[values, first, second, ...]``; derivative axes come last, so
     ``first[n, ..., c]`` is the c-th partial of each entry.  Rows agree
     across batch sizes to rounding, not bit for bit: within 35 ulp of the
-    sum of the magnitudes of a row's 35 terms.
+    sum of the magnitudes of a row's 35 terms.  The product is written into
+    ``out``, a C-ordered (n, columns) array, when one is given; the jets
+    are views of it.
     """
     pts = np.atleast_2d(np.asarray(pts, float))
-    flat = np.empty((len(pts), table.shape[1]))
+    flat = np.empty((len(pts), table.shape[1])) if out is None else out
     for s in range(0, len(pts), JET_BLOCK):
         xs = pts[s : s + JET_BLOCK].T
         mono = np.ones((len(_MONOMIALS), xs.shape[1]))

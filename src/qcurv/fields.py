@@ -15,7 +15,10 @@ alpha! c_alpha.  An expression with anything else, or a symbol other than
 the chart's, is refused when its field is built.
 
 Every field and metric is read through ``jet(pts, order)``, which returns
-``[value, first, second, ...]`` with the derivative axes last.  A
+``[value, first, second, ...]`` with the derivative axes last.  A field
+the Pohozaev ball rule reads also has ``polar_jet(r, dirs, order)``, its
+jet at ``polar_points(r, dirs)``, the points at radii r along unit
+directions dirs.  A
 ``MetricField`` is conformally flat, g = f delta, and is its factor f: a
 ``ScalarField`` whose jet to order 2 gives the metric's.  Metrics that are
 not conformally flat are exact polynomials, ``cnc.PolynomialMetric``.
@@ -389,6 +392,12 @@ class ScalarField:
         return _symmetric_jet(order, lambda index: fact[slot[index]] * coef[slot[index]])
 
 
+def polar_points(r, dirs):
+    """The points r * dirs as (n, 4): radii ``r`` broadcast against the
+    leading axes of the unit directions ``dirs``, joined in C order."""
+    return (np.asarray(r, float)[..., None] * dirs).reshape(-1, DIM)
+
+
 class ConstantField:
     """The constant c, with every derivative zero; it needs no sympy."""
 
@@ -398,6 +407,10 @@ class ConstantField:
     def jet(self, pts, order):
         n = len(np.atleast_2d(pts))
         return [np.full(n, self.c)] + [np.zeros((n,) + (DIM,) * k) for k in range(1, order + 1)]
+
+    def polar_jet(self, r, dirs, order):
+        """``jet`` at ``polar_points(r, dirs)``."""
+        return self.jet(polar_points(r, dirs), order)
 
 
 class MetricField:

@@ -34,15 +34,21 @@ by the whole sweep: u's jet (order 3 on the boundary; order 2 in the
 interior, or 1 when every metric is flat), h's (order 1 in the
 interior), b, e^{4u}, I0 and the b part of I2.  Each table is stacked
 over the curved metrics and built once per call (none without one).
-Boundary and interior are both walked in blocks of ``cnc.JET_BLOCK``
-nodes, and each evaluates its table once per block.  An interior block's
-nodes are formed from the rule's factors, radius times unit S^3 node, so
-no array of all the nodes is held; its table is contracted with u's jet
-into each metric's partial sums of I2's metric part and I4, and the block
-sums are added in block order, so the output depends on the inputs
-alone.  A boundary block writes each node's flux (one per metric), I3
-integrand and xi.grad u, and I1 and I3 are then each one product with
-the weights over the whole sphere.
+
+Both rules are walked as shells x directions.  ``BallDomain.blocks``
+hands out blocks of s shell radii times d unit S^3 directions, s d at
+most ``cnc.JET_BLOCK`` in the interior and ``BOUNDARY_BLOCK`` on the
+sphere, which is the one shell r = R.  A block's nodes and weights are
+formed from the rule's factors (radius times direction, shell weight
+times S^3 weight), so no array over the whole rule is held.  u, h and b
+are read through ``polar_jet(r, dirs, order)``, so a radial field
+evaluates its profile once per shell radius.  Each block evaluates its
+table once, into one workspace that lives for the whole call.  An
+interior block contracts its table with u's jet into each metric's
+partial sums of I2's metric part and I4; a boundary block forms each
+node's flux (one per metric), I3 integrand and xi.grad u and weights them
+into partial sums of I1 and I3.  The block sums are added in block order,
+so the output depends on the inputs alone.
 
 The curved identity leaves out the degree >= 4 tail of the metric
 expansion.  ``unmodeled_remainder`` bounds that tail's share, sized from
@@ -61,17 +67,24 @@ from .cnc import (
     DEGREE, JET_BLOCK, _apply_jet_table, _jet_table, concatenate, inverse_metric_taylor,
     poly_diff, ricci_of,
 )
+from .fields import polar_points
 from .quadrature import gauss_legendre, s3_nodes, BALL4_VOL, S3_AREA
+
+# nodes per boundary block: at 512 its order-3 jet of u, (n, 4, 4, 4), takes
+# 0.26 MB and a two-metric (n, 200) [A | g^{ij}] table 0.82 MB
+BOUNDARY_BLOCK = 512
 
 
 @dataclass
 class BallDomain:
-    """Origin-centered ball with polar interior and boundary rules.
+    """Origin-centered ball with polar interior and boundary rules, each a
+    product of shells and directions.
 
-    The interior rule is the product of the Gauss-Legendre ``radii`` on
-    [0, R] and the unit S^3 nodes ``s3_pts``; its nodes are formed block by
-    block in ``interior_blocks``, its weights ``int_w`` are held whole.
-    The boundary rule is the same S^3 rule scaled to the sphere |x| = R."""
+    The interior rule's shells are the Gauss-Legendre ``radii`` on [0, R]
+    with weights wr r^3 (``shell_w``); the boundary rule is the one shell
+    r = R with weight R^3.  Both take the unit S^3 nodes ``s3_pts`` with
+    weights ``s3_w`` as directions, and ``blocks`` walks either.  The
+    whole-rule weights ``int_w`` and ``bdy_w`` are formed only when read."""
 
     R: float
     n_r: int = 48
@@ -80,36 +93,53 @@ class BallDomain:
 
     def __post_init__(self):
         self.radii, wr = gauss_legendre(self.n_r, 0.0, self.R)
-        self.s3_pts, s3_w = s3_nodes(self.n_u, self.n_phi)
-        self.int_w = ((wr * self.radii**3)[:, None] * s3_w[None, :]).reshape(-1)
-        self.bdy_pts, self.bdy_w = self.R * self.s3_pts, self.R**3 * s3_w
+        self.shell_w = wr * self.radii**3
+        self.s3_pts, self.s3_w = s3_nodes(self.n_u, self.n_phi)
         vol = BALL4_VOL * self.R**4
         area = S3_AREA * self.R**3
-        if abs(self.int_w.sum() - vol) > 1e-8 * vol:
+        if abs(self.shell_w.sum() * self.s3_w.sum() - vol) > 1e-8 * vol:
             raise RuntimeError("interior weights do not sum to the ball volume")
-        if abs(self.bdy_w.sum() - area) > 1e-8 * area:
+        if abs(self.R**3 * self.s3_w.sum() - area) > 1e-8 * area:
             raise RuntimeError("boundary weights do not sum to the sphere area")
 
     @property
-    def normals(self):
-        return self.bdy_pts / self.R
+    def int_w(self):
+        return (self.shell_w[:, None] * self.s3_w[None, :]).reshape(-1)
 
-    def interior_blocks(self, size):
-        """The interior nodes and weights, ``size`` nodes at a time in
-        shell-major order: node k m + j is radii[k] * s3_pts[j], with m
-        nodes per shell, formed by one slice per shell a block touches."""
-        m, n = len(self.s3_pts), len(self.int_w)
-        for s in range(0, n, size):
-            e = min(s + size, n)
-            shells = range(s // m, (e - 1) // m + 1)
-            xi = [self.radii[k] * self.s3_pts[max(s - k * m, 0) : e - k * m] for k in shells]
-            yield np.concatenate(xi), self.int_w[s:e]
+    @property
+    def bdy_w(self):
+        return self.R**3 * self.s3_w
+
+    def blocks(self, size, boundary=False):
+        """The interior rule, or with ``boundary`` the sphere's, as blocks of
+        s shells times d directions with s d <= ``size``: a shell of more
+        than ``size`` directions is split into pieces of ``size``, and
+        shells of fewer are grouped ``size // m`` at a time; the last piece
+        or group may be short.  Each block is (r, dirs, w): the radii
+        (s, 1), the unit directions (d, 4) and the s d weights of the nodes
+        ``polar_points(r, dirs)``, shell-major, each the shell weight times
+        the S^3 weight.  Joined in order they are the product rule."""
+        radii, shell_w = (
+            (np.array([self.R]), np.array([self.R**3])) if boundary else (self.radii, self.shell_w)
+        )
+        m = len(self.s3_pts)
+        s, d = max(size // m, 1), min(size, m)
+        for k in range(0, len(radii), s):
+            for j in range(0, m, d):
+                w = shell_w[k : k + s, None] * self.s3_w[None, j : j + d]
+                yield radii[k : k + s, None], self.s3_pts[j : j + d], w.reshape(-1)
 
 
 class RadialProfileField:
-    """Order-3 jet of a radial function u(y) = f(|y|) from closed forms.
+    """Order-3 jet of u(y) = f(|y|) + tilt.y from the closed forms of the
+    radial profile f.
 
-    ``profile`` must expose val_r/d1/d2/d3 (e.g. RescaledBubble).
+    ``profile`` must expose val_r/d1/d2/d3 (e.g. RescaledBubble).  The jet
+    is formed in polar form, at radii r and unit directions n: on a ball
+    block of s shells times d directions ``polar_jet`` evaluates the
+    profile once per shell radius and the products of n once per
+    direction, and ``jet(pts, order)`` is the same formulas at r = |pts|,
+    n = pts / r.
     """
 
     def __init__(self, profile, tilt=None):
@@ -123,9 +153,17 @@ class RadialProfileField:
         return np.sqrt(r, out=r)
 
     def jet(self, pts, order):
-        """``[val, grad, hess, third]`` up to ``order`` (at most 3), from one
-        radius and one evaluation of each profile derivative.  With
-        n = y / r and q = f'/r:
+        """``polar_jet`` at r = |pts|, n = pts / r, one point each."""
+        pts = np.atleast_2d(np.asarray(pts, float))
+        r = self._r(pts)
+        return self.polar_jet(r, pts / r[:, None], order)
+
+    def polar_jet(self, r, dirs, order):
+        """``[val, grad, hess, third]`` up to ``order`` (at most 3) at
+        ``polar_points(r, dirs)``, the radii ``r`` broadcast against the
+        leading axes of the unit directions ``dirs``; each profile
+        derivative is evaluated once per entry of ``r``.  With n the
+        direction and q = f'/r:
 
             d_i u   = f' n_i
             d_im u  = (f'' - q) n_i n_m + q delta_im
@@ -136,42 +174,40 @@ class RadialProfileField:
         source display's last coefficient reads (f'' - f'), which fails the
         FD cross-check of ``qcurv pohozaev``; (f'' - f'/r) passes.
         """
-        pts = np.atleast_2d(np.asarray(pts, float))
-        r = self._r(pts)
+        r, n = np.asarray(r, float), np.asarray(dirs, float)
+        shape = np.broadcast_shapes(r.shape, n.shape[:-1])
         val = self.profile.val_r(r)
-        out = [val if self.tilt is None else val + pts @ self.tilt]
-        if order < 1:
-            return out
-        f1 = self.profile.d1(r)
-        n = pts / r[:, None]
-        grad = f1[:, None] * n
-        out.append(grad if self.tilt is None else grad + self.tilt)
-        if order < 2:
-            return out
-        f2 = self.profile.d2(r)
-        q = f1 / r
-        nn = n[:, :, None] * n[:, None, :]
-        hess = (f2 - q)[:, None, None] * nn
-        diag = np.arange(4)
-        hess[:, diag, diag] += q[:, None]
-        out.append(hess)
-        if order < 3:
-            return out
-        f3 = self.profile.d3(r)
-        a = (f3 - 3.0 * f2 / r + 3.0 * f1 / r**2)[:, None, None, None]
-        b = ((f2 - q) / r)[:, None, None, None]
-        # the delta terms fill one array in the order of their sum, in place
-        third = np.zeros((len(pts), 4, 4, 4))
-        for i in range(4):
-            third[:, i, i, :] += n  # delta_im n_l
-        for i in range(4):
-            third[:, i, :, i] += n  # delta_il n_m
-        for i in range(4):
-            third[:, :, i, i] += n  # delta_ml n_i
-        third *= b
-        third += a * nn[:, :, :, None] * n[:, None, None, :]
-        out.append(third)
-        return out
+        if self.tilt is not None:
+            val = val + r * (n @ self.tilt)
+        out = [np.broadcast_to(val, shape)]
+        if order >= 1:
+            f1 = self.profile.d1(r)
+            grad = f1[..., None] * n
+            out.append(grad if self.tilt is None else grad + self.tilt)
+        if order >= 2:
+            f2 = self.profile.d2(r)
+            q = f1 / r
+            nn = n[..., :, None] * n[..., None, :]
+            hess = (f2 - q)[..., None, None] * nn
+            diag = np.arange(4)
+            hess[..., diag, diag] += q[..., None]
+            out.append(hess)
+        if order >= 3:
+            f3 = self.profile.d3(r)
+            a = (f3 - 3.0 * f2 / r + 3.0 * f1 / r**2)[..., None, None, None]
+            b = ((f2 - q) / r)[..., None, None, None]
+            # the delta terms fill one array in the order of their sum, in place
+            third = np.zeros(shape + (4, 4, 4))
+            for i in range(4):
+                third[..., i, i, :] += n  # delta_im n_l
+            for i in range(4):
+                third[..., i, :, i] += n  # delta_il n_m
+            for i in range(4):
+                third[..., :, i, i] += n  # delta_ml n_i
+            third *= b
+            third += a * nn[..., :, :, None] * n[..., None, None, :]
+            out.append(third)
+        return [part.reshape((-1,) + part.shape[len(shape) :]) for part in out]
 
 
 @dataclass
@@ -192,9 +228,10 @@ class PohozaevReport:
 def pohozaev_balance(u, h, b, ball: BallDomain, metric_taylors=(None,)):
     """Term-by-term Pohozaev reports, one per entry of ``metric_taylors``.
 
-    ``u``, ``h`` and ``b`` are read through ``jet(pts, order)``, which
-    returns ``[val, grad, hess, third]`` up to ``order``, such as
-    RadialProfileField's; h's gradient gives I0's xi.grad(h) term.  An
+    ``u``, ``h`` and ``b`` are read through ``polar_jet(r, dirs, order)``,
+    which returns ``[val, grad, hess, third]`` up to ``order`` at the
+    points ``polar_points(r, dirs)``, such as RadialProfileField's; h's
+    gradient gives I0's xi.grad(h) term.  An
     entry None is the flat metric; I3 and I4 of any
     other entry read the Ricci derivatives of its curvature jet
     ``metric_taylor.jet``.  Each ``error_estimate`` is the change of its
@@ -203,10 +240,12 @@ def pohozaev_balance(u, h, b, ball: BallDomain, metric_taylors=(None,)):
     curved = [mt for mt in metric_taylors if mt is not None]
     table, bdy_table, ric = _tables(curved)
     eps3 = [mt.comps[..., DEGREE == 3].abs_max() for mt in curved]
+    # every block's jet-table product, on both balls, is written here
+    work = np.empty(max(JET_BLOCK * table.shape[1], BOUNDARY_BLOCK * bdy_table.shape[1]))
 
     def reports(dom):
-        I1, I3 = _boundary_terms(u, h, dom, metric_taylors, bdy_table, ric)
-        I0, bxgu, tail, I2m, I4 = _interior_sums(u, h, b, dom, table, ric)
+        I1, I3 = _boundary_terms(u, h, dom, metric_taylors, bdy_table, ric, work)
+        I0, bxgu, tail, I2m, I4 = _interior_sums(u, h, b, dom, table, ric, work)
         curved_terms = iter(zip(I2m, I3, I4, eps3))
         out = []
         for mt, i1 in zip(metric_taylors, I1):
@@ -223,50 +262,57 @@ def pohozaev_balance(u, h, b, ball: BallDomain, metric_taylors=(None,)):
     return fine
 
 
-def _boundary_terms(u, h, ball, metric_taylors, table, ric):
+def _boundary_terms(u, h, ball, metric_taylors, table, ric, work):
     """I1 of each entry of ``metric_taylors`` and I3 of each curved one.
-    Per block of ``JET_BLOCK`` nodes, u's order-3 jet and the boundary
-    ``table`` of every curved metric give each node's flux, I3 integrand and
-    xi.grad u; each term is then one product with the weights over the
-    whole sphere."""
-    w, nus, n = ball.bdy_w, ball.normals, len(ball.bdy_w)
-    flux, xdotgu = np.empty((len(metric_taylors), n)), np.empty(n)
-    ric_nu = np.empty((n, ric.shape[1] // 16))
-    for s in range(0, n, JET_BLOCK):
-        blk = slice(s, s + JET_BLOCK)
-        xi, nu = ball.bdy_pts[blk], nus[blk]
-        uv, gu, hu, tu = jet = u.jet(xi, 3)
+    Per sphere block of ``BOUNDARY_BLOCK`` nodes, u's order-3 jet and the
+    boundary ``table`` of every curved metric give each node's flux, I3
+    integrand and xi.grad u, weighted into the block's partial sums; the
+    block sums are added in block order."""
+    parts = []
+    for r, nu, w in ball.blocks(BOUNDARY_BLOCK, boundary=True):
+        xi = polar_points(r, nu)
+        uv, gu, hu, tu = jet = u.polar_jet(r, nu, 3)
         xdotnu = np.einsum("ni,ni->n", xi, nu)
-        xdotgu[blk] = np.einsum("ni,ni->n", xi, gu)
-        shared = 0.5 * h.jet(xi, 0)[0] * np.exp(4.0 * uv) * xdotnu
+        xdotgu = np.einsum("ni,ni->n", xi, gu)
+        shared = 0.5 * h.polar_jet(r, nu, 0)[0] * np.exp(4.0 * uv) * xdotnu
         gu_hxi = gu + np.einsum("nim,nm->ni", hu, xi)
-        curved = zip(*_detone_terms(table, xi, jet)) if table.shape[1] else iter(())
-        for row, mt in zip(flux, metric_taylors):
+        curved = zip(*_detone_terms(table, xi, jet, work)) if table.shape[1] else iter(())
+        row = []
+        for mt in metric_taylors:
             if mt is None:
                 lap, glap, gnu = np.trace(hu, axis1=1, axis2=2), np.einsum("naai->ni", tu), nu
             else:
                 lap, glap, ginv = next(curved)
                 gnu = np.einsum("nij,nj->ni", ginv, nu)
-            row[blk] = (
+            flux = (
                 shared
-                - np.einsum("ni,ni->n", glap, gnu) * xdotgu[blk]
+                - np.einsum("ni,ni->n", glap, gnu) * xdotgu
                 + lap * np.einsum("ni,ni->n", gu_hxi, gnu)
                 - 0.5 * lap**2 * xdotnu
             )
-        ric_nu[blk] = np.einsum("nki,ni->nk", _contract_ricci(ric, xi, gu), nu)
-    # (k, n) laid out (n, k), as a whole-sphere einsum gives it: a C-ordered
-    # (k, n) operand moves the sum in its last bit
-    I3 = 2.0 * ric_nu.T @ (w * xdotgu)
-    return [float(w @ f) for f in flux], [float(v) for v in I3]
+            row.append(w @ flux)
+        ric_nu = np.einsum("nki,ni->kn", _contract_ricci(ric, xi, gu), nu)
+        row.extend(2.0 * ric_nu @ (w * xdotgu))
+        parts.append(row)
+    sums = [float(v) for v in np.sum(parts, axis=0)]
+    return sums[: len(metric_taylors)], sums[len(metric_taylors) :]
 
 
-def _detone_terms(table, xi, jet):
+def _table_at(table, shape, xi, work):
+    """The values of ``table`` at ``xi`` (n, 4), with entry ``shape``,
+    written into the front of the workspace ``work``."""
+    out = work[: len(xi) * table.shape[1]].reshape(len(xi), -1)
+    return _apply_jet_table(table, [shape], xi, out)[0]
+
+
+def _detone_terms(table, xi, jet, work):
     """lap u = A.grad u + g^{ij} d_ij u of each metric in the boundary
     ``table`` at ``xi``, its gradient d_m A.grad u + A.grad d_m u
     + d_m g^{ij} d_ij u + g^{ij} d_ijm u, and g^{ij}, as (k, n), (k, n, 4)
-    and (k, n, 4, 4) arrays, from u's order-3 ``jet``."""
+    and (k, n, 4, 4) arrays, from u's order-3 ``jet``; the table is
+    evaluated into the workspace ``work``."""
     n, (_, gu, hu, tu) = len(xi), jet
-    vals = _apply_jet_table(table, [(table.shape[1] // 100, 100)], xi)[0]
+    vals = _table_at(table, (table.shape[1] // 100, 100), xi, work)
     vals, parts = vals[..., :20], vals[..., 20:].reshape(n, -1, 20, 4)
     d1 = np.hstack([gu, hu.reshape(n, 16)])
     d2 = np.concatenate([hu, tu.reshape(n, 16, 4)], axis=1)
@@ -275,25 +321,27 @@ def _detone_terms(table, xi, jet):
     return lap, glap, vals[..., 4:].reshape(n, -1, 4, 4).transpose(1, 0, 2, 3)
 
 
-def _interior_sums(u, h, b, ball, table, ric):
-    """Interior integrals over ``ball``, one block of ``JET_BLOCK`` nodes at
-    a time: I0, int b xi.grad u, the remainder integral
+def _interior_sums(u, h, b, ball, table, ric, work):
+    """Interior integrals over ``ball``, one block of at most ``JET_BLOCK``
+    nodes at a time: I0, int b xi.grad u, the remainder integral
     int r^2 |grad u|^2 + r^4 |hess u| (0 when ``table`` holds no curved
     metric), and the lists of each curved metric's I2 metric part and I4.
-    The block sums are added in block order."""
+    The table is evaluated into the workspace ``work``, and the block sums
+    are added in block order."""
     k = table.shape[1] // 40
     parts = []
-    for xi, w in ball.interior_blocks(JET_BLOCK):
-        jet = u.jet(xi, 2 if k else 1)
+    for r, dirs, w in ball.blocks(JET_BLOCK):
+        xi = polar_points(r, dirs)
+        jet = u.polar_jet(r, dirs, 2 if k else 1)
         gu = jet[1]
-        hv, gh = h.jet(xi, 1)
+        hv, gh = h.polar_jet(r, dirs, 1)
         f0 = 2.0 * hv + 0.5 * np.einsum("ni,ni->n", xi, gh)
         xgu = np.einsum("ni,ni->n", xi, gu)
-        row = [w @ (f0 * np.exp(4.0 * jet[0])), w @ (b.jet(xi, 0)[0] * xgu)]
+        row = [w @ (f0 * np.exp(4.0 * jet[0])), w @ (b.polar_jet(r, dirs, 0)[0] * xgu)]
         if k:
             hu = jet[2]
             hu_flat = hu.reshape(-1, 16)
-            polys = _apply_jet_table(table, [(k, 2, 20)], xi)[0]
+            polys = _table_at(table, (k, 2, 20), xi, work)
             lap, metric = np.einsum("nksj,nj->skn", polys, np.hstack([gu, hu_flat]))
             r2 = np.einsum("ni,ni->n", xi, xi)
             du2 = np.einsum("ni,ni->n", gu, gu)

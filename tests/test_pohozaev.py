@@ -23,8 +23,12 @@ from qcurv.cnc import (
     ricci_of,
     scale_jet,
 )
-from qcurv.fields import COORDS, Box, ConstantField, ScalarField, _symmetric_jet, fd_jet
-from qcurv.pohozaev import BallDomain, RadialProfileField, _detone_terms, _tables, pohozaev_balance
+from qcurv.fields import (
+    COORDS, Box, ConstantField, ScalarField, _symmetric_jet, fd_jet, polar_points,
+)
+from qcurv.pohozaev import (
+    BOUNDARY_BLOCK, BallDomain, RadialProfileField, _detone_terms, _tables, pohozaev_balance,
+)
 from qcurv.quadrature import gauss_legendre, s3_nodes
 
 
@@ -33,44 +37,75 @@ ONE, ZERO = ConstantField(1.0), ConstantField(0.0)
 
 def _interior_nodes(ball):
     """Every interior node of ``ball``, its blocks joined."""
-    return np.concatenate([xi for xi, _ in ball.interior_blocks(JET_BLOCK)])
+    return np.concatenate([polar_points(r, dirs) for r, dirs, _ in ball.blocks(JET_BLOCK)])
 
 
 def test_ball_domain_invariants():
     ball = BallDomain(3.0, n_r=16, n_u=12, n_phi=12)
-    # weight sums are validated on construction; normals are unit radial
-    assert np.allclose(np.linalg.norm(ball.normals, axis=1), 1.0)
-    assert np.allclose(ball.bdy_pts, 3.0 * ball.normals)
+    # weight sums are validated on construction; the directions are unit
+    # vectors, and the boundary weights are R^3 times theirs
+    assert np.allclose(np.linalg.norm(ball.s3_pts, axis=1), 1.0)
+    assert np.array_equal(ball.bdy_w, 27.0 * ball.s3_w)
 
 
 @pytest.mark.parametrize("dims", [(1.0, 8, 6, 6), (20.0, 4, 24, 24)])
 def test_interior_blocks_join_to_the_product_rule(dims):
-    # 216 sphere nodes: a block spans many shells; 13,824: a block ends
-    # inside a shell, and the last block is a tail
+    # the interior rule and the sphere's one shell r = R.  216 directions:
+    # an interior block spans shells (8 of at most 18, or 6 and then a tail
+    # of 2); 13,824: every shell is split, its last piece a tail
     R, n_r, n_u, n_phi = dims
     ball = BallDomain(*dims)
-    r, _ = gauss_legendre(n_r, 0.0, R)
-    s_pts, _ = s3_nodes(n_u, n_phi)
-    want = (r[:, None, None] * s_pts[None]).reshape(-1, 4)
-    for size in (JET_BLOCK, 1000):
-        blocks = list(ball.interior_blocks(size))
-        assert [len(xi) for xi, _ in blocks[:-1]] == [size] * (len(blocks) - 1)
-        assert np.array_equal(np.concatenate([xi for xi, _ in blocks]), want)
-        assert np.array_equal(np.concatenate([w for _, w in blocks]), ball.int_w)
+    r, wr = gauss_legendre(n_r, 0.0, R)
+    s_pts, s_w = s3_nodes(n_u, n_phi)
+    m = len(s_pts)
+    interior = (r[:, None, None] * s_pts[None]).reshape(-1, 4), ((wr * r**3)[:, None] * s_w).reshape(-1)
+    rules = {False: interior, True: (R * s_pts, R**3 * s_w)}
+    for boundary, (nodes, weights) in rules.items():
+        for size in (JET_BLOCK, 1500):
+            blocks = list(ball.blocks(size, boundary))
+            shells = [len(radii) for radii, _, _ in blocks]
+            dirs = [len(d) for _, d, _ in blocks]
+            if m > size:  # one shell per block, each split into pieces of size
+                assert set(shells) == {1} and dirs[: m // size] == [size] * (m // size)
+                assert dirs[m // size] == m % size
+            else:  # whole shells, size // m at a time
+                assert set(dirs) == {m} and shells[:-1] == [size // m] * (len(shells) - 1)
+                assert 1 <= shells[-1] <= size // m
+            assert all(len(w) == s * d <= size for (_, _, w), s, d in zip(blocks, shells, dirs))
+            assert np.array_equal(np.concatenate([polar_points(x, d) for x, d, _ in blocks]), nodes)
+            assert np.array_equal(np.concatenate([w for _, _, w in blocks]), weights)
+    assert np.array_equal(ball.int_w, rules[False][1])
+    assert np.array_equal(ball.bdy_w, rules[True][1])
 
 
-def test_flat_balance_peak_memory():
-    # blocks of nodes and of boundary jets: the whole node array and the
-    # sphere's order-3 jet at once took this balance to 61 MB
-    u = RadialProfileField(RescaledBubble(1.0))
+def _traced_peak(run):
+    """The tracemalloc peak of ``run()`` above the memory traced before it."""
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        pohozaev_balance(u, ONE, ZERO, BallDomain(20.0, 48, 24, 24))
-        peak = tracemalloc.get_traced_memory()[1] - base
+        run()
+        return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak < 32e6, peak
+
+
+def test_flat_balance_peak_memory():
+    # shell x direction blocks with weights formed per block: the whole node
+    # array and the sphere's order-3 jet at once took this balance to 61 MB,
+    # blocks of 4,096 nodes beside the whole interior weights to 16.5 MB
+    u = RadialProfileField(RescaledBubble(1.0))
+    peak = _traced_peak(lambda: pohozaev_balance(u, ONE, ZERO, BallDomain(20.0, 48, 24, 24)))
+    assert peak < 3e6, peak
+
+
+def test_curved_sweep_peak_memory():
+    # two metrics on 24 shells of 4,096 directions: with the boundary's
+    # order-3 jets and tables in blocks of 4,096 nodes and a fresh table
+    # product per block, this sweep peaked at 13.8 MB
+    u, mts = _sweep_setup()
+    ball = BallDomain(1.0, 24, 16, 16)
+    peak = _traced_peak(lambda: pohozaev_balance(u, ONE, ZERO, ball, mts[:2]))
+    assert peak < 10e6, peak
 
 
 def test_flat_identity_exact_bubble():
@@ -272,7 +307,7 @@ def _einsum_interior_terms(u, ball, mt, jet):
     interior node and the direct index contractions of the module
     docstring, the reference for the Euler-operator kernel."""
     xi, w = _interior_nodes(ball), ball.int_w
-    xb, wb, nu = ball.bdy_pts, ball.bdy_w, ball.normals
+    xb, wb, nu = ball.R * ball.s3_pts, ball.bdy_w, ball.s3_pts
     ginv, dginv, d2ginv = _apply_jet_table(*_jet_table(inverse_metric_taylor(mt).comps, 2), xi)
     _, gu, hu = u.jet(xi, 2)
     gub = u.jet(xb, 1)[1]
@@ -302,7 +337,7 @@ def _einsum_flux(u, ball, mt):
     node and the direct index contractions of the module docstring, with
     d_m(lap u) = d_jm g^{ji} d_i u + d_j g^{ji} d_im u + d_m g^{ij} d_ij u
     + g^{ij} d_ijm u: the reference for the boundary table."""
-    xb, wb, nu = ball.bdy_pts, ball.bdy_w, ball.normals
+    xb, wb, nu = ball.R * ball.s3_pts, ball.bdy_w, ball.s3_pts
     ginv, dginv, d2ginv = _apply_jet_table(*_jet_table(inverse_metric_taylor(mt).comps, 2), xb)
     uv, gu, hu, tu = u.jet(xb, 3)
     lap = np.einsum("njij,ni->n", dginv, gu) + np.einsum("nij,nij->n", ginv, hu)
@@ -370,6 +405,9 @@ class _PolyField:
         powers = np.cumprod(np.stack([np.ones_like(pts)] + [pts] * 4, axis=-1), axis=-1)
         mono = np.prod(powers[:, np.arange(4), _EXPONENTS], axis=-1)
         return _symmetric_jet(order, lambda index: mono @ self.coef[index])
+
+    def polar_jet(self, r, dirs, order):
+        return self.jet(polar_points(r, dirs), order)
 
 
 def _random_poly(degree, rng):
@@ -474,7 +512,7 @@ def _detone(mt, u, x):
     """The det-one Laplacian of the field ``u`` at the point ``x``, from the
     boundary table."""
     pt = np.atleast_2d(x)
-    lap, _, _ = _detone_terms(_tables([mt])[1], pt, u.jet(pt, 3))
+    lap, _, _ = _detone_terms(_tables([mt])[1], pt, u.jet(pt, 3), np.empty(100))
     return float(lap[0, 0])
 
 
@@ -510,28 +548,35 @@ def test_detone_laplacian_agrees_with_metric_operator_near_origin():
     assert slope > 2.0
 
 
+def _coarse(ball):
+    """The ball of ``pohozaev_balance``'s node-halving error estimate."""
+    return BallDomain(ball.R, max(ball.n_r // 2, 8), max(ball.n_u // 2, 8), max(ball.n_phi // 2, 8))
+
+
 def test_flat_balance_evaluates_no_interior_hessian(monkeypatch):
     u = RadialProfileField(RescaledBubble(1.0))
-    ball = BallDomain(5.0, n_r=8, n_u=8, n_phi=8)
+    ball = BallDomain(5.0, n_r=8, n_u=8, n_phi=10)
     radii = []
-    jet = u.jet
+    polar_jet = u.polar_jet
 
-    def recording_jet(pts, order):
+    def recording_jet(r, dirs, order):
         if order >= 2:
-            radii.append(np.linalg.norm(pts, axis=1))
-        return jet(pts, order)
+            radii.append(r)
+        return polar_jet(r, dirs, order)
 
-    monkeypatch.setattr(u, "jet", recording_jet)
+    monkeypatch.setattr(u, "polar_jet", recording_jet)
     pohozaev_balance(u, ONE, ZERO, ball)
-    # the order >= 2 jets are the boundary's, once per ball: the balance's
-    # and its node-halving estimate's
-    assert len(radii) == 2
-    assert all(np.allclose(r, ball.R, rtol=1e-14) for r in radii)
+    # the order >= 2 jets are the boundary's, one per sphere block of the
+    # balance's ball and of its node-halving estimate's
+    n_blocks = sum(len(list(b.blocks(BOUNDARY_BLOCK, True))) for b in (ball, _coarse(ball)))
+    assert n_blocks == 3
+    assert len(radii) == n_blocks
+    assert all(np.array_equal(r, [[ball.R]]) for r in radii)
 
 
 def test_tables_are_built_once_per_call_and_never_for_a_flat_one(monkeypatch):
     u, mts = _sweep_setup()
-    ball = BallDomain(1.0, n_r=8, n_u=8, n_phi=8)
+    ball = BallDomain(1.0, n_r=8, n_u=8, n_phi=10)
     calls = []
     for name in ("_jet_table", "_apply_jet_table"):
         real = getattr(pohozaev, name)
@@ -544,11 +589,18 @@ def test_tables_are_built_once_per_call_and_never_for_a_flat_one(monkeypatch):
     pohozaev_balance(u, ONE, ZERO, ball)
     assert calls == []
     # a sweep: two tables per metric, built once; each ball evaluates the
-    # boundary and interior tables once per block (one block of 4,096 nodes
-    # each on both balls here)
+    # boundary and interior tables once per block: the balance's ball has
+    # 800 directions, two sphere blocks (512 and 288) and two interior
+    # blocks (5 shells and 3), its estimate's 512 and one block of each
     pohozaev_balance(u, ONE, ZERO, ball, [None] + mts)
     assert calls.count("_jet_table") == 2 * len(mts)
-    assert calls.count("_apply_jet_table") == 4
+    blocks = [
+        len(list(b.blocks(size, boundary)))
+        for b in (ball, _coarse(ball))
+        for size, boundary in ((BOUNDARY_BLOCK, True), (JET_BLOCK, False))
+    ]
+    assert blocks == [2, 2, 1, 1]
+    assert calls.count("_apply_jet_table") == sum(blocks)
 
 
 def _sweep_setup():
@@ -576,16 +628,16 @@ def test_sweep_equals_one_metric_calls():
 
 
 def test_block_size_that_leaves_a_tail_block(monkeypatch):
-    import qcurv.pohozaev as pohozaev
-
     u, mts = _sweep_setup()
     ball = BallDomain(1.0, n_r=4, n_u=12, n_phi=10)
-    # the interior and the boundary both end in a tail block
-    assert len(ball.int_w) % 1000 != 0
-    assert len(ball.bdy_w) > 1000 and len(ball.bdy_w) % 1000 != 0
+    # 1,200 directions: the default blocks group 3 shells and then 1, and
+    # split the sphere into 512, 512 and 176; the patched ones split each
+    # shell into 1,000 and 200, and the sphere into 350 * 3 and 150
+    assert len(ball.s3_pts) % 1000 != 0
     entries = [None] + mts
     default = pohozaev_balance(u, ONE, ZERO, ball, entries)
     monkeypatch.setattr(pohozaev, "JET_BLOCK", 1000)
+    monkeypatch.setattr(pohozaev, "BOUNDARY_BLOCK", 350)
     _assert_reports_close(pohozaev_balance(u, ONE, ZERO, ball, entries), default, 1e-13)
 
 
@@ -598,3 +650,45 @@ def test_radial_jet_matches_central_differences_of_its_value():
         fd = fd_jet(lambda p: field.jet(p, 0)[0], pts, 3, 1e-2)
         for order, tol in ((1, 1e-9), (2, 1e-8), (3, 1e-6)):
             assert np.max(np.abs(jet[order] - fd[order])) <= tol, order
+
+
+class _CountingProfile:
+    """RescaledBubble's closed forms, recording how many radii each call
+    evaluates."""
+
+    def __init__(self):
+        self.bubble, self.sizes = RescaledBubble(1.0), []
+
+    def __getattr__(self, name):
+        def evaluate(r):
+            self.sizes.append(np.size(r))
+            return getattr(self.bubble, name)(r)
+
+        return evaluate
+
+
+@pytest.mark.parametrize("tilt", [None, [0.3, -0.2, 0.1, 0.25]], ids=["untilted", "tilted"])
+def test_polar_jet_equals_the_pointwise_jet(tilt):
+    # blocks of 4 shells x 216 directions, and of 1 shell x 100 directions
+    # with a tail of 16: the profile is evaluated once per shell radius, and
+    # every entry is within a few ulp of the magnitude of the terms of its
+    # closed form, as |r dirs| and r dirs / |r dirs| are of r and dirs
+    prof = _CountingProfile()
+    field = RadialProfileField(prof, tilt=tilt)
+    ball = BallDomain(2.0, 8, 6, 6)
+    t = 0.0 if tilt is None else np.abs(tilt).sum()
+    eps = np.finfo(float).eps
+    for size in (900, 100):
+        for r, dirs, _ in ball.blocks(size):
+            prof.sizes.clear()
+            polar = field.polar_jet(r, dirs, 3)
+            assert prof.sizes == [len(r)] * 4  # val_r, d1, d2, d3
+            pointwise = field.jet(polar_points(r, dirs), 3)
+            rr = np.repeat(r[:, 0], len(dirs))
+            f0, f1, f2, f3 = (np.abs(g(rr)) for g in (prof.val_r, prof.d1, prof.d2, prof.d3))
+            scales = (f0 + rr * t, f1 + t, f2 + 2.0 * f1 / rr, f3 + 6.0 * (f2 + f1 / rr) / rr)
+            for order, scale in enumerate(scales):
+                got, want = polar[order], pointwise[order]
+                assert got.shape == want.shape == (len(rr),) + (4,) * order
+                gap = np.abs(got - want).reshape(len(rr), -1)
+                assert np.all(gap <= 8.0 * eps * scale[:, None]), order

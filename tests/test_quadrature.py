@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qcurv.cnc import JET_BLOCK
+from qcurv.fields import polar_points
 from qcurv.pohozaev import BallDomain
 from qcurv.quadrature import (
     BALL4_VOL,
@@ -32,13 +33,16 @@ def test_sphere_rule_scales_with_radius():
     # the ball's boundary rule is its unit S^3 rule scaled to |x| = R
     ball = BallDomain(3.0, n_r=4, n_u=16, n_phi=16)
     assert abs(np.sum(ball.bdy_w) - S3_AREA * 27.0) < 1e-8
-    assert np.allclose(np.linalg.norm(ball.bdy_pts, axis=1), 3.0)
-    assert np.array_equal(ball.bdy_pts, 3.0 * s3_nodes(16, 16)[0])
+    pts = np.concatenate([polar_points(r, dirs) for r, dirs, _ in ball.blocks(JET_BLOCK, True)])
+    assert np.allclose(np.linalg.norm(pts, axis=1), 3.0)
+    assert np.array_equal(pts, 3.0 * s3_nodes(16, 16)[0])
 
 
 def test_ball_rule_volume_and_moment():
     ball = BallDomain(2.0, n_r=32, n_u=16, n_phi=16)
-    pts, w = (np.concatenate(c) for c in zip(*ball.interior_blocks(JET_BLOCK)))
+    blocks = list(ball.blocks(JET_BLOCK))
+    pts = np.concatenate([polar_points(r, dirs) for r, dirs, _ in blocks])
+    w = np.concatenate([w for _, _, w in blocks])
     assert np.array_equal(w, ball.int_w)
     assert abs(np.sum(w) - BALL4_VOL * 16.0) < 1e-8
     r2 = np.sum(pts**2, axis=1)
