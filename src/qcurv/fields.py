@@ -17,8 +17,8 @@ the chart's, is refused when its field is built.
 Every field and metric is read through ``jet(pts, order)``, which returns
 ``[value, first, second, ...]`` with the derivative axes last.  A field
 the Pohozaev ball rule reads also has ``polar_jet(r, dirs, order)``, its
-jet at ``polar_points(r, dirs)``, the points at radii r along unit
-directions dirs.  A
+jet at the points at radii r along unit directions dirs, each part
+broadcasting against the radii times the directions.  A
 ``MetricField`` is conformally flat, g = f delta, and is its factor f: a
 ``ScalarField`` whose jet to order 2 gives the metric's.  Metrics that are
 not conformally flat are exact polynomials, ``cnc.PolynomialMetric``.
@@ -409,8 +409,10 @@ class ConstantField:
         return [np.full(n, self.c)] + [np.zeros((n,) + (DIM,) * k) for k in range(1, order + 1)]
 
     def polar_jet(self, r, dirs, order):
-        """``jet`` at ``polar_points(r, dirs)``."""
-        return self.jet(polar_points(r, dirs), order)
+        """``jet`` at the points r dirs, as arrays over the radii ``r`` that
+        broadcast against the directions: one value per radius."""
+        shape = np.shape(r)
+        return [np.full(shape, self.c)] + [np.zeros(shape + (DIM,) * k) for k in range(1, order + 1)]
 
 
 class MetricField:

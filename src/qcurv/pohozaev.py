@@ -26,29 +26,30 @@ xi^m d_m g^{ij} = (E g^{-1})^{ij}, and
 The interior nodes evaluate the values of the 40 exact polynomials A,
 g^{ij}, A + E A and E g^{-1}; the boundary nodes, whose flux needs
 d_m(lap u), evaluate the first 20, [A | g^{ij}], to order 1.  I3 and I4
-contract M_ij = R_ij,l(0) xi^l with grad u once per node.
+contract Ric_ij,l(0), once per metric and ball, with the 64 metric-free
+moments int w xi^l v_i d_j u: v = grad u + hess u xi in the interior,
+v = nu and w times xi.grad u on the sphere.
 
 One call balances a sweep of metrics on one ball in one pass over it.
 What does not depend on the metric is computed once per ball and shared
 by the whole sweep: u's jet (order 3 on the boundary; order 2 in the
 interior, or 1 when every metric is flat), h's (order 1 in the
-interior), b, e^{4u}, I0 and the b part of I2.  Each table is stacked
-over the curved metrics and built once per call (none without one).
+interior), b, e^{4u}, I0, the b part of I2 and the Ricci moments.
+Each table is stacked over the metrics, built once per call.
 
-Both rules are walked as shells x directions.  ``BallDomain.blocks``
-hands out blocks of s shell radii times d unit S^3 directions, s d at
-most ``cnc.JET_BLOCK`` in the interior and ``BOUNDARY_BLOCK`` on the
-sphere, which is the one shell r = R.  A block's nodes and weights are
-formed from the rule's factors (radius times direction, shell weight
-times S^3 weight), so no array over the whole rule is held.  u, h and b
-are read through ``polar_jet(r, dirs, order)``, so a radial field
-evaluates its profile once per shell radius.  Each block evaluates its
-table once, into one workspace that lives for the whole call.  An
-interior block contracts its table with u's jet into each metric's
-partial sums of I2's metric part and I4; a boundary block forms each
-node's flux (one per metric), I3 integrand and xi.grad u and weights them
-into partial sums of I1 and I3.  The block sums are added in block order,
-so the output depends on the inputs alone.
+Both rules are walked as shells x directions (``BallDomain.blocks``):
+the interior as runs of directions over every shell, JET_BLOCK / k
+nodes for k curved metrics (all JET_BLOCK when flat), so a block's 40 k
+table columns fill one JET_BLOCK x 40 workspace; the sphere, the one
+shell r = R, as pieces of ``BOUNDARY_BLOCK`` directions.  Nodes and
+weights are formed per block from the rule's factors, and u, h and b are
+read through ``polar_jet(r, dirs, order)``, whose parts broadcast
+against the block: a radial value stays one per shell.  A degree-k
+monomial at r n is r^k times its value at n, so an interior block
+applies each degree's table rows once per direction and gets every
+shell's values from one product with [1, r, r^2, r^3]; a sphere block
+evaluates its table at the points.  The block sums are added in block
+order, so the output depends on the inputs alone.
 
 The curved identity leaves out the degree >= 4 tail of the metric
 expansion.  ``unmodeled_remainder`` bounds that tail's share, sized from
@@ -64,8 +65,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cnc import (
-    DEGREE, JET_BLOCK, _apply_jet_table, _jet_table, concatenate, inverse_metric_taylor,
-    poly_diff, ricci_of,
+    _GRADED, DEGREE, JET_BLOCK, _apply_jet_table, _jet_table, concatenate,
+    inverse_metric_taylor, poly_diff, ricci_of,
 )
 from .fields import polar_points
 from .quadrature import gauss_legendre, s3_nodes, BALL4_VOL, S3_AREA
@@ -73,6 +74,8 @@ from .quadrature import gauss_legendre, s3_nodes, BALL4_VOL, S3_AREA
 # nodes per boundary block: at 512 its order-3 jet of u, (n, 4, 4, 4), takes
 # 0.26 MB and a two-metric (n, 200) [A | g^{ij}] table 0.82 MB
 BOUNDARY_BLOCK = 512
+# the table rows of each monomial degree 0 to 3
+_DEGREE_ROWS = [[0]] + [rows for rows, _, _ in _GRADED]
 
 
 @dataclass
@@ -112,20 +115,20 @@ class BallDomain:
 
     def blocks(self, size, boundary=False):
         """The interior rule, or with ``boundary`` the sphere's, as blocks of
-        s shells times d directions with s d <= ``size``: a shell of more
-        than ``size`` directions is split into pieces of ``size``, and
-        shells of fewer are grouped ``size // m`` at a time; the last piece
-        or group may be short.  Each block is (r, dirs, w): the radii
-        (s, 1), the unit directions (d, 4) and the s d weights of the nodes
-        ``polar_points(r, dirs)``, shell-major, each the shell weight times
-        the S^3 weight.  Joined in order they are the product rule."""
+        s shells times d directions, s d <= ``size``: runs of d = size // s
+        directions, each over every shell (or over pieces of ``size``
+        shells when there are more); the last run or piece may be short.
+        Each block is (r, dirs, w): the radii (s, 1), the unit directions
+        (d, 4) and the s d weights of the nodes ``polar_points(r, dirs)``,
+        shell-major, each the shell weight times the S^3 weight.  Every node
+        of the product rule is in one block."""
         radii, shell_w = (
             (np.array([self.R]), np.array([self.R**3])) if boundary else (self.radii, self.shell_w)
         )
-        m = len(self.s3_pts)
-        s, d = max(size // m, 1), min(size, m)
-        for k in range(0, len(radii), s):
-            for j in range(0, m, d):
+        s = min(len(radii), size)
+        d = size // s
+        for j in range(0, len(self.s3_pts), d):
+            for k in range(0, len(radii), s):
                 w = shell_w[k : k + s, None] * self.s3_w[None, j : j + d]
                 yield radii[k : k + s, None], self.s3_pts[j : j + d], w.reshape(-1)
 
@@ -159,11 +162,11 @@ class RadialProfileField:
         return self.polar_jet(r, pts / r[:, None], order)
 
     def polar_jet(self, r, dirs, order):
-        """``[val, grad, hess, third]`` up to ``order`` (at most 3) at
-        ``polar_points(r, dirs)``, the radii ``r`` broadcast against the
-        leading axes of the unit directions ``dirs``; each profile
-        derivative is evaluated once per entry of ``r``.  With n the
-        direction and q = f'/r:
+        """``[val, grad, hess, third]`` up to ``order`` (at most 3) at the
+        points r n, parts broadcasting against the radii ``r`` times the
+        leading axes of the unit directions ``dirs`` (the untilted value
+        keeps the shape of ``r``); each profile derivative is evaluated
+        once per entry of ``r``.  With n the direction and q = f'/r:
 
             d_i u   = f' n_i
             d_im u  = (f'' - q) n_i n_m + q delta_im
@@ -179,7 +182,7 @@ class RadialProfileField:
         val = self.profile.val_r(r)
         if self.tilt is not None:
             val = val + r * (n @ self.tilt)
-        out = [np.broadcast_to(val, shape)]
+        out = [val]
         if order >= 1:
             f1 = self.profile.d1(r)
             grad = f1[..., None] * n
@@ -207,7 +210,7 @@ class RadialProfileField:
             third *= b
             third += a * nn[..., :, :, None] * n[..., None, None, :]
             out.append(third)
-        return [part.reshape((-1,) + part.shape[len(shape) :]) for part in out]
+        return out
 
 
 @dataclass
@@ -230,22 +233,23 @@ def pohozaev_balance(u, h, b, ball: BallDomain, metric_taylors=(None,)):
 
     ``u``, ``h`` and ``b`` are read through ``polar_jet(r, dirs, order)``,
     which returns ``[val, grad, hess, third]`` up to ``order`` at the
-    points ``polar_points(r, dirs)``, such as RadialProfileField's; h's
-    gradient gives I0's xi.grad(h) term.  An
-    entry None is the flat metric; I3 and I4 of any
-    other entry read the Ricci derivatives of its curvature jet
-    ``metric_taylor.jet``.  Each ``error_estimate`` is the change of its
-    residual on a ball of half the nodes per axis (at least 8).
+    points r dirs, each part broadcasting against the block of radii
+    ``r`` times directions ``dirs``, such as RadialProfileField's; h's
+    gradient gives I0's xi.grad(h) term.  An entry None is the flat
+    metric; I3 and I4 of any other entry read the Ricci derivatives of its
+    curvature jet ``metric_taylor.jet``.  Each ``error_estimate`` is the
+    change of its residual on a ball of half the nodes per axis (at least 8).
     """
     curved = [mt for mt in metric_taylors if mt is not None]
-    table, bdy_table, ric = _tables(curved)
+    tables, bdy_table, ric = _tables(curved)
     eps3 = [mt.comps[..., DEGREE == 3].abs_max() for mt in curved]
-    # every block's jet-table product, on both balls, is written here
-    work = np.empty(max(JET_BLOCK * table.shape[1], BOUNDARY_BLOCK * bdy_table.shape[1]))
+    # every block's table values, on both balls, are written here
+    work = np.empty(max(JET_BLOCK * 40 * bool(curved), BOUNDARY_BLOCK * bdy_table.shape[1]))
 
     def reports(dom):
-        I1, I3 = _boundary_terms(u, h, dom, metric_taylors, bdy_table, ric, work)
-        I0, bxgu, tail, I2m, I4 = _interior_sums(u, h, b, dom, table, ric, work)
+        I1, T = _boundary_terms(u, h, dom, metric_taylors, bdy_table, work)
+        I0, bxgu, tail, I2m, S = _interior_sums(u, h, b, dom, tables, work)
+        I3, I4 = ((2.0 * T @ ric).tolist(), (-2.0 * S @ ric).tolist()) if curved else ([], [])
         curved_terms = iter(zip(I2m, I3, I4, eps3))
         out = []
         for mt, i1 in zip(metric_taylors, I1):
@@ -262,14 +266,21 @@ def pohozaev_balance(u, h, b, ball: BallDomain, metric_taylors=(None,)):
     return fine
 
 
-def _boundary_terms(u, h, ball, metric_taylors, table, ric, work):
-    """I1 of each entry of ``metric_taylors`` and I3 of each curved one.
-    Per sphere block of ``BOUNDARY_BLOCK`` nodes, u's order-3 jet and the
-    boundary ``table`` of every curved metric give each node's flux, I3
-    integrand and xi.grad u, weighted into the block's partial sums; the
-    block sums are added in block order."""
+def _ricci_moments(w, xi, v, gu):
+    """The 64 moments sum w xi^l v_i d_j u over a block's nodes, (i, j, l)
+    in C order, that Ric_ij,l(0) contracts into I3 or I4."""
+    vg = np.einsum("ni,nj->nij", v.reshape(-1, 4), gu.reshape(-1, 4)).reshape(-1, 16)
+    return (vg.T @ (w.reshape(-1, 1) * xi.reshape(-1, 4))).reshape(-1)
+
+
+def _boundary_terms(u, h, ball, metric_taylors, table, work):
+    """I1 of each entry of ``metric_taylors``, and I3's Ricci moments when
+    one is curved: per sphere block of ``BOUNDARY_BLOCK`` nodes, u's
+    order-3 jet and the boundary ``table`` give each node's flux, weighted
+    into the block's partial sums, which are added in block order."""
     parts = []
     for r, nu, w in ball.blocks(BOUNDARY_BLOCK, boundary=True):
+        r = r[:, 0]  # the one shell, broadcast against the directions
         xi = polar_points(r, nu)
         uv, gu, hu, tu = jet = u.polar_jet(r, nu, 3)
         xdotnu = np.einsum("ni,ni->n", xi, nu)
@@ -291,18 +302,30 @@ def _boundary_terms(u, h, ball, metric_taylors, table, ric, work):
                 - 0.5 * lap**2 * xdotnu
             )
             row.append(w @ flux)
-        ric_nu = np.einsum("nki,ni->kn", _contract_ricci(ric, xi, gu), nu)
-        row.extend(2.0 * ric_nu @ (w * xdotgu))
+        if table.shape[1]:
+            row.extend(_ricci_moments(w * xdotgu, xi, nu, gu))
         parts.append(row)
-    sums = [float(v) for v in np.sum(parts, axis=0)]
-    return sums[: len(metric_taylors)], sums[len(metric_taylors) :]
+    sums = np.sum(parts, axis=0)
+    return sums[: len(metric_taylors)].tolist(), sums[len(metric_taylors) :]
 
 
-def _table_at(table, shape, xi, work):
-    """The values of ``table`` at ``xi`` (n, 4), with entry ``shape``,
-    written into the front of the workspace ``work``."""
-    out = work[: len(xi) * table.shape[1]].reshape(len(xi), -1)
-    return _apply_jet_table(table, [shape], xi, out)[0]
+def _table_at(tables, r, dirs, work):
+    """The interior table, as its rows of each degree ``tables``, at the
+    nodes ``polar_points(r, dirs)`` as (s, d, columns) in the front of
+    ``work``: each degree k's rows applied once per direction give P_k(n),
+    and one (s, 4) @ (4, d columns) product of [1, r, r^2, r^3] with them
+    every shell's values.  Each is within 35 ulp of the sum of the
+    magnitudes of its terms in ``_apply_jet_table`` at the nodes."""
+    mono = np.ones((len(DEGREE), len(dirs)))
+    for rows, parents, variables in _GRADED:
+        mono[rows] = mono[parents] * dirs.T[variables]
+    s, d, c = len(r), len(dirs), tables[0].shape[1]
+    P = np.empty((4, d, c))
+    for k, (rows, t) in enumerate(zip(_DEGREE_ROWS, tables)):
+        np.matmul(mono[rows].T, t, out=P[k])
+    powers = np.hstack([np.ones_like(r), r, r * r, r * r * r])
+    out = work[: s * d * c].reshape(s, d * c)
+    return np.matmul(powers, P.reshape(4, d * c), out=out).reshape(s, d, c)
 
 
 def _detone_terms(table, xi, jet, work):
@@ -310,9 +333,10 @@ def _detone_terms(table, xi, jet, work):
     ``table`` at ``xi``, its gradient d_m A.grad u + A.grad d_m u
     + d_m g^{ij} d_ij u + g^{ij} d_ijm u, and g^{ij}, as (k, n), (k, n, 4)
     and (k, n, 4, 4) arrays, from u's order-3 ``jet``; the table is
-    evaluated into the workspace ``work``."""
+    evaluated at the points into the workspace ``work``."""
     n, (_, gu, hu, tu) = len(xi), jet
-    vals = _table_at(table, (table.shape[1] // 100, 100), xi, work)
+    out = work[: n * table.shape[1]].reshape(n, -1)
+    vals = _apply_jet_table(table, [(table.shape[1] // 100, 100)], xi, out)[0]
     vals, parts = vals[..., :20], vals[..., 20:].reshape(n, -1, 20, 4)
     d1 = np.hstack([gu, hu.reshape(n, 16)])
     d2 = np.concatenate([hu, tu.reshape(n, 16, 4)], axis=1)
@@ -321,38 +345,39 @@ def _detone_terms(table, xi, jet, work):
     return lap, glap, vals[..., 4:].reshape(n, -1, 4, 4).transpose(1, 0, 2, 3)
 
 
-def _interior_sums(u, h, b, ball, table, ric, work):
-    """Interior integrals over ``ball``, one block of at most ``JET_BLOCK``
-    nodes at a time: I0, int b xi.grad u, the remainder integral
-    int r^2 |grad u|^2 + r^4 |hess u| (0 when ``table`` holds no curved
-    metric), and the lists of each curved metric's I2 metric part and I4.
-    The table is evaluated into the workspace ``work``, and the block sums
-    are added in block order."""
-    k = table.shape[1] // 40
+def _interior_sums(u, h, b, ball, tables, work):
+    """Interior integrals over ``ball``: I0, int b xi.grad u, the remainder
+    integral int r^2 |grad u|^2 + r^4 |hess u| (0 when ``tables`` hold no
+    curved metric), each curved metric's I2 metric part and I4's Ricci
+    moments, from blocks of JET_BLOCK / k nodes, added in block order."""
+    k = tables[0].shape[1] // 40
     parts = []
-    for r, dirs, w in ball.blocks(JET_BLOCK):
-        xi = polar_points(r, dirs)
+    for r, dirs, w in ball.blocks(JET_BLOCK // max(k, 1)):
+        xi = r[..., None] * dirs  # the nodes polar_points(r, dirs) as (s, d, 4)
         jet = u.polar_jet(r, dirs, 2 if k else 1)
         gu = jet[1]
         hv, gh = h.polar_jet(r, dirs, 1)
-        f0 = 2.0 * hv + 0.5 * np.einsum("ni,ni->n", xi, gh)
-        xgu = np.einsum("ni,ni->n", xi, gu)
-        row = [w @ (f0 * np.exp(4.0 * jet[0])), w @ (b.polar_jet(r, dirs, 0)[0] * xgu)]
+        f0 = (2.0 * hv + 0.5 * np.einsum("...i,...i->...", xi, gh)) * np.exp(4.0 * jet[0])
+        bxgu = b.polar_jet(r, dirs, 0)[0] * np.einsum("...i,...i->...", xi, gu)
+        row = [w @ f0.reshape(-1), w @ bxgu.reshape(-1)]
         if k:
             hu = jet[2]
-            hu_flat = hu.reshape(-1, 16)
-            polys = _table_at(table, (k, 2, 20), xi, work)
-            lap, metric = np.einsum("nksj,nj->skn", polys, np.hstack([gu, hu_flat]))
-            r2 = np.einsum("ni,ni->n", xi, xi)
-            du2 = np.einsum("ni,ni->n", gu, gu)
-            d2u = np.sqrt(np.einsum("ni,ni->n", hu_flat, hu_flat))
-            gu_hxi = gu + np.einsum("nim,nm->ni", hu, xi)
-            row.append(w @ (r2 * du2 + r2 * r2 * d2u))
-            row.extend((lap * metric) @ w)
-            row.extend(-2.0 * np.einsum("nki,ni->kn", _contract_ricci(ric, xi, gu), gu_hxi) @ w)
+            hu_flat = hu.reshape(xi.shape[:2] + (16,))
+            polys = _table_at(tables, r, dirs, work).reshape(xi.shape[:2] + (k, 2, 20))
+            lap, metric = np.einsum("sdkaj,sdj->aksd", polys[..., :4], gu) + np.einsum(
+                "sdkaj,sdj->aksd", polys[..., 4:], hu_flat
+            )
+            du2 = np.einsum("...i,...i->...", gu, gu)
+            d2u = np.sqrt(np.einsum("...i,...i->...", hu_flat, hu_flat))
+            r2 = r * r
+            row.append(w @ (r2 * du2 + r2 * r2 * d2u).reshape(-1))
+            row.extend((lap * metric).reshape(k, -1) @ w)
+            v = gu + np.einsum("...im,...m->...i", hu, xi)
+            row.extend(_ricci_moments(w, xi, v, gu))
         parts.append(row)
-    sums = [float(v) for v in np.sum(parts, axis=0)]
-    return sums[0], sums[1], sums[2] if k else 0.0, sums[3 : 3 + k], sums[3 + k :]
+    sums = np.sum(parts, axis=0)
+    I0, bxgu, tail, I2m = sums[0], sums[1], sums[2] if k else 0.0, sums[3 : 3 + k].tolist()
+    return float(I0), float(bxgu), float(tail), I2m, sums[3 + k :]
 
 
 def _tables(curved):
@@ -360,21 +385,16 @@ def _tables(curved):
     each stacked over them.  Per metric the interior one holds the values
     of A, g^{ij}, A + EA and E g^{-1}, 40 exact polynomials where
     A_j = d_i g^{ij} and E = xi^m d_m multiplies each degree-k part by k,
-    each half pairing with (grad u, hess u); the boundary one holds the
-    first 20, [A | g^{ij}], to order 1 (100 columns); the Ricci one
-    Ric_ij,l(0) as (4, 16)."""
-    parts = [(np.empty((len(DEGREE), 0)), np.empty((len(DEGREE), 0)), np.empty((4, 0)))]
+    each half pairing with (grad u, hess u); it is returned as its rows of
+    each degree 0 to 3.  The boundary one holds the first 20, [A | g^{ij}],
+    to order 1 (100 columns); the Ricci one Ric_ij,l(0) as a (64,) column,
+    (i, j, l) in C order."""
+    parts = [(np.empty((len(DEGREE), 0)), np.empty((len(DEGREE), 0)), np.empty((64, 0)))]
     for mt in curved:
         inv = inverse_metric_taylor(mt).comps
         A, flat_inv = poly_diff(inv).einsum("abak->bk"), inv.reshape(16, -1)
         polys = concatenate([A, flat_inv, A * (1 + DEGREE), flat_inv * DEGREE])
-        ric = ricci_of(mt.jet.R1).to_float().transpose(2, 0, 1).reshape(4, 16)
+        ric = ricci_of(mt.jet.R1).to_float().reshape(64, 1)
         parts.append((_jet_table(polys, 0)[0], _jet_table(polys[:20], 1)[0], ric))
-    return [np.hstack(col) for col in zip(*parts)]
-
-
-def _contract_ricci(ric, xi, gu):
-    """Ric_ij,l xi^l d_j u of each metric at each point, (n, k, 4): one
-    (n, 4) @ (4, 16 k) matmul for the matrices, then one contraction."""
-    M = (xi @ ric).reshape(len(xi), -1, 4, 4)
-    return np.einsum("nkij,nj->nki", M, gu)
+    table, bdy_table, ric = (np.hstack(col) for col in zip(*parts))
+    return [table[rows] for rows in _DEGREE_ROWS], bdy_table, ric

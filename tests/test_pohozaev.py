@@ -36,8 +36,11 @@ ONE, ZERO = ConstantField(1.0), ConstantField(0.0)
 
 
 def _interior_nodes(ball):
-    """Every interior node of ``ball``, its blocks joined."""
-    return np.concatenate([polar_points(r, dirs) for r, dirs, _ in ball.blocks(JET_BLOCK)])
+    """Every interior node of ``ball`` and its weight, its blocks joined."""
+    blocks = list(ball.blocks(JET_BLOCK))
+    return np.concatenate([polar_points(r, dirs) for r, dirs, _ in blocks]), np.concatenate(
+        [w for _, _, w in blocks]
+    )
 
 
 def test_ball_domain_invariants():
@@ -50,32 +53,41 @@ def test_ball_domain_invariants():
 
 @pytest.mark.parametrize("dims", [(1.0, 8, 6, 6), (20.0, 4, 24, 24)])
 def test_interior_blocks_join_to_the_product_rule(dims):
-    # the interior rule and the sphere's one shell r = R.  216 directions:
-    # an interior block spans shells (8 of at most 18, or 6 and then a tail
-    # of 2); 13,824: every shell is split, its last piece a tail
+    # the interior rule and the sphere's one shell r = R.  Every (shell,
+    # direction) node is in exactly one block, at radius times direction
+    # with the shell weight times the S^3 weight, bit for bit, so a walk
+    # that pairs a shell with another run's directions or weights fails.
+    # The interior runs of directions span every shell (8 or 4 of them),
+    # or pieces of 5 shells at size 5; the sphere is split into pieces of
+    # size, the last a tail
     R, n_r, n_u, n_phi = dims
     ball = BallDomain(*dims)
     r, wr = gauss_legendre(n_r, 0.0, R)
     s_pts, s_w = s3_nodes(n_u, n_phi)
     m = len(s_pts)
-    interior = (r[:, None, None] * s_pts[None]).reshape(-1, 4), ((wr * r**3)[:, None] * s_w).reshape(-1)
-    rules = {False: interior, True: (R * s_pts, R**3 * s_w)}
-    for boundary, (nodes, weights) in rules.items():
-        for size in (JET_BLOCK, 1500):
+    direction = {p.tobytes(): j for j, p in enumerate(s_pts)}
+    rules = {False: (r, wr * r**3), True: (np.array([R]), np.array([R**3]))}
+    for boundary, (radii, shell_w) in rules.items():
+        shell = {x: i for i, x in enumerate(radii)}
+        for size in (JET_BLOCK, 1500, 5):
+            seen = np.zeros((len(radii), m), dtype=int)
             blocks = list(ball.blocks(size, boundary))
-            shells = [len(radii) for radii, _, _ in blocks]
-            dirs = [len(d) for _, d, _ in blocks]
-            if m > size:  # one shell per block, each split into pieces of size
-                assert set(shells) == {1} and dirs[: m // size] == [size] * (m // size)
-                assert dirs[m // size] == m % size
-            else:  # whole shells, size // m at a time
-                assert set(dirs) == {m} and shells[:-1] == [size // m] * (len(shells) - 1)
-                assert 1 <= shells[-1] <= size // m
-            assert all(len(w) == s * d <= size for (_, _, w), s, d in zip(blocks, shells, dirs))
-            assert np.array_equal(np.concatenate([polar_points(x, d) for x, d, _ in blocks]), nodes)
-            assert np.array_equal(np.concatenate([w for _, _, w in blocks]), weights)
-    assert np.array_equal(ball.int_w, rules[False][1])
-    assert np.array_equal(ball.bdy_w, rules[True][1])
+            for x, dirs, w in blocks:
+                i = np.array([shell[v] for v in x[:, 0]])
+                j = np.array([direction[p.tobytes()] for p in dirs])
+                np.add.at(seen, np.ix_(i, j), 1)
+                assert len(w) == len(i) * len(j) <= size
+                # a run of shells: all of them, or a piece of size and a tail
+                s = min(len(radii), size)
+                assert i[0] % s == 0 and list(i) == list(range(i[0], min(i[0] + s, len(radii))))
+                assert np.array_equal(polar_points(x, dirs), (radii[i, None, None] * s_pts[j]).reshape(-1, 4))
+                assert np.array_equal(w, (shell_w[i, None] * s_w[j]).reshape(-1))
+            assert np.all(seen == 1)
+            if boundary:  # one shell, split into pieces of size and a tail
+                dirs = [len(d) for _, d, _ in blocks]
+                assert dirs == [size] * (m // size) + [m % size] if m > size else dirs == [m]
+    assert np.array_equal(ball.int_w, ((wr * r**3)[:, None] * s_w).reshape(-1))
+    assert np.array_equal(ball.bdy_w, R**3 * s_w)
 
 
 def _traced_peak(run):
@@ -99,13 +111,16 @@ def test_flat_balance_peak_memory():
 
 
 def test_curved_sweep_peak_memory():
-    # two metrics on 24 shells of 4,096 directions: with the boundary's
-    # order-3 jets and tables in blocks of 4,096 nodes and a fresh table
-    # product per block, this sweep peaked at 13.8 MB
+    # 24 shells of 4,096 directions.  Interior blocks of JET_BLOCK / k
+    # nodes for k metrics fill one JET_BLOCK x 40 workspace whatever k is,
+    # so two and three metrics both peak at about 2.8 MB; with 4,096 nodes
+    # per block they peaked at 6.6 and 8.0 MB, and with the boundary also
+    # in blocks of 4,096 nodes two peaked at 13.8 MB
     u, mts = _sweep_setup()
     ball = BallDomain(1.0, 24, 16, 16)
-    peak = _traced_peak(lambda: pohozaev_balance(u, ONE, ZERO, ball, mts[:2]))
-    assert peak < 10e6, peak
+    for n_metrics in (2, 3):
+        peak = _traced_peak(lambda k=n_metrics: pohozaev_balance(u, ONE, ZERO, ball, mts[:k]))
+        assert peak < 4e6, (n_metrics, peak)
 
 
 def test_flat_identity_exact_bubble():
@@ -194,7 +209,7 @@ def test_profile_radii_are_linalg_norm_to_the_bit():
     rng = np.random.default_rng(4)
     wide = rng.standard_normal((10_000, 4)) * 10.0 ** rng.integers(-8, 8, (10_000, 4))
     field = RadialProfileField(RescaledBubble(1.0))
-    for pts in (_interior_nodes(BallDomain(1.0, n_r=8, n_u=8, n_phi=8)), wide):
+    for pts in (_interior_nodes(BallDomain(1.0, n_r=8, n_u=8, n_phi=8))[0], wide):
         assert np.array_equal(field._r(pts), np.linalg.norm(pts, axis=1))
 
 
@@ -306,7 +321,7 @@ def _einsum_interior_terms(u, ball, mt, jet):
     """I2 (with b = 0), I3 and I4 from the order-2 jet of g^{ij} at every
     interior node and the direct index contractions of the module
     docstring, the reference for the Euler-operator kernel."""
-    xi, w = _interior_nodes(ball), ball.int_w
+    xi, w = _interior_nodes(ball)
     xb, wb, nu = ball.R * ball.s3_pts, ball.bdy_w, ball.s3_pts
     ginv, dginv, d2ginv = _apply_jet_table(*_jet_table(inverse_metric_taylor(mt).comps, 2), xi)
     _, gu, hu = u.jet(xi, 2)
@@ -407,7 +422,8 @@ class _PolyField:
         return _symmetric_jet(order, lambda index: mono @ self.coef[index])
 
     def polar_jet(self, r, dirs, order):
-        return self.jet(polar_points(r, dirs), order)
+        shape = np.broadcast_shapes(np.shape(r), dirs.shape[:-1])
+        return [part.reshape(shape + part.shape[1:]) for part in self.jet(polar_points(r, dirs), order)]
 
 
 def _random_poly(degree, rng):
@@ -567,18 +583,18 @@ def test_flat_balance_evaluates_no_interior_hessian(monkeypatch):
     monkeypatch.setattr(u, "polar_jet", recording_jet)
     pohozaev_balance(u, ONE, ZERO, ball)
     # the order >= 2 jets are the boundary's, one per sphere block of the
-    # balance's ball and of its node-halving estimate's
+    # balance's ball and of its node-halving estimate's, at the one radius R
     n_blocks = sum(len(list(b.blocks(BOUNDARY_BLOCK, True))) for b in (ball, _coarse(ball)))
     assert n_blocks == 3
     assert len(radii) == n_blocks
-    assert all(np.array_equal(r, [[ball.R]]) for r in radii)
+    assert all(np.array_equal(r, [ball.R]) for r in radii)
 
 
 def test_tables_are_built_once_per_call_and_never_for_a_flat_one(monkeypatch):
     u, mts = _sweep_setup()
     ball = BallDomain(1.0, n_r=8, n_u=8, n_phi=10)
     calls = []
-    for name in ("_jet_table", "_apply_jet_table"):
+    for name in ("_jet_table", "_apply_jet_table", "_table_at"):
         real = getattr(pohozaev, name)
 
         def recording(*args, real=real, name=name):
@@ -589,18 +605,22 @@ def test_tables_are_built_once_per_call_and_never_for_a_flat_one(monkeypatch):
     pohozaev_balance(u, ONE, ZERO, ball)
     assert calls == []
     # a sweep: two tables per metric, built once; each ball evaluates the
-    # boundary and interior tables once per block: the balance's ball has
-    # 800 directions, two sphere blocks (512 and 288) and two interior
-    # blocks (5 shells and 3), its estimate's 512 and one block of each
+    # boundary table at the points of each sphere block and the interior
+    # one in polar form once per interior block of JET_BLOCK // 3 = 1,365
+    # nodes.  The balance's ball has 800 directions: two sphere blocks (512
+    # and 288) and five interior runs of 170 directions x 8 shells (the
+    # last 120); its estimate's 512: one sphere block and four runs (the
+    # last 2)
     pohozaev_balance(u, ONE, ZERO, ball, [None] + mts)
     assert calls.count("_jet_table") == 2 * len(mts)
     blocks = [
         len(list(b.blocks(size, boundary)))
         for b in (ball, _coarse(ball))
-        for size, boundary in ((BOUNDARY_BLOCK, True), (JET_BLOCK, False))
+        for size, boundary in ((BOUNDARY_BLOCK, True), (JET_BLOCK // len(mts), False))
     ]
-    assert blocks == [2, 2, 1, 1]
-    assert calls.count("_apply_jet_table") == sum(blocks)
+    assert blocks == [2, 5, 1, 4]
+    assert calls.count("_apply_jet_table") == blocks[0] + blocks[2]
+    assert calls.count("_table_at") == blocks[1] + blocks[3]
 
 
 def _sweep_setup():
@@ -630,9 +650,11 @@ def test_sweep_equals_one_metric_calls():
 def test_block_size_that_leaves_a_tail_block(monkeypatch):
     u, mts = _sweep_setup()
     ball = BallDomain(1.0, n_r=4, n_u=12, n_phi=10)
-    # 1,200 directions: the default blocks group 3 shells and then 1, and
-    # split the sphere into 512, 512 and 176; the patched ones split each
-    # shell into 1,000 and 200, and the sphere into 350 * 3 and 150
+    # 1,200 directions on 4 shells, three metrics: the default interior
+    # blocks take runs of 1,365 // 4 = 341 directions (the last 177) and
+    # split the sphere into 512, 512 and 176; the patched ones take runs
+    # of 333 // 4 = 83 (the last 38), and split the sphere into 350 * 3
+    # and 150
     assert len(ball.s3_pts) % 1000 != 0
     entries = [None] + mts
     default = pohozaev_balance(u, ONE, ZERO, ball, entries)
@@ -669,10 +691,11 @@ class _CountingProfile:
 
 @pytest.mark.parametrize("tilt", [None, [0.3, -0.2, 0.1, 0.25]], ids=["untilted", "tilted"])
 def test_polar_jet_equals_the_pointwise_jet(tilt):
-    # blocks of 4 shells x 216 directions, and of 1 shell x 100 directions
-    # with a tail of 16: the profile is evaluated once per shell radius, and
-    # every entry is within a few ulp of the magnitude of the terms of its
-    # closed form, as |r dirs| and r dirs / |r dirs| are of r and dirs
+    # blocks of 8 shells x 112 directions with a tail of 104, and of 8
+    # shells x 12 directions: the profile is evaluated once per shell
+    # radius, the untilted value stays one per shell, and broadcast to the
+    # block every entry is within a few ulp of the magnitude of the terms
+    # of its closed form, as |r dirs| and r dirs / |r dirs| are of r and dirs
     prof = _CountingProfile()
     field = RadialProfileField(prof, tilt=tilt)
     ball = BallDomain(2.0, 8, 6, 6)
@@ -683,12 +706,77 @@ def test_polar_jet_equals_the_pointwise_jet(tilt):
             prof.sizes.clear()
             polar = field.polar_jet(r, dirs, 3)
             assert prof.sizes == [len(r)] * 4  # val_r, d1, d2, d3
+            block = (len(r), len(dirs))
+            assert polar[0].shape == ((len(r), 1) if tilt is None else block)
             pointwise = field.jet(polar_points(r, dirs), 3)
             rr = np.repeat(r[:, 0], len(dirs))
             f0, f1, f2, f3 = (np.abs(g(rr)) for g in (prof.val_r, prof.d1, prof.d2, prof.d3))
             scales = (f0 + rr * t, f1 + t, f2 + 2.0 * f1 / rr, f3 + 6.0 * (f2 + f1 / rr) / rr)
             for order, scale in enumerate(scales):
-                got, want = polar[order], pointwise[order]
-                assert got.shape == want.shape == (len(rr),) + (4,) * order
+                want = pointwise[order]
+                got = np.broadcast_to(polar[order], block + (4,) * order).reshape(want.shape)
+                assert want.shape == (len(rr),) + (4,) * order
                 gap = np.abs(got - want).reshape(len(rr), -1)
                 assert np.all(gap <= 8.0 * eps * scale[:, None]), order
+
+
+@pytest.mark.parametrize("n_metrics", [1, 3])
+def test_polar_table_matches_the_point_form(n_metrics):
+    # runs of 166 directions x 6 shells and a tail run of 14: every value
+    # is within 35 ulp of the sum of the magnitudes of its 35 terms of the
+    # point form
+    _, mts = _sweep_setup()
+    tables = _tables(mts[:n_metrics])[0]
+    full = np.empty((len(_MONOMIALS), tables[0].shape[1]))  # the rows of each degree joined
+    for rows, t in zip(pohozaev._DEGREE_ROWS, tables):
+        full[rows] = t
+    assert full.shape == (len(_MONOMIALS), 40 * n_metrics)
+    ball = BallDomain(1.0, 6, 8, 8)
+    work = np.empty(1000 * full.shape[1])
+    blocks = list(ball.blocks(1000))
+    assert [(len(r), len(d)) for r, d, _ in blocks] == [(6, 166)] * 3 + [(6, 14)]
+    for r, dirs, _ in blocks:
+        got = pohozaev._table_at(tables, r, dirs, work).reshape(-1, full.shape[1])
+        xi = polar_points(r, dirs)
+        (want,) = _apply_jet_table(full, [(full.shape[1],)], xi)
+        (mono,) = _apply_jet_table(np.eye(len(_MONOMIALS)), [(len(_MONOMIALS),)], xi)
+        bound = 35.0 * np.finfo(float).eps * (np.abs(mono) @ np.abs(full))
+        assert np.all(np.abs(got - want) <= bound)
+
+
+def _contract_ricci(ric, xi, gu):
+    """Ric_ij,l xi^l d_j u of each metric at each point, (n, k, 4), from
+    ``ric`` (4, 16 k), Ric_ij,l of metric k at [l, 16 k + 4 i + j]."""
+    M = (xi @ ric).reshape(len(xi), -1, 4, 4)
+    return np.einsum("nkij,nj->nki", M, gu)
+
+
+def test_ricci_moments_match_the_per_node_contraction():
+    # I3 = 2 int_dO (xi.grad u) nu_i M_ij d_j u and I4 = -2 int_O (grad u +
+    # hess u xi)_i M_ij d_j u, M_ij = Ric_ij,l xi^l formed at every node,
+    # against the balance's metric-free moments: within 1e-13 of the sum of
+    # the magnitudes of the terms, for a jet whose I3 and I4 are far from 0
+    # and one (conformal normal) whose I3 and I4 cancel to rounding
+    u = RadialProfileField(RescaledBubble(1.0), tilt=[0.3, -0.2, 0.1, 0.25])
+    ball = BallDomain(1.5, 8, 6, 6)  # R != 1 tells xi from nu on the sphere
+    jets = [_ricci_jet(), random_conformal_normal_jet(rng=3)]
+    reps = pohozaev_balance(u, ONE, ZERO, ball, [metric_taylor_from_jet(j) for j in jets])
+    ric1 = [ricci_of(j.R1).to_float() for j in jets]
+    ric = np.hstack([r.transpose(2, 0, 1).reshape(4, 16) for r in ric1])
+    xi, w = _interior_nodes(ball)
+    _, gu, hu = u.jet(xi, 2)
+    v = gu + np.einsum("nim,nm->ni", hu, xi)
+    xb, wb, nu = ball.R * ball.s3_pts, ball.bdy_w, ball.s3_pts
+    gub = u.jet(xb, 1)[1]
+    xgu = np.einsum("ni,ni->n", xb, gub)
+    I3 = 2.0 * np.einsum("nki,ni->kn", _contract_ricci(ric, xb, gub), nu) @ (wb * xgu)
+    I4 = -2.0 * np.einsum("nki,ni->kn", _contract_ricci(ric, xi, gu), v) @ w
+    for k, (rep, r1) in enumerate(zip(reps, ric1)):
+        a = np.abs(r1)
+        mag3 = 2.0 * np.abs(wb * xgu) @ np.einsum("ijl,nl,nj,ni->n", a, np.abs(xb), np.abs(gub), np.abs(nu))
+        mag4 = 2.0 * w @ np.einsum("ijl,nl,nj,ni->n", a, np.abs(xi), np.abs(gu), np.abs(v))
+        assert abs(rep.I3 - I3[k]) <= 1e-13 * mag3
+        assert abs(rep.I4 - I4[k]) <= 1e-13 * mag4
+    # the first jet's terms are far from rounding, the second's at it
+    assert abs(reps[0].I3) > 1e-3 and abs(reps[0].I4) > 1e-3
+    assert abs(reps[1].I3) < 1e-13 * mag3 and abs(reps[1].I4) < 1e-13 * mag4

@@ -43,7 +43,8 @@ def test_ball_rule_volume_and_moment():
     blocks = list(ball.blocks(JET_BLOCK))
     pts = np.concatenate([polar_points(r, dirs) for r, dirs, _ in blocks])
     w = np.concatenate([w for _, _, w in blocks])
-    assert np.array_equal(w, ball.int_w)
+    # the blocks hold the product rule's nodes in another order
+    assert np.array_equal(np.sort(w), np.sort(ball.int_w))
     assert abs(np.sum(w) - BALL4_VOL * 16.0) < 1e-8
     r2 = np.sum(pts**2, axis=1)
     exact = S3_AREA * 2.0**6 / 6.0  # integral of r^2 over the ball
