@@ -38,6 +38,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import JET_BLOCK
 from .fields import Box, DerivativeOrderError, _taylor_tables
 
 DIM = 4
@@ -241,9 +242,6 @@ _GRADED = [
     tuple(np.array([(k, _SLOT[i[:-1]], i[-1]) for i, k in _SLOT.items() if len(i) == d]).T)
     for d in (1, 2, 3)
 ]
-
-# points per (35, block) monomial table; the 98k curved Pohozaev nodes in one add ~60 MB
-JET_BLOCK = 4096
 
 
 def _jet_table(polys, order, eps=1.0):

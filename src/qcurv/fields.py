@@ -120,9 +120,9 @@ _D2 = (np.array([-2, -1, 0, 1, 2]), np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 
 
 
 # stencil points pass through the evaluated function in blocks of this size,
-# which bounds the metric jets a block builds: Q over the (12, 6, 6) sphere
-# quadrature differentiates at 293k stencil points
-FD_BLOCK = 4096
+# which bounds what a block builds: the curvature kernel's temporaries (d2g,
+# h, gg and r) take about 10 KB per point, so about 5 MB per block
+FD_BLOCK = 512
 
 
 def _stages(index):

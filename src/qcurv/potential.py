@@ -2,10 +2,10 @@
 
 Real fields are trigonometric polynomials stored as their cos and sin
 modes; the Green's function is exact in the truncated spectral space with
-multiplier 1 / (L^4 |2 pi k / L|^4), which depends only on the k_a^2 and so
-is built once per (N, L) on the octant 0 <= k_a <= N/2; point values come
-from a separable mode sum over its four axes, each weighing the octant's
-|k_a| by the modes +-k_a it stands for.
+multiplier 1 / (L^4 |2 pi k / L|^4), a function of the integer |k|^2 held
+as one 1-D table per (N, L); point values come from a separable mode sum
+over the octant 0 <= k_a <= N/2, each axis weighing |k_a| by the modes
++-k_a it stands for, gathered from the table in slabs of k0.
 """
 
 from __future__ import annotations
@@ -15,6 +15,8 @@ from functools import lru_cache
 
 import numpy as np
 from numpy import fft
+
+from . import JET_BLOCK
 
 
 # ---------------------------------------------------------------------------
@@ -70,18 +72,16 @@ class TorusSpectralField:
 
 
 @lru_cache
-def _multiplier(N, L):
-    """Read-only multiplier 1 / (L^4 |2 pi k / L|^4) on the octant 0 <= k_a <= N/2, k = 0 -> 0."""
+def _radial_multiplier(N, L):
+    """Read-only 1 / (L^4 |2 pi k / L|^4) at each integer |k|^2 <= 4 (N/2)^2, k = 0 -> 0."""
     if N < 16 or N % 2:
         raise ValueError("N must be even and >= 16")
-    k2 = fft.rfftfreq(N, d=1.0 / N) ** 2
-    m = k2[:, None, None, None] + k2[None, :, None, None] + k2[None, None, :, None] + k2
-    m *= (2.0 * np.pi / L) ** 2
+    m = np.arange(4 * (N // 2) ** 2 + 1) * (2.0 * np.pi / L) ** 2
     np.square(m, out=m)
     m *= L**4
     with np.errstate(divide="ignore"):
         np.divide(1.0, m, out=m)
-    m[0, 0, 0, 0] = 0.0
+    m[0] = 0.0
     m.setflags(write=False)
     return m
 
@@ -89,32 +89,35 @@ def _multiplier(N, L):
 def _green_on_product(N, L, axes):
     """G on the product of four 1-D coordinate sets, shape (n0, n1, n2, n3).
 
-    The full fftfreq mode sum folded onto the octant, one axis at a time:
-    with w = 2 pi / L, each axis weighs |k| = 0 by 1, the pair +-k by
-    2 cos(w k x) and the lone Nyquist mode -N/2 by e^{-i w (N/2) x}, its
-    only complex weight.  The first contraction keeps the octant real: its
-    Nyquist slab adds the imaginary part as one outer product.
+    The full fftfreq mode sum folded onto the octant: with w = 2 pi / L,
+    each axis weighs |k| = 0 by 1, the pair +-k by 2 cos(w k x) and the
+    lone Nyquist mode -N/2 by e^{-i w (N/2) x}.  Axis 3 is folded into the
+    table, t3[x3, s] = sum_k3 p3[x3, k3] m[s + k3^2]; slabs of k0 of at
+    most JET_BLOCK * 40 entries gather t3 at k0^2 + k1^2 + k2^2, contract
+    k2, k1 and k0, and are added in slab order.
     """
-    m = _multiplier(N, L)
-    n = m.shape[0]
-    p0, p1, p2, p3 = (np.exp(-2j * np.pi / L * np.outer(a, np.arange(n))) for a in axes)
+    m = _radial_multiplier(N, L)
+    k = np.arange(N // 2 + 1)
+    p0, p1, p2, p3 = (np.exp(-2j * np.pi / L * np.outer(a, k)) for a in axes)
     for p in (p0, p1, p2, p3):
         p[:, 1:-1] = 2.0 * p[:, 1:-1].real
-    t = (p3.real @ m.reshape(-1, n).T).astype(complex)
-    np.multiply.outer(p3.imag[:, -1], m[..., -1].ravel(), out=t.imag)
-    t = t.reshape(-1, n) @ p2.T
-    t = p1 @ t.reshape(-1, n, len(p2))
-    t = p0 @ t.reshape(len(p3), n, -1)
-    return t.real.reshape(len(p3), len(p0), len(p1), len(p2)).transpose(1, 2, 3, 0)
+    t3 = p3 @ m[np.add.outer(k**2, np.arange(len(m) - k[-1] ** 2))]
+    step = max(1, JET_BLOCK * 40 // (len(p3) * len(k) ** 2))
+    out = np.zeros((len(p3), len(p0), len(p1) * len(p2)), complex)
+    for a in range(0, len(k), step):
+        t = t3[:, np.add.outer(k[a : a + step] ** 2, np.add.outer(k**2, k**2))]
+        t = p1 @ (t.reshape(-1, len(k)) @ p2.T).reshape(-1, len(k), len(p2))
+        out += p0[:, a : a + step] @ t.reshape(len(p3), -1, len(p1) * len(p2))
+    return out.real.reshape(len(p3), len(p0), len(p1), len(p2)).transpose(1, 2, 3, 0)
 
 
 def green_grid_values(N, L):
-    """Grid samples of G with source at the grid origin: the octant mirrored
-    onto the rfft half spectrum, then one irfftn."""
-    fold = np.minimum(np.arange(N), N - np.arange(N))
-    half = _multiplier(N, L)[np.ix_(fold, fold, fold, fold[: N // 2 + 1])]
+    """Grid samples of G with source at the grid origin: the table read at
+    |k|^2 on the rfft half spectrum, then one irfftn."""
+    f = np.minimum(np.arange(N), N - np.arange(N)) ** 2
+    ksq = f[:, None, None, None] + f[:, None, None] + f[:, None] + f[: N // 2 + 1]
     # "forward" leaves the inverse transform unscaled: the raw mode sum
-    return fft.irfftn(half, s=(N,) * 4, axes=(0, 1, 2, 3), norm="forward")
+    return fft.irfftn(_radial_multiplier(N, L)[ksq], s=(N,) * 4, axes=(0, 1, 2, 3), norm="forward")
 
 
 def green_pair_value(N, L, xi, eta):
@@ -155,41 +158,36 @@ def fit_log_singularity(N, L, grid=None) -> GreenDecomposition:
     X = [s.reshape([-1 if b == a else 1 for b in range(4)]) for a in range(4)]
     r = np.sqrt(sum(a**2 for a in X))
     mask = (r >= window[0]) & (r <= window[1])
-    rr = r[mask]
-    g = box[mask]
-    cols = [np.log(rr), np.ones_like(rr)]
-    cols += [np.broadcast_to(X[a], r.shape)[mask] for a in range(4)]
-    cols.append(rr**2)
+    rr, g = r[mask], box[mask]
+    cols = [np.log(rr), np.ones_like(rr), *(np.broadcast_to(x, r.shape)[mask] for x in X), rr**2]
     A = np.stack(cols, axis=1)
     sol, *_ = np.linalg.lstsq(A, g, rcond=None)
-    resid = g - A @ sol
-    return GreenDecomposition(
-        c_log=float(sol[0]),
-        fit_window=window,
-        rms=float(np.sqrt(np.mean(resid**2))),
-        n_points=int(mask.sum()),
-    )
+    rms = float(np.sqrt(np.mean((g - A @ sol) ** 2)))
+    return GreenDecomposition(c_log=float(sol[0]), fit_window=window, rms=rms, n_points=len(rr))
 
 
 def representation_check(f: TorusSpectralField, N):
     """Max deviation of f(xi) - fbar - int G(xi,.) Delta^2 f over the N^4 grid.
 
     Delta^2 multiplies the coefficient c_k of e^{2 pi i k.x / L} by
-    |2 pi k / L|^4 and convolving with G by L^4 times G's multiplier, which
-    is even in each k_a and so read on the octant at |k_a|; the gaps from
-    c_k of the modes k != 0 are summed onto the grid by one inverse FFT.
+    |2 pi k / L|^4 and convolving with G by L^4 times G's multiplier, read
+    from its table at the integer |k|^2; the gaps from c_k of the modes
+    k != 0 are summed onto the grid by one inverse FFT.  A mode with some
+    |k_a| >= N/2, which the grid holds as another mode or not at all, raises.
     """
     c = np.zeros((N,) * 4, complex)
     # a cos(k.x) = a/2 (e^{ik.x} + e^{-ik.x}), a sin(k.x) = a/2i (e^{ik.x} - e^{-ik.x})
     for modes, at_k, at_minus_k in ((f.cos, 0.5, 0.5), (f.sin, -0.5j, 0.5j)):
         for k, a in modes.items():
+            if max(map(abs, k)) >= N // 2:
+                raise ValueError(f"mode {k} is not resolved on the N = {N} grid")
             c[tuple(np.mod(k, N))] += at_k * a
             c[tuple(np.mod(np.negative(k), N))] += at_minus_k * a
     c[0, 0, 0, 0] = 0.0
     idx = np.nonzero(c)
-    freq = fft.fftfreq(N, d=1.0 / N)
-    ksq = sum(freq[i] ** 2 for i in idx) * (2.0 * np.pi / f.L) ** 2
-    green = _multiplier(N, f.L)[tuple(np.minimum(i, N - i) for i in idx)]
+    s = sum(np.minimum(i, N - i) ** 2 for i in idx)
+    green = _radial_multiplier(N, f.L)[s]
+    ksq = s * (2.0 * np.pi / f.L) ** 2
     amp = c[idx]
     c[idx] = amp * ksq**2 * f.L**4 * green - amp
     return float(np.max(np.abs(fft.ifftn(c) * c.size)))

@@ -506,8 +506,8 @@ def test_representation_check_can_fail(monkeypatch):
     assert check["name"] == "max_representation_deviation" and check["pass"]
     assert check["value"] < 1e-14
 
-    multiplier = potential._multiplier
-    monkeypatch.setattr(potential, "_multiplier", lambda N, L: 2.0 * multiplier(N, L))
+    multiplier = potential._radial_multiplier
+    monkeypatch.setattr(potential, "_radial_multiplier", lambda N, L: 2.0 * multiplier(N, L))
     (check,), _ = cli.run_represent(params, 0)
     assert not check["pass"]
     assert check["value"] > 0.1

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import sympy as sp
 
 import qcurv.curvature as curvature
+import qcurv.fields as fields
 from qcurv.curvature import (
     check_conformal_covariance,
     conformal_transform,
@@ -387,6 +389,23 @@ def test_gauss_bonnet_reads_q_from_its_own_riemann_tensors(monkeypatch):
     )
     assert gauss_bonnet_check(model) == 78.95395335979619
     assert len(model.quad_points) == 162 and sum(sizes) == 18 * 162 == 2916
+
+
+def test_gauss_bonnet_peak_memory(monkeypatch):
+    # the Laplacian's 2,754 stencil points reach the curvature kernel in
+    # blocks of FD_BLOCK, whose temporaries take about 10 KB per point:
+    # about 5.7 MB traced, where one block of all of them traced 27 MB
+    want = gauss_bonnet_check(SphereModel(6, 3, 3))  # warms the cached programs
+    tracemalloc.start()
+    try:
+        total = gauss_bonnet_check(SphereModel(6, 3, 3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    # blocking is bit-neutral: one block of every stencil point gives the same total
+    monkeypatch.setattr(fields, "FD_BLOCK", 10**9)
+    assert gauss_bonnet_check(SphereModel(6, 3, 3)) == total == want
 
 
 def test_gauss_bonnet_conformally_perturbed_sphere():

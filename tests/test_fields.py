@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
+from qcurv import fields
 from qcurv.cnc import _MONOMIALS, ExactArray, PolynomialMetric
 from qcurv.fields import (
     COORDS,
@@ -224,7 +225,7 @@ def test_flat_metric_flag():
     assert not MetricField(dom, 2).is_flat
 
 
-def test_stencil_engine_exact_on_polynomial_with_one_evaluation():
+def test_stencil_engine_exact_on_polynomial_with_one_evaluation(monkeypatch):
     def poly(p):
         x, y, z, w = p.T
         return x**4 * y**3 + 2 * x**2 * y * w - y**4 * z + 3 * w
@@ -232,8 +233,11 @@ def test_stencil_engine_exact_on_polynomial_with_one_evaluation():
     seen = []
 
     def func(p):
-        seen.append(len(p))
+        seen.append(p.copy())
         return poly(p)
+
+    def sizes():
+        return [len(p) for p in seen]
 
     pts = np.array([[0.5, -1.0, 0.3, 2.0], [1.2, 0.7, -0.4, 0.0]])
     jet = fd_jet(func, pts, 3, 0.1)
@@ -244,23 +248,35 @@ def test_stencil_engine_exact_on_polynomial_with_one_evaluation():
     np.testing.assert_allclose(d001, 36 * x**2 * y**2 + 4 * w, rtol=0, atol=1e-9)
     # every index shares one evaluation on the union of its stencil points,
     # one point per integer offset: to order 2 the center, 4 per axis off
-    # it and 16 off the axes in each of the 6 coordinate planes
-    assert seen == [385 * len(pts)]
+    # it and 16 off the axes in each of the 6 coordinate planes.  The union
+    # passes through func in order, in blocks of at most FD_BLOCK points
+    union = 385 * len(pts)
+    assert len(seen) == -(-union // fields.FD_BLOCK) and sum(sizes()) == union
+    assert max(sizes()) <= fields.FD_BLOCK
+    # one block of the whole union sees the same points in the same order
+    # and gives the same bits
+    blocks, seen[:] = seen[:], []
+    monkeypatch.setattr(fields, "FD_BLOCK", 10**9)
+    whole = fd_jet(func, pts, 3, 0.1)
+    assert sizes() == [union] and np.array_equal(seen[0], np.concatenate(blocks))
+    assert all(np.array_equal(a, b) for a, b in zip(jet, whole))
+    monkeypatch.undo()
+    seen.clear()
     low = fd_jet(func, pts, 2, 0.1)
-    assert seen[1:] == [(1 + 16 + 96) * len(pts)]
+    assert sizes() == [(1 + 16 + 96) * len(pts)]
     # a partial left out of ``indices`` is an exact zero and costs no point;
     # the ones kept carry the same bits
     star = fd_jet(func, pts, 2, 0.1, [(), (0,), (1,), (2,), (3,), (0, 0), (1, 1), (2, 2), (3, 3)])
-    assert seen[2:] == [17 * len(pts)]
+    assert sizes()[1:] == [17 * len(pts)]
     assert np.array_equal(star[1], low[1])
     diag = np.eye(4, dtype=bool)
     assert np.array_equal(star[2][:, diag], low[2][:, diag])
     assert np.all(star[2][:, ~diag] == 0.0) and np.all(low[2][:, ~diag] != 0.0)
     # a first derivative has four taps: the centre, of weight 0, is no point
     first = fd_jet(func, pts, 1, 0.1, [(0,), (1,), (2,), (3,)])
-    assert seen[3:] == [16 * len(pts)]
+    assert sizes()[2:] == [16 * len(pts)]
     assert np.array_equal(first[1], fd_jet(func, pts, 1, 0.1)[1])
-    assert seen[4:] == [17 * len(pts)]
+    assert sizes()[3:] == [17 * len(pts)]
     # a point alone gets the same value as in the batch
     for p, want in zip(pts, d001):
         assert fd_jet(poly, p[None, :], 3, 0.1)[3][0, 0, 0, 1] == want

@@ -45,6 +45,24 @@ def test_representation_random_fields():
         assert representation_check(f, 16) < 1e-9
 
 
+@pytest.mark.parametrize(
+    "f, mode",
+    [
+        (TorusSpectralField(L, cos={(9, 0, 0, 0): 1.0}), (9, 0, 0, 0)),
+        (TorusSpectralField(L, cos={(1, 2, 0, 0): 1.0, (17, 2, 0, 0): 0.5}), (17, 2, 0, 0)),
+        (TorusSpectralField(L, sin={(0, 0, 8, 0): 1.0}), (0, 0, 8, 0)),
+        (TorusSpectralField(L, cos={(0, -8, 0, 0): 1.0}), (0, -8, 0, 0)),
+    ],
+    ids=["above-nyquist", "aliased-pair", "nyquist-sin", "nyquist-cos"],
+)
+def test_representation_check_refuses_unresolved_modes(f, mode):
+    # N = 16 holds |k_a| <= 7 apart: a larger mode would fold onto another
+    # one, and a Nyquist sine vanishes on the grid, so none is checked
+    with pytest.raises(ValueError, match=rf"mode \({', '.join(map(str, mode))}\) .* N = 16 "):
+        representation_check(f, 16)
+    assert representation_check(TorusSpectralField(L, sin={(7, 0, -7, 1): 1.0}), 16) < 1e-12
+
+
 def test_constant_field_representation_trivial():
     f = TorusSpectralField(L, cos={(0, 0, 0, 0): 3.0})
     assert representation_check(f, 16) < 1e-12
@@ -88,11 +106,11 @@ def test_green_pair_value_matches_direct_mode_sum_off_grid():
 
 
 def test_log_fit_memory_guard():
-    # one default fit and one pair at N = 64 from a cold multiplier cache;
-    # the octant multiplier is 9.5 MB and the fit traces about 23 MB, where
-    # the rfft half-spectrum multiplier (69 MB) traced 170 MB and N^4
-    # coordinate grids would trace about 1 GB
-    potential._multiplier.cache_clear()
+    # one default fit and one pair at N = 64 from a cold multiplier cache:
+    # the 1-D table is 32 KB and the fit traces about 7.3 MB, where the 4-D
+    # octant multiplier (9.5 MB) traced 23 MB, the rfft half-spectrum
+    # multiplier (69 MB) 170 MB and N^4 coordinate grids about 1 GB
+    potential._radial_multiplier.cache_clear()
     tracemalloc.start()
     try:
         fit_log_singularity(64, L)
@@ -100,7 +118,43 @@ def test_log_fit_memory_guard():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 64 * 2**20
+    assert peak < 12 * 2**20
+
+
+def _octant_multiplier(N, L):
+    """The multiplier on the 4-D octant 0 <= k_a <= N/2, as it was stored
+    before the 1-D table over |k|^2 replaced it."""
+    k2 = sfft.rfftfreq(N, d=1.0 / N) ** 2
+    m = k2[:, None, None, None] + k2[None, :, None, None] + k2[None, None, :, None] + k2
+    m *= (2.0 * np.pi / L) ** 2
+    np.square(m, out=m)
+    m *= L**4
+    with np.errstate(divide="ignore"):
+        np.divide(1.0, m, out=m)
+    m[0, 0, 0, 0] = 0.0
+    return m
+
+
+@pytest.mark.parametrize("N", [16, 64])
+def test_radial_table_gathers_to_the_octant_multiplier(N):
+    k2 = np.arange(N // 2 + 1) ** 2
+    s = k2[:, None, None, None] + k2[:, None, None] + k2[:, None] + k2
+    assert np.array_equal(potential._radial_multiplier(N, L)[s], _octant_multiplier(N, L))
+
+
+@pytest.mark.parametrize("k0_per_slab", [3, 5])
+def test_green_slabs_join_to_one_slab(monkeypatch, k0_per_slab):
+    # the fit's 17^4 box at N = 64 gathers 17 * 33 * 33 entries per k0
+    # value: its 33 k0 values make eleven slabs of 3, or six of 5 and a
+    # last one of 3
+    N, per_k0 = 64, 17 * 33 * 33
+    s = np.arange(-8, 9) * L / N
+    monkeypatch.setattr(potential, "JET_BLOCK", 10**9)
+    whole = potential._green_on_product(N, L, (s,) * 4)
+    monkeypatch.setattr(potential, "JET_BLOCK", -(-k0_per_slab * per_k0 // 40))
+    assert potential.JET_BLOCK * 40 // per_k0 == k0_per_slab
+    slabs = potential._green_on_product(N, L, (s,) * 4)
+    assert np.max(np.abs(slabs - whole)) <= 1e-15 * np.max(np.abs(whole))
 
 
 def test_log_fit_default_matches_grid_path():
