@@ -2,14 +2,12 @@
 
 The rescaled profile is U(y) = -log(1 + rho |y|^2) with rho = sqrt(H)/(4 sqrt 3)
 (so rho^2 = H/48), which satisfies Delta^2 U = 2 H e^{4U} identically on R^4.
-All derivatives below are closed forms obtained by the chain rule in
-s = rho r^2:
+Its radial derivatives are closed forms obtained by the chain rule in
+s = rho r^2, which ``RescaledBubble.radial`` returns as one list:
 
     U'        = -2 rho r / (1+s)
     U''       = -2 rho (1-s) / (1+s)^2
     U'''      =  4 rho^2 r (3-s) / (1+s)^3
-    Delta U   = -4 rho (2+s) / (1+s)^2
-    (Delta U)'=  8 rho^2 r (3+s) / (1+s)^3
     Delta^2 U =  96 rho^2 / (1+s)^4
 """
 
@@ -54,7 +52,7 @@ def bubble_eval(b: BubbleParams, d):
 @dataclass(frozen=True)
 class RescaledBubble:
     """U(y) = -log(1 + rho |y|^2), the H-normalized entire solution; its
-    closed forms take radii r = |y|."""
+    closed forms ``radial``, ``bilap`` and ``exp4u`` take radii r = |y|."""
 
     H: float = 1.0
 
@@ -65,28 +63,17 @@ class RescaledBubble:
     def _s(self, r):
         return self.rho * np.asarray(r, float) ** 2
 
-    def val_r(self, r):
-        return -np.log1p(self._s(r))
-
-    def d1(self, r):
-        s = self._s(r)
-        return -2.0 * self.rho * r / (1.0 + s)
-
-    def d2(self, r):
-        s = self._s(r)
-        return -2.0 * self.rho * (1.0 - s) / (1.0 + s) ** 2
-
-    def d3(self, r):
-        s = self._s(r)
-        return 4.0 * self.rho**2 * r * (3.0 - s) / (1.0 + s) ** 3
-
-    def lap(self, r):
-        s = self._s(r)
-        return -4.0 * self.rho * (2.0 + s) / (1.0 + s) ** 2
-
-    def dlap_dr(self, r):
-        s = self._s(r)
-        return 8.0 * self.rho**2 * r * (3.0 + s) / (1.0 + s) ** 3
+    def radial(self, r):
+        """``[U, U', U'', U''']`` at the radii ``r``, from one s and one 1 + s."""
+        r = np.asarray(r, float)
+        rho, s = self.rho, self._s(r)
+        t = 1.0 + s
+        return [
+            -np.log1p(s),
+            -2.0 * rho * r / t,
+            -2.0 * rho * (1.0 - s) / t**2,
+            4.0 * rho**2 * r * (3.0 - s) / t**3,
+        ]
 
     def bilap(self, r):
         s = self._s(r)
@@ -102,7 +89,7 @@ def rescaling_identity_gap(b: BubbleParams, xi):
     d = np.linalg.norm(xi - np.asarray(b.p, float))
     lhs = float(bubble_eval(b, d))
     rb = RescaledBubble(H=b.H)
-    rhs = float(rb.val_r(d / b.eps)) - np.log(b.eps)
+    rhs = float(rb.radial(d / b.eps)[0]) - np.log(b.eps)
     return abs(lhs - rhs)
 
 

@@ -13,10 +13,8 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
-import functools
 import json
 import sys
-from importlib.metadata import version
 from pathlib import Path
 
 import numpy as np
@@ -256,30 +254,27 @@ def run_pohozaev(p, seed):
 
 
 class _SmoothRadial:
-    """f(r) = log(1 + a r^2) + cos(c r), a radial profile with closed-form
-    d1, d2, d3 to check third derivatives against finite differences; a
-    and c may be arrays that broadcast against r."""
+    """f(r) = log(1 + a r^2) + cos(c r), a radial profile whose closed-form
+    derivatives check third derivatives against finite differences; a and
+    c may be arrays that broadcast against r."""
 
     def __init__(self, a, c):
         self.a = a
         self.c = c
 
-    def val_r(self, r):
-        return np.log1p(self.a * np.asarray(r) ** 2) + np.cos(self.c * np.asarray(r))
-
-    def d1(self, r):
+    def radial(self, r):
+        """``[f, f', f'', f''']`` at the radii ``r``."""
         r = np.asarray(r)
-        return 2 * self.a * r / (1 + self.a * r**2) - self.c * np.sin(self.c * r)
-
-    def d2(self, r):
-        r = np.asarray(r)
-        q = 1 + self.a * r**2
-        return 2 * self.a * (1 - self.a * r**2) / q**2 - self.c**2 * np.cos(self.c * r)
-
-    def d3(self, r):
-        r = np.asarray(r)
-        q = 1 + self.a * r**2
-        return 4 * self.a**2 * r * (self.a * r**2 - 3) / q**3 + self.c**3 * np.sin(self.c * r)
+        a, c = self.a, self.c
+        ar2 = a * r**2
+        q = 1 + ar2
+        cos, sin = np.cos(c * r), np.sin(c * r)
+        return [
+            np.log1p(ar2) + cos,
+            2 * a * r / q - c * sin,
+            2 * a * (1 - ar2) / q**2 - c**2 * cos,
+            4 * a**2 * r * (ar2 - 3) / q**3 + c**3 * sin,
+        ]
 
 
 def _fd_third(a, c, y, iml, h=2e-2):
@@ -300,7 +295,7 @@ def _fd_third(a, c, y, iml, h=2e-2):
         # |x| as np.linalg.norm forms it for one vector, the root of a dot
         # product (a matmul of two vectors): a sum in another order moves
         # the recorded gaps by up to 3e-3 of their size
-        vals = prof.val_r(np.sqrt((pts[..., None, :] @ pts[..., :, None])[..., 0, 0]))
+        vals = prof.radial(np.sqrt((pts[..., None, :] @ pts[..., :, None])[..., 0, 0]))[0]
         for _ in range(3):  # i, m, l: each difference takes the last sign axis
             vals = (vals[..., 0] - vals[..., 1]) / (2 * step)
         return vals
@@ -511,17 +506,6 @@ RUNNERS = {
 }
 
 
-@functools.cache
-def _versions():
-    # read from the installed metadata, so that suites without sympy need not import it
-    return {
-        "qcurv": __version__,
-        "python": ".".join(map(str, sys.version_info[:3])),
-        "numpy": version("numpy"),
-        "sympy": version("sympy"),
-    }
-
-
 def _write_outputs(out_dir, command, checks, rows, seed, quiet):
     passed = all(c["pass"] for c in checks)
     summary = {
@@ -529,7 +513,11 @@ def _write_outputs(out_dir, command, checks, rows, seed, quiet):
         "pass": passed,
         "checks": checks,
         "seed": seed,
-        "versions": _versions(),
+        "versions": {
+            "qcurv": __version__,
+            "python": ".".join(map(str, sys.version_info[:3])),
+            "numpy": np.__version__,
+        },
     }
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -132,9 +132,9 @@ def weyl_tensor(riem: RiemannAtPoint) -> np.ndarray:
     return r - 0.5 * kulk + (scal / 6.0) * gg
 
 
-def weyl_norm_sq(w, g):
-    """|W|^2 = W_abcd W^abcd with indices raised by g^{-1}; one per point."""
-    gi = np.linalg.inv(g)
+def weyl_norm_sq(w, gi):
+    """|W|^2 = W_abcd W^abcd with indices raised by the inverse metric
+    ``gi``, such as ``RiemannAtPoint.g_inv``; one per point."""
     w_up = np.einsum(
         "...ae,...bf,...cg,...dh,...efgh->...abcd", gi, gi, gi, gi, w, optimize=True
     )
@@ -267,5 +267,5 @@ def gauss_bonnet_check(model):
         )
     riem = riemann_of_metric(g, pts)
     q = _q(g, pts, riem, None)
-    wsq = weyl_norm_sq(weyl_tensor(riem), riem.g)
+    wsq = weyl_norm_sq(weyl_tensor(riem), riem.g_inv)
     return float(w @ (q + wsq / 8.0))

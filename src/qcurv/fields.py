@@ -14,11 +14,13 @@ sum_k phi^(k)(g0) h^k / k!, and the partial for the multi-index alpha is
 alpha! c_alpha.  An expression with anything else, or a symbol other than
 the chart's, is refused when its field is built.
 
-Every field and metric is read through ``jet(pts, order)``, which returns
-``[value, first, second, ...]`` with the derivative axes last.  A field
-the Pohozaev ball rule reads also has ``polar_jet(r, dirs, order)``, its
-jet at the points at radii r along unit directions dirs, each part
-broadcasting against the radii times the directions.  A
+Every field and metric but ``ConstantField`` is read through
+``jet(pts, order)``, which returns ``[value, first, second, ...]`` with
+the derivative axes last.  A field the Pohozaev ball rule reads has
+``polar_jet(r, dirs, order)``, the same list at the points at radii r
+along unit directions dirs, each part broadcasting against the radii
+times the directions; ``ConstantField``, read only there, has only
+that.  A
 ``MetricField`` is conformally flat, g = f delta, and is its factor f: a
 ``ScalarField`` whose jet to order 2 gives the metric's.  Metrics that are
 not conformally flat are exact polynomials, ``cnc.PolynomialMetric``.
@@ -404,13 +406,10 @@ class ConstantField:
     def __init__(self, c):
         self.c = float(c)
 
-    def jet(self, pts, order):
-        n = len(np.atleast_2d(pts))
-        return [np.full(n, self.c)] + [np.zeros((n,) + (DIM,) * k) for k in range(1, order + 1)]
-
     def polar_jet(self, r, dirs, order):
-        """``jet`` at the points r dirs, as arrays over the radii ``r`` that
-        broadcast against the directions: one value per radius."""
+        """``[c, 0, ...]`` up to ``order`` at the points r dirs, as arrays
+        over the radii ``r`` that broadcast against the directions: one
+        value per radius."""
         shape = np.shape(r)
         return [np.full(shape, self.c)] + [np.zeros(shape + (DIM,) * k) for k in range(1, order + 1)]
 

@@ -97,21 +97,24 @@ def alpha_sweep(eps_list, H):
 def long_range_checks(profile, eps):
     """Ring diagnostics of the rescaled field v at |y| = L = -log eps.
 
-    ``profile`` exposes val_r, d1, lap, dlap_dr (radial closed forms, as
-    RescaledBubble does).  Targets follow the far-field law v ~
-    -(alpha/8 pi^2) log|y| with alpha = 16 pi^2; each row carries its gap
-    |value - target| as ``error_estimate`` and the next-order O(1/L) gap
-    scaled by L, so the band constant is visible.
+    ``profile.radial(r)`` returns ``[v, v', v'', v''']`` at the radii r,
+    as RescaledBubble's does; the rings read Delta v = v'' + 3v'/r and
+    d_r Delta v = v''' + 3v''/r - 3v'/r^2 from that one list.  Targets
+    follow the far-field law v ~ -(alpha/8 pi^2) log|y| with alpha =
+    16 pi^2; each row carries its gap |value - target| as
+    ``error_estimate`` and the next-order O(1/L) gap scaled by L, so the
+    band constant is visible.
     """
     L = float(big_l(eps))
     a8 = MASS_LIMIT / (8.0 * np.pi**2)
     r_out = max(DELTA1 / eps, 2.0 * L)
-    slope = (profile.val_r(r_out) - profile.val_r(L)) / (np.log(r_out) - np.log(L))
+    v, v1, v2, v3 = profile.radial(L)
+    slope = (profile.radial(r_out)[0] - v) / (np.log(r_out) - np.log(L))
     rings = [
         ("slope_v_vs_logr", float(slope), -a8),
-        ("dr_v_times_L", float(profile.d1(L) * L), -a8),
-        ("lap_v_times_L2", float(profile.lap(L) * L**2), -2.0 * a8),
-        ("dr_lap_v_times_L3", float(profile.dlap_dr(L) * L**3), 4.0 * a8),
+        ("dr_v_times_L", float(v1 * L), -a8),
+        ("lap_v_times_L2", float((v2 + 3.0 * v1 / L) * L**2), -2.0 * a8),
+        ("dr_lap_v_times_L3", float((v3 + 3.0 * v2 / L - 3.0 * v1 / L**2) * L**3), 4.0 * a8),
     ]
     return [
         {"name": name, "value": v, "target": t, "error_estimate": abs(v - t),

@@ -68,7 +68,7 @@ from .cnc import (
     _GRADED, DEGREE, JET_BLOCK, _apply_jet_table, _jet_table, concatenate,
     inverse_metric_taylor, poly_diff, ricci_of,
 )
-from .fields import polar_points
+from .fields import DerivativeOrderError, polar_points
 from .quadrature import gauss_legendre, s3_nodes, BALL4_VOL, S3_AREA
 
 # nodes per boundary block: at 512 its order-3 jet of u, (n, 4, 4, 4), takes
@@ -137,36 +137,32 @@ class RadialProfileField:
     """Order-3 jet of u(y) = f(|y|) + tilt.y from the closed forms of the
     radial profile f.
 
-    ``profile`` must expose val_r/d1/d2/d3 (e.g. RescaledBubble).  The jet
-    is formed in polar form, at radii r and unit directions n: on a ball
-    block of s shells times d directions ``polar_jet`` evaluates the
-    profile once per shell radius and the products of n once per
-    direction, and ``jet(pts, order)`` is the same formulas at r = |pts|,
-    n = pts / r.
+    ``profile.radial(r)`` returns ``[f, f', f'', f''']`` at the radii
+    ``r`` (e.g. RescaledBubble), or a shorter list for a profile read to a
+    lower order.  The jet is formed in polar form, at radii r and unit
+    directions n: on a ball block of s shells times d directions
+    ``polar_jet`` calls the profile once with the s shell radii and forms
+    the products of n once per direction, and ``jet(pts, order)`` is the
+    same formulas at r = |pts|, n = pts / r.
     """
 
     def __init__(self, profile, tilt=None):
         self.profile = profile
         self.tilt = None if tilt is None else np.asarray(tilt, float)
 
-    def _r(self, pts):
-        r = pts[:, 0] * pts[:, 0]  # np.linalg.norm(pts, axis=1) to the bit, in place
-        for x in pts.T[1:]:
-            r += x * x
-        return np.sqrt(r, out=r)
-
     def jet(self, pts, order):
         """``polar_jet`` at r = |pts|, n = pts / r, one point each."""
         pts = np.atleast_2d(np.asarray(pts, float))
-        r = self._r(pts)
+        r = np.linalg.norm(pts, axis=1)
         return self.polar_jet(r, pts / r[:, None], order)
 
     def polar_jet(self, r, dirs, order):
-        """``[val, grad, hess, third]`` up to ``order`` (at most 3) at the
-        points r n, parts broadcasting against the radii ``r`` times the
-        leading axes of the unit directions ``dirs`` (the untilted value
-        keeps the shape of ``r``); each profile derivative is evaluated
-        once per entry of ``r``.  With n the direction and q = f'/r:
+        """``[val, grad, hess, third]`` up to ``order`` at the points r n,
+        parts broadcasting against the radii ``r`` times the leading axes
+        of the unit directions ``dirs`` (the untilted value keeps the shape
+        of ``r``), from one ``profile.radial(r)``; an ``order`` at or past
+        the length of its list raises ``DerivativeOrderError``.  With n the
+        direction and q = f'/r:
 
             d_i u   = f' n_i
             d_im u  = (f'' - q) n_i n_m + q delta_im
@@ -179,16 +175,19 @@ class RadialProfileField:
         """
         r, n = np.asarray(r, float), np.asarray(dirs, float)
         shape = np.broadcast_shapes(r.shape, n.shape[:-1])
-        val = self.profile.val_r(r)
+        f = self.profile.radial(r)
+        if order >= len(f):
+            raise DerivativeOrderError(f"radial profile derivatives up to order {len(f) - 1}")
+        val = f[0]
         if self.tilt is not None:
             val = val + r * (n @ self.tilt)
         out = [val]
         if order >= 1:
-            f1 = self.profile.d1(r)
+            f1 = f[1]
             grad = f1[..., None] * n
             out.append(grad if self.tilt is None else grad + self.tilt)
         if order >= 2:
-            f2 = self.profile.d2(r)
+            f2 = f[2]
             q = f1 / r
             nn = n[..., :, None] * n[..., None, :]
             hess = (f2 - q)[..., None, None] * nn
@@ -196,7 +195,7 @@ class RadialProfileField:
             hess[..., diag, diag] += q[..., None]
             out.append(hess)
         if order >= 3:
-            f3 = self.profile.d3(r)
+            f3 = f[3]
             a = (f3 - 3.0 * f2 / r + 3.0 * f1 / r**2)[..., None, None, None]
             b = ((f2 - q) / r)[..., None, None, None]
             # the delta terms fill one array in the order of their sum, in place

@@ -15,6 +15,8 @@ from qcurv.bubble import (
     rescaling_identity_gap,
     weighted_sup_norm,
 )
+from qcurv.cli import _SmoothRadial
+from qcurv.harness import long_range_checks
 
 
 def test_bubble_eval_basic_values():
@@ -61,15 +63,34 @@ def test_pde_values_at_origin():
 
 
 def test_radial_derivatives_consistent():
-    rb = RescaledBubble(1.3)
+    # each entry of a profile's list is the central difference of the one
+    # before it, and the long-range rings' Delta v = v'' + 3v'/r and
+    # d_r Delta v = v''' + 3v''/r - 3v'/r^2 match the bubble's closed forms
     r = np.linspace(0.1, 20.0, 50)
-    h = 1e-6
-    d1_fd = (rb.val_r(r + h) - rb.val_r(r - h)) / (2 * h)
-    assert np.max(np.abs(d1_fd - rb.d1(r))) < 1e-8
-    lap_expected = rb.d2(r) + 3.0 * rb.d1(r) / r
-    assert np.max(np.abs(lap_expected - rb.lap(r))) < 1e-12
-    dlap_fd = (rb.lap(r + h) - rb.lap(r - h)) / (2 * h)
-    assert np.max(np.abs(dlap_fd - rb.dlap_dr(r))) < 1e-7
+    h = 1e-5
+    for prof in (RescaledBubble(1.3), _SmoothRadial(0.7, 1.9)):
+        f, fp, fm = prof.radial(r), prof.radial(r + h), prof.radial(r - h)
+        assert len(f) == 4
+        for k in range(3):
+            fd = (fp[k] - fm[k]) / (2 * h)
+            assert np.max(np.abs(fd - f[k + 1]) / (1.0 + np.abs(f[k + 1]))) < 1e-9, k
+
+    def closed_forms(rb, r):
+        s = rb.rho * r**2
+        lap = -4.0 * rb.rho * (2.0 + s) / (1.0 + s) ** 2
+        return lap, 8.0 * rb.rho**2 * r * (3.0 + s) / (1.0 + s) ** 3
+
+    rb = RescaledBubble(1.3)
+    _, f1, f2, f3 = rb.radial(r)
+    lap, dlap = closed_forms(rb, r)
+    assert np.max(np.abs(f2 + 3.0 * f1 / r - lap) / np.abs(lap)) < 1e-13
+    assert np.max(np.abs(f3 + 3.0 * f2 / r - 3.0 * f1 / r**2 - dlap) / np.abs(dlap)) < 1e-13
+    eps = 1e-4
+    rings = {row["name"]: row["value"] for row in long_range_checks(rb, eps)}
+    L = -np.log(eps)
+    lap, dlap = closed_forms(rb, L)
+    assert rings["lap_v_times_L2"] == pytest.approx(lap * L**2, rel=1e-13)
+    assert rings["dr_lap_v_times_L3"] == pytest.approx(dlap * L**3, rel=1e-13)
 
 
 def test_kernel_elements_identity():

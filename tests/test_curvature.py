@@ -210,7 +210,7 @@ def test_weyl_vanishes_on_constant_curvature():
     riem = riemann_of_metric(g, np.array([0.2, 0.1, 0.0, -0.3]))
     w = weyl_tensor(riem)
     assert np.max(np.abs(w)) < 1e-9
-    assert weyl_norm_sq(w, riem.g) < 1e-18
+    assert weyl_norm_sq(w, riem.g_inv) < 1e-18
 
 
 def test_weyl_norm_matches_one_step_contraction():
@@ -221,10 +221,10 @@ def test_weyl_norm_matches_one_step_contraction():
     gi = np.linalg.inv(g)
     w_up = np.einsum("nae,nbf,ncg,ndh,nefgh->nabcd", gi, gi, gi, gi, w)
     want = np.einsum("nabcd,nabcd->n", w, w_up)
-    got = weyl_norm_sq(w, g)
+    got = weyl_norm_sq(w, gi)
     assert got.shape == (50,)
     assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13
-    assert weyl_norm_sq(w[7], g[7]) == pytest.approx(want[7], rel=1e-13)
+    assert weyl_norm_sq(w[7], gi[7]) == pytest.approx(want[7], rel=1e-13)
 
 
 def test_weyl_trace_free_on_generic_input():
@@ -527,7 +527,7 @@ def test_batched_kernel_matches_single_points(metric):
     f = ScalarField.from_expr(x0**2 * x1**2 + x2 * x3, g.domain)
     pan = paneitz_apply(g, f, _BATCH)
     assert riem.components.shape == (3, 4, 4, 4, 4) and q.shape == pan.shape == (3,)
-    wsq = weyl_norm_sq(weyl_tensor(riem), riem.g)
+    wsq = weyl_norm_sq(weyl_tensor(riem), riem.g_inv)
     for n, x in enumerate(_BATCH):
         one = riemann_of_metric(g, x)
         assert one.components.shape == (4, 4, 4, 4)
@@ -535,7 +535,7 @@ def test_batched_kernel_matches_single_points(metric):
         assert np.max(np.abs(riem.components[n] - one.components)) <= 1e-13 * scale
         assert abs(riem.scalar[n] - one.scalar) <= 1e-13 * abs(one.scalar)
         assert abs(riem.ricci_norm_sq[n] - one.ricci_norm_sq) <= 1e-13 * one.ricci_norm_sq
-        assert abs(wsq[n] - weyl_norm_sq(weyl_tensor(one), one.g)) <= 1e-13 * max(wsq[n], 1.0)
+        assert abs(wsq[n] - weyl_norm_sq(weyl_tensor(one), one.g_inv)) <= 1e-13 * max(wsq[n], 1.0)
         assert abs(q[n] - q_curvature(g, x)) <= 1e-13 * abs(q[n])
         assert abs(pan[n] - paneitz_apply(g, f, x)) <= 1e-13 * abs(pan[n])
     assert abs(q[0] - 3.0) > 1e-3  # genuinely perturbed, not the round value

@@ -24,7 +24,8 @@ from qcurv.cnc import (
     scale_jet,
 )
 from qcurv.fields import (
-    COORDS, Box, ConstantField, ScalarField, _symmetric_jet, fd_jet, polar_points,
+    COORDS, Box, ConstantField, DerivativeOrderError, ScalarField, _symmetric_jet, fd_jet,
+    polar_points,
 )
 from qcurv.pohozaev import (
     BOUNDARY_BLOCK, BallDomain, RadialProfileField, _detone_terms, _tables, pohozaev_balance,
@@ -150,11 +151,8 @@ class _QuadraticProfile:
     def __init__(self, a):
         self.a = a
 
-    def val_r(self, r):
-        return 1.0 + self.a * r**2
-
-    def d1(self, r):
-        return 2.0 * self.a * r
+    def radial(self, r):
+        return [1.0 + self.a * r**2, 2.0 * self.a * r]
 
 
 def test_i0_reads_the_gradient_of_h():
@@ -175,42 +173,28 @@ def _third(prof, y, i, m, l):
 
 
 class _Quadratic:
-    def val_r(self, r):
-        return np.asarray(r, float) ** 2
-
-    def d1(self, r):
-        return 2.0 * np.asarray(r, float)
-
-    def d2(self, r):
-        return 2.0 * np.ones_like(np.asarray(r, float))
-
-    def d3(self, r):
-        return np.zeros_like(np.asarray(r, float))
+    def radial(self, r):
+        r = np.asarray(r, float)
+        return [r**2, 2.0 * r, np.full_like(r, 2.0), np.zeros_like(r)]
 
 
 class _LogProfile:
-    def val_r(self, r):
-        return np.log(1.0 + np.asarray(r, float) ** 2)
-
-    def d1(self, r):
+    def radial(self, r):
         r = np.asarray(r, float)
-        return 2.0 * r / (1.0 + r**2)
-
-    def d2(self, r):
-        r = np.asarray(r, float)
-        return 2.0 * (1.0 - r**2) / (1.0 + r**2) ** 2
-
-    def d3(self, r):
-        r = np.asarray(r, float)
-        return 4.0 * r * (r**2 - 3.0) / (1.0 + r**2) ** 3
+        q = 1.0 + r**2
+        return [np.log(q), 2.0 * r / q, 2.0 * (1.0 - r**2) / q**2, 4.0 * r * (r**2 - 3.0) / q**3]
 
 
-def test_profile_radii_are_linalg_norm_to_the_bit():
-    rng = np.random.default_rng(4)
-    wide = rng.standard_normal((10_000, 4)) * 10.0 ** rng.integers(-8, 8, (10_000, 4))
-    field = RadialProfileField(RescaledBubble(1.0))
-    for pts in (_interior_nodes(BallDomain(1.0, n_r=8, n_u=8, n_phi=8))[0], wide):
-        assert np.array_equal(field._r(pts), np.linalg.norm(pts, axis=1))
+def test_radial_profile_refuses_an_order_its_list_does_not_reach():
+    pts = np.array([[0.3, -0.2, 0.5, 0.1]])
+    bubble = RadialProfileField(RescaledBubble(1.0))
+    quadratic = RadialProfileField(_QuadraticProfile(0.1))
+    assert len(bubble.jet(pts, 3)) == 4 and len(quadratic.jet(pts, 1)) == 2
+    for field, order in ((bubble, 4), (quadratic, 2)):
+        with pytest.raises(DerivativeOrderError):
+            field.jet(pts, order)
+        with pytest.raises(DerivativeOrderError):
+            field.polar_jet(np.ones((2, 1)), pts, order)
 
 
 def test_radial_third_derivative_of_r_squared_vanishes():
@@ -233,7 +217,7 @@ def test_radial_third_derivative_matches_fd():
         i, m, l = rng.integers(0, 4, 3)
 
         def g(p):
-            return prof.val_r(np.linalg.norm(p))
+            return prof.radial(np.linalg.norm(p))[0]
 
         def d_l(p):
             ql, qm = p.copy(), p.copy()
@@ -261,7 +245,8 @@ def test_radial_third_derivative_traces_to_gradient_of_laplacian():
         y = rng.uniform(0.5, 2.0, 4) * rng.choice([-1.0, 1.0], 4)
         r = float(np.linalg.norm(y))
         # d_r of lap f = f''' + 3 f''/r - 3 f'/r^2
-        dlap = float(prof.d3(r) + 3.0 * prof.d2(r) / r - 3.0 * prof.d1(r) / r**2)
+        _, f1, f2, f3 = prof.radial(r)
+        dlap = float(f3 + 3.0 * f2 / r - 3.0 * f1 / r**2)
         for i in range(4):
             tr = sum(_third(prof, y, i, m, m) for m in range(4))
             assert abs(tr - dlap * y[i] / r) < 1e-10
@@ -275,7 +260,7 @@ def test_radial_third_derivative_keeps_the_bits_of_the_whole_array_sum(tilt):
     pts = np.random.default_rng(9).uniform(-2.0, 2.0, (50, 4))
     r = np.linalg.norm(pts, axis=1)
     n = pts / r[:, None]
-    f1, f2, f3 = prof.d1(r), prof.d2(r), prof.d3(r)
+    _, f1, f2, f3 = prof.radial(r)
     q = f1 / r
     a = (f3 - 3.0 * f2 / r + 3.0 * f1 / r**2)[:, None, None, None]
     b = ((f2 - q) / r)[:, None, None, None]
@@ -681,12 +666,9 @@ class _CountingProfile:
     def __init__(self):
         self.bubble, self.sizes = RescaledBubble(1.0), []
 
-    def __getattr__(self, name):
-        def evaluate(r):
-            self.sizes.append(np.size(r))
-            return getattr(self.bubble, name)(r)
-
-        return evaluate
+    def radial(self, r):
+        self.sizes.append(np.size(r))
+        return self.bubble.radial(r)
 
 
 @pytest.mark.parametrize("tilt", [None, [0.3, -0.2, 0.1, 0.25]], ids=["untilted", "tilted"])
@@ -705,12 +687,12 @@ def test_polar_jet_equals_the_pointwise_jet(tilt):
         for r, dirs, _ in ball.blocks(size):
             prof.sizes.clear()
             polar = field.polar_jet(r, dirs, 3)
-            assert prof.sizes == [len(r)] * 4  # val_r, d1, d2, d3
+            assert prof.sizes == [len(r)]  # one call, with the shell radii
             block = (len(r), len(dirs))
             assert polar[0].shape == ((len(r), 1) if tilt is None else block)
             pointwise = field.jet(polar_points(r, dirs), 3)
             rr = np.repeat(r[:, 0], len(dirs))
-            f0, f1, f2, f3 = (np.abs(g(rr)) for g in (prof.val_r, prof.d1, prof.d2, prof.d3))
+            f0, f1, f2, f3 = (np.abs(g) for g in prof.bubble.radial(rr))
             scales = (f0 + rr * t, f1 + t, f2 + 2.0 * f1 / rr, f3 + 6.0 * (f2 + f1 / rr) / rr)
             for order, scale in enumerate(scales):
                 want = pointwise[order]
