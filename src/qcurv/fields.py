@@ -17,16 +17,18 @@ the chart's, is refused when its field is built.
 Every field and metric but ``ConstantField`` is read through
 ``jet(pts, order)``, which returns ``[value, first, second, ...]`` with
 the derivative axes last.  A field the Pohozaev ball rule reads has
-``polar_jet(r, dirs, order)``, the same list at the points at radii r
-along unit directions dirs, each part broadcasting against the radii
-times the directions; ``ConstantField``, read only there, has only
-that.  A
-``MetricField`` is conformally flat, g = f delta, and is its factor f: a
-``ScalarField`` whose jet to order 2 gives the metric's.  Metrics that are
-not conformally flat are exact polynomials, ``cnc.PolynomialMetric``.
-``fd_jet`` is the centered finite-difference jet of the quantities the
-curvature module computes, from order-4 stencils: four taps for a first
-derivative (the centre has weight 0), five for a second.
+``polar_terms(r, dirs, order)``: for each order k, radial factors R_k,
+r.shape + (B_k,), and a list A_k of B_k angular factors (d or 1, 4, ...,
+4) of the unit directions ``dirs`` (d, 4), with part k at r_s n_d the
+sum over b of R_k[s, b] A_k[b][d].  ``polar_jet`` expands them into the
+Cartesian parts; ``ConstantField``, read only by the ball rule, has only
+``polar_terms``.  A ``MetricField`` is conformally flat, g = f delta,
+and is its factor f: a ``ScalarField`` whose jet to order 2 gives the
+metric's.  Metrics that are not conformally flat are exact polynomials,
+``cnc.PolynomialMetric``.  ``fd_jet`` is the centered finite-difference
+jet of the quantities the curvature module computes, from order-4
+stencils: four taps for a first derivative (the centre has weight 0),
+five for a second.
 
 sympy is imported on first use: the box, the errors, ``ConstantField``
 and ``fd_jet`` need none of it, so a process that uses only those never
@@ -400,18 +402,37 @@ def polar_points(r, dirs):
     return (np.asarray(r, float)[..., None] * dirs).reshape(-1, DIM)
 
 
+def _expand(R, A, k):
+    """Part k, the sum over b of R[..., b] A[b] added left to right: radial
+    factors R (..., B) broadcast against angular factors A[b] (..., 4, ...,
+    4).  A pair A[b] = (F, G) is the term (R_b F) G; no terms give zeros."""
+    out = np.zeros(R.shape[:-1] + (DIM,) * k) if not A else None
+    for b, ang in enumerate(A):
+        F, G = ang if isinstance(ang, tuple) else (ang, None)
+        t = R[(..., b) + (None,) * k] * F
+        t = t if G is None else t * G
+        out = t if out is None else np.add(out, t, out=out if out.shape == t.shape else None)
+    return out
+
+
+def polar_jet(field, r, dirs, order):
+    """``[value, first, ...]`` up to ``order`` of ``field`` at the points
+    r dirs, its ``polar_terms`` expanded, the leading axes of the radii
+    ``r`` and of the directions ``dirs`` (n, 4) broadcast together."""
+    return [_expand(R, A, k) for k, (R, A) in enumerate(field.polar_terms(r, dirs, order))]
+
+
 class ConstantField:
     """The constant c, with every derivative zero; it needs no sympy."""
 
     def __init__(self, c):
         self.c = float(c)
 
-    def polar_jet(self, r, dirs, order):
-        """``[c, 0, ...]`` up to ``order`` at the points r dirs, as arrays
-        over the radii ``r`` that broadcast against the directions: one
-        value per radius."""
+    def polar_terms(self, r, dirs, order):
+        """The one term [c] x [1] of the value and no term of a derivative,
+        up to ``order``, at the points r dirs."""
         shape = np.shape(r)
-        return [np.full(shape, self.c)] + [np.zeros(shape + (DIM,) * k) for k in range(1, order + 1)]
+        return [(np.full(shape + (1,), self.c), [np.ones(1)])] + [(np.empty(shape + (0,)), [])] * order
 
 
 class MetricField:

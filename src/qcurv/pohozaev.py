@@ -23,7 +23,7 @@ xi^m d_m g^{ij} = (E g^{-1})^{ij}, and
   lap u = A.grad u + g^{ij} d_ij u,
   I2 metric part = int_O lap u ((A + E A).grad u + (E g^{-1}) : hess u).
 
-The interior nodes evaluate the values of the 40 exact polynomials A,
+The interior evaluates the values of the 40 exact polynomials A,
 g^{ij}, A + E A and E g^{-1}; the boundary nodes, whose flux needs
 d_m(lap u), evaluate the first 20, [A | g^{ij}], to order 1.  I3 and I4
 contract Ric_ij,l(0), once per metric and ball, with the 64 metric-free
@@ -39,17 +39,23 @@ Each table is stacked over the metrics, built once per call.
 
 Both rules are walked as shells x directions (``BallDomain.blocks``):
 the interior as runs of directions over every shell, JET_BLOCK / k
-nodes for k curved metrics (all JET_BLOCK when flat), so a block's 40 k
-table columns fill one JET_BLOCK x 40 workspace; the sphere, the one
-shell r = R, as pieces of ``BOUNDARY_BLOCK`` directions.  Nodes and
-weights are formed per block from the rule's factors, and u, h and b are
-read through ``polar_jet(r, dirs, order)``, whose parts broadcast
-against the block: a radial value stays one per shell.  A degree-k
-monomial at r n is r^k times its value at n, so an interior block
-applies each degree's table rows once per direction and gets every
-shell's values from one product with [1, r, r^2, r^3]; a sphere block
-evaluates its table at the points.  The block sums are added in block
-order, so the output depends on the inputs alone.
+nodes for k curved metrics (all JET_BLOCK when flat); the sphere, the
+one shell r = R, as pieces of ``BOUNDARY_BLOCK`` directions.  u, h and b
+are read through ``polar_terms(r, dirs, order)``: each part a sum over b
+of radial factors R_b (one per shell) times angular factors A_b (one per
+direction).  A sphere block expands them into u's Cartesian jet and
+evaluates its table at the points.  The interior separates the
+variables.  It expands only the values of u, h and b, and xi.grad f is
+r sum_b R_b (n.A_b), so I0's and the b term's integrands stay (s, 1)
+where every term they read has a direction-free angular factor.  A
+degree-k monomial at r n is r^k times its value at n, so each degree's
+table rows are applied once per direction, P_k(n), and contracted there
+with u's angular gradient and Hessian factors; one (s, 4B) @ (4B, d 2k)
+product with the r^k R_b gives lap u and every metric's I2 part at every
+node.  |grad u|^2 and |hess u|^2 come from per-direction Gram products,
+and I4's Ricci moments are a radial sum between angular factors.  Every
+interior block sum is shell_w @ F @ s3_w, and the block sums are added
+in block order, so the output depends on the inputs alone.
 
 The curved identity leaves out the degree >= 4 tail of the metric
 expansion.  ``unmodeled_remainder`` bounds that tail's share, sized from
@@ -68,7 +74,7 @@ from .cnc import (
     _GRADED, DEGREE, JET_BLOCK, _apply_jet_table, _jet_table, concatenate,
     inverse_metric_taylor, poly_diff, ricci_of,
 )
-from .fields import DerivativeOrderError, polar_points
+from .fields import DIM, DerivativeOrderError, _expand, polar_jet, polar_points
 from .quadrature import gauss_legendre, s3_nodes, BALL4_VOL, S3_AREA
 
 # nodes per boundary block: at 512 its order-3 jet of u, (n, 4, 4, 4), takes
@@ -118,9 +124,9 @@ class BallDomain:
         s shells times d directions, s d <= ``size``: runs of d = size // s
         directions, each over every shell (or over pieces of ``size``
         shells when there are more); the last run or piece may be short.
-        Each block is (r, dirs, w): the radii (s, 1), the unit directions
-        (d, 4) and the s d weights of the nodes ``polar_points(r, dirs)``,
-        shell-major, each the shell weight times the S^3 weight.  Every node
+        Each block is (r, dirs, shell_w, s3_w): the radii (s, 1) and unit
+        directions (d, 4) of the nodes ``polar_points(r, dirs)`` and their
+        weights, shell_w[i] s3_w[j] at shell i and direction j.  Every node
         of the product rule is in one block."""
         radii, shell_w = (
             (np.array([self.R]), np.array([self.R**3])) if boundary else (self.radii, self.shell_w)
@@ -129,8 +135,8 @@ class BallDomain:
         d = size // s
         for j in range(0, len(self.s3_pts), d):
             for k in range(0, len(radii), s):
-                w = shell_w[k : k + s, None] * self.s3_w[None, j : j + d]
-                yield radii[k : k + s, None], self.s3_pts[j : j + d], w.reshape(-1)
+                rows = slice(k, k + s)
+                yield radii[rows, None], self.s3_pts[j : j + d], shell_w[rows], self.s3_w[j : j + d]
 
 
 class RadialProfileField:
@@ -139,11 +145,22 @@ class RadialProfileField:
 
     ``profile.radial(r)`` returns ``[f, f', f'', f''']`` at the radii
     ``r`` (e.g. RescaledBubble), or a shorter list for a profile read to a
-    lower order.  The jet is formed in polar form, at radii r and unit
-    directions n: on a ball block of s shells times d directions
-    ``polar_jet`` calls the profile once with the s shell radii and forms
-    the products of n once per direction, and ``jet(pts, order)`` is the
-    same formulas at r = |pts|, n = pts / r.
+    lower order.  ``polar_terms`` gives each part as radial x angular
+    terms, from one call of the profile with the radii and the products of
+    each direction n, and ``jet(pts, order)`` expands them at r = |pts|,
+    n = pts / r.  With q = f'/r and t the tilt:
+
+        u       = [f, r] x [1, n.t]
+        d_i u   = [f', 1] x [n_i, t_i]
+        d_im u  = [f'' - q, q] x [n_i n_m, delta_im]
+        d_iml u = [f''' - 3f''/r + 3f'/r^2, (f'' - q) / r]
+                x [n_i n_m n_l, delta_im n_l + delta_il n_m + delta_ml n_i]
+
+    (no t terms without a tilt).  The source display's last coefficient
+    reads (f'' - f'), which fails the FD cross-check of ``qcurv
+    pohozaev``; (f'' - f'/r) passes.  At r = 0, q is its limit f''(0): the
+    gradient is the tilt and the Hessian f''(0) delta, and the third
+    derivative is refused.
     """
 
     def __init__(self, profile, tilt=None):
@@ -154,62 +171,41 @@ class RadialProfileField:
         """``polar_jet`` at r = |pts|, n = pts / r, one point each."""
         pts = np.atleast_2d(np.asarray(pts, float))
         r = np.linalg.norm(pts, axis=1)
-        return self.polar_jet(r, pts / r[:, None], order)
+        n = np.divide(pts, r[:, None], out=np.zeros_like(pts), where=r[:, None] > 0.0)
+        return polar_jet(self, r, n, order)
 
-    def polar_jet(self, r, dirs, order):
-        """``[val, grad, hess, third]`` up to ``order`` at the points r n,
-        parts broadcasting against the radii ``r`` times the leading axes
-        of the unit directions ``dirs`` (the untilted value keeps the shape
-        of ``r``), from one ``profile.radial(r)``; an ``order`` at or past
-        the length of its list raises ``DerivativeOrderError``.  With n the
-        direction and q = f'/r:
-
-            d_i u   = f' n_i
-            d_im u  = (f'' - q) n_i n_m + q delta_im
-            d_iml u = (f''' - 3f''/r + 3f'/r^2) n_i n_m n_l
-                    + (f'' - q) (delta_il n_m + delta_im n_l + delta_ml n_i) / r
-
-        and the tilt adds its linear term to the value and gradient.  The
-        source display's last coefficient reads (f'' - f'), which fails the
-        FD cross-check of ``qcurv pohozaev``; (f'' - f'/r) passes.
-        """
+    def polar_terms(self, r, dirs, order):
+        """The terms up to ``order`` at the points r dirs, from one
+        ``profile.radial(r)``; n_i n_m n_l is the pair (n_i n_m, n_l), so its
+        radial factor multiplies n_i n_m first."""
         r, n = np.asarray(r, float), np.asarray(dirs, float)
-        shape = np.broadcast_shapes(r.shape, n.shape[:-1])
-        f = self.profile.radial(r)
+        f, t = self.profile.radial(r), self.tilt
         if order >= len(f):
             raise DerivativeOrderError(f"radial profile derivatives up to order {len(f) - 1}")
-        val = f[0]
-        if self.tilt is not None:
-            val = val + r * (n @ self.tilt)
-        out = [val]
+        if order >= 3 and np.any(r == 0.0):
+            raise DerivativeOrderError("no third derivative of a radial profile at the origin")
+        if t is None:
+            terms = [(f[0][..., None], [np.ones(1)])]
+        else:
+            terms = [(np.stack([f[0], r], -1), [np.ones(1), n @ t])]
         if order >= 1:
-            f1 = f[1]
-            grad = f1[..., None] * n
-            out.append(grad if self.tilt is None else grad + self.tilt)
+            grad = f[1][..., None] if t is None else np.stack([f[1], np.ones_like(r)], -1)
+            terms.append((grad, [n] if t is None else [n, t]))
         if order >= 2:
-            f2 = f[2]
-            q = f1 / r
+            q = np.where(r > 0.0, f[1] / np.where(r > 0.0, r, 1.0), f[2])
             nn = n[..., :, None] * n[..., None, :]
-            hess = (f2 - q)[..., None, None] * nn
-            diag = np.arange(4)
-            hess[..., diag, diag] += q[..., None]
-            out.append(hess)
+            terms.append((np.stack([f[2] - q, q], -1), [nn, np.eye(DIM)]))
         if order >= 3:
-            f3 = f[3]
-            a = (f3 - 3.0 * f2 / r + 3.0 * f1 / r**2)[..., None, None, None]
-            b = ((f2 - q) / r)[..., None, None, None]
+            a = f[3] - 3.0 * f[2] / r + 3.0 * f[1] / r**2
             # the delta terms fill one array in the order of their sum, in place
-            third = np.zeros(shape + (4, 4, 4))
-            for i in range(4):
-                third[..., i, i, :] += n  # delta_im n_l
-            for i in range(4):
-                third[..., i, :, i] += n  # delta_il n_m
-            for i in range(4):
-                third[..., :, i, i] += n  # delta_ml n_i
-            third *= b
-            third += a * nn[..., :, :, None] * n[..., None, None, :]
-            out.append(third)
-        return out
+            sym = np.zeros(n.shape[:-1] + (DIM,) * 3)
+            for i in range(DIM):
+                sym[..., i, i, :] += n  # delta_im n_l
+                sym[..., i, :, i] += n  # delta_il n_m
+                sym[..., :, i, i] += n  # delta_ml n_i
+            nnn = (nn[..., None], n[..., None, None, :])
+            terms.append((np.stack([a, (f[2] - q) / r], -1), [nnn, sym]))
+        return terms
 
 
 @dataclass
@@ -230,10 +226,10 @@ class PohozaevReport:
 def pohozaev_balance(u, h, b, ball: BallDomain, metric_taylors=(None,)):
     """Term-by-term Pohozaev reports, one per entry of ``metric_taylors``.
 
-    ``u``, ``h`` and ``b`` are read through ``polar_jet(r, dirs, order)``,
-    which returns ``[val, grad, hess, third]`` up to ``order`` at the
-    points r dirs, each part broadcasting against the block of radii
-    ``r`` times directions ``dirs``, such as RadialProfileField's; h's
+    ``u``, ``h`` and ``b`` are read through ``polar_terms(r, dirs,
+    order)``, which gives each part up to ``order`` at the points r dirs as
+    radial factors (one per radius) times angular factors (one per
+    direction), such as RadialProfileField's and ConstantField's; h's
     gradient gives I0's xi.grad(h) term.  An entry None is the flat
     metric; I3 and I4 of any other entry read the Ricci derivatives of its
     curvature jet ``metric_taylor.jet``.  Each ``error_estimate`` is the
@@ -242,12 +238,12 @@ def pohozaev_balance(u, h, b, ball: BallDomain, metric_taylors=(None,)):
     curved = [mt for mt in metric_taylors if mt is not None]
     tables, bdy_table, ric = _tables(curved)
     eps3 = [mt.comps[..., DEGREE == 3].abs_max() for mt in curved]
-    # every block's table values, on both balls, are written here
-    work = np.empty(max(JET_BLOCK * 40 * bool(curved), BOUNDARY_BLOCK * bdy_table.shape[1]))
+    # every sphere block's table values, on both balls, are written here
+    work = np.empty(BOUNDARY_BLOCK * bdy_table.shape[1])
 
     def reports(dom):
         I1, T = _boundary_terms(u, h, dom, metric_taylors, bdy_table, work)
-        I0, bxgu, tail, I2m, S = _interior_sums(u, h, b, dom, tables, work)
+        I0, bxgu, tail, I2m, S = _interior_sums(u, h, b, dom, tables)
         I3, I4 = ((2.0 * T @ ric).tolist(), (-2.0 * S @ ric).tolist()) if curved else ([], [])
         curved_terms = iter(zip(I2m, I3, I4, eps3))
         out = []
@@ -265,26 +261,20 @@ def pohozaev_balance(u, h, b, ball: BallDomain, metric_taylors=(None,)):
     return fine
 
 
-def _ricci_moments(w, xi, v, gu):
-    """The 64 moments sum w xi^l v_i d_j u over a block's nodes, (i, j, l)
-    in C order, that Ric_ij,l(0) contracts into I3 or I4."""
-    vg = np.einsum("ni,nj->nij", v.reshape(-1, 4), gu.reshape(-1, 4)).reshape(-1, 16)
-    return (vg.T @ (w.reshape(-1, 1) * xi.reshape(-1, 4))).reshape(-1)
-
-
 def _boundary_terms(u, h, ball, metric_taylors, table, work):
     """I1 of each entry of ``metric_taylors``, and I3's Ricci moments when
     one is curved: per sphere block of ``BOUNDARY_BLOCK`` nodes, u's
     order-3 jet and the boundary ``table`` give each node's flux, weighted
     into the block's partial sums, which are added in block order."""
     parts = []
-    for r, nu, w in ball.blocks(BOUNDARY_BLOCK, boundary=True):
-        r = r[:, 0]  # the one shell, broadcast against the directions
+    for r, nu, ws, wd in ball.blocks(BOUNDARY_BLOCK, boundary=True):
+        # the one shell, broadcast against the directions
+        r, w = r[:, 0], (ws[:, None] * wd).reshape(-1)
         xi = polar_points(r, nu)
-        uv, gu, hu, tu = jet = u.polar_jet(r, nu, 3)
+        uv, gu, hu, tu = jet = polar_jet(u, r, nu, 3)
         xdotnu = np.einsum("ni,ni->n", xi, nu)
         xdotgu = np.einsum("ni,ni->n", xi, gu)
-        shared = 0.5 * h.polar_jet(r, nu, 0)[0] * np.exp(4.0 * uv) * xdotnu
+        shared = 0.5 * polar_jet(h, r, nu, 0)[0] * np.exp(4.0 * uv) * xdotnu
         gu_hxi = gu + np.einsum("nim,nm->ni", hu, xi)
         curved = zip(*_detone_terms(table, xi, jet, work)) if table.shape[1] else iter(())
         row = []
@@ -302,29 +292,12 @@ def _boundary_terms(u, h, ball, metric_taylors, table, work):
             )
             row.append(w @ flux)
         if table.shape[1]:
-            row.extend(_ricci_moments(w * xdotgu, xi, nu, gu))
+            # I3's moments sum w (xi.grad u) xi^l nu_i d_j u, (i, j, l) in C order
+            vg = np.einsum("ni,nj->nij", nu, gu).reshape(-1, 16)
+            row.extend((vg.T @ ((w * xdotgu)[:, None] * xi)).reshape(-1))
         parts.append(row)
     sums = np.sum(parts, axis=0)
     return sums[: len(metric_taylors)].tolist(), sums[len(metric_taylors) :]
-
-
-def _table_at(tables, r, dirs, work):
-    """The interior table, as its rows of each degree ``tables``, at the
-    nodes ``polar_points(r, dirs)`` as (s, d, columns) in the front of
-    ``work``: each degree k's rows applied once per direction give P_k(n),
-    and one (s, 4) @ (4, d columns) product of [1, r, r^2, r^3] with them
-    every shell's values.  Each is within 35 ulp of the sum of the
-    magnitudes of its terms in ``_apply_jet_table`` at the nodes."""
-    mono = np.ones((len(DEGREE), len(dirs)))
-    for rows, parents, variables in _GRADED:
-        mono[rows] = mono[parents] * dirs.T[variables]
-    s, d, c = len(r), len(dirs), tables[0].shape[1]
-    P = np.empty((4, d, c))
-    for k, (rows, t) in enumerate(zip(_DEGREE_ROWS, tables)):
-        np.matmul(mono[rows].T, t, out=P[k])
-    powers = np.hstack([np.ones_like(r), r, r * r, r * r * r])
-    out = work[: s * d * c].reshape(s, d * c)
-    return np.matmul(powers, P.reshape(4, d * c), out=out).reshape(s, d, c)
 
 
 def _detone_terms(table, xi, jet, work):
@@ -344,35 +317,66 @@ def _detone_terms(table, xi, jet, work):
     return lap, glap, vals[..., 4:].reshape(n, -1, 4, 4).transpose(1, 0, 2, 3)
 
 
-def _interior_sums(u, h, b, ball, tables, work):
+def _degree_tables(tables, dirs):
+    """P_k(n), the interior table's degree-k rows ``tables[k]`` applied to
+    each direction's degree-k monomials, as (4, d, columns): at the node
+    r n the table's values are the sum over k of r^k P_k(n)."""
+    mono = np.ones((len(DEGREE), len(dirs)))
+    for rows, parents, variables in _GRADED:
+        mono[rows] = mono[parents] * dirs.T[variables]
+    return np.stack([mono[rows].T @ t for rows, t in zip(_DEGREE_ROWS, tables)])
+
+
+def _xi_dot(r, R, A, dirs):
+    """xi.grad f = r sum_b R_b (n.A_b), (s, d); zeros (s, 1) with no terms."""
+    return r[:, None] * sum(R[:, j, None] * (dirs * a).sum(-1) for j, a in enumerate(A))
+
+
+def _interior_sums(u, h, b, ball, tables):
     """Interior integrals over ``ball``: I0, int b xi.grad u, the remainder
     integral int r^2 |grad u|^2 + r^4 |hess u| (0 when ``tables`` hold no
     curved metric), each curved metric's I2 metric part and I4's Ricci
     moments, from blocks of JET_BLOCK / k nodes, added in block order."""
     k = tables[0].shape[1] // 40
     parts = []
-    for r, dirs, w in ball.blocks(JET_BLOCK // max(k, 1)):
-        xi = r[..., None] * dirs  # the nodes polar_points(r, dirs) as (s, d, 4)
-        jet = u.polar_jet(r, dirs, 2 if k else 1)
-        gu = jet[1]
-        hv, gh = h.polar_jet(r, dirs, 1)
-        f0 = (2.0 * hv + 0.5 * np.einsum("...i,...i->...", xi, gh)) * np.exp(4.0 * jet[0])
-        bxgu = b.polar_jet(r, dirs, 0)[0] * np.einsum("...i,...i->...", xi, gu)
-        row = [w @ f0.reshape(-1), w @ bxgu.reshape(-1)]
+    for r, dirs, ws, wd in ball.blocks(JET_BLOCK // max(k, 1)):
+        r, s, d = r[:, 0], len(r), len(dirs)
+        (u0, U0), (R1, U1), *second = u.polar_terms(r, dirs, 2 if k else 1)
+        (h0, H0), (h1, H1) = h.polar_terms(r, dirs, 1)
+        ((b0, b_ang),) = b.polar_terms(r, dirs, 0)
+        e4u = np.exp(4.0 * _expand(u0[:, None], U0, 0))
+        f0 = (2.0 * _expand(h0[:, None], H0, 0) + 0.5 * _xi_dot(r, h1, H1, dirs)) * e4u
+        bxgu = _expand(b0[:, None], b_ang, 0) * _xi_dot(r, R1, U1, dirs)
+        row = [ws @ np.broadcast_to(F, (s, d)) @ wd for F in (f0, bxgu)]
         if k:
-            hu = jet[2]
-            hu_flat = hu.reshape(xi.shape[:2] + (16,))
-            polys = _table_at(tables, r, dirs, work).reshape(xi.shape[:2] + (k, 2, 20))
-            lap, metric = np.einsum("sdkaj,sdj->aksd", polys[..., :4], gu) + np.einsum(
-                "sdkaj,sdj->aksd", polys[..., 4:], hu_flat
+            ((R2, U2),) = second
+            B1, B = R1.shape[1], R1.shape[1] + R2.shape[1]
+            # u's B angular factors against the columns they pair with: 4 of grad u, 16 of hess u
+            ang = np.zeros((d, 20, B))
+            for j, a in enumerate(U1):
+                ang[:, :4, j] = a
+            for j, a in enumerate(U2):
+                ang[:, 4:, B1 + j] = a.reshape(-1, 16)
+            g1, g2 = ang[:, :4, :B1], ang[:, 4:, B1:]
+            Q = (_degree_tables(tables, dirs).reshape(4, d, 2 * k, 20) @ ang).transpose(0, 3, 1, 2)
+            radial = np.hstack([R1, R2])
+            Z = np.hstack([p[:, None] * radial for p in (np.ones_like(r), r, r * r, r * r * r)])
+            lap, metric = (Z @ Q.reshape(4 * B, -1)).reshape(s, d, k, 2).transpose(3, 0, 1, 2)
+            # |grad u|^2 and |hess u|^2 from per-direction Gram matrices; a
+            # sum of squares formed so may round below 0 only where it is 0
+            du2, d2u = (
+                (R[:, :, None] * R[:, None]).reshape(s, -1) @ (g.mT @ g).reshape(d, -1).T
+                for R, g in ((R1, g1), (R2, g2))
             )
-            du2 = np.einsum("...i,...i->...", gu, gu)
-            d2u = np.sqrt(np.einsum("...i,...i->...", hu_flat, hu_flat))
-            r2 = r * r
-            row.append(w @ (r2 * du2 + r2 * r2 * d2u).reshape(-1))
-            row.extend((lap * metric).reshape(k, -1) @ w)
-            v = gu + np.einsum("...im,...m->...i", hu, xi)
-            row.extend(_ricci_moments(w, xi, v, gu))
+            r2 = (r * r)[:, None]
+            row.append(ws @ (r2 * du2 + r2 * r2 * np.sqrt(np.maximum(d2u, 0.0))) @ wd)
+            row.extend(wd @ (ws @ (lap * metric).reshape(s, -1)).reshape(d, k))
+            # sum w xi^l v_i d_j u, v = grad u + hess u xi = [R1, r R2] x [U1, U2 n]
+            VR = np.hstack([R1, r[:, None] * R2])
+            hess_n = (g2.reshape(d, 4, 4, -1) * dirs[:, None, :, None]).sum(2)
+            VA = np.concatenate([g1, hess_n], axis=2)
+            vg = VA @ (((ws * r)[:, None] * VR).T @ R1) @ g1.mT
+            row.extend((vg.reshape(d, 16).T @ (wd[:, None] * dirs)).reshape(-1))
         parts.append(row)
     sums = np.sum(parts, axis=0)
     I0, bxgu, tail, I2m = sums[0], sums[1], sums[2] if k else 0.0, sums[3 : 3 + k].tolist()

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
+import qcurv.fields as fields
 import qcurv.pohozaev as pohozaev
 from qcurv.bubble import RescaledBubble
 from qcurv.cnc import (
@@ -24,8 +25,8 @@ from qcurv.cnc import (
     scale_jet,
 )
 from qcurv.fields import (
-    COORDS, Box, ConstantField, DerivativeOrderError, ScalarField, _symmetric_jet, fd_jet,
-    polar_points,
+    COORDS, Box, ConstantField, DerivativeOrderError, ScalarField, _expand, _symmetric_jet,
+    fd_jet, polar_jet, polar_points,
 )
 from qcurv.pohozaev import (
     BOUNDARY_BLOCK, BallDomain, RadialProfileField, _detone_terms, _tables, pohozaev_balance,
@@ -39,8 +40,8 @@ ONE, ZERO = ConstantField(1.0), ConstantField(0.0)
 def _interior_nodes(ball):
     """Every interior node of ``ball`` and its weight, its blocks joined."""
     blocks = list(ball.blocks(JET_BLOCK))
-    return np.concatenate([polar_points(r, dirs) for r, dirs, _ in blocks]), np.concatenate(
-        [w for _, _, w in blocks]
+    return np.concatenate([polar_points(r, dirs) for r, dirs, _, _ in blocks]), np.concatenate(
+        [(ws[:, None] * wd).reshape(-1) for _, _, ws, wd in blocks]
     )
 
 
@@ -73,11 +74,12 @@ def test_interior_blocks_join_to_the_product_rule(dims):
         for size in (JET_BLOCK, 1500, 5):
             seen = np.zeros((len(radii), m), dtype=int)
             blocks = list(ball.blocks(size, boundary))
-            for x, dirs, w in blocks:
+            for x, dirs, ws, wd in blocks:
                 i = np.array([shell[v] for v in x[:, 0]])
                 j = np.array([direction[p.tobytes()] for p in dirs])
                 np.add.at(seen, np.ix_(i, j), 1)
-                assert len(w) == len(i) * len(j) <= size
+                assert len(ws) * len(wd) == len(i) * len(j) <= size
+                w = (ws[:, None] * wd).reshape(-1)
                 # a run of shells: all of them, or a piece of size and a tail
                 s = min(len(radii), size)
                 assert i[0] % s == 0 and list(i) == list(range(i[0], min(i[0] + s, len(radii))))
@@ -85,7 +87,7 @@ def test_interior_blocks_join_to_the_product_rule(dims):
                 assert np.array_equal(w, (shell_w[i, None] * s_w[j]).reshape(-1))
             assert np.all(seen == 1)
             if boundary:  # one shell, split into pieces of size and a tail
-                dirs = [len(d) for _, d, _ in blocks]
+                dirs = [len(d) for _, d, _, _ in blocks]
                 assert dirs == [size] * (m // size) + [m % size] if m > size else dirs == [m]
     assert np.array_equal(ball.int_w, ((wr * r**3)[:, None] * s_w).reshape(-1))
     assert np.array_equal(ball.bdy_w, R**3 * s_w)
@@ -194,7 +196,7 @@ def test_radial_profile_refuses_an_order_its_list_does_not_reach():
         with pytest.raises(DerivativeOrderError):
             field.jet(pts, order)
         with pytest.raises(DerivativeOrderError):
-            field.polar_jet(np.ones((2, 1)), pts, order)
+            field.polar_terms(np.ones((2, 1)), pts, order)
 
 
 def test_radial_third_derivative_of_r_squared_vanishes():
@@ -401,14 +403,27 @@ class _PolyField:
                 terms = dict(p.terms())
                 self.coef[index] = np.array([float(terms.get(tuple(e), 0)) for e in _EXPONENTS])
 
-    def jet(self, pts, order):
+    def jet(self, pts, order, degree=None):
+        """The partials at ``pts``; with ``degree``, those of the
+        homogeneous part of that degree of each partial."""
         powers = np.cumprod(np.stack([np.ones_like(pts)] + [pts] * 4, axis=-1), axis=-1)
         mono = np.prod(powers[:, np.arange(4), _EXPONENTS], axis=-1)
+        if degree is not None:
+            mono = mono * (_EXPONENTS.sum(axis=1) == degree)
         return _symmetric_jet(order, lambda index: mono @ self.coef[index])
 
-    def polar_jet(self, r, dirs, order):
-        shape = np.broadcast_shapes(np.shape(r), dirs.shape[:-1])
-        return [part.reshape(shape + part.shape[1:]) for part in self.jet(polar_points(r, dirs), order)]
+    def polar_terms(self, r, dirs, order):
+        # one term per degree m >= k of part k: r^(m - k) times the order-k
+        # partials of the degree-m part at n, the degree m - k part of the
+        # order-k partials
+        r = np.asarray(r, float)
+        return [
+            (
+                np.stack([r ** (m - k) for m in range(k, 5)], -1),
+                [self.jet(dirs, k, m - k)[k] for m in range(k, 5)],
+            )
+            for k in range(order + 1)
+        ]
 
 
 def _random_poly(degree, rng):
@@ -558,14 +573,14 @@ def test_flat_balance_evaluates_no_interior_hessian(monkeypatch):
     u = RadialProfileField(RescaledBubble(1.0))
     ball = BallDomain(5.0, n_r=8, n_u=8, n_phi=10)
     radii = []
-    polar_jet = u.polar_jet
+    polar_terms = u.polar_terms
 
-    def recording_jet(r, dirs, order):
+    def recording_terms(r, dirs, order):
         if order >= 2:
             radii.append(r)
-        return polar_jet(r, dirs, order)
+        return polar_terms(r, dirs, order)
 
-    monkeypatch.setattr(u, "polar_jet", recording_jet)
+    monkeypatch.setattr(u, "polar_terms", recording_terms)
     pohozaev_balance(u, ONE, ZERO, ball)
     # the order >= 2 jets are the boundary's, one per sphere block of the
     # balance's ball and of its node-halving estimate's, at the one radius R
@@ -579,7 +594,7 @@ def test_tables_are_built_once_per_call_and_never_for_a_flat_one(monkeypatch):
     u, mts = _sweep_setup()
     ball = BallDomain(1.0, n_r=8, n_u=8, n_phi=10)
     calls = []
-    for name in ("_jet_table", "_apply_jet_table", "_table_at"):
+    for name in ("_jet_table", "_apply_jet_table", "_degree_tables"):
         real = getattr(pohozaev, name)
 
         def recording(*args, real=real, name=name):
@@ -591,8 +606,8 @@ def test_tables_are_built_once_per_call_and_never_for_a_flat_one(monkeypatch):
     assert calls == []
     # a sweep: two tables per metric, built once; each ball evaluates the
     # boundary table at the points of each sphere block and the interior
-    # one in polar form once per interior block of JET_BLOCK // 3 = 1,365
-    # nodes.  The balance's ball has 800 directions: two sphere blocks (512
+    # one's degree tables at the directions of each interior block of
+    # JET_BLOCK // 3 = 1,365 nodes.  The balance's ball has 800 directions: two sphere blocks (512
     # and 288) and five interior runs of 170 directions x 8 shells (the
     # last 120); its estimate's 512: one sphere block and four runs (the
     # last 2)
@@ -605,7 +620,7 @@ def test_tables_are_built_once_per_call_and_never_for_a_flat_one(monkeypatch):
     ]
     assert blocks == [2, 5, 1, 4]
     assert calls.count("_apply_jet_table") == blocks[0] + blocks[2]
-    assert calls.count("_table_at") == blocks[1] + blocks[3]
+    assert calls.count("_degree_tables") == blocks[1] + blocks[3]
 
 
 def _sweep_setup():
@@ -684,9 +699,9 @@ def test_polar_jet_equals_the_pointwise_jet(tilt):
     t = 0.0 if tilt is None else np.abs(tilt).sum()
     eps = np.finfo(float).eps
     for size in (900, 100):
-        for r, dirs, _ in ball.blocks(size):
+        for r, dirs, _, _ in ball.blocks(size):
             prof.sizes.clear()
-            polar = field.polar_jet(r, dirs, 3)
+            polar = polar_jet(field, r, dirs, 3)
             assert prof.sizes == [len(r)]  # one call, with the shell radii
             block = (len(r), len(dirs))
             assert polar[0].shape == ((len(r), 1) if tilt is None else block)
@@ -702,11 +717,33 @@ def test_polar_jet_equals_the_pointwise_jet(tilt):
                 assert np.all(gap <= 8.0 * eps * scale[:, None]), order
 
 
+def test_polar_terms_of_constant_and_polynomial_fields_expand_to_their_jets():
+    # polar_jet at a block's radii (s, 1) and directions is the pointwise
+    # jet at polar_points(r, dirs): a constant's [c, 0, 0, 0] exactly, and a
+    # quartic's within 16 ulp of the sum of the magnitudes of its monomial
+    # terms, the jet of its coefficients' magnitudes at |x|
+    ball = BallDomain(1.5, 6, 6, 6)
+    poly = _PolyField(_random_poly(4, np.random.default_rng(2)))
+    eps = np.finfo(float).eps
+    for r, dirs, _, _ in ball.blocks(100):
+        xi = polar_points(r, dirs)
+        block = (len(r), len(dirs))
+        const = polar_jet(ConstantField(0.7), r, dirs, 3)
+        for order, part in enumerate(const):
+            want = np.full((len(xi),) + (4,) * order, 0.7 if order == 0 else 0.0)
+            assert np.array_equal(np.broadcast_to(part, block + (4,) * order).reshape(want.shape), want)
+        polar = polar_jet(poly, r, dirs, 3)
+        for order, (got, want, mag) in enumerate(zip(polar, poly.jet(xi, 3), _term_magnitudes(poly, xi, 3))):
+            got = np.broadcast_to(got, block + (4,) * order).reshape(want.shape)
+            assert np.all(np.abs(got - want) <= 16.0 * eps * mag), order
+            assert np.max(np.abs(want)) > 1.0  # every part is far from 0
+
+
 @pytest.mark.parametrize("n_metrics", [1, 3])
 def test_polar_table_matches_the_point_form(n_metrics):
-    # runs of 166 directions x 6 shells and a tail run of 14: every value
-    # is within 35 ulp of the sum of the magnitudes of its 35 terms of the
-    # point form
+    # runs of 166 directions x 6 shells and a tail run of 14: each degree's
+    # table at the directions, times r^k and summed, is within 35 ulp of
+    # the sum of the magnitudes of its 35 terms of the point form
     _, mts = _sweep_setup()
     tables = _tables(mts[:n_metrics])[0]
     full = np.empty((len(_MONOMIALS), tables[0].shape[1]))  # the rows of each degree joined
@@ -714,11 +751,12 @@ def test_polar_table_matches_the_point_form(n_metrics):
         full[rows] = t
     assert full.shape == (len(_MONOMIALS), 40 * n_metrics)
     ball = BallDomain(1.0, 6, 8, 8)
-    work = np.empty(1000 * full.shape[1])
     blocks = list(ball.blocks(1000))
-    assert [(len(r), len(d)) for r, d, _ in blocks] == [(6, 166)] * 3 + [(6, 14)]
-    for r, dirs, _ in blocks:
-        got = pohozaev._table_at(tables, r, dirs, work).reshape(-1, full.shape[1])
+    assert [(len(r), len(d)) for r, d, _, _ in blocks] == [(6, 166)] * 3 + [(6, 14)]
+    for r, dirs, _, _ in blocks:
+        powers = np.hstack([np.ones_like(r), r, r * r, r * r * r])
+        P = pohozaev._degree_tables(tables, dirs)
+        got = (powers @ P.reshape(4, -1)).reshape(-1, full.shape[1])
         xi = polar_points(r, dirs)
         (want,) = _apply_jet_table(full, [(full.shape[1],)], xi)
         (mono,) = _apply_jet_table(np.eye(len(_MONOMIALS)), [(len(_MONOMIALS),)], xi)
@@ -762,3 +800,146 @@ def test_ricci_moments_match_the_per_node_contraction():
     # the first jet's terms are far from rounding, the second's at it
     assert abs(reps[0].I3) > 1e-3 and abs(reps[0].I4) > 1e-3
     assert abs(reps[1].I3) < 1e-13 * mag3 and abs(reps[1].I4) < 1e-13 * mag4
+
+
+def _term_magnitudes(field, xi, order):
+    """The jet of ``field`` at the points ``xi`` up to ``order`` with each
+    entry the sum of the magnitudes of its terms: for a ``_PolyField`` its
+    monomial terms, the jet of its coefficients' magnitudes at |xi|; for
+    another field its polar terms at r = |xi|, n = xi / r."""
+    if isinstance(field, _PolyField):
+        magnitude = _PolyField(_RING(0))
+        magnitude.coef = {index: np.abs(c) for index, c in field.coef.items()}
+        return magnitude.jet(np.abs(xi), order)
+    r = np.linalg.norm(xi, axis=1)
+    terms = field.polar_terms(r, xi / r[:, None], order)
+    return [
+        _expand(np.abs(R), [tuple(map(np.abs, a)) if isinstance(a, tuple) else np.abs(a) for a in A], k)
+        for k, (R, A) in enumerate(terms)
+    ]
+
+
+def _per_node_interior(u, h, b, ball, mts):
+    """The interior sums over ``ball`` of u, h and the constant ``b``, with
+    the metrics ``mts``, as the balance formed them before it separated
+    the variables: u's and h's Cartesian jets at every node of the product
+    rule, the interior table at the nodes by its point form, one einsum
+    each for lap u and the I2 metric part, and the Ricci moments node by
+    node.  Returns the sums I0, the b term, the tail, each metric's I2 part
+    and the 64 moments, and the bound of each: the sum over the nodes of w
+    times the magnitudes of its terms."""
+    xi = (ball.radii[:, None, None] * ball.s3_pts).reshape(-1, 4)
+    w, r2 = ball.int_w, np.repeat(ball.radii**2, len(ball.s3_pts))
+    uv, gu, hu = u.jet(xi, 2)
+    um, gum, hum = _term_magnitudes(u, xi, 2)
+    hv, gh = h.jet(xi, 1)
+    hm, ghm = _term_magnitudes(h, xi, 1)
+    e4u, ax = np.exp(4.0 * uv), np.abs(xi)
+    hess = np.sqrt(np.einsum("nij,nij->n", hu, hu))
+    sums = [
+        w @ ((2.0 * hv + 0.5 * np.einsum("ni,ni->n", xi, gh)) * e4u),
+        w @ (b * np.einsum("ni,ni->n", xi, gu)),
+        w @ (r2 * np.einsum("ni,ni->n", gu, gu) + r2 * r2 * hess),
+    ]
+    bounds = [
+        w @ ((2.0 * hm + 0.5 * np.einsum("ni,ni->n", ax, ghm)) * e4u * (1.0 + 4.0 * um)),
+        w @ (abs(b) * np.einsum("ni,ni->n", ax, gum)),
+        w @ (r2 * np.einsum("ni,ni->n", gum, gum) + r2 * r2 * np.einsum("nij,nij->n", hum, hum) / hess),
+    ]
+    # the interior table at the nodes: A, g^{ij}, A + EA, E g^{-1} per metric
+    tables = _tables(mts)[0]
+    full = np.empty((len(_MONOMIALS), tables[0].shape[1]))
+    for rows, t in zip(pohozaev._DEGREE_ROWS, tables):
+        full[rows] = t
+    (vals,) = _apply_jet_table(full, [(full.shape[1],)], xi)
+    (mono,) = _apply_jet_table(np.eye(len(_MONOMIALS)), [(len(_MONOMIALS),)], xi)
+    d = np.hstack([gu, hu.reshape(-1, 16)])
+    dm = np.hstack([gum, hum.reshape(-1, 16)])
+    lap, metric = np.einsum("nkaj,nj->akn", vals.reshape(len(xi), -1, 2, 20), d)
+    lm, mm = np.einsum("nkaj,nj->akn", (np.abs(mono) @ np.abs(full)).reshape(len(xi), -1, 2, 20), dm)
+    sums.extend((lap * metric) @ w)
+    bounds.extend((lm * mm) @ w)
+    v = gu + np.einsum("nim,nm->ni", hu, xi)
+    vm = gum + np.einsum("nim,nm->ni", hum, ax)
+    for a, g, x in ((v, gu, xi), (vm, gum, ax)):
+        moments = (np.einsum("ni,nj->nij", a, g).reshape(-1, 16).T @ (w[:, None] * x)).reshape(-1)
+        (sums if a is v else bounds).extend(moments)
+    return np.array(sums), np.array(bounds)
+
+
+@pytest.mark.parametrize("n_metrics", [1, 3])
+@pytest.mark.parametrize("case", ["untilted", "tilted", "poly"])
+def test_interior_sums_match_the_per_node_oracle(case, n_metrics):
+    # the separated interior against the per-node one: I0, the b term, the
+    # tail, each I2 metric part and the 64 Ricci moments are each within
+    # 64 eps of the sum of the magnitudes of its terms.  Six shells of
+    # 1,200 directions: runs of 682 directions (one metric) or 227 (three)
+    # and a shorter tail run.  h has a gradient and b is not 0, so neither
+    # of their terms is trivially 0
+    tilt = {"untilted": None, "tilted": [0.3, -0.2, 0.1, 0.25]}.get(case)
+    if case == "poly":
+        u = _PolyField(_random_poly(4, np.random.default_rng(7)))
+    else:
+        u = RadialProfileField(RescaledBubble(1.0), tilt=tilt)
+    h, b = RadialProfileField(_QuadraticProfile(0.1)), 0.7
+    ball = BallDomain(1.3, 6, 12, 10)
+    mts = _sweep_setup()[1][:n_metrics]
+    runs = [len(d) for _, d, _, _ in ball.blocks(JET_BLOCK // n_metrics)]
+    assert len(set(runs)) == 2 and runs[-1] < runs[0]
+    I0, bxgu, tail, I2m, S = pohozaev._interior_sums(u, h, ConstantField(b), ball, _tables(mts)[0])
+    got = np.array([I0, bxgu, tail, *I2m, *S])
+    want, bound = _per_node_interior(u, h, b, ball, mts)
+    assert got.shape == want.shape == (3 + n_metrics + 64,)
+    tol = 64.0 * np.finfo(float).eps * bound
+    assert np.all(np.abs(got - want) <= tol)
+    # I0, the b term and the tail are far from 0, and far above their tolerance
+    assert np.all(tol[:3] < 1e-11 * np.abs(want[:3]))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("tilt", [None, [0.3, -0.2, 0.1, 0.25]], ids=["untilted", "tilted"])
+def test_radial_jet_at_the_origin_is_its_limit(tilt):
+    # at r = 0, q = f'/r is its limit f''(0): the gradient is the tilt and
+    # the Hessian f''(0) delta, with no warning, and a point off the origin
+    # keeps the bits of its own call; the third derivative is refused there
+    prof = RescaledBubble(1.0)
+    field = RadialProfileField(prof, tilt=tilt)
+    pts = np.array([[0.0, 0.0, 0.0, 0.0], [0.3, -0.2, 0.5, 0.1]])
+    jet = field.jet(pts, 2)
+    f0, _, f2, _ = prof.radial(0.0)
+    assert jet[0][0] == f0
+    assert np.array_equal(jet[1][0], np.zeros(4) if tilt is None else tilt)
+    assert np.array_equal(jet[2][0], f2 * np.eye(4))
+    for part, alone in zip(jet, field.jet(pts[1:], 2)):
+        assert np.array_equal(part[1:], alone)
+    assert len(field.jet(pts[1:], 3)) == 4
+    with pytest.raises(DerivativeOrderError, match="origin"):
+        field.jet(pts, 3)
+
+
+def test_interior_expands_no_cartesian_derivative(monkeypatch):
+    # the interior expands values alone and forms the rest from the terms:
+    # every part of order >= 1 expanded in a curved sweep is the sphere's,
+    # whose flux reads u's Cartesian jet to order 3
+    u, mts = _sweep_setup()
+    ball = BallDomain(1.0, n_r=8, n_u=8, n_phi=10)
+    expanded, sphere = [], [False]
+    real_expand, real_boundary = fields._expand, pohozaev._boundary_terms
+
+    def recording_expand(R, A, k):
+        expanded.append((k, sphere[0]))
+        return real_expand(R, A, k)
+
+    def recording_boundary(*args):
+        sphere[0] = True
+        try:
+            return real_boundary(*args)
+        finally:
+            sphere[0] = False
+
+    monkeypatch.setattr(fields, "_expand", recording_expand)
+    monkeypatch.setattr(pohozaev, "_expand", recording_expand)
+    monkeypatch.setattr(pohozaev, "_boundary_terms", recording_boundary)
+    pohozaev_balance(u, ONE, ZERO, ball, [None] + mts)
+    assert {k for k, on_sphere in expanded if not on_sphere} == {0}
+    assert {k for k, on_sphere in expanded if on_sphere} == {0, 1, 2, 3}

@@ -33,7 +33,7 @@ def test_sphere_rule_scales_with_radius():
     # the ball's boundary rule is its unit S^3 rule scaled to |x| = R
     ball = BallDomain(3.0, n_r=4, n_u=16, n_phi=16)
     assert abs(np.sum(ball.bdy_w) - S3_AREA * 27.0) < 1e-8
-    pts = np.concatenate([polar_points(r, dirs) for r, dirs, _ in ball.blocks(JET_BLOCK, True)])
+    pts = np.concatenate([polar_points(r, dirs) for r, dirs, _, _ in ball.blocks(JET_BLOCK, True)])
     assert np.allclose(np.linalg.norm(pts, axis=1), 3.0)
     assert np.array_equal(pts, 3.0 * s3_nodes(16, 16)[0])
 
@@ -41,8 +41,8 @@ def test_sphere_rule_scales_with_radius():
 def test_ball_rule_volume_and_moment():
     ball = BallDomain(2.0, n_r=32, n_u=16, n_phi=16)
     blocks = list(ball.blocks(JET_BLOCK))
-    pts = np.concatenate([polar_points(r, dirs) for r, dirs, _ in blocks])
-    w = np.concatenate([w for _, _, w in blocks])
+    pts = np.concatenate([polar_points(r, dirs) for r, dirs, _, _ in blocks])
+    w = np.concatenate([(ws[:, None] * wd).reshape(-1) for _, _, ws, wd in blocks])
     # the blocks hold the product rule's nodes in another order
     assert np.array_equal(np.sort(w), np.sort(ball.int_w))
     assert abs(np.sum(w) - BALL4_VOL * 16.0) < 1e-8
