@@ -99,44 +99,28 @@ def bubble_pde_residual(rb: RescaledBubble, y):
     return rb.bilap(r) - 2.0 * rb.H * rb.exp4u(r)
 
 
-class KernelElement:
-    """The five bounded solutions of Delta^2 phi = 8 e^{4U} phi at H = 1.
-
-    psi_0 = (1-s)/(1+s) (dilation), psi_j = y_j/(1+s) (translations),
-    where s = |y|^2 / (4 sqrt 3).  Closed-form bi-Laplacians:
+def kernel_elements(y):
+    """The five bounded solutions of Delta^2 phi = 8 e^{4U} phi at H = 1
+    and their closed-form bi-Laplacians at points y (n, 4), as (val, bilap),
+    each (5, n): row 0 is psi_0 = (1-s)/(1+s) (dilation) and row j the
+    translation psi_j = y_j/(1+s), where s = |y|^2 / (4 sqrt 3), with
 
         Delta^2 psi_0 = 8 (1-s)(1+s)^{-5}
         Delta^2 psi_j = 8 y_j (1+s)^{-5}
     """
-
-    def __init__(self, index):
-        if index not in range(5):
-            raise ValueError("index must be in 0..4")
-        self.index = index
-
-    def _s(self, y):
-        y = np.atleast_2d(np.asarray(y, float))
-        return RHO0 * np.sum(y**2, axis=1)
-
-    def val(self, y):
-        y = np.atleast_2d(np.asarray(y, float))
-        s = self._s(y)
-        if self.index == 0:
-            return (1.0 - s) / (1.0 + s)
-        return y[:, self.index - 1] / (1.0 + s)
-
-    def bilap(self, y):
-        y = np.atleast_2d(np.asarray(y, float))
-        s = self._s(y)
-        if self.index == 0:
-            return 8.0 * (1.0 - s) / (1.0 + s) ** 5
-        return 8.0 * y[:, self.index - 1] / (1.0 + s) ** 5
+    y = np.atleast_2d(np.asarray(y, float))
+    s = RHO0 * np.sum(y**2, axis=1)
+    val = np.vstack([(1.0 - s) / (1.0 + s), y.T / (1.0 + s)])
+    bilap = np.vstack([8.0 * (1.0 - s) / (1.0 + s) ** 5, 8.0 * y.T / (1.0 + s) ** 5])
+    return val, bilap
 
 
-def linearized_residual(k: KernelElement, y):
-    """Delta^2 psi - 8 e^{4U} psi at H = 1 at points y (n, 4); analytically zero."""
+def linearized_residual(y):
+    """Delta^2 psi - 8 e^{4U} psi at H = 1 of each kernel element at points
+    y (n, 4), (5, n); analytically zero."""
     rb = RescaledBubble(H=1.0)
-    return k.bilap(y) - 8.0 * rb.exp4u(np.linalg.norm(y, axis=1)) * k.val(y)
+    val, bilap = kernel_elements(y)
+    return bilap - 8.0 * rb.exp4u(np.linalg.norm(y, axis=1)) * val
 
 
 def mass_integral(rb: RescaledBubble, R, n_r=64):

@@ -405,7 +405,9 @@ def polar_points(r, dirs):
 def _expand(R, A, k):
     """Part k, the sum over b of R[..., b] A[b] added left to right: radial
     factors R (..., B) broadcast against angular factors A[b] (..., 4, ...,
-    4).  A pair A[b] = (F, G) is the term (R_b F) G; no terms give zeros."""
+    4).  A pair A[b] = (F, G) is the term (R_b F) G, which keeps the bits of
+    that product and keeps F G out of the terms (see RadialProfileField); no
+    terms give zeros."""
     out = np.zeros(R.shape[:-1] + (DIM,) * k) if not A else None
     for b, ang in enumerate(A):
         F, G = ang if isinstance(ang, tuple) else (ang, None)

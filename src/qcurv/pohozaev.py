@@ -30,17 +30,17 @@ contract Ric_ij,l(0), once per metric and ball, with the 64 metric-free
 moments int w xi^l v_i d_j u: v = grad u + hess u xi in the interior,
 v = nu and w times xi.grad u on the sphere.
 
-One call balances a sweep of metrics on one ball in one pass over it.
-What does not depend on the metric is computed once per ball and shared
-by the whole sweep: u's jet (order 3 on the boundary; order 2 in the
-interior, or 1 when every metric is flat), h's (order 1 in the
-interior), b, e^{4u}, I0, the b part of I2 and the Ricci moments.
+One call balances the flat metric, or a sweep of curved metrics on one
+ball in one pass over it.  What does not depend on the metric is
+computed once per ball and shared by the whole sweep: u's jet (order 3
+on the boundary; order 2 in the interior, or 1 when flat), h's (order 1
+in the interior), b, e^{4u}, I0, the b part of I2 and the Ricci moments.
 Each table is stacked over the metrics, built once per call.
 
-Both rules are walked as shells x directions (``BallDomain.blocks``):
-the interior as runs of directions over every shell, JET_BLOCK / k
-nodes for k curved metrics (all JET_BLOCK when flat); the sphere, the
-one shell r = R, as pieces of ``BOUNDARY_BLOCK`` directions.  u, h and b
+Both rules are walked as runs of directions (``BallDomain.runs``): the
+interior as runs of JET_BLOCK // (k n_r) directions (at least one) over
+all n_r shells, for k curved metrics (k = 1 when flat); the sphere, the
+one shell r = R, as runs of ``BOUNDARY_BLOCK`` directions.  u, h and b
 are read through ``polar_terms(r, dirs, order)``: each part a sum over b
 of radial factors R_b (one per shell) times angular factors A_b (one per
 direction).  A sphere block expands them into u's Cartesian jet and
@@ -92,8 +92,8 @@ class BallDomain:
     The interior rule's shells are the Gauss-Legendre ``radii`` on [0, R]
     with weights wr r^3 (``shell_w``); the boundary rule is the one shell
     r = R with weight R^3.  Both take the unit S^3 nodes ``s3_pts`` with
-    weights ``s3_w`` as directions, and ``blocks`` walks either.  The
-    whole-rule weights ``int_w`` and ``bdy_w`` are formed only when read."""
+    weights ``s3_w`` as directions, which ``runs`` walks.  The whole-rule
+    weights ``int_w`` and ``bdy_w`` are formed only when read."""
 
     R: float
     n_r: int = 48
@@ -119,24 +119,12 @@ class BallDomain:
     def bdy_w(self):
         return self.R**3 * self.s3_w
 
-    def blocks(self, size, boundary=False):
-        """The interior rule, or with ``boundary`` the sphere's, as blocks of
-        s shells times d directions, s d <= ``size``: runs of d = size // s
-        directions, each over every shell (or over pieces of ``size``
-        shells when there are more); the last run or piece may be short.
-        Each block is (r, dirs, shell_w, s3_w): the radii (s, 1) and unit
-        directions (d, 4) of the nodes ``polar_points(r, dirs)`` and their
-        weights, shell_w[i] s3_w[j] at shell i and direction j.  Every node
-        of the product rule is in one block."""
-        radii, shell_w = (
-            (np.array([self.R]), np.array([self.R**3])) if boundary else (self.radii, self.shell_w)
-        )
-        s = min(len(radii), size)
-        d = size // s
+    def runs(self, d):
+        """Runs of ``d`` unit directions (d, 4) and their S^3 weights, the last
+        possibly short.  A run with every shell, or with the one shell r = R,
+        is a block of the interior rule, or of the sphere's."""
         for j in range(0, len(self.s3_pts), d):
-            for k in range(0, len(radii), s):
-                rows = slice(k, k + s)
-                yield radii[rows, None], self.s3_pts[j : j + d], shell_w[rows], self.s3_w[j : j + d]
+            yield self.s3_pts[j : j + d], self.s3_w[j : j + d]
 
 
 class RadialProfileField:
@@ -176,8 +164,11 @@ class RadialProfileField:
 
     def polar_terms(self, r, dirs, order):
         """The terms up to ``order`` at the points r dirs, from one
-        ``profile.radial(r)``; n_i n_m n_l is the pair (n_i n_m, n_l), so its
-        radial factor multiplies n_i n_m first."""
+        ``profile.radial(r)``; n_i n_m n_l is the pair (n_i n_m, n_l): its radial
+        factor multiplies n_i n_m first, as the Cartesian third derivative has,
+        and the terms hold no (d, 4, 4, 4) array beside a sphere block's jet (as
+        one array, n(x)n(x)n raised the traced peak of the default flat balance
+        from 1.99 to 2.26 MB, and of a two-metric sweep from 2.33 to 2.59 MB)."""
         r, n = np.asarray(r, float), np.asarray(dirs, float)
         f, t = self.profile.radial(r), self.tilt
         if order >= len(f):
@@ -223,34 +214,36 @@ class PohozaevReport:
         return self.I0 - (self.I1 + self.I2 + self.I3 + self.I4)
 
 
-def pohozaev_balance(u, h, b, ball: BallDomain, metric_taylors=(None,)):
-    """Term-by-term Pohozaev reports, one per entry of ``metric_taylors``.
+def pohozaev_balance(u, h, b, ball: BallDomain, metric_taylors=()):
+    """Term-by-term Pohozaev reports: one for the flat metric when
+    ``metric_taylors`` is empty, else one per metric of the sweep.
 
     ``u``, ``h`` and ``b`` are read through ``polar_terms(r, dirs,
     order)``, which gives each part up to ``order`` at the points r dirs as
     radial factors (one per radius) times angular factors (one per
     direction), such as RadialProfileField's and ConstantField's; h's
-    gradient gives I0's xi.grad(h) term.  An entry None is the flat
-    metric; I3 and I4 of any other entry read the Ricci derivatives of its
-    curvature jet ``metric_taylor.jet``.  Each ``error_estimate`` is the
-    change of its residual on a ball of half the nodes per axis (at least 8).
+    gradient gives I0's xi.grad(h) term.  The flat I2 is the b term alone
+    and I3 and I4 are exact zeros; a curved metric's I3 and I4 read the
+    Ricci derivatives of its curvature jet ``metric_taylor.jet``.  Each
+    ``error_estimate`` is the change of its residual on a ball of half the
+    nodes per axis (at least 8).
     """
-    curved = [mt for mt in metric_taylors if mt is not None]
-    tables, bdy_table, ric = _tables(curved)
-    eps3 = [mt.comps[..., DEGREE == 3].abs_max() for mt in curved]
+    tables, bdy_table, ric = _tables(metric_taylors)
+    eps3 = [mt.comps[..., DEGREE == 3].abs_max() for mt in metric_taylors]
     # every sphere block's table values, on both balls, are written here
     work = np.empty(BOUNDARY_BLOCK * bdy_table.shape[1])
 
     def reports(dom):
-        I1, T = _boundary_terms(u, h, dom, metric_taylors, bdy_table, work)
+        I1, T = _boundary_terms(u, h, dom, bdy_table, work)
         I0, bxgu, tail, I2m, S = _interior_sums(u, h, b, dom, tables)
-        I3, I4 = ((2.0 * T @ ric).tolist(), (-2.0 * S @ ric).tolist()) if curved else ([], [])
-        curved_terms = iter(zip(I2m, I3, I4, eps3))
-        out = []
-        for mt, i1 in zip(metric_taylors, I1):
-            i2, i3, i4, e3 = (0.0,) * 4 if mt is None else next(curved_terms)
-            out.append(PohozaevReport(I0, i1, i2 - 2.0 * bxgu, i3, i4, 0.0, e3 * tail))
-        return out
+        # the flat I2 is 0.0 - 2 b xi.grad u: +0.0 where b = 0
+        terms = [(0.0,) * 4]
+        if metric_taylors:
+            terms = zip(I2m, (2.0 * T @ ric).tolist(), (-2.0 * S @ ric).tolist(), eps3)
+        return [
+            PohozaevReport(I0, i1, i2 - 2.0 * bxgu, i3, i4, 0.0, e3 * tail)
+            for i1, (i2, i3, i4, e3) in zip(I1, terms)
+        ]
 
     fine = reports(ball)
     coarse = BallDomain(
@@ -261,43 +254,36 @@ def pohozaev_balance(u, h, b, ball: BallDomain, metric_taylors=(None,)):
     return fine
 
 
-def _boundary_terms(u, h, ball, metric_taylors, table, work):
-    """I1 of each entry of ``metric_taylors``, and I3's Ricci moments when
-    one is curved: per sphere block of ``BOUNDARY_BLOCK`` nodes, u's
-    order-3 jet and the boundary ``table`` give each node's flux, weighted
-    into the block's partial sums, which are added in block order."""
-    parts = []
-    for r, nu, ws, wd in ball.blocks(BOUNDARY_BLOCK, boundary=True):
-        # the one shell, broadcast against the directions
-        r, w = r[:, 0], (ws[:, None] * wd).reshape(-1)
-        xi = polar_points(r, nu)
+def _boundary_terms(u, h, ball, table, work):
+    """I1 of each metric in the boundary ``table``, or of the flat metric
+    when it has no columns, and I3's Ricci moments when it has: per sphere
+    block of ``BOUNDARY_BLOCK`` directions, u's order-3 jet and the table
+    give each node's flux, weighted into the block's partial sums, which
+    are added in block order."""
+    r, k, parts = np.array([ball.R]), table.shape[1] // 100, []
+    for nu, wd in ball.runs(BOUNDARY_BLOCK):
+        w, xi = ball.R**3 * wd, polar_points(r, nu)
         uv, gu, hu, tu = jet = polar_jet(u, r, nu, 3)
-        xdotnu = np.einsum("ni,ni->n", xi, nu)
-        xdotgu = np.einsum("ni,ni->n", xi, gu)
+        xdotnu, xdotgu = np.einsum("ni,ni->n", xi, nu), np.einsum("ni,ni->n", xi, gu)
         shared = 0.5 * polar_jet(h, r, nu, 0)[0] * np.exp(4.0 * uv) * xdotnu
         gu_hxi = gu + np.einsum("nim,nm->ni", hu, xi)
-        curved = zip(*_detone_terms(table, xi, jet, work)) if table.shape[1] else iter(())
-        row = []
-        for mt in metric_taylors:
-            if mt is None:
-                lap, glap, gnu = np.trace(hu, axis1=1, axis2=2), np.einsum("naai->ni", tu), nu
-            else:
-                lap, glap, ginv = next(curved)
-                gnu = np.einsum("nij,nj->ni", ginv, nu)
-            flux = (
-                shared
-                - np.einsum("ni,ni->n", glap, gnu) * xdotgu
-                + lap * np.einsum("ni,ni->n", gu_hxi, gnu)
-                - 0.5 * lap**2 * xdotnu
-            )
-            row.append(w @ flux)
-        if table.shape[1]:
+        if k:  # (lap u, grad lap u, g^{ij} nu_j) of each metric, g nu formed per flux
+            metrics = ((lap, glap, np.einsum("nij,nj->ni", ginv, nu))
+                       for lap, glap, ginv in zip(*_detone_terms(table, xi, jet, work)))
+        else:
+            metrics = [(np.trace(hu, axis1=1, axis2=2), np.einsum("naai->ni", tu), nu)]
+        row = [
+            w @ (shared - np.einsum("ni,ni->n", glap, gnu) * xdotgu
+                 + lap * np.einsum("ni,ni->n", gu_hxi, gnu) - 0.5 * lap**2 * xdotnu)
+            for lap, glap, gnu in metrics
+        ]
+        if k:
             # I3's moments sum w (xi.grad u) xi^l nu_i d_j u, (i, j, l) in C order
             vg = np.einsum("ni,nj->nij", nu, gu).reshape(-1, 16)
             row.extend((vg.T @ ((w * xdotgu)[:, None] * xi)).reshape(-1))
         parts.append(row)
     sums = np.sum(parts, axis=0)
-    return sums[: len(metric_taylors)].tolist(), sums[len(metric_taylors) :]
+    return sums[: max(k, 1)].tolist(), sums[max(k, 1) :]
 
 
 def _detone_terms(table, xi, jet, work):
@@ -335,12 +321,12 @@ def _xi_dot(r, R, A, dirs):
 def _interior_sums(u, h, b, ball, tables):
     """Interior integrals over ``ball``: I0, int b xi.grad u, the remainder
     integral int r^2 |grad u|^2 + r^4 |hess u| (0 when ``tables`` hold no
-    curved metric), each curved metric's I2 metric part and I4's Ricci
-    moments, from blocks of JET_BLOCK / k nodes, added in block order."""
-    k = tables[0].shape[1] // 40
-    parts = []
-    for r, dirs, ws, wd in ball.blocks(JET_BLOCK // max(k, 1)):
-        r, s, d = r[:, 0], len(r), len(dirs)
+    metric), each metric's I2 metric part and I4's Ricci moments, from
+    blocks of every shell times a run of directions, added in block order."""
+    k, parts = tables[0].shape[1] // 40, []
+    r, ws, s = ball.radii, ball.shell_w, ball.n_r
+    for dirs, wd in ball.runs(max(1, JET_BLOCK // (max(k, 1) * s))):
+        d = len(dirs)
         (u0, U0), (R1, U1), *second = u.polar_terms(r, dirs, 2 if k else 1)
         (h0, H0), (h1, H1) = h.polar_terms(r, dirs, 1)
         ((b0, b_ang),) = b.polar_terms(r, dirs, 0)

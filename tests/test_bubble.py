@@ -5,10 +5,10 @@ from qcurv.bubble import (
     MASS_LIMIT,
     RHO0,
     BubbleParams,
-    KernelElement,
     RescaledBubble,
     bubble_eval,
     bubble_pde_residual,
+    kernel_elements,
     linearized_residual,
     mass_integral,
     mass_integral_exact,
@@ -96,21 +96,18 @@ def test_radial_derivatives_consistent():
 def test_kernel_elements_identity():
     rng = np.random.default_rng(2)
     pts = rng.uniform(-50, 50, (2000, 4))
-    for j in range(5):
-        res = linearized_residual(KernelElement(j), pts)
-        assert np.max(np.abs(res)) < 1e-8
+    res = linearized_residual(pts)
+    assert res.shape == (5, 2000)
+    assert np.max(np.abs(res)) < 1e-8
 
 
 def test_kernel_origin_values():
-    k0 = KernelElement(0)
-    z = np.zeros((1, 4))
-    assert abs(k0.val(z)[0] - 1.0) < 1e-15
-    assert abs(k0.bilap(z)[0] - 8.0) < 1e-13
-    k1 = KernelElement(1)
-    assert k1.val(z)[0] == 0.0
-    assert k1.bilap(z)[0] == 0.0
-    with pytest.raises(ValueError):
-        KernelElement(5)
+    val, bilap = kernel_elements(np.zeros((1, 4)))
+    assert val.shape == bilap.shape == (5, 1)
+    assert abs(val[0, 0] - 1.0) < 1e-15
+    assert abs(bilap[0, 0] - 8.0) < 1e-13
+    # the translations vanish at the origin
+    assert np.all(val[1:] == 0.0) and np.all(bilap[1:] == 0.0)
 
 
 def test_mass_integral_monotone_and_tail():

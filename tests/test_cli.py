@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qcurv import cli, geodesic, potential, quadrature
+from qcurv import cli, geodesic, pohozaev, potential, quadrature
 from qcurv.bubble import MASS_LIMIT, RescaledBubble, mass_integral
 from qcurv.cli import main
 from qcurv.fields import ChartError, DegenerateMetricError
@@ -190,16 +190,16 @@ def test_small_size_draws_every_point_in_the_ball_at_every_seed(monkeypatch, sui
     name = "bubble_pde_residual" if suite == "bubble-check" else "linearized_residual"
     real, drawn = getattr(bubble, name), []
 
-    def recording(field, pts):
-        drawn.append(pts)
-        return real(field, pts)
+    def recording(*args):
+        drawn.append(args[-1])
+        return real(*args)
 
     monkeypatch.setattr(bubble, name, recording)
     for seed in range(100):
         drawn.clear()
         checks, _ = cli.RUNNERS[suite]({"n_points": 160}, seed)
         assert all(c["pass"] for c in checks), (seed, checks)
-        assert [len(pts) for pts in drawn] == ([10] * 16 if suite == "bubble-check" else [160] * 5)
+        assert [len(pts) for pts in drawn] == ([10] * 16 if suite == "bubble-check" else [160])
         assert max(np.linalg.norm(pts, axis=1).max() for pts in drawn) <= 50.0
 
 
@@ -499,6 +499,34 @@ def test_radial_third_check_can_fail(monkeypatch):
     check = third_check()
     assert not check["pass"]
     assert check["value"] > 1e-2
+
+
+def test_flat_rel_residual_check_can_fail(monkeypatch):
+    # a coarse sphere, n_u = n_phi = 4: the flat relative residual reads
+    # 5.4e-16, and a relative fault of 1e-4 in u's order-3 part, which the
+    # flat balance reads only in the sphere's flux, moves it to 2.0e-4,
+    # above its 1e-4 bound
+    small = dict(cli.DEFAULTS["pohozaev"], n_u=4, n_phi=4)
+
+    def flat_check():
+        checks, _ = cli.run_pohozaev(small, 0)
+        return next(c for c in checks if c["name"] == "flat_rel_residual")
+
+    check = flat_check()
+    assert check["pass"] and check["value"] < 1e-12
+
+    polar_jet = pohozaev.polar_jet
+
+    def scaled_third(field, r, dirs, order):
+        parts = polar_jet(field, r, dirs, order)
+        if order >= 3:
+            parts[3] = (1.0 + 1e-4) * parts[3]
+        return parts
+
+    monkeypatch.setattr(pohozaev, "polar_jet", scaled_third)
+    check = flat_check()
+    assert not check["pass"]
+    assert check["value"] > 1.5e-4
 
 
 def test_representation_check_can_fail(monkeypatch):

@@ -38,10 +38,11 @@ ONE, ZERO = ConstantField(1.0), ConstantField(0.0)
 
 
 def _interior_nodes(ball):
-    """Every interior node of ``ball`` and its weight, its blocks joined."""
-    blocks = list(ball.blocks(JET_BLOCK))
-    return np.concatenate([polar_points(r, dirs) for r, dirs, _, _ in blocks]), np.concatenate(
-        [(ws[:, None] * wd).reshape(-1) for _, _, ws, wd in blocks]
+    """Every interior node of ``ball`` and its weight, its blocks (every
+    shell times a run of directions) joined."""
+    runs = list(ball.runs(JET_BLOCK // ball.n_r))
+    return np.concatenate([polar_points(ball.radii[:, None], dirs) for dirs, _ in runs]), np.concatenate(
+        [(ball.shell_w[:, None] * wd).reshape(-1) for _, wd in runs]
     )
 
 
@@ -55,40 +56,34 @@ def test_ball_domain_invariants():
 
 @pytest.mark.parametrize("dims", [(1.0, 8, 6, 6), (20.0, 4, 24, 24)])
 def test_interior_blocks_join_to_the_product_rule(dims):
-    # the interior rule and the sphere's one shell r = R.  Every (shell,
-    # direction) node is in exactly one block, at radius times direction
-    # with the shell weight times the S^3 weight, bit for bit, so a walk
-    # that pairs a shell with another run's directions or weights fails.
-    # The interior runs of directions span every shell (8 or 4 of them),
-    # or pieces of 5 shells at size 5; the sphere is split into pieces of
-    # size, the last a tail
+    # a run of directions with every shell is an interior block, with the
+    # one shell r = R a sphere block.  Every direction is in exactly one
+    # run, so every (shell, direction) node is in exactly one block, at
+    # radius times direction with the shell weight times the S^3 weight,
+    # bit for bit, and a walk that pairs a run with another run's weights
+    # fails.  The runs are d long, the last a tail: the interior's of
+    # JET_BLOCK // n_r directions (one run of 216, or runs of 1,024), the
+    # sphere's of BOUNDARY_BLOCK, runs of 5 and one run of all
     R, n_r, n_u, n_phi = dims
     ball = BallDomain(*dims)
     r, wr = gauss_legendre(n_r, 0.0, R)
     s_pts, s_w = s3_nodes(n_u, n_phi)
     m = len(s_pts)
     direction = {p.tobytes(): j for j, p in enumerate(s_pts)}
-    rules = {False: (r, wr * r**3), True: (np.array([R]), np.array([R**3]))}
-    for boundary, (radii, shell_w) in rules.items():
-        shell = {x: i for i, x in enumerate(radii)}
-        for size in (JET_BLOCK, 1500, 5):
-            seen = np.zeros((len(radii), m), dtype=int)
-            blocks = list(ball.blocks(size, boundary))
-            for x, dirs, ws, wd in blocks:
-                i = np.array([shell[v] for v in x[:, 0]])
-                j = np.array([direction[p.tobytes()] for p in dirs])
-                np.add.at(seen, np.ix_(i, j), 1)
-                assert len(ws) * len(wd) == len(i) * len(j) <= size
-                w = (ws[:, None] * wd).reshape(-1)
-                # a run of shells: all of them, or a piece of size and a tail
-                s = min(len(radii), size)
-                assert i[0] % s == 0 and list(i) == list(range(i[0], min(i[0] + s, len(radii))))
-                assert np.array_equal(polar_points(x, dirs), (radii[i, None, None] * s_pts[j]).reshape(-1, 4))
-                assert np.array_equal(w, (shell_w[i, None] * s_w[j]).reshape(-1))
-            assert np.all(seen == 1)
-            if boundary:  # one shell, split into pieces of size and a tail
-                dirs = [len(d) for _, d, _, _ in blocks]
-                assert dirs == [size] * (m // size) + [m % size] if m > size else dirs == [m]
+    assert np.array_equal(ball.radii, r) and np.array_equal(ball.shell_w, wr * r**3)
+    for d in (JET_BLOCK // n_r, BOUNDARY_BLOCK, 5, m):
+        seen = np.zeros(m, dtype=int)
+        runs = list(ball.runs(d))
+        for dirs, wd in runs:
+            j = np.array([direction[p.tobytes()] for p in dirs])
+            np.add.at(seen, j, 1)
+            for radii, shell_w in ((r, wr * r**3), (np.array([R]), np.array([R**3]))):
+                pts = polar_points(radii[:, None], dirs)
+                assert np.array_equal(pts, (radii[:, None, None] * s_pts[j]).reshape(-1, 4))
+                w = (shell_w[:, None] * wd).reshape(-1)
+                assert np.array_equal(w, (shell_w[:, None] * s_w[j]).reshape(-1))
+        assert np.all(seen == 1)
+        assert [len(dirs) for dirs, _ in runs] == [d] * (m // d) + [m % d] * (m % d > 0)
     assert np.array_equal(ball.int_w, ((wr * r**3)[:, None] * s_w).reshape(-1))
     assert np.array_equal(ball.bdy_w, R**3 * s_w)
 
@@ -132,8 +127,10 @@ def test_flat_identity_exact_bubble():
     ball = BallDomain(20.0, n_r=48, n_u=24, n_phi=24)
     (rep,) = pohozaev_balance(u, ONE, ZERO, ball)
     assert abs(rep.residual) / abs(rep.I0) < 1e-4
-    # flat metric reports the curvature terms as exact zeros
+    # flat metric reports the curvature terms as exact zeros; with b = 0
+    # the I2 written to the CSV is +0.0, not -0.0
     assert rep.I2 == 0.0 and rep.I3 == 0.0 and rep.I4 == 0.0
+    assert np.copysign(1.0, rep.I2) == 1.0
     assert rep.error_estimate < 1e-3 * abs(rep.I0)
 
 
@@ -513,15 +510,15 @@ def test_each_term_matches_exact_integrals_of_polynomial_data():
     ric1 = [[[sp.QQ(int(c), ric.den) for c in row] for row in plane] for plane in ric.num]
     flat = [[_RING(int(i == j)) for j in range(4)] for i in range(4)]
     zeros = np.zeros((4, 4, 4), dtype=int).tolist()
-    cases = ((_random_poly(3, rng), mt, curved, ric1), (_random_poly(4, rng), None, flat, zeros))
-    for u, entry, ginv, ric_l in cases:
-        (rep,) = pohozaev_balance(_PolyField(u), ZERO, ZERO, ball, [entry])
+    cases = ((_random_poly(3, rng), (mt,), curved, ric1), (_random_poly(4, rng), (), flat, zeros))
+    for u, mts, ginv, ric_l in cases:
+        (rep,) = pohozaev_balance(_PolyField(u), ZERO, ZERO, ball, mts)
         want = _exact_terms(u, ginv, ric_l, R)
         assert rep.I0 == 0.0
         for name, got, w in zip(("I1", "I2", "I3", "I4"), (rep.I1, rep.I2, rep.I3, rep.I4), want):
             assert abs(got - w) <= 1e-12 * abs(w), (name, got, w)
             # every curved term is far from 0; the flat I2, I3 and I4 are exact zeros
-            assert (abs(w) > 10.0) if entry is not None or name == "I1" else (w == got == 0.0)
+            assert (abs(w) > 10.0) if mts or name == "I1" else (w == got == 0.0)
 
 
 def _detone(mt, u, x):
@@ -584,7 +581,7 @@ def test_flat_balance_evaluates_no_interior_hessian(monkeypatch):
     pohozaev_balance(u, ONE, ZERO, ball)
     # the order >= 2 jets are the boundary's, one per sphere block of the
     # balance's ball and of its node-halving estimate's, at the one radius R
-    n_blocks = sum(len(list(b.blocks(BOUNDARY_BLOCK, True))) for b in (ball, _coarse(ball)))
+    n_blocks = sum(len(list(b.runs(BOUNDARY_BLOCK))) for b in (ball, _coarse(ball)))
     assert n_blocks == 3
     assert len(radii) == n_blocks
     assert all(np.array_equal(r, [ball.R]) for r in radii)
@@ -606,17 +603,17 @@ def test_tables_are_built_once_per_call_and_never_for_a_flat_one(monkeypatch):
     assert calls == []
     # a sweep: two tables per metric, built once; each ball evaluates the
     # boundary table at the points of each sphere block and the interior
-    # one's degree tables at the directions of each interior block of
-    # JET_BLOCK // 3 = 1,365 nodes.  The balance's ball has 800 directions: two sphere blocks (512
-    # and 288) and five interior runs of 170 directions x 8 shells (the
-    # last 120); its estimate's 512: one sphere block and four runs (the
-    # last 2)
-    pohozaev_balance(u, ONE, ZERO, ball, [None] + mts)
+    # one's degree tables at the directions of each interior block, a run
+    # of JET_BLOCK // (3 x 8) = 170 directions over all 8 shells.  The
+    # balance's ball has 800 directions: two sphere blocks (512 and 288)
+    # and five interior runs (the last 120); its estimate's 512: one
+    # sphere block and four runs (the last 2)
+    pohozaev_balance(u, ONE, ZERO, ball, mts)
     assert calls.count("_jet_table") == 2 * len(mts)
     blocks = [
-        len(list(b.blocks(size, boundary)))
+        len(list(b.runs(d)))
         for b in (ball, _coarse(ball))
-        for size, boundary in ((BOUNDARY_BLOCK, True), (JET_BLOCK // len(mts), False))
+        for d in (BOUNDARY_BLOCK, JET_BLOCK // (len(mts) * b.n_r))
     ]
     assert blocks == [2, 5, 1, 4]
     assert calls.count("_apply_jet_table") == blocks[0] + blocks[2]
@@ -650,17 +647,25 @@ def test_sweep_equals_one_metric_calls():
 def test_block_size_that_leaves_a_tail_block(monkeypatch):
     u, mts = _sweep_setup()
     ball = BallDomain(1.0, n_r=4, n_u=12, n_phi=10)
-    # 1,200 directions on 4 shells, three metrics: the default interior
-    # blocks take runs of 1,365 // 4 = 341 directions (the last 177) and
-    # split the sphere into 512, 512 and 176; the patched ones take runs
-    # of 333 // 4 = 83 (the last 38), and split the sphere into 350 * 3
-    # and 150
+    # 1,200 directions on 4 shells: the default interior blocks take runs
+    # of 4,096 // 4 = 1,024 directions (the last 176) when flat and of
+    # 4,096 // (3 x 4) = 341 (the last 177) for three metrics, and split
+    # the sphere into 512, 512 and 176; the patched ones take runs of
+    # 1,000 // 4 = 250 (the last 200) and 1,000 // 12 = 83 (the last 38),
+    # and split the sphere into 350 * 3 and 150.  The flat residual is
+    # I0 - I1 alone, a difference of two near-equal sums, so like the error
+    # estimate it is held relative to I0
     assert len(ball.s3_pts) % 1000 != 0
-    entries = [None] + mts
-    default = pohozaev_balance(u, ONE, ZERO, ball, entries)
+    default = [pohozaev_balance(u, ONE, ZERO, ball, entries) for entries in ((), mts)]
     monkeypatch.setattr(pohozaev, "JET_BLOCK", 1000)
     monkeypatch.setattr(pohozaev, "BOUNDARY_BLOCK", 350)
-    _assert_reports_close(pohozaev_balance(u, ONE, ZERO, ball, entries), default, 1e-13)
+    (flat,), (want,) = pohozaev_balance(u, ONE, ZERO, ball), default[0]
+    for term in ("I0", "I1"):
+        assert abs(getattr(flat, term) - getattr(want, term)) <= 1e-13 * abs(getattr(want, term))
+    assert (flat.I2, flat.I3, flat.I4) == (want.I2, want.I3, want.I4) == (0.0, 0.0, 0.0)
+    for term in ("residual", "error_estimate"):
+        assert abs(getattr(flat, term) - getattr(want, term)) <= 1e-13 * abs(want.I0)
+    _assert_reports_close(pohozaev_balance(u, ONE, ZERO, ball, mts), default[1], 1e-13)
 
 
 def test_radial_jet_matches_central_differences_of_its_value():
@@ -698,8 +703,9 @@ def test_polar_jet_equals_the_pointwise_jet(tilt):
     ball = BallDomain(2.0, 8, 6, 6)
     t = 0.0 if tilt is None else np.abs(tilt).sum()
     eps = np.finfo(float).eps
-    for size in (900, 100):
-        for r, dirs, _, _ in ball.blocks(size):
+    r = ball.radii[:, None]
+    for d in (112, 12):
+        for dirs, _ in ball.runs(d):
             prof.sizes.clear()
             polar = polar_jet(field, r, dirs, 3)
             assert prof.sizes == [len(r)]  # one call, with the shell radii
@@ -725,7 +731,8 @@ def test_polar_terms_of_constant_and_polynomial_fields_expand_to_their_jets():
     ball = BallDomain(1.5, 6, 6, 6)
     poly = _PolyField(_random_poly(4, np.random.default_rng(2)))
     eps = np.finfo(float).eps
-    for r, dirs, _, _ in ball.blocks(100):
+    r = ball.radii[:, None]
+    for dirs, _ in ball.runs(16):
         xi = polar_points(r, dirs)
         block = (len(r), len(dirs))
         const = polar_jet(ConstantField(0.7), r, dirs, 3)
@@ -751,9 +758,10 @@ def test_polar_table_matches_the_point_form(n_metrics):
         full[rows] = t
     assert full.shape == (len(_MONOMIALS), 40 * n_metrics)
     ball = BallDomain(1.0, 6, 8, 8)
-    blocks = list(ball.blocks(1000))
-    assert [(len(r), len(d)) for r, d, _, _ in blocks] == [(6, 166)] * 3 + [(6, 14)]
-    for r, dirs, _, _ in blocks:
+    runs = list(ball.runs(166))
+    assert [len(d) for d, _ in runs] == [166] * 3 + [14]
+    r = ball.radii[:, None]
+    for dirs, _ in runs:
         powers = np.hstack([np.ones_like(r), r, r * r, r * r * r])
         P = pohozaev._degree_tables(tables, dirs)
         got = (powers @ P.reshape(4, -1)).reshape(-1, full.shape[1])
@@ -884,7 +892,7 @@ def test_interior_sums_match_the_per_node_oracle(case, n_metrics):
     h, b = RadialProfileField(_QuadraticProfile(0.1)), 0.7
     ball = BallDomain(1.3, 6, 12, 10)
     mts = _sweep_setup()[1][:n_metrics]
-    runs = [len(d) for _, d, _, _ in ball.blocks(JET_BLOCK // n_metrics)]
+    runs = [len(d) for d, _ in ball.runs(JET_BLOCK // (n_metrics * ball.n_r))]
     assert len(set(runs)) == 2 and runs[-1] < runs[0]
     I0, bxgu, tail, I2m, S = pohozaev._interior_sums(u, h, ConstantField(b), ball, _tables(mts)[0])
     got = np.array([I0, bxgu, tail, *I2m, *S])
@@ -919,8 +927,8 @@ def test_radial_jet_at_the_origin_is_its_limit(tilt):
 
 def test_interior_expands_no_cartesian_derivative(monkeypatch):
     # the interior expands values alone and forms the rest from the terms:
-    # every part of order >= 1 expanded in a curved sweep is the sphere's,
-    # whose flux reads u's Cartesian jet to order 3
+    # every part of order >= 1 expanded in a flat balance or a curved sweep
+    # is the sphere's, whose flux reads u's Cartesian jet to order 3
     u, mts = _sweep_setup()
     ball = BallDomain(1.0, n_r=8, n_u=8, n_phi=10)
     expanded, sphere = [], [False]
@@ -940,6 +948,7 @@ def test_interior_expands_no_cartesian_derivative(monkeypatch):
     monkeypatch.setattr(fields, "_expand", recording_expand)
     monkeypatch.setattr(pohozaev, "_expand", recording_expand)
     monkeypatch.setattr(pohozaev, "_boundary_terms", recording_boundary)
-    pohozaev_balance(u, ONE, ZERO, ball, [None] + mts)
+    pohozaev_balance(u, ONE, ZERO, ball)
+    pohozaev_balance(u, ONE, ZERO, ball, mts)
     assert {k for k, on_sphere in expanded if not on_sphere} == {0}
     assert {k for k, on_sphere in expanded if on_sphere} == {0, 1, 2, 3}
