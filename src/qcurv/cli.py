@@ -49,7 +49,7 @@ DEFAULTS = {
     "bubble-check": {"n_points": 10000},
     "kernel-check": {"n_points": 10000},
     "mass": {},
-    "pohozaev": {"n_r": 48, "n_u": 24, "n_phi": 24, "eps_list": "0.1,0.05,0.025", "n_third": 100},
+    "pohozaev": {"n_r": 48, "n_u": 2, "n_phi": 2, "eps_list": "0.1,0.05,0.025", "n_third": 100},
     "green-fit": {"n": 64, "n_pairs": 20},
     "represent": {"n_fields": 10},
     "cnc": {"n_jets": 50},
@@ -207,11 +207,13 @@ def run_pohozaev(p, seed):
     (rep,) = pohozaev_balance(u, h, b, ball)
     rel = abs(rep.residual) / abs(rep.I0)
 
-    # curved sweep on a unit ball with a tilted bubble
+    # curved sweep on a unit ball with a tilted bubble; its angular integrand
+    # is polynomial in the direction but for the tilt's e^{4 t.x}, at rounding
+    # on the (8, 8) S^3 rule (the flat row's is radial, exact on any rule)
     jet = random_conformal_normal_jet(rng=int(rng.integers(0, 2**31)))
     tilt = [TILT_AMP, -0.6 * TILT_AMP, 0.4 * TILT_AMP, 0.8 * TILT_AMP]
     ut = RadialProfileField(rb, tilt=tilt)
-    small = BallDomain(1.0, n_r=24, n_u=16, n_phi=16)
+    small = BallDomain(1.0, n_r=24, n_u=8, n_phi=8)
     eps_list = parse_eps_list(p["eps_list"])
     mts = [
         metric_taylor_from_jet(scale_jet(jet, Fraction(eps).limit_denominator(10**6)))
@@ -242,7 +244,8 @@ def run_pohozaev(p, seed):
     reports = [("flat", rep, ball)] + [(eps, r, small) for eps, r in zip(eps_list, sweep)]
     rows = [
         {"parameter": k, "I0": r.I0, "I1": r.I1, "I2": r.I2, "I3": r.I3, "I4": r.I4,
-         "residual": r.residual, "error_estimate": r.error_estimate,
+         "residual": r.residual, "radial_error_estimate": r.radial_error_estimate,
+         "angular_error_estimate": r.angular_error_estimate,
          "unmodeled_remainder": r.unmodeled_remainder,
          "n_interior": len(dom.radii) * len(dom.s3_pts), "n_boundary": len(dom.s3_pts)}
         for k, r, dom in reports

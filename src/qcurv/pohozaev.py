@@ -206,7 +206,8 @@ class PohozaevReport:
     I2: float
     I3: float
     I4: float
-    error_estimate: float
+    radial_error_estimate: float
+    angular_error_estimate: float
     unmodeled_remainder: float = 0.0
 
     @property
@@ -224,33 +225,39 @@ def pohozaev_balance(u, h, b, ball: BallDomain, metric_taylors=()):
     direction), such as RadialProfileField's and ConstantField's; h's
     gradient gives I0's xi.grad(h) term.  The flat I2 is the b term alone
     and I3 and I4 are exact zeros; a curved metric's I3 and I4 read the
-    Ricci derivatives of its curvature jet ``metric_taylor.jet``.  Each
-    ``error_estimate`` is the change of its residual on a ball of half the
-    nodes per axis (at least 8).
+    Ricci derivatives of its curvature jet ``metric_taylor.jet``.
+    ``radial_error_estimate`` is the change of the residual when the
+    radial rule alone is halved, to n_r // 2 shells (at least 2, the
+    fewest whose weights integrate r^3), and ``angular_error_estimate``
+    when the S^3 rule alone is, to (n_u // 2, n_phi // 2), each at least
+    1.  A rule at its floor halves to itself, and its estimate is 0.  The
+    radially halved ball has the same sphere, whose terms it shares.
     """
     tables, bdy_table, ric = _tables(metric_taylors)
     eps3 = [mt.comps[..., DEGREE == 3].abs_max() for mt in metric_taylors]
-    # every sphere block's table values, on both balls, are written here
+    # every sphere block's table values, on each ball, are written here
     work = np.empty(BOUNDARY_BLOCK * bdy_table.shape[1])
 
-    def reports(dom):
-        I1, T = _boundary_terms(u, h, dom, bdy_table, work)
+    def reports(dom, sphere):
+        I1, T = sphere
         I0, bxgu, tail, I2m, S = _interior_sums(u, h, b, dom, tables)
         # the flat I2 is 0.0 - 2 b xi.grad u: +0.0 where b = 0
         terms = [(0.0,) * 4]
         if metric_taylors:
             terms = zip(I2m, (2.0 * T @ ric).tolist(), (-2.0 * S @ ric).tolist(), eps3)
         return [
-            PohozaevReport(I0, i1, i2 - 2.0 * bxgu, i3, i4, 0.0, e3 * tail)
+            PohozaevReport(I0, i1, i2 - 2.0 * bxgu, i3, i4, 0.0, 0.0, e3 * tail)
             for i1, (i2, i3, i4, e3) in zip(I1, terms)
         ]
 
-    fine = reports(ball)
-    coarse = BallDomain(
-        ball.R, max(ball.n_r // 2, 8), max(ball.n_u // 2, 8), max(ball.n_phi // 2, 8)
-    )
-    for f, c in zip(fine, reports(coarse)):
-        f.error_estimate = abs(f.residual - c.residual)
+    sphere = _boundary_terms(u, h, ball, bdy_table, work)
+    fine = reports(ball, sphere)
+    radial = reports(BallDomain(ball.R, max(ball.n_r // 2, 2), ball.n_u, ball.n_phi), sphere)
+    half = BallDomain(ball.R, ball.n_r, max(ball.n_u // 2, 1), max(ball.n_phi // 2, 1))
+    angular = reports(half, _boundary_terms(u, h, half, bdy_table, work))
+    for f, r, a in zip(fine, radial, angular):
+        f.radial_error_estimate = abs(f.residual - r.residual)
+        f.angular_error_estimate = abs(f.residual - a.residual)
     return fine
 
 

@@ -7,12 +7,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qcurv import cli, geodesic, pohozaev, potential, quadrature
+from qcurv import bubble, cli, geodesic, pohozaev, potential, quadrature
 from qcurv.bubble import MASS_LIMIT, RescaledBubble, mass_integral
 from qcurv.cli import main
 from qcurv.fields import ChartError, DegenerateMetricError
 from qcurv.harness import tuned_source, vrate_balance
-from qcurv.pohozaev import RadialProfileField
+from qcurv.pohozaev import BallDomain, RadialProfileField, pohozaev_balance
 from qcurv.potential import TorusSpectralField
 
 
@@ -261,8 +261,8 @@ _SMALL = {
 # the CSV columns of each sweep suite
 _CSV_HEADERS = {
     "mass": ["R", "mass", "exact", "error_estimate"],
-    "pohozaev": ["parameter", "I0", "I1", "I2", "I3", "I4", "residual", "error_estimate",
-                 "unmodeled_remainder", "n_interior", "n_boundary"],
+    "pohozaev": ["parameter", "I0", "I1", "I2", "I3", "I4", "residual", "radial_error_estimate",
+                 "angular_error_estimate", "unmodeled_remainder", "n_interior", "n_boundary"],
     "green-fit": ["window_lo", "window_hi", "c_log", "rms_error_estimate"],
     "represent": ["field", "deviation", "roundoff_scale"],
     "distance": ["eps", "y_norm", "z_norm", "euclid", "geodesic", "ratio_gap", "fitted_c",
@@ -527,6 +527,95 @@ def test_flat_rel_residual_check_can_fail(monkeypatch):
     check = flat_check()
     assert not check["pass"]
     assert check["value"] > 1.5e-4
+
+
+def _pohozaev_calls(monkeypatch, seed):
+    """The suite's ``pohozaev_balance`` calls at ``seed`` and its defaults,
+    each as (args, reports): the flat balance, then the curved sweep."""
+    calls = []
+
+    def recording(*args):
+        calls.append((args, pohozaev_balance(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(pohozaev, "pohozaev_balance", recording)
+    cli.run_pohozaev(dict(cli.DEFAULTS["pohozaev"], n_third=1), seed)
+    return calls
+
+
+def test_pohozaev_default_rules_match_the_finer_rules(monkeypatch):
+    # the rules the suite used before, as the oracle.  The flat (48, 2, 2)
+    # balance integrates a radial integrand, exact on any S^3 rule, and
+    # matches (48, 24, 24) within 1e-14 of I0 (measured 1.1e-15); the curved
+    # (24, 8, 8) sweep of three metrics matches (24, 16, 16) term by term
+    # within 1e-12 of I0 (measured at most 1.4e-13).  The radial estimate
+    # halves the same radial rule on both, so it matches too
+    for seed in (0, 1, 2):
+        calls = _pohozaev_calls(monkeypatch, seed)
+        assert [len(reports) for _, reports in calls] == [1, 3]
+        for (args, reports), sizes, tol in zip(calls, ((48, 2, 2, 24), (24, 8, 8, 16)), (1e-14, 1e-12)):
+            ball = args[3]
+            assert (ball.n_r, ball.n_u, ball.n_phi) == sizes[:3]
+            finer = pohozaev_balance(*args[:3], BallDomain(ball.R, ball.n_r, sizes[3], sizes[3]), *args[4:])
+            for got, want in zip(reports, finer, strict=True):
+                for term in ("I0", "I1", "I2", "I3", "I4", "residual", "radial_error_estimate"):
+                    assert abs(getattr(got, term) - getattr(want, term)) <= tol * abs(want.I0), (seed, term)
+
+
+def test_pohozaev_angular_estimate_reads_the_halved_sphere_rule(monkeypatch):
+    # on the curved ball the angular estimate is the error of the (4, 4)
+    # rule, 3.3e-4 at seed 0 and eps = 0.1: the default S^3 rule is not so
+    # small that its halving is exact too, which would make the estimate 0
+    _, (args, sweep) = _pohozaev_calls(monkeypatch, 0)
+    coarse = pohozaev_balance(*args[:3], BallDomain(args[3].R, args[3].n_r, 4, 4), args[4])
+    assert sweep[0].angular_error_estimate == abs(sweep[0].residual - coarse[0].residual)
+    assert sweep[0].angular_error_estimate > 1e-6
+
+
+def _scale_bubble(name, factor):
+    """A fault: ``RescaledBubble.<name>`` times ``factor``."""
+
+    def patch(monkeypatch):
+        real = getattr(RescaledBubble, name)
+        monkeypatch.setattr(RescaledBubble, name, lambda self, r: factor * real(self, r))
+
+    return patch
+
+
+def _scale_kernel_bilap(monkeypatch):
+    """A fault: the closed-form bi-Laplacians of ``kernel_elements`` times 1 + 1e-5."""
+    real = bubble.kernel_elements
+
+    def scaled(y):
+        val, bilap = real(y)
+        return val, (1.0 + 1e-5) * bilap
+
+    monkeypatch.setattr(bubble, "kernel_elements", scaled)
+
+
+# checks that pass at the suite's defaults and seed 0 with a value below
+# ``clean``, and fail with a value above ``faulty`` under ``fault``.  Measured:
+# quadrature_vs_exact 5.7e-14 -> 1.56e-7 (bound 1e-10), max_pde_residual
+# 8.7e-19 -> 6.7e-9 (bound 1e-10), max_linearized_residual 1.7e-18 -> 1.6e-7
+# (bound 1e-8)
+_FAULTS = [
+    ("mass", "quadrature_vs_exact", _scale_bubble("exp4u", 1.0 + 1e-9), 1e-12, 1e-7),
+    ("bubble-check", "max_pde_residual", _scale_bubble("bilap", 1.0 + 1e-6), 1e-16, 5e-9),
+    ("kernel-check", "max_linearized_residual", _scale_kernel_bilap, 1e-16, 1e-7),
+]
+
+
+@pytest.mark.parametrize("suite, name, fault, clean, faulty", _FAULTS, ids=[f[1] for f in _FAULTS])
+def test_check_fails_under_its_fault(monkeypatch, suite, name, fault, clean, faulty):
+    def check():
+        checks, _ = cli.RUNNERS[suite](dict(cli.DEFAULTS[suite]), 0)
+        return next(c for c in checks if c["name"] == name)
+
+    c = check()
+    assert c["pass"] and c["value"] < clean
+    fault(monkeypatch)
+    c = check()
+    assert not c["pass"] and c["value"] > faulty
 
 
 def test_representation_check_can_fail(monkeypatch):

@@ -100,20 +100,22 @@ def _traced_peak(run):
 
 
 def test_flat_balance_peak_memory():
-    # shell x direction blocks with weights formed per block: the whole node
-    # array and the sphere's order-3 jet at once took this balance to 61 MB,
-    # blocks of 4,096 nodes beside the whole interior weights to 16.5 MB
+    # shell x direction blocks with weights formed per block: this balance,
+    # 48 shells of 13,824 directions, peaks at 2.0 MB of traced allocations
+    # (the suite's 8 directions at 0.03 MB).  The whole node array and the
+    # sphere's order-3 jet at once took it to 61 MB, blocks of 4,096 nodes
+    # beside the whole interior weights to 16.5 MB
     u = RadialProfileField(RescaledBubble(1.0))
     peak = _traced_peak(lambda: pohozaev_balance(u, ONE, ZERO, BallDomain(20.0, 48, 24, 24)))
     assert peak < 3e6, peak
 
 
 def test_curved_sweep_peak_memory():
-    # 24 shells of 4,096 directions.  Interior blocks of JET_BLOCK / k
-    # nodes for k metrics fill one JET_BLOCK x 40 workspace whatever k is,
-    # so two and three metrics both peak at about 2.8 MB; with 4,096 nodes
-    # per block they peaked at 6.6 and 8.0 MB, and with the boundary also
-    # in blocks of 4,096 nodes two peaked at 13.8 MB
+    # 24 shells of 4,096 directions: two and three metrics peak at 2.47 and
+    # 2.84 MB of traced allocations (on the suite's 512 directions at 2.28
+    # and 2.62 MB).  With 4,096 nodes per interior block they peaked at 6.6
+    # and 8.0 MB, and with the boundary also in blocks of 4,096 nodes two
+    # peaked at 13.8 MB
     u, mts = _sweep_setup()
     ball = BallDomain(1.0, 24, 16, 16)
     for n_metrics in (2, 3):
@@ -124,14 +126,17 @@ def test_curved_sweep_peak_memory():
 def test_flat_identity_exact_bubble():
     rb = RescaledBubble(1.0)
     u = RadialProfileField(rb)
-    ball = BallDomain(20.0, n_r=48, n_u=24, n_phi=24)
+    ball = BallDomain(20.0, n_r=48, n_u=2, n_phi=2)
     (rep,) = pohozaev_balance(u, ONE, ZERO, ball)
     assert abs(rep.residual) / abs(rep.I0) < 1e-4
     # flat metric reports the curvature terms as exact zeros; with b = 0
     # the I2 written to the CSV is +0.0, not -0.0
     assert rep.I2 == 0.0 and rep.I3 == 0.0 and rep.I4 == 0.0
     assert np.copysign(1.0, rep.I2) == 1.0
-    assert rep.error_estimate < 1e-3 * abs(rep.I0)
+    # the integrand is radial, which every S^3 rule integrates exactly, so
+    # even the one-direction halved rule is at rounding
+    assert rep.radial_error_estimate < 1e-3 * abs(rep.I0)
+    assert rep.angular_error_estimate < 1e-14 * abs(rep.I0)
 
 
 def test_flat_identity_negative_control():
@@ -139,9 +144,9 @@ def test_flat_identity_negative_control():
     # breaks the balance by a margin far above the quadrature error bound
     rb = RescaledBubble(1.0)
     u = RadialProfileField(rb)
-    ball = BallDomain(20.0, n_r=48, n_u=24, n_phi=24)
+    ball = BallDomain(20.0, n_r=48, n_u=2, n_phi=2)
     (rep,) = pohozaev_balance(u, ConstantField(1.5), ZERO, ball)
-    assert abs(rep.residual) > 10.0 * max(rep.error_estimate, 1e-6)
+    assert abs(rep.residual) > 10.0 * max(rep.radial_error_estimate, rep.angular_error_estimate, 1e-6)
 
 
 class _QuadraticProfile:
@@ -561,9 +566,14 @@ def test_detone_laplacian_agrees_with_metric_operator_near_origin():
     assert slope > 2.0
 
 
-def _coarse(ball):
-    """The ball of ``pohozaev_balance``'s node-halving error estimate."""
-    return BallDomain(ball.R, max(ball.n_r // 2, 8), max(ball.n_u // 2, 8), max(ball.n_phi // 2, 8))
+def _halved(ball):
+    """The balls of ``pohozaev_balance``'s radial and angular error
+    estimates: ``ball`` with its radial rule halved, and with its S^3 rule
+    halved."""
+    return (
+        BallDomain(ball.R, max(ball.n_r // 2, 2), ball.n_u, ball.n_phi),
+        BallDomain(ball.R, ball.n_r, max(ball.n_u // 2, 1), max(ball.n_phi // 2, 1)),
+    )
 
 
 def test_flat_balance_evaluates_no_interior_hessian(monkeypatch):
@@ -580,11 +590,32 @@ def test_flat_balance_evaluates_no_interior_hessian(monkeypatch):
     monkeypatch.setattr(u, "polar_terms", recording_terms)
     pohozaev_balance(u, ONE, ZERO, ball)
     # the order >= 2 jets are the boundary's, one per sphere block of the
-    # balance's ball and of its node-halving estimate's, at the one radius R
-    n_blocks = sum(len(list(b.runs(BOUNDARY_BLOCK))) for b in (ball, _coarse(ball)))
+    # balance's ball (800 directions: 512 and 288) and of its angular
+    # estimate's (100), at the one radius R; the radial estimate's ball has
+    # the balance's sphere and shares its terms
+    angular = _halved(ball)[1]
+    n_blocks = sum(len(list(b.runs(BOUNDARY_BLOCK))) for b in (ball, angular))
     assert n_blocks == 3
     assert len(radii) == n_blocks
     assert all(np.array_equal(r, [ball.R]) for r in radii)
+
+
+@pytest.mark.parametrize("dims", [(1.0, 7, 6, 5), (1.0, 2, 1, 3)])
+def test_each_error_estimate_halves_one_rule(dims):
+    # each estimate is the change of the residual when its rule alone is
+    # halved, bit for bit, the sphere of the radially halved ball shared;
+    # a rule at its floor, 2 shells or 1 node per S^3 axis, halves to itself
+    # and its estimate is 0
+    u, mts = _sweep_setup()
+    ball = BallDomain(*dims)
+    radial, angular = _halved(ball)
+    for entries in ((), mts):
+        got = pohozaev_balance(u, ONE, ZERO, ball, entries)
+        for term, half in (("radial_error_estimate", radial), ("angular_error_estimate", angular)):
+            want = pohozaev_balance(u, ONE, ZERO, half, entries)
+            assert [getattr(g, term) for g in got] == [abs(g.residual - w.residual) for g, w in zip(got, want)]
+    (rep,) = pohozaev_balance(u, ONE, ZERO, BallDomain(1.0, 2, 1, 1), mts[:1])
+    assert rep.radial_error_estimate == rep.angular_error_estimate == 0.0
 
 
 def test_tables_are_built_once_per_call_and_never_for_a_flat_one(monkeypatch):
@@ -604,20 +635,20 @@ def test_tables_are_built_once_per_call_and_never_for_a_flat_one(monkeypatch):
     # a sweep: two tables per metric, built once; each ball evaluates the
     # boundary table at the points of each sphere block and the interior
     # one's degree tables at the directions of each interior block, a run
-    # of JET_BLOCK // (3 x 8) = 170 directions over all 8 shells.  The
+    # of JET_BLOCK // (3 n_r) directions over all n_r shells.  The
     # balance's ball has 800 directions: two sphere blocks (512 and 288)
-    # and five interior runs (the last 120); its estimate's 512: one
-    # sphere block and four runs (the last 2)
+    # and five interior runs of 170 (the last 120).  Its radial estimate's
+    # ball, 4 shells, shares that sphere and takes three runs of 341 (the
+    # last 118); its angular estimate's, 100 directions, one sphere block
+    # and one run
     pohozaev_balance(u, ONE, ZERO, ball, mts)
     assert calls.count("_jet_table") == 2 * len(mts)
-    blocks = [
-        len(list(b.runs(d)))
-        for b in (ball, _coarse(ball))
-        for d in (BOUNDARY_BLOCK, JET_BLOCK // (len(mts) * b.n_r))
-    ]
-    assert blocks == [2, 5, 1, 4]
-    assert calls.count("_apply_jet_table") == blocks[0] + blocks[2]
-    assert calls.count("_degree_tables") == blocks[1] + blocks[3]
+    radial, angular = _halved(ball)
+    spheres = [len(list(b.runs(BOUNDARY_BLOCK))) for b in (ball, angular)]
+    runs = [len(list(b.runs(JET_BLOCK // (len(mts) * b.n_r)))) for b in (ball, radial, angular)]
+    assert spheres == [2, 1] and runs == [5, 3, 1]
+    assert calls.count("_apply_jet_table") == sum(spheres)
+    assert calls.count("_degree_tables") == sum(runs)
 
 
 def _sweep_setup():
@@ -631,8 +662,9 @@ def _assert_reports_close(got, want, rtol):
         for term in ("I0", "I1", "I2", "I3", "I4", "residual", "unmodeled_remainder"):
             a, b = getattr(g, term), getattr(w, term)
             assert abs(a - b) <= rtol * abs(b), (term, a, b)
-        # a difference of two nearly equal residuals: relative to I0
-        assert abs(g.error_estimate - w.error_estimate) <= rtol * abs(w.I0)
+        # differences of two nearly equal residuals: relative to I0
+        for term in ("radial_error_estimate", "angular_error_estimate"):
+            assert abs(getattr(g, term) - getattr(w, term)) <= rtol * abs(w.I0), term
 
 
 def test_sweep_equals_one_metric_calls():
@@ -654,7 +686,7 @@ def test_block_size_that_leaves_a_tail_block(monkeypatch):
     # 1,000 // 4 = 250 (the last 200) and 1,000 // 12 = 83 (the last 38),
     # and split the sphere into 350 * 3 and 150.  The flat residual is
     # I0 - I1 alone, a difference of two near-equal sums, so like the error
-    # estimate it is held relative to I0
+    # estimates it is held relative to I0
     assert len(ball.s3_pts) % 1000 != 0
     default = [pohozaev_balance(u, ONE, ZERO, ball, entries) for entries in ((), mts)]
     monkeypatch.setattr(pohozaev, "JET_BLOCK", 1000)
@@ -663,7 +695,7 @@ def test_block_size_that_leaves_a_tail_block(monkeypatch):
     for term in ("I0", "I1"):
         assert abs(getattr(flat, term) - getattr(want, term)) <= 1e-13 * abs(getattr(want, term))
     assert (flat.I2, flat.I3, flat.I4) == (want.I2, want.I3, want.I4) == (0.0, 0.0, 0.0)
-    for term in ("residual", "error_estimate"):
+    for term in ("residual", "radial_error_estimate", "angular_error_estimate"):
         assert abs(getattr(flat, term) - getattr(want, term)) <= 1e-13 * abs(want.I0)
     _assert_reports_close(pohozaev_balance(u, ONE, ZERO, ball, mts), default[1], 1e-13)
 
