@@ -3,7 +3,9 @@
 The checks are the conformal covariance of the Paneitz operator,
 P_{e^{2u} g} = e^{-4u} P_g (``check_conformal_covariance``), and the
 conformally invariant total of Q + |W|^2/8 over a closed model
-(``gauss_bonnet_check``), 8 pi^2 on the round S^4.
+(``gauss_bonnet_check``), 8 pi^2 on the round S^4.  The total drops Q's
+term -(1/12) Delta_g R, whose integral over a closed model is 0 by the
+divergence theorem, so it reads the curvature kernel at the nodes alone.
 
 Conventions (fixed once, used everywhere):
 
@@ -167,15 +169,6 @@ def _fd_laplacian(g, func, pts, step):
     return _laplacian(g, pts, lambda reach: fd_jet(func, pts, 2, step, reach))
 
 
-def _q(g, pts, riem, step):
-    """Q_g at ``pts`` (n, 4) from ``riem``, the Riemann tensors there; the
-    default step where ``step`` is None."""
-    if step is None:
-        step = _default_step(pts)
-    lap_r = _fd_laplacian(g, lambda p: riemann_of_metric(g, p).scalar, pts, step)
-    return -(lap_r - riem.scalar**2 + 3.0 * riem.ricci_norm_sq) / 12.0
-
-
 def q_curvature(g, x, step=None):
     """Q_g(x) = -(1/12)(Delta_g R - R^2 + 3 |Ric|^2) at one point or (n, 4).
 
@@ -189,7 +182,11 @@ def q_curvature(g, x, step=None):
     g.domain.require_interior(pts)
     if g.is_flat:
         return _like(x, np.zeros(len(pts)))
-    return _like(x, _q(g, pts, riemann_of_metric(g, pts), step))
+    riem = riemann_of_metric(g, pts)
+    if step is None:
+        step = _default_step(pts)
+    lap_r = _fd_laplacian(g, lambda p: riemann_of_metric(g, p).scalar, pts, step)
+    return _like(x, -(lap_r - riem.scalar**2 + 3.0 * riem.ricci_norm_sq) / 12.0)
 
 
 def paneitz_apply(g, u, x, step=None):
@@ -253,9 +250,11 @@ def gauss_bonnet_check(model):
 
     ``model`` supplies ``metric``, ``quad_points`` (chart nodes) and
     ``quad_weights`` (including the Riemannian volume factor).  Raises if
-    the weights do not reproduce the model volume within 1%.  Q reads the
-    Riemann tensors the Weyl term uses, so the kernel sees each node once
-    and then its Laplacian's stencil: 18 points per node on a ``MetricField``.
+    the weights do not reproduce the model volume within 1%.  The integrand
+    is (R^2 - 3 |Ric|^2) / 12 + |W|^2 / 8: Q without -(1/12) Delta_g R,
+    whose integral over a closed model is 0, so its finite differences
+    would add only their error.  R, Ric and W come from one kernel call at
+    the nodes.
     """
     g = model.metric
     pts = model.quad_points
@@ -266,6 +265,6 @@ def gauss_bonnet_check(model):
             f"quadrature volume {vol:.6g} vs expected {model.volume:.6g}"
         )
     riem = riemann_of_metric(g, pts)
-    q = _q(g, pts, riem, None)
+    q = (riem.scalar**2 - 3.0 * riem.ricci_norm_sq) / 12.0
     wsq = weyl_norm_sq(weyl_tensor(riem), riem.g_inv)
     return float(w @ (q + wsq / 8.0))

@@ -5,7 +5,10 @@ modes; the Green's function is exact in the truncated spectral space with
 multiplier 1 / (L^4 |2 pi k / L|^4), a function of the integer |k|^2 held
 as one 1-D table per (N, L); point values come from a separable mode sum
 over the octant 0 <= k_a <= N/2, each axis weighing |k_a| by the modes
-+-k_a it stands for, gathered from the table in slabs of k0.
++-k_a it stands for, gathered from the table in slabs of k0.  On the grid
+G is even in each coordinate, so the log fit evaluates it once per folded
+index min(j, N - j); the representation check sums its Hermitian spectrum
+from the half k_3 >= 0 with one inverse real FFT.
 """
 
 from __future__ import annotations
@@ -126,6 +129,14 @@ def green_pair_value(N, L, xi, eta):
     return float(_green_on_product(N, L, d[:, None])[0, 0, 0, 0])
 
 
+def _green_on_box(N, L, idx):
+    """G on the grid box idx^4 with source at the grid origin, from one
+    evaluation per folded index min(j, N - j): G is even in each coordinate
+    on the grid."""
+    half, at = np.unique(np.minimum(idx, N - idx), return_inverse=True)
+    return _green_on_product(N, L, (half * L / N,) * 4)[np.ix_(at, at, at, at)]
+
+
 @dataclass
 class GreenDecomposition:
     c_log: float
@@ -152,7 +163,7 @@ def fit_log_singularity(N, L, grid=None) -> GreenDecomposition:
     idx = np.flatnonzero(np.abs(signed) <= window[1])
     s = signed[idx]
     if grid is None:
-        box = _green_on_product(N, L, (s,) * 4)
+        box = _green_on_box(N, L, idx)
     else:
         box = np.asarray(grid)[np.ix_(idx, idx, idx, idx)]
     X = [s.reshape([-1 if b == a else 1 for b in range(4)]) for a in range(4)]
@@ -172,17 +183,21 @@ def representation_check(f: TorusSpectralField, N):
     Delta^2 multiplies the coefficient c_k of e^{2 pi i k.x / L} by
     |2 pi k / L|^4 and convolving with G by L^4 times G's multiplier, read
     from its table at the integer |k|^2; the gaps from c_k of the modes
-    k != 0 are summed onto the grid by one inverse FFT.  A mode with some
-    |k_a| >= N/2, which the grid holds as another mode or not at all, raises.
+    k != 0 are summed onto the grid by one inverse real FFT of the Hermitian
+    half spectrum k_3 >= 0.  A mode with some |k_a| >= N/2, which the grid
+    holds as another mode or not at all, raises.
     """
-    c = np.zeros((N,) * 4, complex)
-    # a cos(k.x) = a/2 (e^{ik.x} + e^{-ik.x}), a sin(k.x) = a/2i (e^{ik.x} - e^{-ik.x})
+    c = np.zeros((N, N, N, N // 2 + 1), complex)
+    # a cos(k.x) = a/2 (e^{ik.x} + e^{-ik.x}), a sin(k.x) = a/2i (e^{ik.x} - e^{-ik.x});
+    # the half spectrum holds whichever of k, -k has k_3 >= 0, and both when k_3 = 0
     for modes, at_k, at_minus_k in ((f.cos, 0.5, 0.5), (f.sin, -0.5j, 0.5j)):
         for k, a in modes.items():
             if max(map(abs, k)) >= N // 2:
                 raise ValueError(f"mode {k} is not resolved on the N = {N} grid")
-            c[tuple(np.mod(k, N))] += at_k * a
-            c[tuple(np.mod(np.negative(k), N))] += at_minus_k * a
+            if k[3] >= 0:
+                c[tuple(np.mod(k, N))] += at_k * a
+            if k[3] <= 0:
+                c[tuple(np.mod(np.negative(k), N))] += at_minus_k * a
     c[0, 0, 0, 0] = 0.0
     idx = np.nonzero(c)
     s = sum(np.minimum(i, N - i) ** 2 for i in idx)
@@ -190,7 +205,8 @@ def representation_check(f: TorusSpectralField, N):
     ksq = s * (2.0 * np.pi / f.L) ** 2
     amp = c[idx]
     c[idx] = amp * ksq**2 * f.L**4 * green - amp
-    return float(np.max(np.abs(fft.ifftn(c) * c.size)))
+    # "forward" leaves the inverse transform unscaled: the raw mode sum
+    return float(np.max(np.abs(fft.irfftn(c, s=(N,) * 4, axes=(0, 1, 2, 3), norm="forward"))))
 
 
 def regular_part_field(b: TorusSpectralField) -> TorusSpectralField:

@@ -56,10 +56,12 @@ def gauss_legendre(n, a=0.0, b=1.0):
     return a + half * (x + 1.0), half * w
 
 
+@lru_cache
 def s3_nodes(n_u=24, n_phi=24):
-    """Quadrature nodes (m, 4) and weights on the unit S^3.
+    """Read-only quadrature nodes (m, 4) and weights on the unit S^3.
 
-    Weights sum to 2*pi^2 exactly (up to roundoff).
+    Weights sum to 2*pi^2 exactly (up to roundoff).  Cached, so balls and
+    sphere models with the same rule share its arrays.
     """
     u, wu = gauss_legendre(n_u, 0.0, 1.0)
     phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
@@ -76,5 +78,8 @@ def s3_nodes(n_u=24, n_phi=24):
     pts[..., 3] = su[:, None, None] * sphi[None, None, :]
 
     w = 0.5 * wu[:, None, None] * wphi * wphi * np.ones((n_u, n_phi, n_phi))
-    return pts.reshape(-1, 4), w.reshape(-1)
+    pts, w = pts.reshape(-1, 4), w.reshape(-1)
+    pts.setflags(write=False)
+    w.setflags(write=False)
+    return pts, w
 

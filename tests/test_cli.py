@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qcurv import bubble, cli, geodesic, pohozaev, potential, quadrature
+from qcurv import bubble, cli, geodesic, pohozaev, potential
 from qcurv.bubble import MASS_LIMIT, RescaledBubble, mass_integral
 from qcurv.cli import main
 from qcurv.fields import ChartError, DegenerateMetricError
@@ -449,9 +449,11 @@ def test_distance_with_two_nodes_runs_and_with_one_is_a_usage_error(tmp_path, ca
 
 
 def test_quadrature_weight_defect_is_a_failed_check(tmp_path, monkeypatch):
-    rule = quadrature.gauss_legendre
+    # the defect enters where the ball reads its S^3 rule: the cached rule
+    # itself stays whole for the tests after this one
+    rule = pohozaev.s3_nodes
     monkeypatch.setattr(
-        quadrature, "gauss_legendre", lambda *a: (rule(*a)[0], (1.0 + 1e-6) * rule(*a)[1])
+        pohozaev, "s3_nodes", lambda *a: (rule(*a)[0], (1.0 + 1e-6) * rule(*a)[1])
     )
     out = tmp_path / "o"
     assert run_cli(["pohozaev", "--out", str(out), "--quiet"]) == 1

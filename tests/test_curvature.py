@@ -6,7 +6,6 @@ import pytest
 import sympy as sp
 
 import qcurv.curvature as curvature
-import qcurv.fields as fields
 from qcurv.curvature import (
     check_conformal_covariance,
     conformal_transform,
@@ -379,22 +378,22 @@ def test_gauss_bonnet_sphere():
 
 
 def test_gauss_bonnet_reads_q_from_its_own_riemann_tensors(monkeypatch):
-    # each node once for R, Ric and W together, then the 17 points of the
-    # Laplacian's stencil: 18 per node, where Q read apart took 19
+    # R, Ric and W from one kernel call at the 162 nodes: Q's Delta_g R,
+    # whose integral is 0, no longer sends its 17-point stencils (2,754
+    # points) to the kernel
     model = SphereModel(6, 3, 3)
     sizes = []
     real = curvature.riemann_of_metric
     monkeypatch.setattr(
         curvature, "riemann_of_metric", lambda g, x: sizes.append(len(x)) or real(g, x)
     )
-    assert gauss_bonnet_check(model) == 78.95395335979619
-    assert len(model.quad_points) == 162 and sum(sizes) == 18 * 162 == 2916
+    assert gauss_bonnet_check(model) == 78.95395336177853
+    assert sizes == [len(model.quad_points)] == [162]
 
 
-def test_gauss_bonnet_peak_memory(monkeypatch):
-    # the Laplacian's 2,754 stencil points reach the curvature kernel in
-    # blocks of FD_BLOCK, whose temporaries take about 10 KB per point:
-    # about 5.7 MB traced, where one block of all of them traced 27 MB
+def test_gauss_bonnet_peak_memory():
+    # one kernel call at 162 nodes: about 1.7 MB traced, where the
+    # Laplacian's 2,754 stencil points in FD_BLOCK blocks took 5.7 MB
     want = gauss_bonnet_check(SphereModel(6, 3, 3))  # warms the cached programs
     tracemalloc.start()
     try:
@@ -402,10 +401,28 @@ def test_gauss_bonnet_peak_memory(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8 * 2**20
-    # blocking is bit-neutral: one block of every stencil point gives the same total
-    monkeypatch.setattr(fields, "FD_BLOCK", 10**9)
-    assert gauss_bonnet_check(SphereModel(6, 3, 3)) == total == want
+    assert peak < 2 * 2**20
+    assert total == want
+
+
+def _divergence_ratio(model):
+    """int Delta_g R dV / int |Delta_g R| dV on ``model``'s quadrature, with
+    Delta_g R by finite differences at the default step."""
+    g, pts, w = model.metric, model.quad_points, model.quad_weights
+    step = curvature._default_step(pts)
+    lap = curvature._fd_laplacian(g, lambda p: riemann_of_metric(g, p).scalar, pts, step)
+    return float(w @ lap / (w @ np.abs(lap)))
+
+
+def test_laplacian_of_scalar_curvature_integrates_to_zero(monkeypatch):
+    # the divergence theorem on a closed model, which lets gauss_bonnet_check
+    # drop Q's Delta_g R; on this sphere, perturbed off the radial factors,
+    # Delta_g R does not vanish and the ratio reads -1.6e-5.  Without the
+    # Christoffel terms Delta_g is no divergence and it reads -1.0
+    model = SphereModel(8, 4, 4, conformal_expr=x0 / (5 * (1 + R2)))
+    assert abs(_divergence_ratio(model)) < 1e-3
+    monkeypatch.setattr(curvature, "_christoffel", lambda ginv, brack: np.zeros_like(brack))
+    assert _divergence_ratio(model) < -0.5
 
 
 def test_gauss_bonnet_conformally_perturbed_sphere():

@@ -111,16 +111,17 @@ def test_flat_balance_peak_memory():
 
 
 def test_curved_sweep_peak_memory():
-    # 24 shells of 4,096 directions: two and three metrics peak at 2.47 and
-    # 2.84 MB of traced allocations (on the suite's 512 directions at 2.28
-    # and 2.62 MB).  With 4,096 nodes per interior block they peaked at 6.6
-    # and 8.0 MB, and with the boundary also in blocks of 4,096 nodes two
-    # peaked at 13.8 MB
+    # 24 shells of 4,096 directions: two and three metrics peak at 2.33 and
+    # 2.78 MB of traced allocations (on the suite's 512 directions at 2.28
+    # and 2.62 MB).  The radially halved ball shares the cached S^3 rule; a
+    # copy of it raised the two-metric peak to 2.47 MB.  With 4,096 nodes
+    # per interior block they peaked at 6.6 and 8.0 MB, and with the
+    # boundary also in blocks of 4,096 nodes two peaked at 13.8 MB
     u, mts = _sweep_setup()
     ball = BallDomain(1.0, 24, 16, 16)
-    for n_metrics in (2, 3):
+    for n_metrics, bound in ((2, 2.4e6), (3, 4e6)):
         peak = _traced_peak(lambda k=n_metrics: pohozaev_balance(u, ONE, ZERO, ball, mts[:k]))
-        assert peak < 4e6, (n_metrics, peak)
+        assert peak < bound, (n_metrics, peak)
 
 
 def test_flat_identity_exact_bubble():

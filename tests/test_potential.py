@@ -45,6 +45,50 @@ def test_representation_random_fields():
         assert representation_check(f, 16) < 1e-9
 
 
+def _full_spectrum_deviation(f, N):
+    """The representation check's deviation from the full N^4 spectrum and
+    one complex inverse FFT."""
+    c = np.zeros((N,) * 4, complex)
+    for modes, at_k, at_minus_k in ((f.cos, 0.5, 0.5), (f.sin, -0.5j, 0.5j)):
+        for k, a in modes.items():
+            c[tuple(np.mod(k, N))] += at_k * a
+            c[tuple(np.mod(np.negative(k), N))] += at_minus_k * a
+    c[0, 0, 0, 0] = 0.0
+    idx = np.nonzero(c)
+    s = sum(np.minimum(i, N - i) ** 2 for i in idx)
+    round_trip = potential._radial_multiplier(N, f.L)[s] * (s * (2.0 * np.pi / f.L) ** 2) ** 2 * f.L**4
+    c[idx] *= round_trip - 1.0
+    return float(np.max(np.abs(sfft.ifftn(c, norm="forward"))))
+
+
+def _mixed_fields():
+    rng = np.random.default_rng(5)
+    fields = []
+    for _ in range(4):
+        modes = [tuple(int(v) for v in rng.integers(-3, 4, 4)) for _ in range(12)]
+        cos = {k: float(rng.uniform(-1, 1)) for k in modes[:6]}
+        sin = {k: float(rng.uniform(-1, 1)) for k in modes[6:]}
+        fields.append(TorusSpectralField(L, cos=cos, sin=sin))
+    # modes whose only entry on the half spectrum is the one at -k
+    fields.append(TorusSpectralField(L, sin={(1, 0, 0, -2): 0.7}))
+    fields.append(TorusSpectralField(L, cos={(0, 2, -1, -3): 0.4}, sin={(3, -1, 0, 0): 0.2}))
+    return fields
+
+
+def test_representation_half_spectrum_matches_full_spectrum(monkeypatch):
+    # the check is at rounding on each field; with G's table doubled every
+    # mode k != 0 stays in the gap, which the half spectrum k_3 >= 0 must
+    # then sum as the full one does
+    for f in _mixed_fields():
+        assert representation_check(f, 16) < 1e-12 and _full_spectrum_deviation(f, 16) < 1e-12
+    multiplier = potential._radial_multiplier
+    monkeypatch.setattr(potential, "_radial_multiplier", lambda N, L: 2.0 * multiplier(N, L))
+    for f in _mixed_fields():
+        want = _full_spectrum_deviation(f, 16)
+        assert want > 0.1
+        assert abs(representation_check(f, 16) - want) <= 1e-12 * want
+
+
 @pytest.mark.parametrize(
     "f, mode",
     [
@@ -107,9 +151,10 @@ def test_green_pair_value_matches_direct_mode_sum_off_grid():
 
 def test_log_fit_memory_guard():
     # one default fit and one pair at N = 64 from a cold multiplier cache:
-    # the 1-D table is 32 KB and the fit traces about 7.3 MB, where the 4-D
-    # octant multiplier (9.5 MB) traced 23 MB, the rfft half-spectrum
-    # multiplier (69 MB) 170 MB and N^4 coordinate grids about 1 GB
+    # the 1-D table is 32 KB and the fit on its folded 9^4 box traces about
+    # 6.0 MB (7.3 MB on the whole 17^4 box), where the 4-D octant multiplier
+    # (9.5 MB) traced 23 MB, the rfft half-spectrum multiplier (69 MB)
+    # 170 MB and N^4 coordinate grids about 1 GB
     potential._radial_multiplier.cache_clear()
     tracemalloc.start()
     try:
@@ -119,6 +164,26 @@ def test_log_fit_memory_guard():
     finally:
         tracemalloc.stop()
     assert peak < 12 * 2**20
+
+
+@pytest.mark.parametrize("N, n_points", [(48, 5182), (64, 18913)])
+def test_log_fit_box_from_folded_indices_matches_whole_box(monkeypatch, N, n_points):
+    # G is even in each coordinate on the grid: the fit box from one
+    # evaluation per folded index (9^4 points at N = 64) matches the direct
+    # 17^4 box, and the fit keeps its points
+    coord = np.arange(N) * L / N
+    signed = np.where(coord <= L / 2, coord, coord - L)
+    idx = np.flatnonzero(np.abs(signed) <= L / 8)
+    whole = potential._green_on_product(N, L, (signed[idx],) * 4)
+    sizes = []
+    real = potential._green_on_product
+    monkeypatch.setattr(
+        potential, "_green_on_product", lambda N, L, axes: sizes.append(len(axes[0])) or real(N, L, axes)
+    )
+    folded = potential._green_on_box(N, L, idx)
+    assert sizes == [len(idx) // 2 + 1]
+    assert np.max(np.abs(folded - whole)) <= 1e-14 * np.max(np.abs(whole))
+    assert fit_log_singularity(N, L).n_points == n_points
 
 
 def _octant_multiplier(N, L):
@@ -144,9 +209,9 @@ def test_radial_table_gathers_to_the_octant_multiplier(N):
 
 @pytest.mark.parametrize("k0_per_slab", [3, 5])
 def test_green_slabs_join_to_one_slab(monkeypatch, k0_per_slab):
-    # the fit's 17^4 box at N = 64 gathers 17 * 33 * 33 entries per k0
-    # value: its 33 k0 values make eleven slabs of 3, or six of 5 and a
-    # last one of 3
+    # a 17^4 box at N = 64, the fit's before it was folded onto 9^4,
+    # gathers 17 * 33 * 33 entries per k0 value: its 33 k0 values make
+    # eleven slabs of 3, or six of 5 and a last one of 3
     N, per_k0 = 64, 17 * 33 * 33
     s = np.arange(-8, 9) * L / N
     monkeypatch.setattr(potential, "JET_BLOCK", 10**9)

@@ -27,6 +27,8 @@ def test_s3_nodes_area_and_moments():
         assert abs(np.sum(w * pts[:, a] ** 2) - S3_AREA / 4.0) < 1e-10
     # odd moments vanish
     assert np.max(np.abs(pts.T @ w)) < 1e-12
+    # cached and read-only, so balls and sphere models share one rule
+    assert s3_nodes(24, 24)[0] is pts and not pts.flags.writeable and not w.flags.writeable
 
 
 def test_sphere_rule_scales_with_radius():
