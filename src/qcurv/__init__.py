@@ -3,7 +3,7 @@ equation on 4-manifolds."""
 
 __version__ = "0.1.0"
 
-# points per block of the blocked kernels, whose workspaces cnc, pohozaev and
-# potential size from it; a curved Pohozaev sweep of k metrics takes at most
-# JET_BLOCK // k of the suite's 12,288 curved interior nodes per block
+# the block size of the Pohozaev interior, runs of JET_BLOCK // (k n_r)
+# directions over n_r shells for k curved metrics, and of the torus Green's
+# function's slabs of at most JET_BLOCK * 40 gathered entries
 JET_BLOCK = 4096

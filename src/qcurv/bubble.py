@@ -94,9 +94,11 @@ def rescaling_identity_gap(b: BubbleParams, xi):
 
 
 def bubble_pde_residual(rb: RescaledBubble, y):
-    """Delta^2 U - 2 H e^{4U} at points y (n, 4); analytically zero."""
+    """(Delta^2 U - 2 H e^{4U}) / (2 H e^{4U}) at points y (n, 4); analytically
+    zero.  Relative, since 2 H e^{4U} falls as |y|^-8 away from the core."""
     r = np.linalg.norm(y, axis=1)
-    return rb.bilap(r) - 2.0 * rb.H * rb.exp4u(r)
+    rhs = 2.0 * rb.H * rb.exp4u(r)
+    return (rb.bilap(r) - rhs) / rhs
 
 
 def kernel_elements(y):
@@ -117,10 +119,13 @@ def kernel_elements(y):
 
 def linearized_residual(y):
     """Delta^2 psi - 8 e^{4U} psi at H = 1 of each kernel element at points
-    y (n, 4), (5, n); analytically zero."""
+    y (n, 4), (5, n), over that element's largest |Delta^2 psi| there, or 0
+    where that is 0; analytically zero."""
     rb = RescaledBubble(H=1.0)
     val, bilap = kernel_elements(y)
-    return bilap - 8.0 * rb.exp4u(np.linalg.norm(y, axis=1)) * val
+    res = bilap - 8.0 * rb.exp4u(np.linalg.norm(y, axis=1)) * val
+    scale = np.abs(bilap).max(axis=1, keepdims=True)
+    return np.divide(res, scale, out=np.zeros_like(res), where=scale > 0.0)
 
 
 def mass_integral(rb: RescaledBubble, R, n_r=64):

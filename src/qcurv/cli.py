@@ -277,10 +277,10 @@ class _SmoothRadial:
         ]
 
 
-def _fd_third(a, c, y, iml, h=2e-2):
+def _fd_third(a, c, y, iml):
     """d_i d_m d_l of each sample's profile log(1 + a r^2) + cos(c r) at its
     point y (n, 4), for its axes iml (n, 3) = (i, m, l), by nested central
-    differences: along i innermost, then m, then l."""
+    differences: along i innermost, then m, then l, at steps 2e-2 and 1e-2."""
     prof = _SmoothRadial(a[:, None, None, None], c[:, None, None, None])
     rows = np.arange(len(y))
 
@@ -301,7 +301,7 @@ def _fd_third(a, c, y, iml, h=2e-2):
         return vals
 
     # Richardson extrapolation of the O(h^2) nested central differences
-    return (4.0 * third(h / 2) - third(h)) / 3.0
+    return (4.0 * third(1e-2) - third(2e-2)) / 3.0
 
 
 def run_green_fit(p, seed):
@@ -475,9 +475,9 @@ def run_vrate(p, seed):
     return checks, rows
 
 
-def _fd_balance(h, b, q, step=1e-3):
+def _fd_balance(h, b, q):
     """grad h / h + 4 grad phi at ``q``, phi = 2 int G b, from one stencil
-    evaluation of the stacked (h, phi) values."""
+    evaluation, of step 1e-3, of the stacked (h, phi) values."""
     from .fields import fd_jet
     from .potential import regular_part_field
 
@@ -485,7 +485,7 @@ def _fd_balance(h, b, q, step=1e-3):
     hq = float(h.jet(q[None, :], 0)[0][0])
     dh, dphi = fd_jet(
         lambda p: np.stack([h.jet(p, 0)[0], phi.jet(p, 0)[0]], axis=-1),
-        q, 1, step, [(i,) for i in range(4)],
+        q, 1, 1e-3, [(i,) for i in range(4)],
     )[1][0]
     return dh / hq + 4.0 * dphi
 

@@ -38,7 +38,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import JET_BLOCK
 from .fields import Box, DerivativeOrderError, _taylor_tables
 
 DIM = 4
@@ -172,10 +171,10 @@ class ExactArray:
         return ~(self == other)
 
 
-def concatenate(parts, axis=0):
-    """``np.concatenate`` of exact arrays, over their least common denominator."""
+def concatenate(parts):
+    """``np.concatenate`` of exact arrays on axis 0, over their least common denominator."""
     den = math.lcm(*(p.den for p in parts))
-    return ExactArray(np.concatenate([p._over(den) for p in parts], axis=axis), den)
+    return ExactArray(np.concatenate([p._over(den) for p in parts]), den)
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +243,14 @@ _GRADED = [
 ]
 
 
+def _monomials(xs):
+    """The 35 basis monomials (35, n) at points with coordinate rows ``xs`` (4, n)."""
+    mono = np.ones((len(_MONOMIALS), xs.shape[1]))
+    for rows, parents, variables in _GRADED:
+        mono[rows] = mono[parents] * xs[variables]
+    return mono
+
+
 def _jet_table(polys, order, eps=1.0):
     """Float coefficients, in y, of exact polynomials p(eps * y) and of
     their partials up to ``order``.
@@ -267,25 +274,17 @@ def _jet_table(polys, order, eps=1.0):
     return np.ascontiguousarray(np.concatenate(cols).T), shapes
 
 
-def _apply_jet_table(table, shapes, pts, out=None):
-    """The jets a ``_jet_table`` describes at ``pts`` (n, 4): the monomial
-    values by graded products times the table, one block of points at a time.
+def _apply_jet_table(table, shapes, pts):
+    """The jets a ``_jet_table`` describes at ``pts`` (n, 4), from one
+    product of the monomial values with the table; callers bound its size.
 
-    Returns ``[values, first, second, ...]``; derivative axes come last, so
-    ``first[n, ..., c]`` is the c-th partial of each entry.  Rows agree
-    across batch sizes to rounding, not bit for bit: within 35 ulp of the
-    sum of the magnitudes of a row's 35 terms.  The product is written into
-    ``out``, a C-ordered (n, columns) array, when one is given; the jets
-    are views of it.
+    Returns ``[values, first, second, ...]``, views of that product;
+    derivative axes come last, so ``first[n, ..., c]`` is the c-th partial
+    of each entry.  Rows agree across batch sizes to rounding, not bit for
+    bit: within 35 ulp of the sum of the magnitudes of a row's 35 terms.
     """
     pts = np.atleast_2d(np.asarray(pts, float))
-    flat = np.empty((len(pts), table.shape[1])) if out is None else out
-    for s in range(0, len(pts), JET_BLOCK):
-        xs = pts[s : s + JET_BLOCK].T
-        mono = np.ones((len(_MONOMIALS), xs.shape[1]))
-        for rows, parents, variables in _GRADED:
-            mono[rows] = mono[parents] * xs[variables]
-        np.matmul(mono.T, table, out=flat[s : s + JET_BLOCK])
+    flat = _monomials(pts.T).T @ table
     out, start = [], 0
     for shape in shapes:
         size = int(np.prod(shape))
@@ -474,7 +473,7 @@ def scale_jet(jet: CurvatureJet, factor) -> CurvatureJet:
     )
 
 
-def random_conformal_normal_jet(rng=None):
+def random_conformal_normal_jet(rng):
     """Random exact-rational jet satisfying all conformal-normal constraints:
     integer combinations, coefficients in [-6, 6], of the constraint bases."""
     rng = np.random.default_rng(rng)

@@ -33,7 +33,7 @@ class SphereModel:
     perturbs the metric; the volume element picks up e^{4u}.
     """
 
-    def __init__(self, n_theta=16, n_u=8, n_phi=8, conformal_expr=None):
+    def __init__(self, n_theta, n_u, n_phi, conformal_expr=None):
         domain = Box.cube(1e4)
         self.metric = sphere_metric(domain)
         theta, wth = gauss_legendre(n_theta, 0.0, np.pi)

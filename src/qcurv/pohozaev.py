@@ -70,9 +70,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import JET_BLOCK
 from .cnc import (
-    _GRADED, DEGREE, JET_BLOCK, _apply_jet_table, _jet_table, concatenate,
-    inverse_metric_taylor, poly_diff, ricci_of,
+    DEGREE, _apply_jet_table, _jet_table, _monomials, concatenate, inverse_metric_taylor,
+    poly_diff, ricci_of,
 )
 from .fields import DIM, DerivativeOrderError, _expand, polar_jet, polar_points
 from .quadrature import gauss_legendre, s3_nodes, BALL4_VOL, S3_AREA
@@ -81,7 +82,7 @@ from .quadrature import gauss_legendre, s3_nodes, BALL4_VOL, S3_AREA
 # 0.26 MB and a two-metric (n, 200) [A | g^{ij}] table 0.82 MB
 BOUNDARY_BLOCK = 512
 # the table rows of each monomial degree 0 to 3
-_DEGREE_ROWS = [[0]] + [rows for rows, _, _ in _GRADED]
+_DEGREE_ROWS = [np.flatnonzero(DEGREE == k) for k in range(4)]
 
 
 @dataclass
@@ -89,16 +90,16 @@ class BallDomain:
     """Origin-centered ball with polar interior and boundary rules, each a
     product of shells and directions.
 
-    The interior rule's shells are the Gauss-Legendre ``radii`` on [0, R]
-    with weights wr r^3 (``shell_w``); the boundary rule is the one shell
-    r = R with weight R^3.  Both take the unit S^3 nodes ``s3_pts`` with
-    weights ``s3_w`` as directions, which ``runs`` walks.  The whole-rule
-    weights ``int_w`` and ``bdy_w`` are formed only when read."""
+    The interior rule's shells are the ``n_r`` Gauss-Legendre ``radii`` on
+    [0, R] with weights wr r^3 (``shell_w``); the boundary rule is the one
+    shell r = R with weight R^3.  Both take ``s3_nodes(n_u, n_phi)`` as
+    directions ``s3_pts`` with weights ``s3_w``, which ``runs`` walks.  The
+    whole-rule weights ``int_w`` and ``bdy_w`` are formed only when read."""
 
     R: float
-    n_r: int = 48
-    n_u: int = 24
-    n_phi: int = 24
+    n_r: int
+    n_u: int
+    n_phi: int
 
     def __post_init__(self):
         self.radii, wr = gauss_legendre(self.n_r, 0.0, self.R)
@@ -235,8 +236,6 @@ def pohozaev_balance(u, h, b, ball: BallDomain, metric_taylors=()):
     """
     tables, bdy_table, ric = _tables(metric_taylors)
     eps3 = [mt.comps[..., DEGREE == 3].abs_max() for mt in metric_taylors]
-    # every sphere block's table values, on each ball, are written here
-    work = np.empty(BOUNDARY_BLOCK * bdy_table.shape[1])
 
     def reports(dom, sphere):
         I1, T = sphere
@@ -250,18 +249,18 @@ def pohozaev_balance(u, h, b, ball: BallDomain, metric_taylors=()):
             for i1, (i2, i3, i4, e3) in zip(I1, terms)
         ]
 
-    sphere = _boundary_terms(u, h, ball, bdy_table, work)
+    sphere = _boundary_terms(u, h, ball, bdy_table)
     fine = reports(ball, sphere)
     radial = reports(BallDomain(ball.R, max(ball.n_r // 2, 2), ball.n_u, ball.n_phi), sphere)
     half = BallDomain(ball.R, ball.n_r, max(ball.n_u // 2, 1), max(ball.n_phi // 2, 1))
-    angular = reports(half, _boundary_terms(u, h, half, bdy_table, work))
+    angular = reports(half, _boundary_terms(u, h, half, bdy_table))
     for f, r, a in zip(fine, radial, angular):
         f.radial_error_estimate = abs(f.residual - r.residual)
         f.angular_error_estimate = abs(f.residual - a.residual)
     return fine
 
 
-def _boundary_terms(u, h, ball, table, work):
+def _boundary_terms(u, h, ball, table):
     """I1 of each metric in the boundary ``table``, or of the flat metric
     when it has no columns, and I3's Ricci moments when it has: per sphere
     block of ``BOUNDARY_BLOCK`` directions, u's order-3 jet and the table
@@ -276,7 +275,7 @@ def _boundary_terms(u, h, ball, table, work):
         gu_hxi = gu + np.einsum("nim,nm->ni", hu, xi)
         if k:  # (lap u, grad lap u, g^{ij} nu_j) of each metric, g nu formed per flux
             metrics = ((lap, glap, np.einsum("nij,nj->ni", ginv, nu))
-                       for lap, glap, ginv in zip(*_detone_terms(table, xi, jet, work)))
+                       for lap, glap, ginv in zip(*_detone_terms(table, xi, jet)))
         else:
             metrics = [(np.trace(hu, axis1=1, axis2=2), np.einsum("naai->ni", tu), nu)]
         row = [
@@ -293,15 +292,14 @@ def _boundary_terms(u, h, ball, table, work):
     return sums[: max(k, 1)].tolist(), sums[max(k, 1) :]
 
 
-def _detone_terms(table, xi, jet, work):
+def _detone_terms(table, xi, jet):
     """lap u = A.grad u + g^{ij} d_ij u of each metric in the boundary
     ``table`` at ``xi``, its gradient d_m A.grad u + A.grad d_m u
     + d_m g^{ij} d_ij u + g^{ij} d_ijm u, and g^{ij}, as (k, n), (k, n, 4)
     and (k, n, 4, 4) arrays, from u's order-3 ``jet``; the table is
-    evaluated at the points into the workspace ``work``."""
+    evaluated at the points in one ``_apply_jet_table`` product."""
     n, (_, gu, hu, tu) = len(xi), jet
-    out = work[: n * table.shape[1]].reshape(n, -1)
-    vals = _apply_jet_table(table, [(table.shape[1] // 100, 100)], xi, out)[0]
+    vals = _apply_jet_table(table, [(table.shape[1] // 100, 100)], xi)[0]
     vals, parts = vals[..., :20], vals[..., 20:].reshape(n, -1, 20, 4)
     d1 = np.hstack([gu, hu.reshape(n, 16)])
     d2 = np.concatenate([hu, tu.reshape(n, 16, 4)], axis=1)
@@ -314,9 +312,7 @@ def _degree_tables(tables, dirs):
     """P_k(n), the interior table's degree-k rows ``tables[k]`` applied to
     each direction's degree-k monomials, as (4, d, columns): at the node
     r n the table's values are the sum over k of r^k P_k(n)."""
-    mono = np.ones((len(DEGREE), len(dirs)))
-    for rows, parents, variables in _GRADED:
-        mono[rows] = mono[parents] * dirs.T[variables]
+    mono = _monomials(dirs.T)
     return np.stack([mono[rows].T @ t for rows, t in zip(_DEGREE_ROWS, tables)])
 
 

@@ -49,7 +49,7 @@ def _legendre_rule(n):
     return x, w
 
 
-def gauss_legendre(n, a=0.0, b=1.0):
+def gauss_legendre(n, a, b):
     """Nodes and weights for Gauss-Legendre on [a, b]."""
     x, w = _legendre_rule(int(n))
     half = 0.5 * (b - a)
@@ -57,8 +57,8 @@ def gauss_legendre(n, a=0.0, b=1.0):
 
 
 @lru_cache
-def s3_nodes(n_u=24, n_phi=24):
-    """Read-only quadrature nodes (m, 4) and weights on the unit S^3.
+def s3_nodes(n_u, n_phi):
+    """Read-only quadrature nodes (n_u n_phi^2, 4) and weights on the unit S^3.
 
     Weights sum to 2*pi^2 exactly (up to roundoff).  Cached, so balls and
     sphere models with the same rule share its arrays.

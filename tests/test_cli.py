@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qcurv import bubble, cli, geodesic, pohozaev, potential
+from qcurv import bubble, cli, geodesic, harness, pohozaev, potential
 from qcurv.bubble import MASS_LIMIT, RescaledBubble, mass_integral
 from qcurv.cli import main
 from qcurv.fields import ChartError, DegenerateMetricError
@@ -574,36 +574,59 @@ def test_pohozaev_angular_estimate_reads_the_halved_sphere_rule(monkeypatch):
     assert sweep[0].angular_error_estimate > 1e-6
 
 
-def _scale_bubble(name, factor):
-    """A fault: ``RescaledBubble.<name>`` times ``factor``."""
+def _scale(owner, name, factor):
+    """A fault: ``owner.<name>`` returns ``factor`` times its value, a scaled
+    copy, so a cached read-only table is never written."""
 
     def patch(monkeypatch):
-        real = getattr(RescaledBubble, name)
-        monkeypatch.setattr(RescaledBubble, name, lambda self, r: factor * real(self, r))
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args: factor * real(*args))
 
     return patch
 
 
 def _scale_kernel_bilap(monkeypatch):
-    """A fault: the closed-form bi-Laplacians of ``kernel_elements`` times 1 + 1e-5."""
+    """A fault: the closed-form bi-Laplacians of ``kernel_elements`` times 1 + 1e-7."""
     real = bubble.kernel_elements
 
     def scaled(y):
         val, bilap = real(y)
-        return val, (1.0 + 1e-5) * bilap
+        return val, (1.0 + 1e-7) * bilap
 
     monkeypatch.setattr(bubble, "kernel_elements", scaled)
 
 
+def _scale_torus_gradient(monkeypatch):
+    """A fault: the gradients of ``TorusSpectralField.jet`` times 1 + 1e-4.
+    The values stay, so the finite-difference oracle, which reads values
+    only, does not see it."""
+    real = TorusSpectralField.jet
+
+    def jet(self, pts, order):
+        values, *grad = real(self, pts, order)
+        return [values] + [(1.0 + 1e-4) * g for g in grad]
+
+    monkeypatch.setattr(TorusSpectralField, "jet", jet)
+
+
 # checks that pass at the suite's defaults and seed 0 with a value below
-# ``clean``, and fail with a value above ``faulty`` under ``fault``.  Measured:
-# quadrature_vs_exact 5.7e-14 -> 1.56e-7 (bound 1e-10), max_pde_residual
-# 8.7e-19 -> 6.7e-9 (bound 1e-10), max_linearized_residual 1.7e-18 -> 1.6e-7
-# (bound 1e-8)
+# ``clean``, and fail with a value above ``faulty`` under ``fault``.  Measured
+# (clean -> faulty, bound):
+#   quadrature_vs_exact      5.7e-14 -> 1.56e-7 (1e-10)
+#   max_pde_residual         6.2e-16 -> 1.0e-8 (1e-10), relative to 2 H e^{4U}
+#   max_linearized_residual  1.9e-16 -> 1.0e-7 (1e-8), relative per element
+#   rescaling_identity_gap   8.9e-16 -> 4.0e-12 (1e-14)
+#   tuned_balance            0.0 -> 2.1e-7 (1e-8)
+#   untuned_vs_fd_oracle     1.06e-13 -> 5.3e-5 (1e-6)
+#   c_log_rel_error          9.35e-4 -> 4.9e-2 (0.02)
 _FAULTS = [
-    ("mass", "quadrature_vs_exact", _scale_bubble("exp4u", 1.0 + 1e-9), 1e-12, 1e-7),
-    ("bubble-check", "max_pde_residual", _scale_bubble("bilap", 1.0 + 1e-6), 1e-16, 5e-9),
-    ("kernel-check", "max_linearized_residual", _scale_kernel_bilap, 1e-16, 1e-7),
+    ("mass", "quadrature_vs_exact", _scale(RescaledBubble, "exp4u", 1.0 + 1e-9), 1e-12, 1e-7),
+    ("bubble-check", "max_pde_residual", _scale(RescaledBubble, "bilap", 1.0 + 1e-8), 1e-15, 5e-9),
+    ("kernel-check", "max_linearized_residual", _scale_kernel_bilap, 1e-15, 5e-8),
+    ("bubble-check", "rescaling_identity_gap", _scale(bubble, "bubble_eval", 1.0 + 1e-12), 1e-15, 1e-12),
+    ("vrate", "tuned_balance", _scale(harness, "tuned_source", 1.0 + 1e-6), 1e-15, 1e-7),
+    ("vrate", "untuned_vs_fd_oracle", _scale_torus_gradient, 1e-12, 1e-5),
+    ("green-fit", "c_log_rel_error", _scale(potential, "_radial_multiplier", 1.05), 2e-3, 0.04),
 ]
 
 

@@ -8,6 +8,7 @@ import pytest
 import sympy as sp
 
 import qcurv.cnc as cnc
+from qcurv import JET_BLOCK
 from qcurv.cnc import (
     _apply_jet_table,
     _jet_table,
@@ -588,12 +589,13 @@ def test_poly_jet_matches_exact_evaluation_across_blocks():
     want = np.prod(ints[:, None, :] ** _BASIS, axis=-1)
     assert np.array_equal(_apply_jet_table(*_jet_table(unit, 0), ints)[0], want)
 
-    # two full blocks and three more points, with |xi^i| up to 2 in every column
+    # 2 JET_BLOCK + 3 = 8,195 points, more than any caller's block, evaluated
+    # in one product, with |xi^i| up to 2 in every column
     rng = np.random.default_rng(7)
     num = _random_dense(rng, ()).num.copy()
     num[DEGREE == 3] = rng.integers(1, 100, 20)
     polys = ExactArray(num, int(rng.integers(1, 50)))
-    pts = rng.uniform(-2.0, 2.0, (2 * cnc.JET_BLOCK + 3, 4))
+    pts = rng.uniform(-2.0, 2.0, (2 * JET_BLOCK + 3, 4))
     pts[:8] = np.concatenate([2.0 * np.eye(4), -2.0 * np.eye(4)])
     jets = _apply_jet_table(*_jet_table(polys, 2), pts)
     # exactly: the points as integers over one power of two D, each degree-k

@@ -9,10 +9,10 @@ import sympy as sp
 
 import qcurv.fields as fields
 import qcurv.pohozaev as pohozaev
+from qcurv import JET_BLOCK
 from qcurv.bubble import RescaledBubble
 from qcurv.cnc import (
     _MONOMIALS,
-    JET_BLOCK,
     CurvatureJet,
     _apply_jet_table,
     _jet_table,
@@ -111,15 +111,17 @@ def test_flat_balance_peak_memory():
 
 
 def test_curved_sweep_peak_memory():
-    # 24 shells of 4,096 directions: two and three metrics peak at 2.33 and
-    # 2.78 MB of traced allocations (on the suite's 512 directions at 2.28
-    # and 2.62 MB).  The radially halved ball shares the cached S^3 rule; a
-    # copy of it raised the two-metric peak to 2.47 MB.  With 4,096 nodes
-    # per interior block they peaked at 6.6 and 8.0 MB, and with the
-    # boundary also in blocks of 4,096 nodes two peaked at 13.8 MB
+    # 24 shells of 4,096 directions: two and three metrics peak at 1.90 and
+    # 2.40 MB of traced allocations (on the suite's 512 directions at 1.82
+    # and 2.32 MB).  A boundary workspace that lived through the interior
+    # sums took them to 2.33 and 2.78 MB.  The radially halved ball shares
+    # the cached S^3 rule; a copy of it raised the two-metric peak by
+    # 0.14 MB.  With 4,096 nodes per interior block they peaked at 6.6 and
+    # 8.0 MB, and with the boundary also in blocks of 4,096 nodes two
+    # peaked at 13.8 MB
     u, mts = _sweep_setup()
     ball = BallDomain(1.0, 24, 16, 16)
-    for n_metrics, bound in ((2, 2.4e6), (3, 4e6)):
+    for n_metrics, bound in ((2, 2.2e6), (3, 2.8e6)):
         peak = _traced_peak(lambda k=n_metrics: pohozaev_balance(u, ONE, ZERO, ball, mts[:k]))
         assert peak < bound, (n_metrics, peak)
 
@@ -531,7 +533,7 @@ def _detone(mt, u, x):
     """The det-one Laplacian of the field ``u`` at the point ``x``, from the
     boundary table."""
     pt = np.atleast_2d(x)
-    lap, _, _ = _detone_terms(_tables([mt])[1], pt, u.jet(pt, 3), np.empty(100))
+    lap, _, _ = _detone_terms(_tables([mt])[1], pt, u.jet(pt, 3))
     return float(lap[0, 0])
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qcurv.cnc import JET_BLOCK
+from qcurv import JET_BLOCK
 from qcurv.fields import polar_points
 from qcurv.pohozaev import BOUNDARY_BLOCK, BallDomain
 from qcurv.quadrature import (
